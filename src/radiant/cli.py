@@ -5,19 +5,14 @@ byte-reproducible, with wall-clock fields in stats/bench reports being the
 only exception. Exit codes: 0 success, 1 usage error, 2 I/O error, 3 domain
 error (module errors, reported as structured JSON on stderr). stdout carries
 only primary payloads or output paths.
-
-RADIANT_THREADS caps internal parallelism (rendering rows); default is the
-machine's core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +23,7 @@ from .core_math import Aabb, Ray, generate_ray_arrays
 from .errors import FileFormatError, RadiantError
 from .fields import field_from_spec, make_analytic_sdf
 from .gridsample import AXIS_DIRECTIONS, sample_grid
-from .masking import apply_mask, patchify, random_mask
+from .masking import _splitmix64, apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
 from .octree import LodConfig, dense_extract, extract_surface
 from .projmaps import SemanticMapConfig, build_semantic_map
@@ -111,24 +106,6 @@ def _load_spec(arg: str, presets: dict) -> dict:
             raise FileFormatError(f"{arg}: {e}") from None
 
 
-def _splitmix_scalar(*parts: int) -> int:
-    x = 0
-    for p in parts:
-        x = (x + int(p)) & 0xFFFFFFFFFFFFFFFF
-        x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 30)) * 0xBF58476D1E4357B3) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x = x ^ (x >> 31)
-    return x
-
-
-def _n_threads() -> int:
-    env = os.environ.get("RADIANT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -197,29 +174,25 @@ def _cmd_mask(args) -> None:
     print(out)
 
 
-def _render_image(k, pose, cfg, seed, cam_index, near_field, far_field, boxes,
-                  object_field):
+# rays per render_full call: bounds the packet's (rays x samples) arrays
+PACKET_RAYS = 256
+
+
+def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_field):
     origins, dirs = generate_ray_arrays(k, pose)
-    h, w = k.height, k.width
-    img = np.zeros((h, w, 3))
-    accs = np.zeros(h * w)
-
-    def render_row(v):
-        for u in range(w):
-            idx = v * w + u
-            pix_cfg = replace(cfg, seed=_splitmix_scalar(seed, cam_index, idx))
-            res = render_full(Ray(origins[idx], dirs[idx]), pix_cfg,
-                              near_field, far_field, boxes, object_field)
-            img[v, u] = np.clip(res.color, 0.0, 1.0)
-            accs[idx] = res.acc
-
-    n = _n_threads()
-    if n <= 1:
-        for v in range(h):
-            render_row(v)
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(render_row, range(h)))
+    # pixel seeds hash (seed, camera, pixel index), so a pixel's jitter does
+    # not depend on how the image is split into packets
+    cam_key = _splitmix64(int(_splitmix64(cfg.seed)[0]) + cam_index)[0]
+    seeds = _splitmix64(cam_key + np.arange(len(origins), dtype=np.uint64))
+    colors = np.zeros(origins.shape)
+    accs = np.zeros(len(origins))
+    for lo in range(0, len(origins), PACKET_RAYS):
+        sl = slice(lo, lo + PACKET_RAYS)
+        res = render_full(Ray(origins[sl], dirs[sl]), replace(cfg, seed=seeds[sl]),
+                          near_field, far_field, boxes, object_field)
+        colors[sl] = res.color
+        accs[sl] = res.acc
+    img = np.clip(colors, 0.0, 1.0).reshape(k.height, k.width, 3)
     return img, float(accs.mean())
 
 
@@ -246,6 +219,14 @@ def _cmd_render(args) -> None:
     cameras = doc.get("cameras", [])
     if not cameras:
         raise RadiantError("scene has no cameras")
+    views = []
+    for ci, cam in enumerate(cameras):
+        try:
+            views.append((io.intrinsics_from_json(cam["intrinsics"]),
+                          io.pose_from_json(cam["pose"])))
+        except KeyError as e:
+            raise FileFormatError(
+                f"{args.scene}: cameras[{ci}] is missing key {e}") from None
     cfg = RenderConfig(
         near=float(doc.get("near", 0.02)),
         far=float(doc.get("far", 3.0)),
@@ -260,10 +241,8 @@ def _cmd_render(args) -> None:
     ]
     metrics_path = _prepare_output(f"{args.out}_metrics.json", args.force)
     outputs = []
-    for ci, (cam, path) in enumerate(zip(cameras, image_paths)):
-        k = io.intrinsics_from_json(cam["intrinsics"])
-        pose = io.pose_from_json(cam["pose"])
-        img, mean_acc = _render_image(k, pose, cfg, args.seed, ci,
+    for ci, ((k, pose), path) in enumerate(zip(views, image_paths)):
+        img, mean_acc = _render_image(k, pose, cfg, ci,
                                       near_field, far_field, boxes, object_field)
         io.write_ppm(path, img)
         outputs.append({"image": path.name, "mean_acc": mean_acc})

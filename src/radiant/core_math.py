@@ -139,20 +139,32 @@ class Pose:
 
 @dataclass
 class Ray:
-    """Ray with unit direction."""
+    """Ray with unit direction, or a packet of R rays: origin and direction
+    are both (3,) or both (R, 3)."""
 
     origin: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        self.origin = as_vec3(self.origin)
-        self.direction = as_vec3(self.direction)
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
+        self.origin = np.asarray(self.origin, dtype=np.float64)
+        self.direction = np.asarray(self.direction, dtype=np.float64)
+        shape = self.origin.shape
+        if self.direction.shape != shape or shape[-1:] != (3,) or len(shape) > 2:
+            raise ValueError(f"expected (3,) or (R, 3) origin and direction, got "
+                             f"{shape} and {self.direction.shape}")
+        if not (np.all(np.isfinite(self.origin)) and np.all(np.isfinite(self.direction))):
+            raise ValueError("ray components must be finite")
+        if np.any(np.abs(np.linalg.norm(self.direction, axis=-1) - 1.0) > 1e-9):
             raise ValueError("ray direction must be unit length")
 
     def at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return self.origin + t[..., None] * self.direction
+        """Points origin + t * direction; for a packet, t's first axis
+        indexes the rays."""
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        if self.origin.ndim == 1:
+            return self.origin + t * self.direction
+        shape = (-1,) + (1,) * (t.ndim - 2) + (3,)
+        return self.origin.reshape(shape) + t * self.direction.reshape(shape)
 
 
 def project_points(k: Intrinsics, pose: Pose, pts) -> tuple[np.ndarray, np.ndarray]:

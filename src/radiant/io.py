@@ -284,9 +284,12 @@ def trajectory_from_json(d: dict) -> Trajectory:
 
 
 def load_versioned_json(path) -> dict:
-    """Read a JSON document and reject unknown format versions."""
+    """Read a JSON object and reject unknown format versions."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FileFormatError(
+            f"{path}: top-level JSON value is a {type(doc).__name__}, expected an object")
     version = doc.get("version", JSON_VERSION)
     if version != JSON_VERSION:
         raise BadVersion(f"{path}: unsupported JSON version {version}")

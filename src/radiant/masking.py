@@ -22,7 +22,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix64(x) -> np.ndarray:
-    """SplitMix64 finalizer; a stateless uniform hash of uint64 values."""
+    """SplitMix64 finalizer; a stateless uniform hash of uint64 values.
+    A Python int is first reduced mod 2**64, so any int seed hashes."""
+    if isinstance(x, int):
+        x %= 1 << 64
     # work on arrays: numpy scalar uint64 multiplies emit overflow warnings
     z = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _SPLITMIX_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _MIX1

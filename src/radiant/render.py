@@ -8,13 +8,16 @@ uniformly in inverse radius 1/r over (0, 1], which allocates resolution
 inversely with distance. Object, near and far sample streams are merged by
 t (ties: object, then near, then far) and composited in a single pass, so
 editing with no boxes reproduces plain near/far rendering bit for bit.
+
+The renderers take one ray or a packet of R rays (a Ray with (R, 3)
+arrays) and work on (R, S) sample arrays with the same layout for every
+ray, so a ray renders the same bit for bit in any packet.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +44,8 @@ class RenderConfig:
     far: float = 3.0
     n_coarse: int = 64
     n_fine: int = 0  # hierarchical resampling, off by default
-    seed: int = 0
+    # jitter seed of one ray, or an (R,) array of per-ray seeds for a packet
+    seed: Union[int, np.ndarray] = 0
 
     def __post_init__(self):
         if not (0 < self.near < self.far):
@@ -77,15 +81,17 @@ class CompositeResult(NamedTuple):
     weights: np.ndarray
 
 
-def _stratified(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
-    """One uniform draw per equal-width stratum of [lo, hi)."""
-    return lo + (np.arange(n) + rng.random(n)) * (hi - lo) / n
+def _stratified(lo, hi, jitter: np.ndarray) -> np.ndarray:
+    """One draw per equal-width stratum of [lo, hi), placed by the uniform
+    jitter in [0, 1) along the last axis; lo and hi broadcast against it."""
+    n = jitter.shape[-1]
+    return lo + (np.arange(n) + jitter) * (hi - lo) / n
 
 
 def stratified_samples(ray: Ray, cfg: RenderConfig) -> RaySamples:
     """Stratified coarse samples of [near, far]; deterministic in the seed."""
     rng = np.random.default_rng(cfg.seed)
-    t = _stratified(rng, cfg.near, cfg.far, cfg.n_coarse)
+    t = _stratified(cfg.near, cfg.far, rng.random(cfg.n_coarse))
     deltas = np.append(np.diff(t), cfg.far - t[-1])
     return RaySamples(t, deltas)
 
@@ -103,26 +109,33 @@ def alpha_from_sigma(sigma, delta):
 
 
 def composite(colors, sigmas, deltas) -> CompositeResult:
-    """Front-to-back alpha compositing.
+    """Front-to-back alpha compositing along the sample axis.
 
     w_i = alpha_i * prod_{j<i} (1 - alpha_j); returns the weighted color,
     the accumulated opacity (= sum of weights), and the weights themselves.
     Negative densities (pruned samples) are clamped to zero here.
+
+    One ray passes colors (S, 3) and sigmas, deltas (S,) and gets a (3,)
+    color and a float acc; a packet of R rays passes (R, S, 3) and (R, S)
+    and gets (R, 3) colors, (R,) acc and (R, S) weights, row by row.
     """
-    colors = np.atleast_2d(np.asarray(colors, dtype=np.float64))
-    sigmas = np.asarray(sigmas, dtype=np.float64).ravel()
-    deltas = np.asarray(deltas, dtype=np.float64).ravel()
-    if sigmas.size == 0 and colors.size == 0:
-        colors = np.zeros((0, 3))
-    if not (colors.shape[0] == sigmas.size == deltas.size):
+    colors = np.asarray(colors, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if sigmas.ndim < 2:
+        sigmas, deltas = sigmas.ravel(), deltas.ravel()
+        colors = np.zeros((0, 3)) if colors.size == sigmas.size == 0 else np.atleast_2d(colors)
+    if not (colors.shape[:-1] == sigmas.shape == deltas.shape):
         raise LengthMismatch(
-            f"colors/sigmas/deltas lengths {colors.shape[0]}/{sigmas.size}/{deltas.size}"
+            f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/{deltas.shape}"
         )
     alpha = -np.expm1(-np.maximum(sigmas, 0.0) * deltas)
-    trans = np.concatenate([[1.0], np.cumprod(1.0 - alpha)[:-1]])
+    trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
+                                      axis=-1), axis=-1)
     weights = alpha * trans
-    color = weights @ colors if weights.size else np.zeros(3)
-    return CompositeResult(color=color, acc=float(weights.sum()), weights=weights)
+    acc = weights.sum(axis=-1)
+    return CompositeResult(color=np.sum(weights[..., None] * colors, axis=-2),
+                           acc=float(acc) if acc.ndim == 0 else acc, weights=weights)
 
 
 def contract_nerfpp(x) -> np.ndarray:
@@ -170,37 +183,31 @@ def prune_rays_in_boxes(samples, sigmas, boxes: Sequence[OrientedBox3]) -> np.nd
     return sigmas
 
 
-def _sphere_exit_t(origin: np.ndarray, direction: np.ndarray) -> float:
-    """Positive ray parameter where |origin + t * direction| = 1."""
-    b = float(origin @ direction)
-    c = float(origin @ origin) - 1.0
-    return -b + math.sqrt(b * b - c)
-
-
-def _radius_to_t(origin: np.ndarray, direction: np.ndarray, radius) -> np.ndarray:
-    """Outgoing ray parameter where the point reaches the given radius."""
-    b = float(origin @ direction)
-    c = float(origin @ origin)
-    return -b + np.sqrt(b * b + np.asarray(radius) ** 2 - c)
-
-
-def _sample_pdf(
-    edges: np.ndarray, weights: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Inverse-CDF draws of n values from a piecewise-constant pdf over bins."""
+def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF draws from the piecewise-constant pdf over each
+    row's bins, one per equal stratum of [0, 1) placed by the jitter; the
+    arithmetic is np.interp's, row by row."""
     w = np.maximum(weights, 0.0) + 1e-9
-    cdf = np.concatenate([[0.0], np.cumsum(w / w.sum())])
-    u = _stratified(rng, 0.0, 1.0, n)
-    return np.interp(u, cdf, edges)
+    cdf = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
+    cdf = np.concatenate([np.zeros_like(cdf[:, :1]), cdf], axis=-1)
+    u = _stratified(0.0, 1.0, jitter)
+    # row-wise searchsorted: cdf[hi - 1] <= u < cdf[hi]
+    hi = np.clip(np.count_nonzero(cdf[:, None, :] <= u[..., None], axis=-1), 1, cdf.shape[-1] - 1)
+    c0, c1 = np.take_along_axis(cdf, hi - 1, axis=-1), np.take_along_axis(cdf, hi, axis=-1)
+    e0, e1 = np.take_along_axis(edges, hi - 1, axis=-1), np.take_along_axis(edges, hi, axis=-1)
+    return np.where(u >= cdf[:, -1:], edges[:, -1:], (e1 - e0) / (c1 - c0) * (u - c0) + e0)
 
 
 class RenderResult(NamedTuple):
+    """Composited color, accumulated opacity, and the part of it from the
+    near region: (3,) and floats for one ray, (R, 3) and (R,) for a packet."""
+
     color: np.ndarray
     acc: float
     acc_near: float
 
 
-def _render_merged(
+def render_full(
     ray: Ray,
     cfg: RenderConfig,
     near_field: RadianceField,
@@ -208,114 +215,114 @@ def _render_merged(
     boxes: Sequence[OrientedBox3] = (),
     object_field: Optional[RadianceField] = None,
 ) -> RenderResult:
-    """Single merged-stream rendering pass behind every public renderer."""
-    if float(ray.origin @ ray.origin) >= 1.0:
-        raise OriginOutsideSphere("ray origin must lie inside the unit sphere")
-    rng = np.random.default_rng(cfg.seed)
-    t_sphere = _sphere_exit_t(ray.origin, ray.direction)
+    """Render one ray, or a packet of R rays with cfg.seed an (R,) array of
+    per-ray seeds; the single merged-stream pass behind every renderer.
 
-    # rng draws happen unconditionally, in a fixed order, so configurations
-    # that share a seed share every sample position
-    near_jitter = rng.random(cfg.n_coarse)
-    far_jitter = rng.random(cfg.n_coarse)
-    n = cfg.n_coarse
-    if t_sphere > cfg.near:
-        near_ts = cfg.near + (np.arange(n) + near_jitter) * (t_sphere - cfg.near) / n
-        near_deltas = np.append(np.diff(near_ts), t_sphere - near_ts[-1])
-    else:
-        near_ts = np.zeros(0)
-        near_deltas = np.zeros(0)
+    Every ray gets the same (R, S) sample layout: where the per-ray
+    algorithm has fewer samples (no near region when t_sphere <= near, a
+    repeated depth, a dropped far draw) the layout holds a zero-length
+    segment, which contributes nothing. So a ray renders the same bit for
+    bit in any packet.
+    """
+    o, d = np.atleast_2d(ray.origin), np.atleast_2d(ray.direction)
+    b = np.sum(o * d, axis=-1, keepdims=True)
+    oo = np.sum(o * o, axis=-1, keepdims=True)
+    if np.any(oo >= 1.0):
+        raise OriginOutsideSphere("ray origin must lie inside the unit sphere")
+    t_sphere = -b + np.sqrt(b * b - (oo - 1.0))
+    has_near = t_sphere > cfg.near
+    n, n_fine = cfg.n_coarse, cfg.n_fine
+
+    # each ray draws its own seeded stream in a fixed order (near, far,
+    # near fine, far fine), so configurations that share a seed share every
+    # sample position
+    jitter = np.array([np.random.default_rng(int(s)).random(2 * n + 2 * n_fine)
+                       for s in np.broadcast_to(cfg.seed, (len(o),))])
+    near_ts = _stratified(cfg.near, t_sphere, jitter[:, :n])
     # descending inverse radius over (0, 1]: first sample sits just outside
     # the sphere, later samples stride toward infinity
-    u = (n - np.arange(n) - far_jitter) / n
-    far_ts = _radius_to_t(ray.origin, ray.direction, 1.0 / u)
-    if n >= 2:
-        far_deltas = np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2])
-    else:
-        far_deltas = np.array([max(far_ts[0] - t_sphere, 1e-12)])
+    u = (n - np.arange(n) - jitter[:, n:2 * n]) / n
 
-    if cfg.n_fine > 0:
-        coarse = _compose_streams(
-            ray, near_ts, near_deltas, far_ts, far_deltas,
-            near_field, far_field, boxes, object_field,
-        )
-        near_w = coarse.weights[coarse.ranks == _NEAR]
-        if near_ts.size >= 2:
-            edges = np.concatenate([[cfg.near], 0.5 * (near_ts[:-1] + near_ts[1:]), [t_sphere]])
-            fine = np.sort(_sample_pdf(edges, near_w, cfg.n_fine, rng))
-            near_ts = np.unique(np.concatenate([near_ts, fine]))
-            near_deltas = np.append(np.diff(near_ts), t_sphere - near_ts[-1])
-            near_deltas = np.maximum(near_deltas, 1e-12)
-        far_w = coarse.weights[coarse.ranks == _FAR]
-        u_asc = u[::-1]
-        edges_u = np.concatenate([[0.0], 0.5 * (u_asc[:-1] + u_asc[1:]), [1.0]])
-        fine_u = _sample_pdf(edges_u, far_w[::-1], cfg.n_fine, rng)
-        fine_u = fine_u[fine_u > 1e-9]
-        u_all = np.unique(np.concatenate([u_asc, fine_u]))[::-1]
-        far_ts = _radius_to_t(ray.origin, ray.direction, 1.0 / u_all)
-        far_deltas = np.maximum(np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2]), 1e-12)
+    def near_deltas(ts):
+        return np.where(has_near, np.diff(ts, axis=-1, append=t_sphere), 0.0)
 
-    merged = _compose_streams(
-        ray, near_ts, near_deltas, far_ts, far_deltas,
-        near_field, far_field, boxes, object_field,
-    )
-    acc_near = float(merged.weights[merged.ranks == _NEAR].sum())
-    return RenderResult(color=merged.color, acc=merged.acc, acc_near=acc_near)
+    def far_ladder(u_desc):
+        ts = -b + np.sqrt(b * b + (1.0 / u_desc) ** 2 - oo)  # where |o + t d| = 1 / u
+        # the ladder runs to infinity: the last segment repeats the one
+        # before it (for a lone sample, the gap from the sphere)
+        gaps = np.diff(ts, axis=-1, prepend=t_sphere)
+        return ts, np.concatenate([gaps[:, 1:], gaps[:, -1:]], axis=-1)
+
+    near = (near_ts, near_deltas(near_ts))
+    far = far_ladder(u)
+    if n_fine > 0:
+        _, _, near_w, far_w = _compose_streams(ray, *near, *far, near_field, far_field,
+                                               boxes, object_field)
+        # only rays with 2+ near samples draw near-fine jitter, which the
+        # far-fine draws follow; the other rays repeat their first sample
+        fine_near = has_near & (n >= 2)
+        edges = np.concatenate([np.full_like(t_sphere, cfg.near),
+                                0.5 * (near_ts[:, :-1] + near_ts[:, 1:]), t_sphere], axis=-1)
+        fine = _sample_pdf(edges, near_w, jitter[:, 2 * n:2 * n + n_fine])
+        ts = np.sort(np.concatenate([near_ts, np.where(fine_near, fine, near_ts[:, :1])],
+                                    axis=-1), axis=-1)
+        near = (ts, near_deltas(ts))
+
+        far_at = np.where(fine_near, 2 * n + n_fine, 2 * n) + np.arange(n_fine)
+        u_asc = u[:, ::-1]
+        edges_u = np.concatenate([np.zeros_like(t_sphere), 0.5 * (u_asc[:, :-1] + u_asc[:, 1:]),
+                                  np.ones_like(t_sphere)], axis=-1)
+        fine_u = _sample_pdf(edges_u, far_w[:, ::-1], np.take_along_axis(jitter, far_at, axis=-1))
+        # draws at u ~ 0 (infinite radius) become repeats of the first sample
+        fine_u = np.where(fine_u > 1e-9, fine_u, u[:, :1])
+        far = far_ladder(-np.sort(-np.concatenate([u, fine_u], axis=-1), axis=-1))
+
+    color, acc, near_w, _ = _compose_streams(ray, *near, *far, near_field, far_field,
+                                             boxes, object_field)
+    acc_near = near_w.sum(axis=-1)
+    if ray.origin.ndim == 1:
+        return RenderResult(color[0], float(acc[0]), float(acc_near[0]))
+    return RenderResult(color, acc, acc_near)
 
 
-class _Streams(NamedTuple):
-    color: np.ndarray
-    acc: float
-    weights: np.ndarray
-    ranks: np.ndarray
+def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
+                     near_field, far_field, boxes, object_field):
+    """Composite each ray's object, near and far streams, (R, S) arrays,
+    merged by t (ties: object, then near, then far); zero-length segments
+    get sigma 0. Returns color, acc and the near and far weights in ladder
+    order."""
+    dirs = np.atleast_2d(ray.direction)[:, None, :]
 
+    def evaluate(field, pts, mask):
+        colors, sigmas = np.zeros(pts.shape), np.zeros(pts.shape[:-1])
+        colors[mask], sigmas[mask] = field.eval(pts[mask], np.broadcast_to(dirs, pts.shape)[mask])
+        return colors, sigmas
 
-def _compose_streams(
-    ray, near_ts, near_deltas, far_ts, far_deltas,
-    near_field, far_field, boxes, object_field,
-) -> _Streams:
-    dirs_near = np.tile(ray.direction, (near_ts.size, 1))
-    near_pts = ray.at(near_ts)
-    near_colors, near_sigmas = near_field.eval(near_pts, dirs_near)
-    near_sigmas = np.asarray(near_sigmas, dtype=np.float64)
-
-    obj_ts = np.zeros(0)
-    obj_deltas = np.zeros(0)
-    obj_colors = np.zeros((0, 3))
-    obj_sigmas = np.zeros(0)
+    near_pts, far_pts = ray.at(near_ts), ray.at(far_ts)
+    near_colors, near_sigmas = evaluate(near_field, near_pts, np.ones_like(near_ts, dtype=bool))
+    obj_colors, obj_sigmas = np.zeros(near_colors.shape), np.zeros(near_ts.shape)
     if boxes:
-        near_sigmas = prune_rays_in_boxes(near_pts, near_sigmas, boxes)
-        if object_field is not None:
-            inside = np.zeros(near_ts.size, dtype=bool)
-            for box in boxes:
-                inside |= box.contains(near_pts)
-            if inside.any():
-                obj_ts = near_ts[inside]
-                obj_deltas = near_deltas[inside]
-                obj_colors, obj_sigmas = object_field.eval(
-                    near_pts[inside], dirs_near[inside]
-                )
+        inside = np.any([box.contains(near_pts.reshape(-1, 3)) for box in boxes], axis=0)
+        inside = inside.reshape(near_ts.shape)
+        near_sigmas[inside] = SUPPRESSION_SIGMA
+        if object_field is not None and inside.any():
+            obj_colors, obj_sigmas = evaluate(object_field, near_pts, inside)
+    far_colors, far_sigmas = evaluate(far_field, far_pts, np.ones_like(far_ts, dtype=bool))
 
-    far_colors, far_sigmas = far_field.eval(
-        ray.at(far_ts), np.tile(ray.direction, (far_ts.size, 1))
-    )
-
-    t_all = np.concatenate([obj_ts, near_ts, far_ts])
-    ranks = np.concatenate(
-        [
-            np.full(obj_ts.size, _OBJECT),
-            np.full(near_ts.size, _NEAR),
-            np.full(far_ts.size, _FAR),
-        ]
-    )
-    order = np.lexsort((ranks, t_all))
-    colors = np.concatenate([np.atleast_2d(obj_colors), np.atleast_2d(near_colors),
-                             np.atleast_2d(far_colors)])
-    sigmas = np.concatenate([np.asarray(obj_sigmas).ravel(), near_sigmas.ravel(),
-                             np.asarray(far_sigmas).ravel()])
-    deltas = np.concatenate([obj_deltas, near_deltas, far_deltas])
-    comp = composite(colors[order], sigmas[order], deltas[order])
-    return _Streams(comp.color, comp.acc, comp.weights, ranks[order])
+    sn, sf = near_ts.shape[1], far_ts.shape[1]
+    t = np.concatenate([near_ts, near_ts, far_ts], axis=-1)
+    deltas = np.concatenate([near_deltas, near_deltas, far_deltas], axis=-1)
+    sigmas = np.concatenate([obj_sigmas, near_sigmas, far_sigmas], axis=-1)
+    sigmas = np.where(deltas > 0, sigmas, 0.0)
+    colors = np.concatenate([obj_colors, near_colors, far_colors], axis=1)
+    ranks = np.broadcast_to(np.repeat([_OBJECT, _NEAR, _FAR], [sn, sn, sf]), t.shape)
+    order = np.lexsort((ranks, t), axis=-1)
+    comp = composite(np.take_along_axis(colors, order[..., None], axis=1),
+                     np.take_along_axis(sigmas, order, axis=1),
+                     np.take_along_axis(deltas, order, axis=1))
+    weights = np.empty_like(comp.weights)
+    np.put_along_axis(weights, order, comp.weights, axis=1)
+    return comp.color, comp.acc, weights[:, sn:2 * sn], weights[:, 2 * sn:]
 
 
 def render_ray_nearfar(
@@ -330,7 +337,7 @@ def render_ray_nearfar(
     unit-sphere exit on the inverse-radius ladder. Far radiance is seen
     through the near transmittance. Returns (color, near accumulation).
     """
-    res = _render_merged(ray, cfg, near_field, far_field)
+    res = render_full(ray, cfg, near_field, far_field)
     return res.color, res.acc_near
 
 
@@ -345,18 +352,4 @@ def render_composed(
     """Editable scene rendering: the object field is queried only inside the
     boxes, the near background is pruned there, and all three streams are
     composited along one merged sample list."""
-    res = _render_merged(ray, cfg, near_field, far_field, boxes, object_field)
-    return res.color
-
-
-def render_full(
-    ray: Ray,
-    cfg: RenderConfig,
-    near_field: RadianceField,
-    far_field: RadianceField,
-    boxes: Sequence[OrientedBox3] = (),
-    object_field: Optional[RadianceField] = None,
-) -> RenderResult:
-    """render_composed plus the accumulations (used by the CLI for image
-    metrics)."""
-    return _render_merged(ray, cfg, near_field, far_field, boxes, object_field)
+    return render_full(ray, cfg, near_field, far_field, boxes, object_field).color

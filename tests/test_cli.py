@@ -94,15 +94,11 @@ class TestVoxelizeRender:
         )))
         assert run("render", "--scene", scene, "--out", tmp_path / "img") == 0
 
-    def test_render_thread_cap_keeps_output_identical(self, tmp_path, monkeypatch):
+    def test_render_negative_seed(self, tmp_path):
         scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(scene_doc(n_fine=8)))
-        monkeypatch.setenv("RADIANT_THREADS", "1")
-        assert run("render", "--scene", scene, "--out", tmp_path / "seq") == 0
-        monkeypatch.setenv("RADIANT_THREADS", "4")
-        assert run("render", "--scene", scene, "--out", tmp_path / "par") == 0
-        assert (tmp_path / "seq_000.ppm").read_bytes() == (
-            tmp_path / "par_000.ppm").read_bytes()
+        scene.write_text(json.dumps(scene_doc(n_fine=4)))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img",
+                   "--seed", "-1") == 0
 
     def test_voxelize_with_camera_directions(self, tmp_path):
         # two cameras looking along +x and -x: a direction-dependent field
@@ -155,6 +151,40 @@ class TestMask:
         assert doc["p"] == 4 and doc["dims"] == [8, 8, 8]
         assert doc["seed"] == 7 and doc["ratio"] == 0.75
         assert len(doc["masked_indices"]) == round(0.75 * 8)
+
+    def test_negative_seed_wraps_mod_2_64(self, tmp_path):
+        grid_path = tmp_path / "g.nfvg"
+        run("voxelize", "--field", "sphere", "--dims", "8", "--out", grid_path)
+        for name, seed in (("neg", "-1"), ("max", str(2**64 - 1))):
+            assert run("mask", "--grid", grid_path, "--ratio", "0.5", "--patch", "2",
+                       "--seed", seed, "--out", tmp_path / f"{name}.nfvg",
+                       "--mask-out", tmp_path / f"{name}.json") == 0
+        assert (tmp_path / "neg.nfvg").read_bytes() == (tmp_path / "max.nfvg").read_bytes()
+        neg, top = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("neg", "max"))
+        assert neg["masked_indices"] == top["masked_indices"]
+
+
+class TestMalformedJson:
+    def test_top_level_list_is_format_error(self, tmp_path, capsys):
+        (tmp_path / "t.json").write_text("[1, 2, 3]")
+        assert run("eval-nav", "--trajectory", tmp_path / "t.json",
+                   "--out", tmp_path / "nav.json") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError" and "t.json" in err["message"]
+
+    @pytest.mark.parametrize("drop", ["intrinsics", "pose", "fx"])
+    def test_render_camera_missing_key(self, tmp_path, capsys, drop):
+        doc = scene_doc()
+        cam = doc["cameras"][0]
+        cam.pop(drop, None)
+        cam.get("intrinsics", {}).pop(drop, None)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(scene) in err["message"] and repr(drop) in err["message"]
+        assert not (tmp_path / "img_000.ppm").exists()
 
 
 class TestEvalCommands:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from radiant.core_math import (
     Intrinsics,
     Pose,
+    Ray,
     backproject_pixel,
     canonicalize_symmetric,
     gaussian_pe_kernel,
@@ -219,3 +220,29 @@ class TestGenerateRays:
         expected = target - pose.translation
         expected /= np.linalg.norm(expected)
         assert np.abs(corner.direction - expected).max() < 1e-12
+
+
+class TestRayPacket:
+    def test_packet_rows_match_single_rays(self):
+        rng = np.random.default_rng(2)
+        dirs = rng.normal(size=(5, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        origins = rng.uniform(-0.5, 0.5, (5, 3))
+        t = rng.uniform(0, 2, (5, 4))
+        packet = Ray(origins, dirs)
+        pts = packet.at(t)
+        assert pts.shape == (5, 4, 3)
+        for i in range(5):
+            assert np.array_equal(pts[i], Ray(origins[i], dirs[i]).at(t[i]))
+        assert np.array_equal(packet.at(t[:, 0]), pts[:, 0])
+
+    def test_each_row_validated(self):
+        dirs = np.tile([0.0, 0.0, 1.0], (3, 1))
+        with pytest.raises(ValueError, match="unit length"):
+            Ray(np.zeros((3, 3)), dirs * [[1.0], [1.0], [1.1]])
+        with pytest.raises(ValueError, match="finite"):
+            Ray([[0, 0, 0], [0, 0, np.nan], [0, 0, 0]], dirs)
+        with pytest.raises(ValueError, match="expected"):
+            Ray(np.zeros(3), dirs)
+        with pytest.raises(ValueError):
+            Ray(np.zeros((3, 2)), np.zeros((3, 2)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from radiant.core_math import Ray
+from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
 from radiant.errors import (
     InsideUnitSphere,
     LengthMismatch,
@@ -14,6 +14,7 @@ from radiant.errors import (
     OriginOutsideSphere,
 )
 from radiant.fields import ConstantField, GaussianBlobField
+from radiant.masking import _splitmix64
 from radiant.metrics import OrientedBox3
 from radiant.render import (
     RenderConfig,
@@ -24,6 +25,7 @@ from radiant.render import (
     distortion_reg,
     prune_rays_in_boxes,
     render_composed,
+    render_full,
     render_ray_nearfar,
     stratified_samples,
 )
@@ -141,6 +143,19 @@ class TestComposite:
         t_analytic = np.prod(1.0 - (-np.expm1(-sigmas * deltas)))
         assert res.acc == pytest.approx(1.0 - t_analytic, abs=1e-9)
         assert np.all(res.weights >= 0) and np.all(res.weights <= 1)
+
+    def test_packet_rows_match_single_rays(self):
+        rng = np.random.default_rng(6)
+        colors = rng.uniform(0, 1, (4, 30, 3))
+        sigmas = rng.uniform(0, 20, (4, 30))
+        deltas = rng.uniform(1e-3, 0.1, (4, 30))
+        packet = composite(colors, sigmas, deltas)
+        assert packet.color.shape == (4, 3) and packet.acc.shape == (4,)
+        for i in range(4):
+            row = composite(colors[i], sigmas[i], deltas[i])
+            assert np.array_equal(packet.color[i], row.color)
+            assert packet.acc[i] == row.acc
+            assert np.array_equal(packet.weights[i], row.weights)
 
     def test_occlusion_monotonicity(self):
         rng = np.random.default_rng(4)
@@ -363,3 +378,115 @@ class TestQuadratureConvergence:
         assert e64 <= 0.6 * e32
         assert e128 <= 0.6 * e64
         assert e256 <= 0.6 * e128
+
+
+def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
+    """One ray at a time with np.interp and np.unique: the renderer's
+    algorithm before it was batched into packets. Returns (color, acc, acc_near)."""
+    rng = np.random.default_rng(cfg.seed)
+    b, c = float(o @ d), float(o @ o)
+    t_sphere = -b + math.sqrt(b * b - (c - 1.0))
+
+    def radius_to_t(r):
+        return -b + np.sqrt(b * b + r**2 - c)
+
+    def sample_pdf(edges, w, m):
+        w = np.maximum(w, 0.0) + 1e-9
+        cdf = np.concatenate([[0.0], np.cumsum(w / w.sum())])
+        return np.interp((np.arange(m) + rng.random(m)) / m, cdf, edges)
+
+    def compose(near_ts, near_deltas, far_ts, far_deltas):
+        near_pts = o + near_ts[:, None] * d
+        near_c, near_s = near_field.eval(near_pts, np.tile(d, (near_ts.size, 1)))
+        inside = np.zeros(near_ts.size, dtype=bool)
+        for box in boxes:
+            inside |= box.contains(near_pts)
+        near_s = np.where(inside, SUPPRESSION_SIGMA, near_s)
+        obj_c, obj_s = np.zeros((0, 3)), np.zeros(0)
+        if object_field is not None and inside.any():
+            obj_c, obj_s = object_field.eval(near_pts[inside], np.tile(d, (inside.sum(), 1)))
+        far_c, far_s = far_field.eval(o + far_ts[:, None] * d, np.tile(d, (far_ts.size, 1)))
+        t_all = np.concatenate([near_ts[inside], near_ts, far_ts])
+        ranks = np.repeat([0, 1, 2], [inside.sum(), near_ts.size, far_ts.size])
+        order = np.lexsort((ranks, t_all))
+        res = composite(np.concatenate([obj_c, near_c, far_c])[order],
+                        np.concatenate([obj_s, near_s, far_s])[order],
+                        np.concatenate([near_deltas[inside], near_deltas, far_deltas])[order])
+        return res.color, res.acc, res.weights[ranks[order] == 1], res.weights[ranks[order] == 2]
+
+    n = cfg.n_coarse
+    near_j, far_j = rng.random(n), rng.random(n)
+    near_ts = near_deltas = np.zeros(0)
+    if t_sphere > cfg.near:
+        near_ts = cfg.near + (np.arange(n) + near_j) * (t_sphere - cfg.near) / n
+        near_deltas = np.append(np.diff(near_ts), t_sphere - near_ts[-1])
+    u = (n - np.arange(n) - far_j) / n
+    far_ts = radius_to_t(1.0 / u)
+    far_deltas = np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2])
+    if cfg.n_fine > 0:
+        _, _, near_w, far_w = compose(near_ts, near_deltas, far_ts, far_deltas)
+        if near_ts.size >= 2:
+            edges = np.concatenate([[cfg.near], 0.5 * (near_ts[:-1] + near_ts[1:]), [t_sphere]])
+            near_ts = np.unique(np.concatenate([near_ts, sample_pdf(edges, near_w, cfg.n_fine)]))
+            near_deltas = np.maximum(np.append(np.diff(near_ts), t_sphere - near_ts[-1]), 1e-12)
+        u_asc = u[::-1]
+        edges_u = np.concatenate([[0.0], 0.5 * (u_asc[:-1] + u_asc[1:]), [1.0]])
+        fine_u = sample_pdf(edges_u, far_w[::-1], cfg.n_fine)
+        far_ts = radius_to_t(1.0 / np.unique(np.concatenate([u_asc, fine_u[fine_u > 1e-9]]))[::-1])
+        far_deltas = np.maximum(np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2]), 1e-12)
+    color, acc, near_w, _ = compose(near_ts, near_deltas, far_ts, far_deltas)
+    return color, acc, near_w.sum()
+
+
+class TestPacket:
+    """Packets of rays against single rays and the per-ray algorithm."""
+
+    NEAR = GaussianBlobField((0.9, 0.4, 0.1), 12.0, (0.05, -0.05, 0.45), 0.25)
+    FAR = ConstantField((0.1, 0.2, 0.4), 1.5)
+    OBJECT = ConstantField((1.0, 1.0, 0.0), 200.0)
+    BOXES = [OrientedBox3((0.0, 0.0, 0.5), (0.4, 0.4, 0.3), 0.3)]
+
+    @staticmethod
+    def _rays():
+        """An 8x8 camera whose pixel 5 leaves the sphere before `near`."""
+        origins, dirs = generate_ray_arrays(Intrinsics(8, 8, 3.5, 3.5, 8, 8),
+                                            Pose(np.eye(3), (0.0, 0.1, 0.0)))
+        origins[5], dirs[5] = (0.0, 0.0, 0.99), (0.0, 0.0, 1.0)
+        return origins, dirs, _splitmix64(np.arange(64, dtype=np.uint64))
+
+    def _render(self, origins, dirs, seed):
+        cfg = RenderConfig(n_coarse=16, n_fine=8, seed=seed)
+        return render_full(Ray(origins, dirs), cfg, self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+
+    def test_partition_invariance(self):
+        origins, dirs, seeds = self._rays()
+        whole = self._render(origins, dirs, seeds)
+        singles = [self._render(origins[i], dirs[i], int(seeds[i])) for i in range(64)]
+        splits = [self._render(origins[sl], dirs[sl], seeds[sl])
+                  for sl in (slice(0, 1), slice(1, 8), slice(8, 64))]
+        assert whole.acc_near[5] == 0.0 and whole.acc_near.max() > 0.0
+        for field in ("color", "acc", "acc_near"):
+            single = np.array([getattr(r, field) for r in singles])
+            split = np.concatenate([getattr(r, field) for r in splits])
+            assert np.array_equal(getattr(whole, field), single), field
+            assert np.array_equal(getattr(whole, field), split), field
+
+    @pytest.mark.parametrize("n_coarse,n_fine", [(16, 0), (16, 8), (2, 5), (64, 32)])
+    def test_matches_per_ray_reference(self, n_coarse, n_fine):
+        # only the order of the final colour and acc sums differs
+        origins, dirs, seeds = self._rays()
+        cfg = RenderConfig(n_coarse=n_coarse, n_fine=n_fine, seed=seeds)
+        got = render_full(Ray(origins, dirs), cfg, self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+        for i in range(64):
+            want = _per_ray_reference(origins[i], dirs[i],
+                                      RenderConfig(n_coarse=n_coarse, n_fine=n_fine, seed=int(seeds[i])),
+                                      self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+            assert np.abs(got.color[i] - want[0]).max() <= 1e-12
+            assert abs(got.acc[i] - want[1]) <= 1e-12
+            assert abs(got.acc_near[i] - want[2]) <= 1e-12
+
+    def test_rejects_origin_outside_in_packet(self):
+        origins, dirs, seeds = self._rays()
+        origins[3] = (0.0, 0.0, 1.0)
+        with pytest.raises(OriginOutsideSphere):
+            self._render(origins, dirs, seeds)
