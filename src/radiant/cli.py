@@ -215,7 +215,8 @@ def _cmd_render(args) -> None:
     far_field = build_field("far_field") or field_from_spec(
         {"type": "constant", "color": [0, 0, 0], "sigma": 0.0})
     object_field = build_field("object_field")
-    boxes = [io.box_from_json(b) for b in doc.get("boxes", [])]
+    boxes = [io.box_from_json(b, f"{args.scene}: boxes[{i}]")
+             for i, b in enumerate(doc.get("boxes", []))]
     cameras = doc.get("cameras", [])
     if not cameras:
         raise RadiantError("scene has no cameras")
@@ -250,12 +251,64 @@ def _cmd_render(args) -> None:
     io.dump_json(metrics_path, {"images": outputs})
 
 
+def _parse_iou_thresholds(text: str) -> list[float]:
+    try:
+        vals = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--iou-thresholds {text!r}: expected comma-separated "
+                         "numbers") from None
+    if not all(0.0 < v < 1.0 for v in vals):
+        raise ValueError(f"--iou-thresholds {text!r}: each must lie in (0, 1)")
+    return vals
+
+
+def _parse_pose_thresholds(text: str) -> list[tuple[float, float]]:
+    pairs = []
+    for pair in text.split(","):
+        try:
+            deg_s, cm_s = pair.split(":")
+            deg, cm = float(deg_s), float(cm_s)
+        except ValueError:
+            raise ValueError(f"--pose-thresholds: bad pair {pair!r}; expected "
+                             "deg:cm") from None
+        if not (deg > 0 and cm > 0):
+            raise ValueError(f"--pose-thresholds: pair {pair!r} must be positive")
+        pairs.append((deg, cm))
+    return pairs
+
+
+def _parse_axis(text: str) -> np.ndarray:
+    try:
+        axis = np.array([float(t) for t in text.split(",")])
+    except ValueError:
+        axis = np.zeros(0)
+    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-6:
+        raise ValueError(f"--symmetry-axis {text!r}: expected a unit 3-vector x,y,z")
+    return axis
+
+
+def _read_records(path, key: str, reader, scored: bool) -> list:
+    """One record per entry of the list under key in a JSON document;
+    predictions (scored) must each carry a score."""
+    entries = io.read_key(io.load_versioned_json(path), key, str(path))
+    if not isinstance(entries, list):
+        raise FileFormatError(
+            f"{path}: {key!r} must be a list, got {type(entries).__name__}")
+    records = []
+    for i, d in enumerate(entries):
+        where = f"{path}: {key}[{i}]"
+        if scored:
+            io.read_key(d, "score", where)
+        records.append(reader(d, where))
+    return records
+
+
 def _cmd_eval_detect(args) -> None:
+    thresholds = _parse_iou_thresholds(args.iou_thresholds)
     _require_inputs(args.pred, args.gt)
     out = _prepare_output(args.out, args.force)
-    preds = [io.box_from_json(b) for b in io.load_versioned_json(args.pred)["boxes"]]
-    gts = [io.box_from_json(b) for b in io.load_versioned_json(args.gt)["boxes"]]
-    thresholds = [float(t) for t in args.iou_thresholds.split(",")]
+    preds = _read_records(args.pred, "boxes", io.box_from_json, scored=True)
+    gts = _read_records(args.gt, "boxes", io.box_from_json, scored=False)
     results = {}
     labels = sorted({b.label for b in gts} | {b.label for b in preds})
     for thresh in thresholds:
@@ -272,19 +325,17 @@ def _cmd_eval_detect(args) -> None:
 
 
 def _cmd_eval_pose(args) -> None:
+    pairs = _parse_pose_thresholds(args.pose_thresholds)
+    axis = _parse_axis(args.symmetry_axis)
     _require_inputs(args.pred, args.gt)
     out = _prepare_output(args.out, args.force)
-    preds = [io.pose_record_from_json(p)
-             for p in io.load_versioned_json(args.pred)["poses"]]
-    gts = [io.pose_record_from_json(p) for p in io.load_versioned_json(args.gt)["poses"]]
-    axis = np.asarray([float(t) for t in args.symmetry_axis.split(",")])
+    preds = _read_records(args.pred, "poses", io.pose_record_from_json, scored=True)
+    gts = _read_records(args.gt, "poses", io.pose_record_from_json, scored=False)
     sym_classes = [c for c in args.symmetric_classes.split(",") if c]
     axes = {c: axis for c in sym_classes}
     results = {}
     labels = sorted({p.label for p in gts} | {p.label for p in preds})
-    for pair in args.pose_thresholds.split(","):
-        deg_s, cm_s = pair.split(":")
-        deg, cm = float(deg_s), float(cm_s)
+    for deg, cm in pairs:
         ap = pose_ap(preds, gts, deg, cm, axes)
         per_class = {}
         for label in labels:
@@ -297,22 +348,22 @@ def _cmd_eval_pose(args) -> None:
     print(out)
 
 
-def _labels_from_doc(doc: dict, base: Path) -> tuple[np.ndarray, int]:
-    path = base / doc["labels_file"]
-    _require_inputs(path)
-    grid = io.read_nfvg(path)
+def _labels_from_doc(path) -> tuple[np.ndarray, int]:
+    doc = io.load_versioned_json(path)
+    labels = Path(path).parent / io.read_key(doc, "labels_file", str(path), str)
+    n_classes = io.read_key(doc, "n_classes", str(path), int)
+    _require_inputs(labels)
+    grid = io.read_nfvg(labels)
     if grid.channels != 1:
         raise RadiantError("label grids must have a single channel")
-    return np.rint(grid.data[..., 0]).astype(np.int64), int(doc["n_classes"])
+    return np.rint(grid.data[..., 0]).astype(np.int64), n_classes
 
 
 def _cmd_eval_voxels(args) -> None:
     _require_inputs(args.pred, args.gt)
     out = _prepare_output(args.out, args.force)
-    pred_doc = io.load_versioned_json(args.pred)
-    gt_doc = io.load_versioned_json(args.gt)
-    pred, n_pred = _labels_from_doc(pred_doc, Path(args.pred).parent)
-    gt, n_gt = _labels_from_doc(gt_doc, Path(args.gt).parent)
+    pred, n_pred = _labels_from_doc(args.pred)
+    gt, n_gt = _labels_from_doc(args.gt)
     if n_pred != n_gt:
         raise RadiantError(f"n_classes disagree: {n_pred} vs {n_gt}")
     m_iou, m_acc, acc = voxel_label_metrics(pred, gt, n_gt)
@@ -323,7 +374,10 @@ def _cmd_eval_voxels(args) -> None:
 def _cmd_eval_nav(args) -> None:
     _require_inputs(args.trajectory)
     out = _prepare_output(args.out, args.force)
-    t = io.trajectory_from_json(io.load_versioned_json(args.trajectory)["trajectory"])
+    doc = io.load_versioned_json(args.trajectory)
+    where = str(args.trajectory)
+    t = io.trajectory_from_json(io.read_key(doc, "trajectory", where),
+                                f"{where}: trajectory")
     m = nav_metrics(t)
     io.dump_json(out, {"SR": m.sr, "SPL": m.spl, "nDTW": m.ndtw, "TL": m.tl, "NE": m.ne})
     print(out)

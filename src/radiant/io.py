@@ -230,6 +230,38 @@ def pose_from_json(d: dict) -> Pose:
     return Pose(rot, np.asarray(d["translation"], dtype=np.float64))
 
 
+_REQUIRED = object()
+
+
+def read_key(d, key: str, where: str, convert=None, default=_REQUIRED):
+    """d[key] passed through convert, for a JSON object read from a file.
+
+    where names the object for error messages ("scene.json: boxes[3]"). A
+    value that is not an object, a missing key without a default, or a value
+    convert rejects raises FileFormatError naming where and the key.
+    """
+    if not isinstance(d, dict):
+        raise FileFormatError(f"{where} must be an object, got {type(d).__name__}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise FileFormatError(f"{where} is missing key {key!r}")
+        return default
+    if convert is None:
+        return d[key]
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as e:
+        raise FileFormatError(f"{where}: bad {key!r}: {e}") from None
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=np.float64)
+
+
+def _rotation(v) -> np.ndarray:
+    return _floats(v).reshape(3, 3)
+
+
 def box_to_json(b: OrientedBox3) -> dict:
     out = {
         "center": [float(v) for v in b.center],
@@ -242,13 +274,13 @@ def box_to_json(b: OrientedBox3) -> dict:
     return out
 
 
-def box_from_json(d: dict) -> OrientedBox3:
+def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
-        center=np.asarray(d["center"], dtype=np.float64),
-        size=np.asarray(d["size"], dtype=np.float64),
-        yaw=float(d.get("yaw", 0.0)),
-        label=str(d.get("class", "")),
-        score=float(d["score"]) if "score" in d else None,
+        center=read_key(d, "center", where, _floats),
+        size=read_key(d, "size", where, _floats),
+        yaw=read_key(d, "yaw", where, float, 0.0),
+        label=read_key(d, "class", where, str, ""),
+        score=read_key(d, "score", where, float, None),
     )
 
 
@@ -264,22 +296,22 @@ def pose_record_to_json(p: PoseRecord) -> dict:
     return out
 
 
-def pose_record_from_json(d: dict) -> PoseRecord:
+def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
     return PoseRecord(
-        rotation=np.asarray(d["rotation"], dtype=np.float64).reshape(3, 3),
-        translation=np.asarray(d["translation"], dtype=np.float64),
-        scale=float(d.get("scale", 1.0)),
-        label=str(d.get("class", "")),
-        score=float(d["score"]) if "score" in d else None,
+        rotation=read_key(d, "rotation", where, _rotation),
+        translation=read_key(d, "translation", where, _floats),
+        scale=read_key(d, "scale", where, float, 1.0),
+        label=read_key(d, "class", where, str, ""),
+        score=read_key(d, "score", where, float, None),
     )
 
 
-def trajectory_from_json(d: dict) -> Trajectory:
+def trajectory_from_json(d: dict, where: str = "trajectory") -> Trajectory:
     return Trajectory(
-        positions=np.asarray(d["positions"], dtype=np.float64),
-        reference=np.asarray(d["reference"], dtype=np.float64),
-        goal=np.asarray(d["goal"], dtype=np.float64),
-        success_threshold=float(d.get("success_threshold", 3.0)),
+        positions=read_key(d, "positions", where, _floats),
+        reference=read_key(d, "reference", where, _floats),
+        goal=read_key(d, "goal", where, _floats),
+        success_threshold=read_key(d, "success_threshold", where, float, 3.0),
     )
 
 

@@ -217,9 +217,71 @@ def _average_precision(tp_sorted: np.ndarray, n_gt: int) -> tuple[float, float]:
     return ap, float(recall[-1])
 
 
-def _sorted_by_score(preds: Sequence) -> list:
+def _label_buckets(preds: Sequence, gts: Sequence) -> list[tuple[list, list, list]]:
+    """Split score-sorted predictions and ground truth by label.
+
+    Each bucket is (ranks, preds, gts) for a label present on both sides:
+    ranks are the bucket's positions in the descending-score order of all
+    predictions, preds follow that order and gts keep input order.
+    Predictions of a label without ground truth can match nothing.
+    """
     order = np.argsort([-p.score for p in preds], kind="stable")
-    return [preds[i] for i in order]
+    buckets: dict = {}
+    for rank, i in enumerate(order):
+        ranks, ps, _ = buckets.setdefault(preds[i].label, ([], [], []))
+        ranks.append(rank)
+        ps.append(preds[i])
+    for g in gts:
+        if g.label in buckets:
+            buckets[g.label][2].append(g)
+    return [b for b in buckets.values() if b[2]]
+
+
+def _greedy_match(pref: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Greedy one-to-one matching of score-ordered rows to columns.
+
+    Row by row, a row takes the unmatched column with the largest pref among
+    those where ok holds, the first such column on ties. Returns a bool flag
+    per row: whether it matched.
+    """
+    avail = np.where(ok, pref, -np.inf)
+    matched = np.zeros(len(avail), dtype=bool)
+    if not ok.any():
+        return matched
+    for i, row in enumerate(avail):
+        j = int(np.argmax(row))
+        if row[j] > -np.inf:
+            matched[i] = True
+            avail[:, j] = -np.inf
+    return matched
+
+
+def _footprints(boxes: Sequence[OrientedBox3]) -> tuple[np.ndarray, ...]:
+    """Per box: x and y of the center, radius of the circle around the xy
+    footprint, and the two ends of the z-interval."""
+    c = np.array([b.center for b in boxes])
+    s = np.array([b.size for b in boxes])
+    return (c[:, 0], c[:, 1], 0.5 * np.hypot(s[:, 0], s[:, 1]),
+            c[:, 2] - s[:, 2] / 2.0, c[:, 2] + s[:, 2] / 2.0)
+
+
+def _iou_matrix(preds: Sequence[OrientedBox3], gts: Sequence[OrientedBox3]) -> np.ndarray:
+    """(P, G) IoU matrix that calls iou3d only on pairs that can overlap.
+
+    A pair is dropped, and stays 0, when its z-intervals do not overlap (by
+    iou3d's own z arithmetic) or its xy centers lie farther apart than the
+    sum of the footprint radii. The 1e-9 relative margin keeps corner-to-
+    corner pairs just past the tangent, where clipping still leaves a sliver
+    (IoU ~1e-16).
+    """
+    px, py, pr, p_lo, p_hi = (v[:, None] for v in _footprints(preds))
+    gx, gy, gr, g_lo, g_hi = _footprints(gts)
+    near = np.hypot(px - gx, py - gy) <= (pr + gr) * (1.0 + 1e-9)
+    keep = near & (np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo) > 0.0)
+    iou = np.zeros(keep.shape)
+    for i, j in zip(*np.nonzero(keep)):
+        iou[i, j] = iou3d(preds[i], gts[j])
+    return iou
 
 
 def detection_ap(
@@ -229,55 +291,75 @@ def detection_ap(
 ) -> tuple[float, float]:
     """Detection AP and recall at one IoU threshold.
 
-    Predictions are matched greedily in descending score to the unmatched
-    same-label ground truth with the highest IoU; a match requires
-    IoU >= iou_thresh.
+    Predictions are matched greedily in descending score (stable on ties) to
+    the unmatched same-label ground truth with the highest IoU, the first in
+    input order on ties; a match requires IoU > 0 and IoU >= iou_thresh.
     """
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError("iou_thresh must lie in (0, 1)")
-    matched = [False] * len(gts)
-    tp = []
-    for p in _sorted_by_score(preds):
-        best, best_iou = -1, 0.0
-        for gi, g in enumerate(gts):
-            if matched[gi] or g.label != p.label:
-                continue
-            v = iou3d(p, g)
-            if v > best_iou:
-                best, best_iou = gi, v
-        if best >= 0 and best_iou >= iou_thresh:
-            matched[best] = True
-            tp.append(1.0)
-        else:
-            tp.append(0.0)
-    return _average_precision(np.array(tp), len(gts))
+    tp = np.zeros(len(preds))
+    for ranks, ps, gs in _label_buckets(preds, gts):
+        iou = _iou_matrix(ps, gs)
+        tp[ranks] = _greedy_match(iou, (iou > 0.0) & (iou >= iou_thresh))
+    return _average_precision(tp, len(gts))
 
 
-def pose_errors(
-    pred: PoseRecord, gt: PoseRecord, symmetric_axis=None
-) -> tuple[float, float]:
+class _PoseStack(NamedTuple):
+    """Rotations (..., 3, 3) and translations (..., 3) for pose_errors."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum(x * y) over the last axis, added left to right: one pair and a
+    broadcast stack round the same way."""
+    prod = x * y
+    total = prod[..., 0]
+    for k in range(1, prod.shape[-1]):
+        total = total + prod[..., k]
+    return total
+
+
+def _flat9(m: np.ndarray) -> np.ndarray:
+    return m.reshape(m.shape[:-2] + (9,))
+
+
+def pose_errors(pred, gt, symmetric_axis=None):
     """(rotation error in degrees, translation error in cm).
 
     With a symmetry axis the rotation error is minimized over all rotations
     about that axis inserted between the two poses, which makes it invariant
     to pre-multiplying either pose by any rotation about the axis.
+
+    pred and gt are PoseRecords, or records whose rotation (..., 3, 3) and
+    translation (..., 3) arrays broadcast against each other; errors then
+    come back as arrays of the broadcast shape. A PoseRecord pair gives two
+    floats.
     """
-    m = gt.rotation @ pred.rotation.T
+    r_pred, r_gt = pred.rotation, gt.rotation
+    # m = R_gt R_pred^T; tr(m) is the Frobenius product of the two rotations
+    trace = _dot(_flat9(r_gt), _flat9(r_pred))
     if symmetric_axis is None:
-        c = (np.trace(m) - 1.0) / 2.0
-        angle = math.acos(min(1.0, max(-1.0, c)))
+        best_trace = trace
     else:
         a = as_vec3(symmetric_axis)
         if abs(np.linalg.norm(a) - 1.0) > 1e-6:
             raise ValueError("symmetry axis must be unit length")
-        # maximize tr(Rot(a, phi) @ m) = A cos(phi) + B sin(phi) + a.m.a
-        big_a = np.trace(m) - a @ m @ a
-        big_b = np.trace(skew(a) @ m)
-        best_trace = math.hypot(big_a, big_b) + a @ m @ a
-        c = (best_trace - 1.0) / 2.0
-        angle = math.acos(min(1.0, max(-1.0, c)))
-    t_err = float(np.linalg.norm(pred.translation - gt.translation)) * 100.0
-    return math.degrees(angle), t_err
+        # maximize tr(Rot(a, phi) @ m) = A cos(phi) + B sin(phi) + a.m.a with
+        # a.m.a = (R_gt^T a).(R_pred^T a) and tr([a]x m) = <[a]x R_gt, R_pred>
+        t_gt, t_pred = np.swapaxes(r_gt, -1, -2), np.swapaxes(r_pred, -1, -2)
+        ama = _dot(_dot(a, t_gt), _dot(a, t_pred))
+        k_gt = _dot(skew(a)[:, None, :], t_gt[..., None, :, :])
+        big_b = _dot(_flat9(k_gt), _flat9(r_pred))
+        best_trace = np.hypot(trace - ama, big_b) + ama
+    c = (best_trace - 1.0) / 2.0
+    deg = np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+    d = pred.translation - gt.translation
+    cm = np.sqrt(_dot(d, d)) * 100.0
+    if np.ndim(deg) == 0 and np.ndim(cm) == 0:
+        return float(deg), float(cm)
+    return deg, cm
 
 
 def pose_ap(
@@ -290,29 +372,28 @@ def pose_ap(
     """Pose AP at a (degrees, cm) threshold pair.
 
     symmetric_axes maps class labels to their symmetry axis; matching is
-    greedy in descending score, both errors must fall strictly below their
-    thresholds, and ties pick the smallest rotation error.
+    greedy in descending score (stable on ties), both errors must fall
+    strictly below their thresholds, and among those the ground truth with
+    the lexicographically smallest (degrees, cm) wins, the first in input
+    order on ties.
     """
     if deg_thresh <= 0 or cm_thresh <= 0:
         raise ValueError("thresholds must be positive")
     symmetric_axes = symmetric_axes or {}
-    matched = [False] * len(gts)
-    tp = []
-    for p in _sorted_by_score(preds):
-        axis = symmetric_axes.get(p.label)
-        best, best_err = -1, (math.inf, math.inf)
-        for gi, g in enumerate(gts):
-            if matched[gi] or g.label != p.label:
-                continue
-            deg, cm = pose_errors(p, g, axis)
-            if deg < deg_thresh and cm < cm_thresh and (deg, cm) < best_err:
-                best, best_err = gi, (deg, cm)
-        if best >= 0:
-            matched[best] = True
-            tp.append(1.0)
-        else:
-            tp.append(0.0)
-    ap, _ = _average_precision(np.array(tp), len(gts))
+    tp = np.zeros(len(preds))
+    for ranks, ps, gs in _label_buckets(preds, gts):
+        pred = _PoseStack(np.array([p.rotation for p in ps])[:, None],
+                          np.array([p.translation for p in ps])[:, None])
+        gt = _PoseStack(np.array([g.rotation for g in gs])[None],
+                        np.array([g.translation for g in gs])[None])
+        deg, cm = pose_errors(pred, gt, symmetric_axes.get(ps[0].label))
+        # rank of (deg, cm, column) over the bucket: the smallest rank in a
+        # row is its lexicographic minimum, the first column on ties
+        rank = np.empty(deg.size)
+        rank[np.lexsort((cm.ravel(), deg.ravel()))] = np.arange(deg.size)
+        tp[ranks] = _greedy_match(-rank.reshape(deg.shape),
+                                  (deg < deg_thresh) & (cm < cm_thresh))
+    ap, _ = _average_precision(tp, len(gts))
     return ap
 
 
@@ -356,17 +437,33 @@ def _path_length(path: np.ndarray) -> float:
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard DTW with Euclidean point distance."""
+    """Standard DTW with Euclidean point distance.
+
+    The cost table is filled one anti-diagonal (i + j = k) at a time: a
+    diagonal's cells depend only on the two before it. In the flattened
+    (n + 1, m + 1) table a diagonal is a slice with step m, and its up, left
+    and up-left neighbours are the same slice shifted.
+    """
     n, m = len(a), len(b)
-    cost = np.full((n + 1, m + 1), np.inf)
-    cost[0, 0] = 0.0
-    dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost[i, j] = dists[i - 1, j - 1] + min(
-                cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1]
-            )
-    return float(cost[n, m])
+    w = m + 1
+    dists = np.zeros((n + 1, w))
+    dists[1:, 1:] = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    dists = dists.ravel()
+    cost = np.full((n + 1) * w, np.inf)
+    cost[0] = 0.0
+    for k in range(2, n + m + 1) if n and m else ():
+        i0, i1 = max(1, k - m), min(n, k - 1)
+        first, last = i0 * w + k - i0, i1 * w + k - i1
+        cells = slice(first, last + 1, m)
+        up = cost[first - w : last - w + 1 : m]
+        left = cost[first - 1 : last : m]
+        diag = cost[first - w - 1 : last - w : m]
+        # min(up, left, diag) with Python's min rule: a later value replaces
+        # the running minimum only when strictly smaller
+        best = np.where(left < up, left, up)
+        best = np.where(diag < best, diag, best)
+        cost[cells] = dists[cells] + best
+    return float(cost[-1])
 
 
 def nav_metrics(t: Trajectory) -> NavMetrics:

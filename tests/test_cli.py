@@ -246,6 +246,116 @@ class TestEvalCommands:
         assert doc["SR"] == 1.0 and doc["SPL"] == 1.0 and doc["nDTW"] == 1.0
 
 
+EYE = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+BOX = {"center": [0, 0, 0], "size": [1, 1, 1], "class": "chair"}
+POSE = {"rotation": EYE, "translation": [0, 0, 0], "class": "cup"}
+TRAJ = {"positions": [[0, 0, 0], [1, 0, 0]], "reference": [[0, 0, 0], [1, 0, 0]],
+        "goal": [1, 0, 0]}
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+class TestEvalInputErrors:
+    """Malformed eval inputs exit 3 with a FileFormatError naming the file
+    and the key, before any output is written."""
+
+    def run_eval(self, tmp_path, command, pred_doc, gt_doc=None):
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(pred_doc))
+        out = tmp_path / "report.json"
+        if command == "eval-nav":
+            code = run(command, "--trajectory", pred, "--out", out)
+        else:
+            gt = tmp_path / "gt.json"
+            gt.write_text(json.dumps(gt_doc))
+            code = run(command, "--pred", pred, "--gt", gt, "--out", out)
+        assert not out.exists()
+        return code
+
+    def assert_format_error(self, capsys, path, key):
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(path) in err["message"] and repr(key) in err["message"]
+        return err["message"]
+
+    @pytest.mark.parametrize("key", ["center", "size", "score"])
+    def test_detect_box_missing_key(self, tmp_path, capsys, key):
+        pred = {"boxes": [dict(BOX, score=0.9), without(dict(BOX, score=0.9), key)]}
+        assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
+        assert "boxes[1]" in self.assert_format_error(capsys, tmp_path / "pred.json", key)
+
+    @pytest.mark.parametrize("key", ["center", "size"])
+    def test_detect_gt_box_missing_key(self, tmp_path, capsys, key):
+        pred = {"boxes": [dict(BOX, score=0.9)]}
+        assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [without(BOX, key)]}) == 3
+        self.assert_format_error(capsys, tmp_path / "gt.json", key)
+
+    def test_detect_missing_boxes_and_bad_score(self, tmp_path, capsys):
+        assert self.run_eval(tmp_path, "eval-detect", {"x": 1}, {"boxes": [BOX]}) == 3
+        self.assert_format_error(capsys, tmp_path / "pred.json", "boxes")
+        pred = {"boxes": [dict(BOX, score=None)]}
+        assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
+        self.assert_format_error(capsys, tmp_path / "pred.json", "score")
+
+    @pytest.mark.parametrize("key", ["rotation", "translation", "score"])
+    def test_pose_record_missing_key(self, tmp_path, capsys, key):
+        pred = {"poses": [without(dict(POSE, score=0.9), key)]}
+        assert self.run_eval(tmp_path, "eval-pose", pred, {"poses": [POSE]}) == 3
+        msg = self.assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert "poses[0]" in msg
+
+    def test_pose_missing_poses(self, tmp_path, capsys):
+        pred = {"poses": [dict(POSE, score=0.9)]}
+        assert self.run_eval(tmp_path, "eval-pose", pred, {"boxes": []}) == 3
+        self.assert_format_error(capsys, tmp_path / "gt.json", "poses")
+
+    @pytest.mark.parametrize("key", ["positions", "reference", "goal"])
+    def test_trajectory_missing_key(self, tmp_path, capsys, key):
+        assert self.run_eval(tmp_path, "eval-nav", {"trajectory": without(TRAJ, key)}) == 3
+        self.assert_format_error(capsys, tmp_path / "pred.json", key)
+
+    def test_missing_trajectory(self, tmp_path, capsys):
+        assert self.run_eval(tmp_path, "eval-nav", {"positions": []}) == 3
+        self.assert_format_error(capsys, tmp_path / "pred.json", "trajectory")
+
+    @pytest.mark.parametrize("key", ["labels_file", "n_classes"])
+    def test_voxels_missing_key(self, tmp_path, capsys, key):
+        doc = without({"labels_file": "labels.nfvg", "n_classes": 3}, key)
+        assert self.run_eval(tmp_path, "eval-voxels", doc, doc) == 3
+        self.assert_format_error(capsys, tmp_path / "pred.json", key)
+
+
+class TestEvalFlags:
+    """Flags are parsed before any input is read; errors name the flag."""
+
+    def write_poses(self, tmp_path):
+        (tmp_path / "pred.json").write_text(json.dumps({"poses": [dict(POSE, score=0.9)]}))
+        (tmp_path / "gt.json").write_text(json.dumps({"poses": [POSE]}))
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--pose-thresholds", "5"), ("--pose-thresholds", "5:x"),
+        ("--pose-thresholds", "5:0"), ("--symmetry-axis", "0,2,0"),
+        ("--symmetry-axis", "0,1"), ("--symmetry-axis", "a,b,c"),
+    ])
+    def test_bad_pose_flags(self, tmp_path, capsys, flag, value):
+        # no prediction is of a symmetric class: the axis is still checked
+        self.write_poses(tmp_path)
+        assert run("eval-pose", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+                   flag, value, "--out", tmp_path / "report.json") == 3
+        assert flag in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", ["0.5,x", "0.5,1.5", "0"])
+    def test_bad_iou_thresholds(self, tmp_path, capsys, value):
+        # rejected before the (missing) inputs are looked at
+        assert run("eval-detect", "--pred", tmp_path / "nope.json", "--gt",
+                   tmp_path / "nope.json", "--iou-thresholds", value,
+                   "--out", tmp_path / "report.json") == 3
+        assert "--iou-thresholds" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+
+
 class TestBenchOctree:
     def test_report_rows(self, tmp_path):
         out = tmp_path / "bench.json"

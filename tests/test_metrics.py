@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiant.core_math import rotation_about
+import radiant.metrics
+from radiant.core_math import rotation_about, skew
 from radiant.errors import EmptyPath, EmptySet, LabelOutOfRange
 from radiant.metrics import (
     OrientedBox3,
@@ -59,6 +60,139 @@ def mc_iou_oracle(a: OrientedBox3, b: OrientedBox3, n=10**6, seed=0):
     in_a, in_b = inside(a, pts), inside(b, pts)
     union = np.count_nonzero(in_a | in_b)
     return np.count_nonzero(in_a & in_b) / union if union else 0.0
+
+
+# Reference implementations: the per-pair loops the array code replaced,
+# kept as oracles. The array code must reproduce their results exactly.
+
+
+def _oracle_sorted(preds):
+    order = np.argsort([-p.score for p in preds], kind="stable")
+    return [preds[i] for i in order]
+
+
+def oracle_detection_ap(preds, gts, iou_thresh):
+    matched = [False] * len(gts)
+    tp = []
+    for p in _oracle_sorted(preds):
+        best, best_iou = -1, 0.0
+        for gi, g in enumerate(gts):
+            if matched[gi] or g.label != p.label:
+                continue
+            v = iou3d(p, g)
+            if v > best_iou:
+                best, best_iou = gi, v
+        if best >= 0 and best_iou >= iou_thresh:
+            matched[best] = True
+            tp.append(1.0)
+        else:
+            tp.append(0.0)
+    return radiant.metrics._average_precision(np.array(tp), len(gts))
+
+
+def oracle_pose_ap(preds, gts, deg_thresh, cm_thresh, symmetric_axes=None):
+    symmetric_axes = symmetric_axes or {}
+    matched = [False] * len(gts)
+    tp = []
+    for p in _oracle_sorted(preds):
+        axis = symmetric_axes.get(p.label)
+        best, best_err = -1, (math.inf, math.inf)
+        for gi, g in enumerate(gts):
+            if matched[gi] or g.label != p.label:
+                continue
+            deg, cm = pose_errors(p, g, axis)
+            if deg < deg_thresh and cm < cm_thresh and (deg, cm) < best_err:
+                best, best_err = gi, (deg, cm)
+        if best >= 0:
+            matched[best] = True
+            tp.append(1.0)
+        else:
+            tp.append(0.0)
+    ap, _ = radiant.metrics._average_precision(np.array(tp), len(gts))
+    return ap
+
+
+def oracle_pose_errors(pred, gt, symmetric_axis=None):
+    m = gt.rotation @ pred.rotation.T
+    if symmetric_axis is None:
+        best_trace = np.trace(m)
+    else:
+        a = np.asarray(symmetric_axis, dtype=np.float64)
+        big_a = np.trace(m) - a @ m @ a
+        big_b = np.trace(skew(a) @ m)
+        best_trace = math.hypot(big_a, big_b) + a @ m @ a
+    c = (best_trace - 1.0) / 2.0
+    angle = math.acos(min(1.0, max(-1.0, c)))
+    return math.degrees(angle), float(np.linalg.norm(pred.translation - gt.translation)) * 100.0
+
+
+def oracle_dtw(a, b):
+    n, m = len(a), len(b)
+    cost = np.full((n + 1, m + 1), np.inf)
+    cost[0, 0] = 0.0
+    dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost[i, j] = dists[i - 1, j - 1] + min(
+                cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1]
+            )
+    return float(cost[n, m])
+
+
+def random_box_sets(seed):
+    """Crowded boxes: ground truth with duplicates, jittered and stray
+    predictions with tied scores, one label on each side only."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    gts = [OrientedBox3((*rng.uniform(-2.5, 2.5, 2), rng.uniform(0, 1)),
+                        rng.uniform(0.5, 2.0, 3), yaw=rng.uniform(-math.pi, math.pi),
+                        label=str(rng.choice(["a", "b", "gt_only"])))
+           for _ in range(n)]
+    gts += [OrientedBox3(g.center, g.size, g.yaw, g.label) for g in gts[:2]]
+    preds = []
+    for g in gts:
+        if rng.random() < 0.7:
+            preds.append(OrientedBox3(g.center + rng.normal(0, 0.2, 3),
+                                      g.size * rng.uniform(0.8, 1.2, 3),
+                                      yaw=g.yaw + rng.normal(0, 0.2), label=g.label,
+                                      score=rng.integers(0, 4) / 4))
+    for _ in range(int(rng.integers(2, 6))):
+        preds.append(OrientedBox3((*rng.uniform(-2.5, 2.5, 2), rng.uniform(0, 1)),
+                                  rng.uniform(0.5, 2.0, 3),
+                                  yaw=rng.uniform(-math.pi, math.pi),
+                                  label=str(rng.choice(["a", "b", "pred_only"])),
+                                  score=rng.integers(0, 4) / 4))
+    return preds, gts
+
+
+def random_rotation(rng, max_deg=180.0):
+    return rotation_about(rng.normal(size=3), math.radians(rng.uniform(0, max_deg)))
+
+
+def random_pose_sets(seed):
+    """Ground truth with duplicates; predictions near it, some spun about a
+    class's symmetry axis, plus strays; tied scores; one-sided labels."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    gts = [PoseRecord(random_rotation(rng), rng.uniform(-0.3, 0.3, 3),
+                      label=str(rng.choice(["bottle", "can", "cup", "gt_only"])))
+           for _ in range(n)]
+    gts += [PoseRecord(g.rotation, g.translation, label=g.label) for g in gts[:2]]
+    preds = []
+    for g in gts:
+        if rng.random() < 0.8:
+            spin = rotation_about(SYM_AXES.get(g.label, [0, 0, 1]), rng.uniform(0, 6))
+            rot = random_rotation(rng, 8.0) @ (spin if rng.random() < 0.5 else np.eye(3))
+            preds.append(PoseRecord(rot @ g.rotation, g.translation + rng.normal(0, 0.03, 3),
+                                    label=g.label, score=rng.integers(0, 4) / 4))
+    for _ in range(int(rng.integers(2, 6))):
+        preds.append(PoseRecord(random_rotation(rng), rng.uniform(-0.3, 0.3, 3),
+                                label=str(rng.choice(["bottle", "cup", "pred_only"])),
+                                score=rng.integers(0, 4) / 4))
+    return preds, gts
+
+
+SYM_AXES = {"bottle": np.array([0.0, 1.0, 0.0]), "can": np.array([0.0, 0.0, 1.0])}
 
 
 class TestChamfer:
@@ -356,3 +490,205 @@ class TestNavMetrics:
         path = np.array([[0.0, 0, 0]])
         t = Trajectory(path, path, goal=(3.0, 0, 0), success_threshold=3.0)
         assert nav_metrics(t).sr == 0.0
+
+
+class TestArrayMetricsAgainstOracles:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_detection_ap_exact(self, seed):
+        preds, gts = random_box_sets(seed)
+        for thresh in (0.05, 0.25, 0.5, 0.7):
+            assert detection_ap(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
+            # the CLI's per-class calls: one label on both sides, or one side empty
+            for label in ("a", "gt_only", "pred_only"):
+                p = [b for b in preds if b.label == label]
+                g = [b for b in gts if b.label == label]
+                assert detection_ap(p, g, thresh) == oracle_detection_ap(p, g, thresh)
+
+    def test_detection_ap_empty_sets(self):
+        preds, gts = random_box_sets(0)
+        for p, g in (([], gts), (preds, []), ([], [])):
+            assert detection_ap(p, g, 0.5) == oracle_detection_ap(p, g, 0.5)
+
+    def test_detection_ties_pick_first_gt(self):
+        # the top prediction overlaps both ground truths by exactly 1/3; only
+        # the first-index choice leaves the second one for the next prediction
+        gts = [OrientedBox3((-0.5, 0, 0), (1, 1, 1), label="a"),
+               OrientedBox3((0.5, 0, 0), (1, 1, 1), label="a"),
+               OrientedBox3((0.5, 0, 0), (1, 1, 1), label="a")]
+        preds = [OrientedBox3((0, 0, 0), (1, 1, 1), label="a", score=0.9),
+                 OrientedBox3((0.75, 0, 0), (1, 1, 1), label="a", score=0.5),
+                 OrientedBox3((0.75, 0, 0), (1, 1, 1), label="a", score=0.5)]
+        edge = iou3d(preds[0], gts[0])
+        assert edge == iou3d(preds[0], gts[1])
+        # IoU equal to the threshold matches
+        assert detection_ap(preds, gts, 0.25) == detection_ap(preds, gts, edge) == (1.0, 1.0)
+        for thresh in (0.25, edge, 0.5, 0.7):
+            assert detection_ap(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_pose_ap_exact(self, seed):
+        preds, gts = random_pose_sets(seed)
+        for deg, cm in ((5, 5), (5, 10), (10, 10), (180, 100)):
+            for axes in (None, SYM_AXES):
+                assert pose_ap(preds, gts, deg, cm, axes) == oracle_pose_ap(
+                    preds, gts, deg, cm, axes)
+
+    def test_pose_ap_empty_and_one_sided(self):
+        preds, gts = random_pose_sets(1)
+        cases = (([], gts), (preds, []), ([], []),
+                 ([p for p in preds if p.label == "pred_only"], gts),
+                 (preds, [g for g in gts if g.label == "gt_only"]))
+        for p, g in cases:
+            assert pose_ap(p, g, 10, 10, SYM_AXES) == oracle_pose_ap(p, g, 10, 10, SYM_AXES)
+
+    def test_pose_tied_errors_pick_first_gt(self):
+        # the top prediction is 1 cm from both ground truths; only the
+        # first-index choice leaves the second one for the next prediction
+        gts = [PoseRecord(np.eye(3), (-0.01, 0, 0), label="cup"),
+               PoseRecord(np.eye(3), (0.01, 0, 0), label="cup"),
+               PoseRecord(np.eye(3), (0.01, 0, 0), label="cup")]
+        preds = [PoseRecord(np.eye(3), (0.0, 0, 0), label="cup", score=0.9),
+                 PoseRecord(np.eye(3), (0.012, 0, 0), label="cup", score=0.5),
+                 PoseRecord(np.eye(3), (0.012, 0, 0), label="cup", score=0.5)]
+        assert pose_errors(preds[0], gts[0]) == pose_errors(preds[0], gts[1])
+        assert pose_ap(preds, gts, 5, 1.5) == 1.0
+        for cm in (0.5, 1.5, 5):
+            assert pose_ap(preds, gts, 5, cm) == oracle_pose_ap(preds, gts, 5, cm)
+
+    def test_pose_key_is_degrees_then_cm(self):
+        # the top prediction prefers (1 deg, 3 cm) over (3 deg, 1 cm), which
+        # leaves the second ground truth for the next prediction
+        z3 = rotation_about([0, 0, 1], math.radians(3))
+        gts = [PoseRecord(rotation_about([0, 0, 1], math.radians(1)), (0.03, 0, 0),
+                          label="cup"),
+               PoseRecord(z3, (-0.01, 0, 0), label="cup")]
+        preds = [PoseRecord(np.eye(3), (0.0, 0, 0), label="cup", score=0.9),
+                 PoseRecord(z3, (-0.01, 0, 0), label="cup", score=0.5)]
+        assert pose_ap(preds, gts, 5, 3.5) == 1.0
+        assert pose_ap(preds, gts, 5, 3.5) == oracle_pose_ap(preds, gts, 5, 3.5)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (9, 1), (7, 12), (12, 7), (30, 30),
+                                     (0, 4), (4, 0)])
+    def test_dtw_exact(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        a, b = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        assert dtw_distance(a, b) == oracle_dtw(a, b)
+        # repeated points give tied neighbours in the recurrence
+        a2, b2 = np.round(a), np.round(b)
+        assert dtw_distance(a2, b2) == oracle_dtw(a2, b2)
+
+
+def corner_to_corner(ca, sa, sb, phi, gap):
+    """Two boxes whose footprint corners point at each other along phi, with
+    centers gap apart: at gap = r_a + r_b the corners touch."""
+    cb = np.asarray(ca, dtype=float) + [gap * math.cos(phi), gap * math.sin(phi), 0.0]
+    a = OrientedBox3(ca, sa, yaw=phi - math.atan2(sa[1], sa[0]), label="a", score=1.0)
+    b = OrientedBox3(cb, sb, yaw=phi + math.pi - math.atan2(sb[1], sb[0]), label="a")
+    return a, b
+
+
+def footprint_radius(box):
+    return 0.5 * math.hypot(box.size[0], box.size[1])
+
+
+# corner-to-corner pairs whose centers lie farther apart than the sum of the
+# footprint radii, yet whose clipped polygons keep a sliver (iou3d ~1e-16)
+SLIVER_PAIRS = [
+    ([-2.802272475007601, -2.429973862504987, -4.64623564809009],
+     [1.1289019851380877, 2.6080965861726306, 0.7714811588934074],
+     [-5.173901617077526, -4.033958893291308, -4.64623564809009],
+     [2.8383214742249594, 0.5128606273542093, 2.178219373835258],
+     2.573950415817096, 0.4158946528245089),
+    ([4.295829986764952, 2.007642266317826, -1.492778157170215],
+     [2.2418868398737857, 1.337670894761471, 1.7036480158781875],
+     [5.19279000670983, 0.023063579089011244, -1.492778157170215],
+     [1.079268798845535, 1.3713213805476439, 2.735246686094475],
+     -1.6842783225929159, 1.0912679815896982),
+    ([-3.315970987740312, 0.3457972734581407, 3.8276281577613336],
+     [2.474268471466127, 1.5416788617268233, 0.4382861469277832],
+     [-5.774716267049309, -0.27222843208676295, 3.8276281577613336],
+     [1.2857149971704374, 1.729677555314172, 2.839786031829421],
+     2.8306283371345344, -0.6853234904421618),
+]
+
+
+class TestIouPrefilter:
+    def test_margin_keeps_circle_disjoint_slivers(self):
+        for ca, sa, cb, sb, yaw_a, yaw_b in SLIVER_PAIRS:
+            a = OrientedBox3(ca, sa, yaw=yaw_a, label="a", score=1.0)
+            b = OrientedBox3(cb, sb, yaw=yaw_b, label="a")
+            gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+            assert gap > footprint_radius(a) + footprint_radius(b)
+            assert iou3d(a, b) > 0.0
+            assert radiant.metrics._iou_matrix([a], [b])[0, 0] == iou3d(a, b)
+
+    def test_dropped_pairs_have_zero_iou(self):
+        """Corner-to-corner pairs at and around the tangent of the footprint
+        circles, some with z-intervals that only touch, laid out 20 m apart:
+        the prefiltered matrix equals iou3d on every pair, so every dropped
+        pair is exactly 0."""
+        rng = np.random.default_rng(11)
+        preds, gts = [], []
+        for i in range(400):
+            sa, sb = rng.uniform(0.3, 3.0, 3), rng.uniform(0.3, 3.0, 3)
+            reach = 0.5 * (math.hypot(sa[0], sa[1]) + math.hypot(sb[0], sb[1]))
+            rel = rng.integers(-4, 5) * 2.0**-52 if i % 2 else rng.uniform(-2e-9, 4e-9)
+            a, b = corner_to_corner([20.0 * i, 0.0, 0.0], sa, sb,
+                                    rng.uniform(-math.pi, math.pi), reach * (1.0 + rel))
+            if i % 5 == 0:  # z-intervals touching end to end
+                b.center[2] = (sa[2] + sb[2]) / 2.0
+            preds.append(a)
+            gts.append(b)
+        got = radiant.metrics._iou_matrix(preds, gts)
+        want = np.array([iou3d(p, g) for p, g in zip(preds, gts)])
+        assert np.array_equal(np.diag(got), want)
+        assert np.count_nonzero(got) == np.count_nonzero(want)
+        assert (want > 0).any() and (want == 0).any()
+
+
+class TestBroadcastPoseErrors:
+    def test_matches_pairs_and_reference(self):
+        rng = np.random.default_rng(12)
+        preds = [PoseRecord(random_rotation(rng), rng.normal(size=3)) for _ in range(7)]
+        gts = [PoseRecord(random_rotation(rng), rng.normal(size=3)) for _ in range(5)]
+        stack = radiant.metrics._PoseStack
+        p = stack(np.array([x.rotation for x in preds])[:, None],
+                  np.array([x.translation for x in preds])[:, None])
+        g = stack(np.array([x.rotation for x in gts])[None],
+                  np.array([x.translation for x in gts])[None])
+        for axis in (None, np.array([0.0, 1.0, 0.0]), np.array([0.6, 0.0, 0.8])):
+            deg, cm = pose_errors(p, g, axis)
+            assert deg.shape == cm.shape == (7, 5)
+            for i, pi in enumerate(preds):
+                for j, gj in enumerate(gts):
+                    pair = pose_errors(pi, gj, axis)
+                    assert type(pair[0]) is float and type(pair[1]) is float
+                    assert deg[i, j] == pytest.approx(pair[0], abs=1e-12)
+                    assert cm[i, j] == pytest.approx(pair[1], abs=1e-12)
+                    ref = oracle_pose_errors(pi, gj, axis)
+                    assert pair[0] == pytest.approx(ref[0], abs=1e-9)
+                    assert pair[1] == pytest.approx(ref[1], abs=1e-9)
+
+
+class TestTracedNames:
+    def test_matching_calls_module_level_kernels(self, monkeypatch):
+        """The benchmark's tracer wraps these names on radiant.metrics; each
+        must still be looked up there by the function that uses it."""
+        counts = {}
+        for name in ("iou3d", "pose_errors", "dtw_distance"):
+            original = getattr(radiant.metrics, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(radiant.metrics, name, counted)
+        boxes, gts = random_box_sets(0)
+        detection_ap(boxes, gts, 0.25)
+        poses, pose_gts = random_pose_sets(0)
+        pose_ap(poses, pose_gts, 10, 10)
+        path = np.array([[0.0, 0, 0], [1, 0, 0]])
+        nav_metrics(Trajectory(path, path, goal=(1, 0, 0)))
+        assert counts.get("iou3d", 0) >= 1
+        assert counts.get("pose_errors", 0) >= 1
+        assert counts.get("dtw_distance", 0) >= 1
