@@ -61,7 +61,7 @@ from .metrics import (
 from .octree import (
     ExtractionStats,
     LodConfig,
-    SurfaceSample,
+    SurfaceSamples,
     dense_extract,
     extract_surface,
     project_to_surface,

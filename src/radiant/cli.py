@@ -119,8 +119,10 @@ def _cmd_voxelize(args) -> None:
     bounds = _parse_bounds(args.bounds)
     if args.cameras:
         _require_inputs(args.cameras)
-        doc = io.load_versioned_json(args.cameras)
-        poses = [io.pose_from_json(c) for c in doc["cameras"]]
+        cameras = io.read_key(io.load_versioned_json(args.cameras), "cameras",
+                              str(args.cameras), list)
+        poses = [io.pose_from_json(c, f"{args.cameras}: cameras[{i}]")
+                 for i, c in enumerate(cameras)]
         directions = np.array([p.rotation @ [0.0, 0.0, 1.0] for p in poses])
     else:
         directions = AXIS_DIRECTIONS
@@ -147,6 +149,7 @@ def _cmd_extract_surface(args) -> None:
     io.dump_json(stats_path, {
         "evals_per_level": {str(k): v for k, v in stats.evals_per_level.items()},
         "total_sdf_evals": stats.total_sdf_evals,
+        "projection_evals": stats.projection_evals,
         "surface_points": stats.surface_points,
         "wall_time": stats.wall_time,
         "no_surface": stats.no_surface,
@@ -222,12 +225,11 @@ def _cmd_render(args) -> None:
         raise RadiantError("scene has no cameras")
     views = []
     for ci, cam in enumerate(cameras):
-        try:
-            views.append((io.intrinsics_from_json(cam["intrinsics"]),
-                          io.pose_from_json(cam["pose"])))
-        except KeyError as e:
-            raise FileFormatError(
-                f"{args.scene}: cameras[{ci}] is missing key {e}") from None
+        where = f"{args.scene}: cameras[{ci}]"
+        views.append((
+            io.intrinsics_from_json(io.read_key(cam, "intrinsics", where),
+                                    f"{where}: intrinsics"),
+            io.pose_from_json(io.read_key(cam, "pose", where), f"{where}: pose")))
     cfg = RenderConfig(
         near=float(doc.get("near", 0.02)),
         far=float(doc.get("far", 3.0)),
@@ -428,8 +430,9 @@ def _cmd_semmap(args) -> None:
     out = _prepare_output(args.out, args.force)
     depth = np.load(args.depth)
     semantics = np.load(args.semantics)
-    k = io.intrinsics_from_json(io.load_versioned_json(args.intrinsics))
-    pose = io.pose_from_json(io.load_versioned_json(args.pose))
+    k = io.intrinsics_from_json(io.load_versioned_json(args.intrinsics),
+                                str(args.intrinsics))
+    pose = io.pose_from_json(io.load_versioned_json(args.pose), str(args.pose))
     cfg = SemanticMapConfig(
         r=args.half_extent,
         cell_size=args.cell_size,

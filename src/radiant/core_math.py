@@ -43,6 +43,8 @@ def check_rotation(m, tol: float = 1e-6) -> np.ndarray:
     r = np.asarray(m, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(r.T @ r - np.eye(3)).max() > tol:
         raise ValueError("matrix columns are not orthonormal")
     if abs(np.linalg.det(r) - 1.0) > tol:

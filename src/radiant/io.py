@@ -18,7 +18,7 @@ from .core_math import Aabb, Intrinsics, Pose
 from .errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
 from .grids import VoxelGrid4D
 from .metrics import OrientedBox3, PoseRecord, Trajectory
-from .octree import SurfaceSample
+from .octree import SurfaceSamples
 from .projmaps import SemanticMap
 
 NFVG_MAGIC = b"NFVG"
@@ -65,32 +65,30 @@ def read_nfvg(path) -> VoxelGrid4D:
     )
 
 
-def _fmt_f32(v: float) -> str:
-    # 9 significant digits identify every f32 exactly and re-format stably
-    return f"{float(np.float32(v)):.9g}"
+_PLY_HEADER = """ply
+format ascii 1.0
+element vertex {}
+property float x
+property float y
+property float z
+property float nx
+property float ny
+property float nz
+end_header
+"""
 
 
-def write_ply(path, samples) -> None:
-    """ASCII PLY with per-vertex position and normal."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(samples)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property float nx",
-        "property float ny",
-        "property float nz",
-        "end_header",
-    ]
-    for s in samples:
-        vals = list(s.position) + list(s.normal)
-        lines.append(" ".join(_fmt_f32(v) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_ply(path, samples: SurfaceSamples) -> None:
+    """ASCII PLY with per-vertex position and normal. Values are rounded to
+    f32 and written with 9 significant digits, which identify every f32
+    exactly and re-format stably."""
+    n = len(samples)
+    vals = np.concatenate([samples.positions, samples.normals], axis=1).astype(np.float32)
+    body = ("%.9g %.9g %.9g %.9g %.9g %.9g\n" * n) % tuple(vals.ravel().tolist())
+    Path(path).write_text(_PLY_HEADER.format(n) + body)
 
 
-def read_ply(path) -> list[SurfaceSample]:
+def read_ply(path) -> SurfaceSamples:
     """Read the PLY layout written by write_ply; residuals come back as 0."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -109,18 +107,18 @@ def read_ply(path) -> list[SurfaceSample]:
             n = int(parts[2])
     if n is None:
         raise FileFormatError(f"{path}: no vertex element")
+    if n < 0:
+        raise FileFormatError(f"{path}: negative vertex count {n}")
     body = lines[end + 1 : end + 1 + n]
     if len(body) < n:
         raise TruncatedFile(f"{path}: {len(body)} of {n} vertices present")
-    out = []
-    for line in body:
-        # the properties are f32: parse through float32 so values written by
-        # write_ply come back bit-identical
-        v = np.array(line.split(), dtype=np.float32).astype(np.float64)
-        if v.size != 6:
-            raise FileFormatError(f"{path}: expected 6 floats per vertex")
-        out.append(SurfaceSample(v[:3], v[3:], 0.0))
-    return out
+    bad = next((i for i, line in enumerate(body) if len(line.split()) != 6), None)
+    if bad is not None:
+        raise FileFormatError(f"{path}: expected 6 floats per vertex (vertex {bad})")
+    # the properties are f32: parse through float32 so values written by
+    # write_ply come back bit-identical
+    v = np.array(" ".join(body).split(), dtype=np.float32).astype(np.float64).reshape(n, 6)
+    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(n))
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -210,11 +208,11 @@ def intrinsics_to_json(k: Intrinsics) -> dict:
     }
 
 
-def intrinsics_from_json(d: dict) -> Intrinsics:
+def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
     return Intrinsics(
-        fx=float(d["fx"]), fy=float(d["fy"]),
-        cx=float(d["cx"]), cy=float(d["cy"]),
-        width=int(d["width"]), height=int(d["height"]),
+        fx=read_key(d, "fx", where, float), fy=read_key(d, "fy", where, float),
+        cx=read_key(d, "cx", where, float), cy=read_key(d, "cy", where, float),
+        width=read_key(d, "width", where, int), height=read_key(d, "height", where, int),
     )
 
 
@@ -225,9 +223,9 @@ def pose_to_json(p: Pose) -> dict:
     }
 
 
-def pose_from_json(d: dict) -> Pose:
-    rot = np.asarray(d["rotation"], dtype=np.float64).reshape(3, 3)
-    return Pose(rot, np.asarray(d["translation"], dtype=np.float64))
+def pose_from_json(d: dict, where: str = "pose") -> Pose:
+    return Pose(read_key(d, "rotation", where, _rotation),
+                read_key(d, "translation", where, _floats))
 
 
 _REQUIRED = object()

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_math import Aabb, cube_bounds
+from .errors import RadiantError
 from .fields import SdfField, sdf_gradients
+
+# cells one traversal level may hold: a level whose index array would exceed
+# it is refused before allocating (the sphere preset at LoD 11 needs 1.3e7)
+MAX_LEVEL_CELLS = 1 << 23
 
 
 @dataclass
@@ -49,33 +54,40 @@ class LodConfig:
 
 
 @dataclass
-class SurfaceSample:
-    """Extracted surface point with its normal and the SDF value left after
-    projection."""
+class SurfaceSamples:
+    """Extracted surface points as parallel float64 arrays: positions (N,3),
+    unit normals (N,3) and the SDF values left after projection (N,).
+    len() is N."""
 
-    position: np.ndarray
-    normal: np.ndarray
-    sdf_residual: float
+    positions: np.ndarray
+    normals: np.ndarray
+    residuals: np.ndarray
+
+    def __len__(self) -> int:
+        return self.positions.shape[0]
+
+    @classmethod
+    def empty(cls) -> "SurfaceSamples":
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
 
 
 @dataclass
 class ExtractionStats:
+    """Per-level traversal evals (total_sdf_evals is their sum) and, apart
+    from them, the SDF points projection evaluates, gradient taps included."""
+
     evals_per_level: dict[int, int] = field(default_factory=dict)
     total_sdf_evals: int = 0
+    projection_evals: int = 0
     surface_points: int = 0
     wall_time: float = 0.0
     no_surface: bool = False
     dropped_points: int = 0
 
 
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(positions (N,3), normals (N,3), residuals (N,)) from a sample list."""
-    if not samples:
-        return np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
-    pos = np.array([s.position for s in samples])
-    nrm = np.array([s.normal for s in samples])
-    res = np.array([s.sdf_residual for s in samples])
-    return pos, nrm, res
+def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positions (N,3), normals (N,3), residuals (N,)) of a sample record."""
+    return samples.positions, samples.normals, samples.residuals
 
 
 def _morton3(idx: np.ndarray) -> np.ndarray:
@@ -88,35 +100,46 @@ def _morton3(idx: np.ndarray) -> np.ndarray:
 
 
 def project_to_surface(
-    f: SdfField, points, iterations: int = 1, h: float = 1e-4
-) -> list[SurfaceSample]:
+    f: SdfField, points, iterations: int = 1, h: float = 1e-4,
+    stats: ExtractionStats | None = None,
+) -> SurfaceSamples:
     """Project points onto the zero isosurface: p <- p - n * sdf(p).
 
     Applies the step `iterations` times. Points whose gradient vanishes at
     any step are dropped (callers can count them as len(points) - len(out)).
+    Each of the N points of a step costs 7 SDF evals (the value and six
+    gradient taps); they are added to stats.projection_evals when given.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
+    evals = 0
     for _ in range(iterations):
         if pts.shape[0] == 0:
             break
+        evals += 7 * pts.shape[0]
         s = f.eval(pts)
         normals, ok = sdf_gradients(f, pts, h)
         pts = pts[ok] - normals[ok] * s[ok, None]
+    if stats is not None:
+        stats.projection_evals += evals + 7 * pts.shape[0]
     if pts.shape[0] == 0:
-        return []
+        return SurfaceSamples.empty()
     residual = f.eval(pts)
     normals, ok = sdf_gradients(f, pts, h)
-    return [
-        SurfaceSample(p, n, float(r))
-        for p, n, r in zip(pts[ok], normals[ok], residual[ok])
-    ]
+    return SurfaceSamples(pts[ok], normals[ok], residual[ok])
+
+
+def _check_level_cells(level: int, n: int) -> None:
+    if n > MAX_LEVEL_CELLS:
+        raise RadiantError(
+            f"octree LoD {level} would hold {n} cells, over the per-level "
+            f"budget of {MAX_LEVEL_CELLS}; use a lower LoD")
 
 
 def extract_surface(
     f: SdfField, cfg: LodConfig | None = None
-) -> tuple[list[SurfaceSample], ExtractionStats]:
+) -> tuple[SurfaceSamples, ExtractionStats]:
     """Octree-accelerated surface extraction.
 
     Returns the projected surface samples (final-level cells in Morton order)
@@ -128,6 +151,7 @@ def extract_surface(
     t0 = time.perf_counter()
 
     n0 = 1 << cfg.lod_start
+    _check_level_cells(cfg.lod_start, n0**3)
     ax = np.arange(n0)
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
     idx = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
@@ -145,12 +169,13 @@ def extract_surface(
         if not occ.any():
             stats.no_surface = True
             stats.wall_time = time.perf_counter() - t0
-            return [], stats
+            return SurfaceSamples.empty(), stats
 
         if level == cfg.lod_end:
             final_idx = idx[occ]
             break
         # subdivide survivors: each cell yields its 8 children at level+1
+        _check_level_cells(level + 1, 8 * int(np.count_nonzero(occ)))
         child = np.array(
             [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
         )
@@ -164,6 +189,7 @@ def extract_surface(
         centers,
         iterations=cfg.projection_iterations,
         h=cfg.cell_edge(cfg.lod_end) / 4.0,
+        stats=stats,
     )
 
     stats.dropped_points = centers.shape[0] - len(samples)
@@ -177,7 +203,7 @@ def dense_extract(
     resolution: int,
     band: float,
     bounds: Aabb | None = None,
-) -> list[SurfaceSample]:
+) -> SurfaceSamples:
     """Brute-force baseline: evaluate every cell center of a regular grid,
     keep |sdf| <= band, and project the survivors onto the surface."""
     if resolution < 2:

@@ -123,11 +123,28 @@ class TestExtractSurface:
         assert run("extract-surface", "--shape", "sphere", "--lod-end", "5",
                    "--out", out) == 0
         samples = io.read_ply(out)
-        pos = np.array([s.position for s in samples])
+        pos = samples.positions
         assert np.abs(np.linalg.norm(pos, axis=1) - 0.5).max() < 2e-3
         stats = json.loads((tmp_path / "pts.ply.stats.json").read_text())
         assert stats["total_sdf_evals"] == sum(stats["evals_per_level"].values())
         assert not stats["no_surface"]
+        assert set(stats) == {"version", "evals_per_level", "total_sdf_evals",
+                              "projection_evals", "surface_points", "wall_time",
+                              "no_surface", "dropped_points"}
+        # one projection step plus the final residual and normal, 7 evals a point
+        assert stats["projection_evals"] == 14 * stats["surface_points"]
+
+    def test_level_budget_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
+        import radiant.octree
+
+        monkeypatch.setattr(radiant.octree, "MAX_LEVEL_CELLS", 4000)
+        out = tmp_path / "pts.ply"
+        assert run("extract-surface", "--shape", "sphere", "--lod-end", "6",
+                   "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "RadiantError"
+        assert "LoD 6" in err["message"] and "4000" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_shape_json_file(self, tmp_path):
         shape = tmp_path / "shape.json"
@@ -185,6 +202,82 @@ class TestMalformedJson:
         assert err["type"] == "FileFormatError"
         assert str(scene) in err["message"] and repr(drop) in err["message"]
         assert not (tmp_path / "img_000.ppm").exists()
+
+    def test_render_camera_not_an_object(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(cameras=[5])))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError" and "cameras[0]" in err["message"]
+
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"views": []}, "cameras"),
+        ({"cameras": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}, "translation"),
+        ({"cameras": [{"translation": [0, 0, 0]}]}, "rotation"),
+    ])
+    def test_voxelize_cameras_missing_key(self, tmp_path, capsys, doc, key):
+        cams = tmp_path / "cams.json"
+        cams.write_text(json.dumps(doc))
+        assert run("voxelize", "--field", "gaussian", "--dims", "4",
+                   "--cameras", cams, "--out", tmp_path / "g.nfvg") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(cams) in err["message"] and repr(key) in err["message"]
+        assert not (tmp_path / "g.nfvg").exists()
+
+    @pytest.mark.parametrize("drop", ["fx", "height"])
+    def test_semmap_intrinsics_missing_key(self, tmp_path, capsys, drop):
+        k = {"fx": 10, "fy": 10, "cx": 2, "cy": 2, "width": 4, "height": 4}
+        del k[drop]
+        (tmp_path / "k.json").write_text(json.dumps(k))
+        (tmp_path / "pose.json").write_text(json.dumps(
+            {"rotation": EYE, "translation": [0, 0, 0]}))
+        np.save(tmp_path / "d.npy", np.ones((4, 4)))
+        np.save(tmp_path / "s.npy", np.zeros((4, 4), dtype=np.int64))
+        assert run("semmap", "--depth", tmp_path / "d.npy", "--semantics",
+                   tmp_path / "s.npy", "--intrinsics", tmp_path / "k.json",
+                   "--pose", tmp_path / "pose.json", "--out", tmp_path / "m.nfvg") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert "k.json" in err["message"] and repr(drop) in err["message"]
+
+
+NAN_ROTATION = [1, 0, 0, 0, float("nan"), 0, 0, 0, 1]
+
+
+class TestNanRotation:
+    """A rotation with a NaN entry is refused (exit 3) wherever a pose is read."""
+
+    def assert_domain_error(self, capsys):
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and "non-finite" in err["message"]
+
+    def test_eval_pose_prediction(self, tmp_path, capsys):
+        gt = {"poses": [{"rotation": EYE, "translation": [0, 0, 0], "class": "cup"}]}
+        pred = {"poses": [dict(gt["poses"][0], rotation=NAN_ROTATION, score=0.9)]}
+        (tmp_path / "gt.json").write_text(json.dumps(gt))
+        (tmp_path / "pred.json").write_text(json.dumps(pred))
+        assert "NaN" in (tmp_path / "pred.json").read_text()
+        assert run("eval-pose", "--pred", tmp_path / "pred.json",
+                   "--gt", tmp_path / "gt.json", "--out", tmp_path / "r.json") == 3
+        self.assert_domain_error(capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_scene_camera_pose(self, tmp_path, capsys):
+        doc = scene_doc()
+        doc["cameras"][0]["pose"]["rotation"] = NAN_ROTATION
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        assert run("render", "--scene", tmp_path / "scene.json",
+                   "--out", tmp_path / "img") == 3
+        self.assert_domain_error(capsys)
+
+    def test_voxelize_camera_pose(self, tmp_path, capsys):
+        cams = {"cameras": [{"rotation": NAN_ROTATION, "translation": [0, 0, 0]}]}
+        (tmp_path / "cams.json").write_text(json.dumps(cams))
+        assert run("voxelize", "--field", "gaussian", "--dims", "4", "--cameras",
+                   tmp_path / "cams.json", "--out", tmp_path / "g.nfvg") == 3
+        self.assert_domain_error(capsys)
 
 
 class TestEvalCommands:

@@ -11,6 +11,7 @@ from radiant.core_math import (
     Ray,
     backproject_pixel,
     canonicalize_symmetric,
+    check_rotation,
     gaussian_pe_kernel,
     generate_rays,
     geodesic_angle,
@@ -246,3 +247,19 @@ class TestRayPacket:
             Ray(np.zeros(3), dirs)
         with pytest.raises(ValueError):
             Ray(np.zeros((3, 2)), np.zeros((3, 2)))
+
+
+class TestCheckRotation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        for i in range(9):
+            m = np.eye(3)
+            m.flat[i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                check_rotation(m)
+            with pytest.raises(ValueError):
+                Pose(m, np.zeros(3))
+
+    def test_proper_rotation_accepted(self):
+        r = random_rotation(np.random.default_rng(3))
+        assert np.array_equal(check_rotation(r), r)

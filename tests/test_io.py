@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from radiant.core_math import Aabb, Intrinsics, Pose, rotation_about
 from radiant.errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
 from radiant.grids import VoxelGrid4D
 from radiant.metrics import OrientedBox3, PoseRecord
-from radiant.octree import SurfaceSample
+from radiant.fields import SphereSdf
+from radiant.octree import LodConfig, SurfaceSamples, extract_surface, samples_to_arrays
 
 
 def f32_grid(rng, dims=(8, 8, 8), channels=4):
@@ -80,13 +83,58 @@ class TestNfvg:
             assert np.array_equal(back.data, grid.data)
 
 
+def oracle_write_ply(path, positions, normals) -> None:
+    """The per-value PLY writer that io.write_ply replaced."""
+
+    def fmt_f32(v):
+        return f"{float(np.float32(v)):.9g}"
+
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(positions)}",
+             "property float x", "property float y", "property float z",
+             "property float nx", "property float ny", "property float nz",
+             "end_header"]
+    for p, n in zip(positions, normals):
+        lines.append(" ".join(fmt_f32(v) for v in list(p) + list(n)))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def oracle_read_ply(path) -> tuple[np.ndarray, np.ndarray]:
+    """The per-line PLY body parser that io.read_ply replaced (header checks
+    left out): positions and normals of the first N body lines."""
+    lines = Path(path).read_text().splitlines()
+    end = lines.index("end_header")
+    n = next(int(line.split()[2]) for line in lines[1:end]
+             if line.split()[:2] == ["element", "vertex"])
+    pos, nrm = [], []
+    for line in lines[end + 1 : end + 1 + n]:
+        v = np.array(line.split(), dtype=np.float32).astype(np.float64)
+        if v.size != 6:
+            raise FileFormatError("expected 6 floats per vertex")
+        pos.append(v[:3])
+        nrm.append(v[3:])
+    return np.array(pos).reshape(-1, 3), np.array(nrm).reshape(-1, 3)
+
+
+# f32 edge values: signed zero, subnormals (1e-45 rounds to the smallest),
+# the largest finite f32 of each sign, exponent-form values and non-finites
+EDGE_VALUES = [-0.0, 0.0, 1e-45, -1e-45, 1.4e-45, 1e-40, -2.5e-39, 1.1754942e-38,
+               3.4028235e38, -3.4028235e38, 3.4e38, -3.4e38, 1e20, -7.5e-12,
+               123456789.0, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
+
+
 class TestPly:
     def samples(self, rng, n=20):
         pos = rng.normal(size=(n, 3)).astype(np.float32).astype(np.float64)
         nrm = rng.normal(size=(n, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         nrm = nrm.astype(np.float32).astype(np.float64)
-        return [SurfaceSample(p, v, 0.0) for p, v in zip(pos, nrm)]
+        return SurfaceSamples(pos, nrm, np.zeros(n))
+
+    def edge_samples(self, rng):
+        vals = np.array(EDGE_VALUES * 6)
+        rng.shuffle(vals)
+        vals = vals[: len(vals) // 6 * 6].reshape(-1, 6)
+        return SurfaceSamples(vals[:, :3], vals[:, 3:], np.zeros(len(vals)))
 
     def test_round_trip(self, tmp_path):
         samples = self.samples(np.random.default_rng(0))
@@ -94,9 +142,9 @@ class TestPly:
         io.write_ply(p, samples)
         back = io.read_ply(p)
         assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.normal, b.normal)
+        assert np.array_equal(back.positions, samples.positions)
+        assert np.array_equal(back.normals, samples.normals)
+        assert np.array_equal(back.residuals, np.zeros(len(samples)))
 
     def test_file_level_round_trip(self, tmp_path):
         samples = self.samples(np.random.default_rng(1))
@@ -129,6 +177,107 @@ class TestPly:
         p.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(TruncatedFile):
             io.read_ply(p)
+
+    def clouds(self):
+        """Seeded clouds (unrounded f64, so the writer's f32 rounding shows),
+        the edge values, and an empty cloud."""
+        rng = np.random.default_rng(7)
+        out = [SurfaceSamples(rng.normal(scale=10.0 ** rng.integers(-8, 9), size=(n, 3)),
+                              rng.normal(size=(n, 3)), rng.normal(size=n))
+               for n in (1, 2, 17, 500, 2000)]
+        out += [self.edge_samples(np.random.default_rng(i)) for i in range(3)]
+        out.append(SurfaceSamples.empty())
+        return out
+
+    def test_bytes_equal_oracle_writer(self, tmp_path):
+        for i, s in enumerate(self.clouds()):
+            new, old = tmp_path / f"new{i}.ply", tmp_path / f"old{i}.ply"
+            with np.errstate(over="ignore"):
+                io.write_ply(new, s)
+                oracle_write_ply(old, s.positions, s.normals)
+            assert new.read_bytes() == old.read_bytes(), i
+
+    def test_arrays_equal_oracle_reader(self, tmp_path):
+        for i, s in enumerate(self.clouds()):
+            p = tmp_path / f"c{i}.ply"
+            oracle_write_ply(p, s.positions, s.normals)
+            back = io.read_ply(p)
+            pos, nrm = oracle_read_ply(p)
+            # bit patterns, so signed zeros and NaNs are compared too
+            assert back.positions.tobytes() == pos.tobytes(), i
+            assert back.normals.tobytes() == nrm.tobytes(), i
+            assert back.positions.dtype == back.normals.dtype == np.float64
+            assert np.array_equal(back.residuals, np.zeros(len(s)))
+
+    def test_edge_values_survive(self, tmp_path):
+        s = self.edge_samples(np.random.default_rng(0))
+        p = tmp_path / "edge.ply"
+        io.write_ply(p, s)
+        back = io.read_ply(p)
+        want = np.concatenate([s.positions, s.normals], axis=1).astype(np.float32)
+        got = np.concatenate([back.positions, back.normals], axis=1).astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("line", ["1 2 3 4 5", "1 2 3 4 5 6 7"])
+    def test_wrong_token_count_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(5), n=4))
+        lines = p.read_text().splitlines()
+        lines[-2] = line
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="6 floats"):
+            io.read_ply(p)
+        with pytest.raises(FileFormatError):
+            oracle_read_ply(p)
+
+    def test_compensating_token_counts_rejected(self, tmp_path):
+        # a 5-token line next to a 7-token line keeps the total at 6 N
+        p = tmp_path / "bad.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(6), n=4))
+        lines = p.read_text().splitlines()
+        lines[-2], lines[-1] = "1 2 3 4 5", "6 7 8 9 10 11 12"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="vertex 2"):
+            io.read_ply(p)
+
+    def test_negative_vertex_count_rejected(self, tmp_path):
+        p = tmp_path / "neg.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(9), n=2))
+        p.write_text(p.read_text().replace("element vertex 2", "element vertex -1"))
+        with pytest.raises(FileFormatError, match="negative"):
+            io.read_ply(p)
+
+    def test_crlf_and_trailing_lines_accepted(self, tmp_path):
+        samples = self.samples(np.random.default_rng(8), n=6)
+        p = tmp_path / "a.ply"
+        io.write_ply(p, samples)
+        crlf = tmp_path / "crlf.ply"
+        crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n") + b"extra line\r\n\r\n")
+        trailing = tmp_path / "trailing.ply"
+        trailing.write_text(p.read_text() + "comment after the vertices\n1 2\n")
+        for q in (crlf, trailing):
+            back = io.read_ply(q)
+            pos, nrm = oracle_read_ply(q)
+            assert np.array_equal(back.positions, samples.positions)
+            assert np.array_equal(back.normals, samples.normals)
+            assert np.array_equal(back.positions, pos) and np.array_equal(back.normals, nrm)
+
+
+class TestBenchmarkContract:
+    def test_extract_write_read_arrays(self, tmp_path):
+        # the call shape the benchmark's surface job uses on each PLY
+        samples, _ = extract_surface(SphereSdf((0.1, 0, 0), 0.5), LodConfig(3, 5))
+        p = tmp_path / "s.ply"
+        io.write_ply(p, samples)
+        out = samples_to_arrays(io.read_ply(p))[:2]
+        assert len(out) == 2
+        pos, nrm = out
+        assert pos.shape == nrm.shape == (len(samples), 3)
+        assert pos.dtype == nrm.dtype == np.float64
+        assert np.array_equal(pos, samples.positions.astype(np.float32))
+        assert np.array_equal(nrm, samples.normals.astype(np.float32))
+        assert np.abs(np.linalg.norm(pos - (0.1, 0, 0), axis=1) - 0.5).max() < 1e-3
+        assert np.abs(np.linalg.norm(nrm, axis=1) - 1.0).max() < 1e-6
 
 
 class TestPpm:

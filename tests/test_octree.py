@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import radiant.octree
 from radiant.core_math import Aabb
+from radiant.errors import RadiantError
 from radiant.fields import BoxSdf, SdfField, SphereSdf, UnionSdf
 from radiant.metrics import chamfer
 from radiant.octree import (
     LodConfig,
+    SurfaceSamples,
     dense_extract,
     extract_surface,
     project_to_surface,
@@ -29,6 +32,17 @@ class FarAwaySdf(SdfField):
         return np.full(np.asarray(pts).shape[:-1], 10.0)
 
 
+class CountingSdf(SdfField):
+    """Counts every point evaluated through it."""
+
+    def __init__(self, inner):
+        self.inner, self.points = inner, 0
+
+    def eval(self, pts):
+        self.points += np.asarray(pts).size // 3
+        return self.inner.eval(pts)
+
+
 class TestExtractSurface:
     def test_sphere_samples_on_surface(self):
         samples, stats = extract_surface(SPHERE, LodConfig())
@@ -41,7 +55,9 @@ class TestExtractSurface:
 
     def test_empty_field_flags_no_surface(self):
         samples, stats = extract_surface(FarAwaySdf(), LodConfig())
-        assert samples == []
+        assert len(samples) == 0
+        assert samples.positions.shape == samples.normals.shape == (0, 3)
+        assert samples.residuals.shape == (0,)
         assert stats.no_surface
 
     def test_eval_budget_on_sphere(self):
@@ -99,11 +115,11 @@ class TestDenseExtract:
 class TestProjectToSurface:
     def test_single_step_exact_on_distance_field(self):
         out = project_to_surface(SPHERE, [(0.6, 0.0, 0.0)], iterations=1)
-        assert np.abs(out[0].position - (0.5, 0, 0)).max() < 1e-9
+        assert np.abs(out.positions[0] - (0.5, 0, 0)).max() < 1e-9
 
     def test_surface_point_unchanged(self):
         out = project_to_surface(SPHERE, [(0.0, 0.5, 0.0)], iterations=1)
-        assert np.abs(out[0].position - (0, 0.5, 0)).max() < 1e-9
+        assert np.abs(out.positions[0] - (0, 0.5, 0)).max() < 1e-9
 
     def test_iterations_do_not_worsen_residual(self):
         # near a box edge the first step is inexact; more steps stay at least
@@ -111,7 +127,7 @@ class TestProjectToSurface:
         p = [(0.45, 0.38, 0.1)]
         one = project_to_surface(BOX, p, iterations=1)
         three = project_to_surface(BOX, p, iterations=3)
-        assert abs(three[0].sdf_residual) <= abs(one[0].sdf_residual) + 1e-12
+        assert abs(three.residuals[0]) <= abs(one.residuals[0]) + 1e-12
 
     def test_monotone_residuals_batch(self):
         rng = np.random.default_rng(5)
@@ -119,12 +135,59 @@ class TestProjectToSurface:
         before = np.abs(BOX.eval(pts))
         out = project_to_surface(BOX, pts, iterations=1)
         assert len(out) == len(pts)
-        after = np.abs(np.array([s.sdf_residual for s in out]))
+        after = np.abs(out.residuals)
         assert np.all(after <= before + 1e-9)
 
     def test_bad_iterations(self):
         with pytest.raises(ValueError):
             project_to_surface(SPHERE, [(0.6, 0, 0)], iterations=0)
+
+    def test_record_arrays(self):
+        pts = np.random.default_rng(6).uniform(-0.9, 0.9, size=(40, 3))
+        out = project_to_surface(BOX, pts, iterations=2)
+        assert isinstance(out, SurfaceSamples) and len(out) == 40
+        assert out.positions.shape == out.normals.shape == (40, 3)
+        assert out.residuals.shape == (40,)
+        assert all(a.dtype == np.float64 for a in samples_to_arrays(out))
+        # the SDF left at each projected point, not merely a small number
+        assert np.array_equal(out.residuals, BOX.eval(out.positions))
+        assert np.count_nonzero(out.residuals) > 0
+
+
+class TestHonestStats:
+    @pytest.mark.parametrize("field", [SPHERE, UNION], ids=["sphere", "union"])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_traversal_plus_projection_is_every_eval(self, field, iterations):
+        counting = CountingSdf(field)
+        samples, stats = extract_surface(
+            counting, LodConfig(3, 6, projection_iterations=iterations))
+        assert stats.total_sdf_evals == sum(stats.evals_per_level.values())
+        assert stats.total_sdf_evals + stats.projection_evals == counting.points
+        # the value and six gradient taps per point of each projection step
+        assert stats.projection_evals >= 7 * (iterations + 1) * len(samples)
+
+    def test_no_surface_has_no_projection(self):
+        counting = CountingSdf(FarAwaySdf())
+        _, stats = extract_surface(counting, LodConfig())
+        assert stats.projection_evals == 0
+        assert stats.total_sdf_evals == counting.points
+
+
+class TestLevelBudget:
+    def test_child_level_over_budget_is_refused(self, monkeypatch):
+        _, stats = extract_surface(SPHERE, LodConfig(3, 5))
+        monkeypatch.setattr(radiant.octree, "MAX_LEVEL_CELLS", stats.evals_per_level[5] - 1)
+        with pytest.raises(RadiantError, match=f"LoD 5 would hold {stats.evals_per_level[5]} "):
+            extract_surface(SPHERE, LodConfig(3, 5))
+        # a level of exactly the budget fits
+        monkeypatch.setattr(radiant.octree, "MAX_LEVEL_CELLS", stats.evals_per_level[5])
+        samples, _ = extract_surface(SPHERE, LodConfig(3, 5))
+        assert len(samples) == stats.surface_points
+
+    def test_start_level_over_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(radiant.octree, "MAX_LEVEL_CELLS", 8**3 - 1)
+        with pytest.raises(RadiantError, match="LoD 3 would hold 512 "):
+            extract_surface(SPHERE, LodConfig(3, 5))
 
 
 class TestOracleEquivalence:
