@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core_math import Aabb, Ray, generate_ray_arrays
+from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
 from .errors import FileFormatError, RadiantError
 from .fields import field_from_spec, make_analytic_sdf
 from .gridsample import AXIS_DIRECTIONS, sample_grid
-from .masking import _splitmix64, apply_mask, patchify, random_mask
+from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
 from .octree import LodConfig, dense_extract, extract_surface
 from .projmaps import SemanticMapConfig, build_semantic_map
@@ -101,9 +101,13 @@ def _load_spec(arg: str, presets: dict) -> dict:
     _require_inputs(arg)
     with open(arg) as fh:
         try:
-            return json.load(fh)
+            spec = json.load(fh)
         except json.JSONDecodeError as e:
             raise FileFormatError(f"{arg}: {e}") from None
+    if not isinstance(spec, dict):
+        raise FileFormatError(f"{arg}: top-level JSON value is a {type(spec).__name__}, "
+                              "expected an object")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +117,14 @@ def _load_spec(arg: str, presets: dict) -> dict:
 def _cmd_voxelize(args) -> None:
     spec = _load_spec(args.field, FIELD_PRESETS)
     if spec.get("type") == "grid":
-        _require_inputs(spec.get("path"))
+        _require_inputs(io.read_key(spec, "path", args.field, str))
     out = _prepare_output(args.out, args.force)
     field = field_from_spec(spec)
     bounds = _parse_bounds(args.bounds)
     if args.cameras:
         _require_inputs(args.cameras)
         cameras = io.read_key(io.load_versioned_json(args.cameras), "cameras",
-                              str(args.cameras), list)
+                              str(args.cameras), io.json_list)
         poses = [io.pose_from_json(c, f"{args.cameras}: cameras[{i}]")
                  for i, c in enumerate(cameras)]
         directions = np.array([p.rotation @ [0.0, 0.0, 1.0] for p in poses])
@@ -134,10 +138,9 @@ def _cmd_voxelize(args) -> None:
 def _cmd_extract_surface(args) -> None:
     shape = _load_spec(args.shape, SDF_PRESETS)
     out = _prepare_output(args.out, args.force)
-    stats_path = Path(args.stats) if args.stats else out.with_suffix(out.suffix + ".stats.json")
-    if stats_path.exists() and not args.force:
-        raise FileExistsError(f"{stats_path} exists; pass --force to overwrite")
-    f = make_analytic_sdf(shape)
+    stats_path = _prepare_output(args.stats or out.with_suffix(out.suffix + ".stats.json"),
+                                 args.force)
+    f = make_analytic_sdf(shape, args.shape)
     cfg = LodConfig(
         lod_start=args.lod_start,
         lod_end=args.lod_end,
@@ -183,10 +186,10 @@ PACKET_RAYS = 256
 
 def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_field):
     origins, dirs = generate_ray_arrays(k, pose)
-    # pixel seeds hash (seed, camera, pixel index), so a pixel's jitter does
-    # not depend on how the image is split into packets
-    cam_key = _splitmix64(int(_splitmix64(cfg.seed)[0]) + cam_index)[0]
-    seeds = _splitmix64(cam_key + np.arange(len(origins), dtype=np.uint64))
+    # pixel p's seed is hash p of the stream keyed by hash cam_index of the
+    # seed's stream, so it does not depend on how the image is split into packets
+    cam_key = splitmix64_stream(cfg.seed, cam_index + 1)[0, -1]
+    seeds = splitmix64_stream(cam_key, len(origins))[0]
     colors = np.zeros(origins.shape)
     accs = np.zeros(len(origins))
     for lo in range(0, len(origins), PACKET_RAYS):
@@ -208,8 +211,9 @@ def _cmd_render(args) -> None:
         spec = doc.get(key)
         if spec is None:
             return None
-        if spec.get("type") == "grid":
-            spec = {**spec, "path": str(scene_dir / spec["path"])}
+        if io.read_key(spec, "type", f"{args.scene}: {key}", default=None) == "grid":
+            path = io.read_key(spec, "path", f"{args.scene}: {key}", str)
+            spec = {**spec, "path": str(scene_dir / path)}
             _require_inputs(spec["path"])
         return field_from_spec(spec)
 
@@ -219,8 +223,8 @@ def _cmd_render(args) -> None:
         {"type": "constant", "color": [0, 0, 0], "sigma": 0.0})
     object_field = build_field("object_field")
     boxes = [io.box_from_json(b, f"{args.scene}: boxes[{i}]")
-             for i, b in enumerate(doc.get("boxes", []))]
-    cameras = doc.get("cameras", [])
+             for i, b in enumerate(io.read_key(doc, "boxes", args.scene, io.json_list, []))]
+    cameras = io.read_key(doc, "cameras", args.scene, io.json_list, [])
     if not cameras:
         raise RadiantError("scene has no cameras")
     views = []
@@ -231,10 +235,10 @@ def _cmd_render(args) -> None:
                                     f"{where}: intrinsics"),
             io.pose_from_json(io.read_key(cam, "pose", where), f"{where}: pose")))
     cfg = RenderConfig(
-        near=float(doc.get("near", 0.02)),
-        far=float(doc.get("far", 3.0)),
-        n_coarse=int(doc.get("n_coarse", 64)),
-        n_fine=int(doc.get("n_fine", 0)),
+        near=io.read_key(doc, "near", args.scene, float, 0.02),
+        far=io.read_key(doc, "far", args.scene, float, 3.0),
+        n_coarse=io.read_key(doc, "n_coarse", args.scene, int, 64),
+        n_fine=io.read_key(doc, "n_fine", args.scene, int, 0),
         seed=args.seed,
     )
 
@@ -292,10 +296,7 @@ def _parse_axis(text: str) -> np.ndarray:
 def _read_records(path, key: str, reader, scored: bool) -> list:
     """One record per entry of the list under key in a JSON document;
     predictions (scored) must each carry a score."""
-    entries = io.read_key(io.load_versioned_json(path), key, str(path))
-    if not isinstance(entries, list):
-        raise FileFormatError(
-            f"{path}: {key!r} must be a list, got {type(entries).__name__}")
+    entries = io.read_key(io.load_versioned_json(path), key, str(path), io.json_list)
     records = []
     for i, d in enumerate(entries):
         where = f"{path}: {key}[{i}]"
@@ -388,7 +389,7 @@ def _cmd_eval_nav(args) -> None:
 def _cmd_bench_octree(args) -> None:
     out = _prepare_output(args.out, args.force)
     shape = _load_spec(args.shape, SDF_PRESETS)
-    f = make_analytic_sdf(shape)
+    f = make_analytic_sdf(shape, args.shape)
     rows = []
     for res in (40, 50, 60):
         t0 = time.perf_counter()

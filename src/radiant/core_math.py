@@ -1,5 +1,5 @@
-"""Geometric primitives: vectors, rigid poses, pinhole cameras, rotation
-utilities and positional encodings.
+"""Geometric primitives (vectors, rigid poses, pinhole cameras, rotations,
+positional encodings) and the package's counter-based random streams.
 
 Conventions (fixed here because file formats depend on them):
   * camera looks down +z, +x right, +y down; poses are camera-to-world
@@ -20,6 +20,33 @@ from .errors import DegenerateMatrix, NonPositiveDepth
 
 # Depths at or below this are treated as "behind the camera".
 MIN_DEPTH = 1e-9
+
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1E4357B3)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64(x) -> np.ndarray:
+    """SplitMix64 finalizer; a stateless uniform hash of uint64 values.
+    A Python int is first reduced mod 2**64, so any int seed hashes."""
+    if isinstance(x, int):
+        x %= 1 << 64
+    # work on arrays: numpy scalar uint64 multiplies emit overflow warnings
+    z = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _SPLITMIX_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_stream(seeds, n: int) -> np.ndarray:
+    """Hashes 0..n-1 of each seed's stream as (R, n) uint64 for R seeds (an int
+    is one seed): hash k of seed s is splitmix64(splitmix64(s) + k)."""
+    return splitmix64(splitmix64(seeds)[:, None] + np.arange(n, dtype=np.uint64))
+
+
+def uniform_stream(seeds, n: int) -> np.ndarray:
+    """splitmix64_stream as float64 in [0, 1): the top 53 bits times 2**-53."""
+    return (splitmix64_stream(seeds, n) >> np.uint64(11)) * 2.0**-53
 
 
 def as_vec3(v) -> np.ndarray:

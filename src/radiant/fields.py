@@ -77,21 +77,28 @@ class UnionSdf(SdfField):
         return np.min([c.eval(pts) for c in self.children], axis=0)
 
 
-def make_analytic_sdf(shape: dict) -> SdfField:
+def make_analytic_sdf(shape: dict, where: str = "shape") -> SdfField:
     """Build an analytic SDF from a plain dict description.
 
     Accepted forms:
       {"type": "sphere", "center": [x,y,z], "radius": r}
       {"type": "box", "center": [x,y,z], "half_extents": [hx,hy,hz]}
       {"type": "union", "shapes": [ ... ]}
+
+    where names the description in errors ("shape.json: shapes[1]"): a part
+    that is not an object or a missing required key raises FileFormatError.
     """
-    kind = shape.get("type")
+    from .io import json_list, read_key
+
+    kind = read_key(shape, "type", where, default=None)
     if kind == "sphere":
-        return SphereSdf(shape.get("center", (0, 0, 0)), shape["radius"])
+        return SphereSdf(shape.get("center", (0, 0, 0)), read_key(shape, "radius", where))
     if kind == "box":
-        return BoxSdf(shape.get("center", (0, 0, 0)), shape["half_extents"])
+        return BoxSdf(shape.get("center", (0, 0, 0)), read_key(shape, "half_extents", where))
     if kind == "union":
-        return UnionSdf([make_analytic_sdf(s) for s in shape.get("shapes", [])])
+        shapes = read_key(shape, "shapes", where, json_list, [])
+        return UnionSdf([make_analytic_sdf(s, f"{where}: shapes[{i}]")
+                         for i, s in enumerate(shapes)])
     raise ValueError(f"unknown shape type {kind!r}")
 
 

@@ -117,7 +117,11 @@ def read_ply(path) -> SurfaceSamples:
         raise FileFormatError(f"{path}: expected 6 floats per vertex (vertex {bad})")
     # the properties are f32: parse through float32 so values written by
     # write_ply come back bit-identical
-    v = np.array(" ".join(body).split(), dtype=np.float32).astype(np.float64).reshape(n, 6)
+    try:
+        v = np.array(" ".join(body).split(), dtype=np.float32)
+    except ValueError as e:
+        raise FileFormatError(f"{path}: non-numeric vertex value ({e})") from None
+    v = v.astype(np.float64).reshape(n, 6)
     return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(n))
 
 
@@ -250,6 +254,13 @@ def read_key(d, key: str, where: str, convert=None, default=_REQUIRED):
         return convert(d[key])
     except (TypeError, ValueError) as e:
         raise FileFormatError(f"{where}: bad {key!r}: {e}") from None
+
+
+def json_list(v) -> list:
+    """read_key convert for a value that must be a JSON list."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {type(v).__name__}")
+    return v
 
 
 def _floats(v) -> np.ndarray:

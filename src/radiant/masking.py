@@ -13,25 +13,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .core_math import splitmix64_stream
 from .errors import DimsMismatch, IndivisibleDims
 from .grids import ALPHA_DELTA, VoxelGrid4D
-
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1E4357B3)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(x) -> np.ndarray:
-    """SplitMix64 finalizer; a stateless uniform hash of uint64 values.
-    A Python int is first reduced mod 2**64, so any int seed hashes."""
-    if isinstance(x, int):
-        x %= 1 << 64
-    # work on arrays: numpy scalar uint64 multiplies emit overflow warnings
-    z = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _SPLITMIX_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
 
 def patch_grid(dims, p: int) -> tuple[int, int, int]:
     """Patch counts per axis; every dimension must divide by p."""
@@ -133,8 +117,7 @@ def random_mask(
     if not (0.0 <= ratio <= 1.0):
         raise ValueError("ratio must lie in [0, 1]")
     k = round_half_up(ratio * n_patches)
-    idx = np.arange(n_patches, dtype=np.uint64)
-    keys = _splitmix64(_splitmix64(seed)[0] + idx)
+    keys = splitmix64_stream(seed, n_patches)[0]
     order = np.argsort(keys, kind="stable")
     masked = np.zeros(n_patches, dtype=bool)
     masked[order[:k]] = True

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core_math import Ray
+from .core_math import Ray, uniform_stream
 from .errors import (
     LengthMismatch,
     InsideUnitSphere,
@@ -89,9 +89,8 @@ def _stratified(lo, hi, jitter: np.ndarray) -> np.ndarray:
 
 
 def stratified_samples(ray: Ray, cfg: RenderConfig) -> RaySamples:
-    """Stratified coarse samples of [near, far]; deterministic in the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    t = _stratified(cfg.near, cfg.far, rng.random(cfg.n_coarse))
+    """Stratified coarse samples of [near, far]; jitter is the seed's draws [0, n)."""
+    t = _stratified(cfg.near, cfg.far, uniform_stream(cfg.seed, cfg.n_coarse)[0])
     deltas = np.append(np.diff(t), cfg.far - t[-1])
     return RaySamples(t, deltas)
 
@@ -233,11 +232,9 @@ def render_full(
     has_near = t_sphere > cfg.near
     n, n_fine = cfg.n_coarse, cfg.n_fine
 
-    # each ray draws its own seeded stream in a fixed order (near, far,
-    # near fine, far fine), so configurations that share a seed share every
-    # sample position
-    jitter = np.array([np.random.default_rng(int(s)).random(2 * n + 2 * n_fine)
-                       for s in np.broadcast_to(cfg.seed, (len(o),))])
+    # jitter k of a ray is draw k of its seed's stream: near [0, n), far
+    # [n, 2n), near fine [2n, 2n + f), far fine [2n + f, 2n + 2f)
+    jitter = np.broadcast_to(uniform_stream(cfg.seed, 2 * (n + n_fine)), (len(o), 2 * (n + n_fine)))
     near_ts = _stratified(cfg.near, t_sphere, jitter[:, :n])
     # descending inverse radius over (0, 1]: first sample sits just outside
     # the sphere, later samples stride toward infinity
@@ -258,8 +255,7 @@ def render_full(
     if n_fine > 0:
         _, _, near_w, far_w = _compose_streams(ray, *near, *far, near_field, far_field,
                                                boxes, object_field)
-        # only rays with 2+ near samples draw near-fine jitter, which the
-        # far-fine draws follow; the other rays repeat their first sample
+        # rays with fewer than 2 near samples repeat their first sample
         fine_near = has_near & (n >= 2)
         edges = np.concatenate([np.full_like(t_sphere, cfg.near),
                                 0.5 * (near_ts[:, :-1] + near_ts[:, 1:]), t_sphere], axis=-1)
@@ -268,11 +264,10 @@ def render_full(
                                     axis=-1), axis=-1)
         near = (ts, near_deltas(ts))
 
-        far_at = np.where(fine_near, 2 * n + n_fine, 2 * n) + np.arange(n_fine)
         u_asc = u[:, ::-1]
         edges_u = np.concatenate([np.zeros_like(t_sphere), 0.5 * (u_asc[:, :-1] + u_asc[:, 1:]),
                                   np.ones_like(t_sphere)], axis=-1)
-        fine_u = _sample_pdf(edges_u, far_w[:, ::-1], np.take_along_axis(jitter, far_at, axis=-1))
+        fine_u = _sample_pdf(edges_u, far_w[:, ::-1], jitter[:, 2 * n + n_fine:])
         # draws at u ~ 0 (infinite radius) become repeats of the first sample
         fine_u = np.where(fine_u > 1e-9, fine_u, u[:, :1])
         far = far_ladder(-np.sort(-np.concatenate([u, fine_u], axis=-1), axis=-1))

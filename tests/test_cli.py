@@ -152,6 +152,29 @@ class TestExtractSurface:
         assert run("extract-surface", "--shape", shape, "--lod-end", "4",
                    "--out", tmp_path / "b.ply") == 0
 
+    @pytest.mark.parametrize("doc,names", [
+        ({"type": "sphere"}, "'radius'"),
+        ({"type": "union", "shapes": [{"type": "sphere", "radius": 0.3}, {"type": "box"}]},
+         "shapes[1] is missing key 'half_extents'"),
+        ({"type": "union", "shapes": {"type": "box"}}, "'shapes'"),
+        ([{"type": "sphere", "radius": 0.5}], "is a list"),
+    ], ids=["no-radius", "union-box-no-half-extents", "shapes-not-a-list", "top-level-list"])
+    def test_bad_shape_file_is_format_error(self, tmp_path, capsys, doc, names):
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps(doc))
+        assert run("extract-surface", "--shape", shape, "--lod-end", "4",
+                   "--out", tmp_path / "b.ply") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(shape) in err["message"] and names in err["message"]
+        assert not (tmp_path / "b.ply").exists()
+
+    def test_missing_stats_dir_exits_2_before_writing(self, tmp_path):
+        out = tmp_path / "pts.ply"
+        assert run("extract-surface", "--shape", "sphere", "--lod-end", "4", "--out", out,
+                   "--stats", tmp_path / "missing" / "s.json") == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMask:
     def test_mask_schema_and_determinism(self, tmp_path):
@@ -209,6 +232,38 @@ class TestMalformedJson:
         assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["type"] == "FileFormatError" and "cameras[0]" in err["message"]
+
+    @pytest.mark.parametrize("overrides,names", [
+        ({"near_field": [1, 2]}, "near_field must be an object"),
+        ({"far_field": {"type": "grid"}}, "far_field is missing key 'path'"),
+        ({"cameras": {"a": 1}}, "bad 'cameras'"),
+        ({"boxes": {"center": [0, 0, 0]}}, "bad 'boxes'"),
+        ({"n_coarse": "x"}, "bad 'n_coarse'"),
+        ({"far": [3.0]}, "bad 'far'"),
+    ], ids=["near-field-list", "grid-no-path", "cameras-object", "boxes-object",
+            "n-coarse-string", "far-list"])
+    def test_render_bad_scene_part(self, tmp_path, capsys, overrides, names):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(**overrides)))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(scene) in err["message"] and names in err["message"]
+        assert not (tmp_path / "img_000.ppm").exists()
+
+    @pytest.mark.parametrize("doc,names", [
+        ({"type": "grid"}, "'path'"),
+        ([{"type": "constant"}], "is a list"),
+    ], ids=["grid-no-path", "top-level-list"])
+    def test_voxelize_bad_field_file(self, tmp_path, capsys, doc, names):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(doc))
+        assert run("voxelize", "--field", field, "--dims", "4",
+                   "--out", tmp_path / "g.nfvg") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert str(field) in err["message"] and names in err["message"]
+        assert not (tmp_path / "g.nfvg").exists()
 
 
     @pytest.mark.parametrize("doc,key", [

@@ -240,6 +240,15 @@ class TestPly:
         with pytest.raises(FileFormatError, match="vertex 2"):
             io.read_ply(p)
 
+    def test_non_numeric_token_rejected(self, tmp_path):
+        p = tmp_path / "bad.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(7), n=3))
+        lines = p.read_text().splitlines()
+        lines[-2] = "1 2 abc 4 5 6"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="bad.ply: non-numeric .*'abc'"):
+            io.read_ply(p)
+
     def test_negative_vertex_count_rejected(self, tmp_path):
         p = tmp_path / "neg.ply"
         io.write_ply(p, self.samples(np.random.default_rng(9), n=2))

@@ -18,6 +18,15 @@ from radiant.masking import (
 CUBE = Aabb([-1, -1, -1], [1, 1, 1])
 
 
+def splitmix64_int(x: int) -> int:
+    """SplitMix64 finalizer on plain Python ints (reference for the library's)."""
+    mask = 2**64 - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1E4357B3) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def random_grid(rng, n=8):
     return VoxelGrid4D(rng.uniform(0, 1, size=(n, n, n, 4)), CUBE)
 
@@ -76,6 +85,19 @@ class TestRandomMask:
         m = random_mask(512, 0.3, seed=9)
         assert m.n_masked == round(0.3 * 512)
         assert np.count_nonzero(~m.masked) == 512 - m.n_masked
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5])
+    def test_keys_are_the_seed_stream(self, seed):
+        # patch i's key is splitmix64(splitmix64(seed mod 2**64) + i), worked
+        # here on plain ints; every k masks the k lowest keys
+        n = 60
+        key = splitmix64_int(seed % 2**64)
+        keys = [splitmix64_int((key + i) % 2**64) for i in range(n)]
+        order = sorted(range(n), key=keys.__getitem__)
+        for k in range(n + 1):
+            want = np.zeros(n, dtype=bool)
+            want[order[:k]] = True
+            assert np.array_equal(random_mask(n, k / n, seed).masked, want), k
 
 
 class TestApplyMask:

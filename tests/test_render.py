@@ -14,7 +14,6 @@ from radiant.errors import (
     OriginOutsideSphere,
 )
 from radiant.fields import ConstantField, GaussianBlobField
-from radiant.masking import _splitmix64
 from radiant.metrics import OrientedBox3
 from radiant.render import (
     RenderConfig,
@@ -33,6 +32,24 @@ from radiant.render import (
 RAY_Z = Ray((0, 0, 0), (0, 0, 1))
 RED = ConstantField((1, 0, 0), 1e9)
 EMPTY = ConstantField((0, 0, 0), 0.0)
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64_int(x: int) -> int:
+    """SplitMix64 finalizer on plain Python ints (reference for the library's)."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1E4357B3) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_uniforms(seed: int, start: int, m: int) -> np.ndarray:
+    """Draws start..start+m-1 of a seed's stream: the top 53 bits of
+    splitmix64(splitmix64(seed) + k), times 2**-53."""
+    key = splitmix64_int(seed & MASK64)
+    return np.array([(splitmix64_int((key + k) & MASK64) >> 11) * 2.0**-53
+                     for k in range(start, start + m)])
 
 
 class TestStratifiedSamples:
@@ -309,12 +326,11 @@ class TestRenderComposed:
             cfg,
         )
 
-        # oracle: replay the rng ladders, composite manually
-        rng = np.random.default_rng(cfg.seed)
-        nj = rng.random(cfg.n_coarse)
-        fj = rng.random(cfg.n_coarse)
+        # oracle: replay the near [0, n) and far [n, 2n) draws, composite manually
         t_sphere = 1.0
         n = cfg.n_coarse
+        nj = stream_uniforms(cfg.seed, 0, n)
+        fj = stream_uniforms(cfg.seed, n, n)
         near_ts = cfg.near + (np.arange(n) + nj) * (t_sphere - cfg.near) / n
         near_deltas = np.append(np.diff(near_ts), t_sphere - near_ts[-1])
         u = (n - np.arange(n) - fj) / n
@@ -382,18 +398,21 @@ class TestQuadratureConvergence:
 
 def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
     """One ray at a time with np.interp and np.unique: the renderer's
-    algorithm before it was batched into packets. Returns (color, acc, acc_near)."""
-    rng = np.random.default_rng(cfg.seed)
+    algorithm before it was batched into packets, with jitter replayed from
+    the seed's stream at the fixed offsets near [0, n), far [n, 2n), near
+    fine [2n, 2n + f) and far fine [2n + f, 2n + 2f). Returns (color, acc,
+    acc_near)."""
+    n, f = cfg.n_coarse, cfg.n_fine
     b, c = float(o @ d), float(o @ o)
     t_sphere = -b + math.sqrt(b * b - (c - 1.0))
 
     def radius_to_t(r):
         return -b + np.sqrt(b * b + r**2 - c)
 
-    def sample_pdf(edges, w, m):
+    def sample_pdf(edges, w, start):
         w = np.maximum(w, 0.0) + 1e-9
         cdf = np.concatenate([[0.0], np.cumsum(w / w.sum())])
-        return np.interp((np.arange(m) + rng.random(m)) / m, cdf, edges)
+        return np.interp((np.arange(f) + stream_uniforms(cfg.seed, start, f)) / f, cdf, edges)
 
     def compose(near_ts, near_deltas, far_ts, far_deltas):
         near_pts = o + near_ts[:, None] * d
@@ -414,8 +433,7 @@ def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
                         np.concatenate([near_deltas[inside], near_deltas, far_deltas])[order])
         return res.color, res.acc, res.weights[ranks[order] == 1], res.weights[ranks[order] == 2]
 
-    n = cfg.n_coarse
-    near_j, far_j = rng.random(n), rng.random(n)
+    near_j, far_j = stream_uniforms(cfg.seed, 0, n), stream_uniforms(cfg.seed, n, n)
     near_ts = near_deltas = np.zeros(0)
     if t_sphere > cfg.near:
         near_ts = cfg.near + (np.arange(n) + near_j) * (t_sphere - cfg.near) / n
@@ -423,15 +441,15 @@ def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
     u = (n - np.arange(n) - far_j) / n
     far_ts = radius_to_t(1.0 / u)
     far_deltas = np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2])
-    if cfg.n_fine > 0:
+    if f > 0:
         _, _, near_w, far_w = compose(near_ts, near_deltas, far_ts, far_deltas)
         if near_ts.size >= 2:
             edges = np.concatenate([[cfg.near], 0.5 * (near_ts[:-1] + near_ts[1:]), [t_sphere]])
-            near_ts = np.unique(np.concatenate([near_ts, sample_pdf(edges, near_w, cfg.n_fine)]))
+            near_ts = np.unique(np.concatenate([near_ts, sample_pdf(edges, near_w, 2 * n)]))
             near_deltas = np.maximum(np.append(np.diff(near_ts), t_sphere - near_ts[-1]), 1e-12)
         u_asc = u[::-1]
         edges_u = np.concatenate([[0.0], 0.5 * (u_asc[:-1] + u_asc[1:]), [1.0]])
-        fine_u = sample_pdf(edges_u, far_w[::-1], cfg.n_fine)
+        fine_u = sample_pdf(edges_u, far_w[::-1], 2 * n + f)
         far_ts = radius_to_t(1.0 / np.unique(np.concatenate([u_asc, fine_u[fine_u > 1e-9]]))[::-1])
         far_deltas = np.maximum(np.append(np.diff(far_ts), far_ts[-1] - far_ts[-2]), 1e-12)
     color, acc, near_w, _ = compose(near_ts, near_deltas, far_ts, far_deltas)
@@ -443,6 +461,7 @@ class TestPacket:
 
     NEAR = GaussianBlobField((0.9, 0.4, 0.1), 12.0, (0.05, -0.05, 0.45), 0.25)
     FAR = ConstantField((0.1, 0.2, 0.4), 1.5)
+    FAR_BLOB = GaussianBlobField((0.2, 0.6, 0.3), 2.0, (0.0, 0.0, 2.0), 1.0)
     OBJECT = ConstantField((1.0, 1.0, 0.0), 200.0)
     BOXES = [OrientedBox3((0.0, 0.0, 0.5), (0.4, 0.4, 0.3), 0.3)]
 
@@ -452,7 +471,7 @@ class TestPacket:
         origins, dirs = generate_ray_arrays(Intrinsics(8, 8, 3.5, 3.5, 8, 8),
                                             Pose(np.eye(3), (0.0, 0.1, 0.0)))
         origins[5], dirs[5] = (0.0, 0.0, 0.99), (0.0, 0.0, 1.0)
-        return origins, dirs, _splitmix64(np.arange(64, dtype=np.uint64))
+        return origins, dirs, np.array([splitmix64_int(i) for i in range(64)], dtype=np.uint64)
 
     def _render(self, origins, dirs, seed):
         cfg = RenderConfig(n_coarse=16, n_fine=8, seed=seed)
@@ -471,19 +490,28 @@ class TestPacket:
             assert np.array_equal(getattr(whole, field), single), field
             assert np.array_equal(getattr(whole, field), split), field
 
-    @pytest.mark.parametrize("n_coarse,n_fine", [(16, 0), (16, 8), (2, 5), (64, 32)])
-    def test_matches_per_ray_reference(self, n_coarse, n_fine):
+    def _check_reference(self, n_coarse, n_fine, far):
         # only the order of the final colour and acc sums differs
         origins, dirs, seeds = self._rays()
         cfg = RenderConfig(n_coarse=n_coarse, n_fine=n_fine, seed=seeds)
-        got = render_full(Ray(origins, dirs), cfg, self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+        got = render_full(Ray(origins, dirs), cfg, self.NEAR, far, self.BOXES, self.OBJECT)
         for i in range(64):
             want = _per_ray_reference(origins[i], dirs[i],
                                       RenderConfig(n_coarse=n_coarse, n_fine=n_fine, seed=int(seeds[i])),
-                                      self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+                                      self.NEAR, far, self.BOXES, self.OBJECT)
             assert np.abs(got.color[i] - want[0]).max() <= 1e-12
             assert abs(got.acc[i] - want[1]) <= 1e-12
             assert abs(got.acc_near[i] - want[2]) <= 1e-12
+
+    @pytest.mark.parametrize("n_coarse,n_fine", [(16, 0), (16, 8), (2, 5), (64, 32)])
+    def test_matches_per_ray_reference(self, n_coarse, n_fine):
+        self._check_reference(n_coarse, n_fine, self.FAR)
+
+    @pytest.mark.parametrize("n_coarse,n_fine", [(16, 8), (64, 32)])
+    def test_far_jitter_matches_per_ray_reference(self, n_coarse, n_fine):
+        # a constant far field makes far transmittance ~0 whatever the sample
+        # positions; a far blob of finite mass shows the far and far-fine draws
+        self._check_reference(n_coarse, n_fine, self.FAR_BLOB)
 
     def test_rejects_origin_outside_in_packet(self):
         origins, dirs, seeds = self._rays()
