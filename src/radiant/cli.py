@@ -237,8 +237,8 @@ def _cmd_render(args) -> None:
     cfg = RenderConfig(
         near=io.read_key(doc, "near", args.scene, float, 0.02),
         far=io.read_key(doc, "far", args.scene, float, 3.0),
-        n_coarse=io.read_key(doc, "n_coarse", args.scene, int, 64),
-        n_fine=io.read_key(doc, "n_fine", args.scene, int, 0),
+        n_coarse=io.read_key(doc, "n_coarse", args.scene, io.json_int, 64),
+        n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, 0),
         seed=args.seed,
     )
 
@@ -354,7 +354,7 @@ def _cmd_eval_pose(args) -> None:
 def _labels_from_doc(path) -> tuple[np.ndarray, int]:
     doc = io.load_versioned_json(path)
     labels = Path(path).parent / io.read_key(doc, "labels_file", str(path), str)
-    n_classes = io.read_key(doc, "n_classes", str(path), int)
+    n_classes = io.read_key(doc, "n_classes", str(path), io.json_int)
     _require_inputs(labels)
     grid = io.read_nfvg(labels)
     if grid.channels != 1:

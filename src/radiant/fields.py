@@ -134,7 +134,11 @@ def sdf_normal(f: SdfField, x, h: float = 1e-4) -> np.ndarray:
 
 class RadianceField:
     """Emission/absorption field: eval maps (points, directions) to
-    (rgb in [0,1]^3, density sigma >= 0)."""
+    (rgb in [0,1]^3, density sigma >= 0). view_dependent is False for a
+    field whose eval ignores dirs: callers may evaluate a point once for a
+    whole direction set."""
+
+    view_dependent = True
 
     def eval(self, pts, dirs) -> tuple[np.ndarray, np.ndarray]:
         """pts, dirs of shape (N, 3) -> (colors (N, 3), sigmas (N,))."""
@@ -145,6 +149,8 @@ class RadianceField:
 class ConstantField(RadianceField):
     color: np.ndarray
     sigma: float
+
+    view_dependent = False
 
     def __post_init__(self):
         self.color = as_vec3(self.color)
@@ -171,6 +177,8 @@ class GaussianBlobField(RadianceField):
     center: np.ndarray
     scale: float
 
+    view_dependent = False
+
     def __post_init__(self):
         self.color = as_vec3(self.color)
         self.center = as_vec3(self.center)
@@ -195,6 +203,8 @@ class BallField(RadianceField):
     center: np.ndarray
     radius: float
 
+    view_dependent = False
+
     def __post_init__(self):
         self.color = as_vec3(self.color)
         self.center = as_vec3(self.center)
@@ -217,6 +227,8 @@ class GridField(RadianceField):
     the exact inverse of the extraction formula. Outside the grid bounds the
     field is empty.
     """
+
+    view_dependent = False
 
     def __init__(self, grid: VoxelGrid4D):
         if grid.channels != 4:

@@ -90,19 +90,24 @@ def trilinear(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
         f = np.where(dims - 1 == 0, 0.0, f)
         i0 = np.minimum(i0, np.maximum(dims - 2, 0))
 
-    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-    x1 = np.minimum(x0 + 1, dims[0] - 1)
-    y1 = np.minimum(y0 + 1, dims[1] - 1)
-    z1 = np.minimum(z0 + 1, dims[2] - 1)
-    fx, fy, fz = (f[..., i, None] for i in range(3))
+    # corners by row of the (X*Y*Z, C) view: the lower corner's row plus a
+    # step per axis to the upper one (0 where the upper index is clamped)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    base = i0 @ strides
+    dx, dy, dz = ((np.minimum(i0 + 1, dims - 1) - i0) * strides).T
+    flat = data.reshape(-1, data.shape[-1])
 
-    c00 = data[x0, y0, z0] * (1 - fx) + data[x1, y0, z0] * fx
-    c01 = data[x0, y0, z1] * (1 - fx) + data[x1, y0, z1] * fx
-    c10 = data[x0, y1, z0] * (1 - fx) + data[x1, y1, z0] * fx
-    c11 = data[x0, y1, z1] * (1 - fx) + data[x1, y1, z1] * fx
+    def corner(step):
+        return np.take(flat, base + step, axis=0).T  # (C, N): weights broadcast along N
+
+    fx, fy, fz = f.T
+    c00 = corner(0) * (1 - fx) + corner(dx) * fx
+    c01 = corner(dz) * (1 - fx) + corner(dx + dz) * fx
+    c10 = corner(dy) * (1 - fx) + corner(dx + dy) * fx
+    c11 = corner(dy + dz) * (1 - fx) + corner(dx + dy + dz) * fx
     c0 = c00 * (1 - fy) + c10 * fy
     c1 = c01 * (1 - fy) + c11 * fy
-    return c0 * (1 - fz) + c1 * fz
+    return (c0 * (1 - fz) + c1 * fz).T
 
 
 def alpha_to_sigma(alpha, delta: float = ALPHA_DELTA):

@@ -1,9 +1,10 @@
 """Extraction of explicit RGBA voxel grids from radiance fields.
 
-Each voxel center is queried once per direction; the density is converted
-to opacity with the preset spacing (alpha = 1 - exp(-sigma * 0.01)) and all
-four channels are averaged over the direction set. Scene bounds come from
-the enlarged AABB of cameras and object boxes.
+Each voxel center is queried once per direction, or once in all for a field
+that is not view dependent; the density is converted to opacity with the
+preset spacing (alpha = 1 - exp(-sigma * 0.01)) and all four channels are
+averaged over the direction set. Scene bounds come from the enlarged AABB
+of cameras and object boxes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ AXIS_DIRECTIONS = np.array(
         [0.0, 0.0, -1.0],
     ]
 )
+
+# Voxels per field query in sample_grid: bounds its per-chunk arrays.
+CHUNK_VOXELS = 1 << 20
 
 
 def compute_scene_bounds(
@@ -74,15 +78,17 @@ def sample_grid(
     grid = VoxelGrid4D.zeros(dims, 4, bounds)
     centers = grid.voxel_centers()
     acc = np.zeros((centers.shape[0], 4))
-    chunk = 1 << 20
+    chunk = CHUNK_VOXELS
     for lo in range(0, centers.shape[0], chunk):
         pts = centers[lo : lo + chunk]
-        for d in directions:
-            colors, sigmas = field.eval(pts, np.tile(d, (pts.shape[0], 1)))
+        for i, d in enumerate(directions):
+            # a view-independent field is evaluated for the first direction
+            # only; adding its values once per direction keeps the sum's bytes
+            if i == 0 or field.view_dependent:
+                colors, sigmas = field.eval(pts, np.tile(d, (pts.shape[0], 1)))
+                alpha = -np.expm1(-np.asarray(sigmas, dtype=np.float64) * delta)
             acc[lo : lo + chunk, :3] += colors
-            acc[lo : lo + chunk, 3] += -np.expm1(
-                -np.asarray(sigmas, dtype=np.float64) * delta
-            )
+            acc[lo : lo + chunk, 3] += alpha
     acc /= directions.shape[0]
     grid.data = acc.reshape(*grid.dims, 4)
     return grid

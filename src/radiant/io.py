@@ -9,6 +9,7 @@ values ordered index(x, y, z, c) = ((x*Y + y)*Z + z)*channels + c.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -216,7 +217,8 @@ def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
     return Intrinsics(
         fx=read_key(d, "fx", where, float), fy=read_key(d, "fy", where, float),
         cx=read_key(d, "cx", where, float), cy=read_key(d, "cy", where, float),
-        width=read_key(d, "width", where, int), height=read_key(d, "height", where, int),
+        width=read_key(d, "width", where, json_int),
+        height=read_key(d, "height", where, json_int),
     )
 
 
@@ -263,8 +265,34 @@ def json_list(v) -> list:
     return v
 
 
+def json_int(v) -> int:
+    """read_key convert for a value that must be a JSON integer: refuses
+    bools, fractions, NaN and infinities instead of truncating them."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _floats(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
+
+
+# NaN and Infinity parse as JSON numbers; a NaN box would prune nothing.
+# math.isfinite over a few values costs less than one np.isfinite call.
+def _finite_float(v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError("non-finite value")
+    return v
+
+
+def _finite_floats(v) -> np.ndarray:
+    a = _floats(v)
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise ValueError("non-finite value")
+    return a
 
 
 def _rotation(v) -> np.ndarray:
@@ -285,11 +313,11 @@ def box_to_json(b: OrientedBox3) -> dict:
 
 def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
-        center=read_key(d, "center", where, _floats),
-        size=read_key(d, "size", where, _floats),
-        yaw=read_key(d, "yaw", where, float, 0.0),
+        center=read_key(d, "center", where, _finite_floats),
+        size=read_key(d, "size", where, _finite_floats),
+        yaw=read_key(d, "yaw", where, _finite_float, 0.0),
         label=read_key(d, "class", where, str, ""),
-        score=read_key(d, "score", where, float, None),
+        score=read_key(d, "score", where, _finite_float, None),
     )
 
 

@@ -180,30 +180,6 @@ def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def iou3d_monte_carlo(
-    a: OrientedBox3, b: OrientedBox3, n_samples: int = 10**6, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo IoU estimate with its standard error.
-
-    Fallback for box parameterizations without an exact intersection;
-    samples the joint AABB and uses the correlated ratio estimator
-    IoU = |in both| / |in either|.
-    """
-    corners = np.vstack([a.corners(), b.corners()])
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(n_samples, 3))
-    in_a = a.contains(pts)
-    in_b = b.contains(pts)
-    n_union = int(np.count_nonzero(in_a | in_b))
-    if n_union == 0:
-        return 0.0, 0.0
-    n_inter = int(np.count_nonzero(in_a & in_b))
-    p = n_inter / n_union
-    stderr = math.sqrt(p * (1.0 - p) / n_union)
-    return p, stderr
-
-
 def _average_precision(tp_sorted: np.ndarray, n_gt: int) -> tuple[float, float]:
     """All-point interpolated AP and final recall from score-sorted TP flags."""
     if n_gt == 0 or tp_sorted.size == 0:

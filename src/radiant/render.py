@@ -5,9 +5,11 @@ regularization, and box pruning for compositional scene editing.
 Rays for the near/far renderer must start inside the unit sphere. The near
 region covers [near, t_sphere] along the ray; the far region is sampled
 uniformly in inverse radius 1/r over (0, 1], which allocates resolution
-inversely with distance. Object, near and far sample streams are merged by
-t (ties: object, then near, then far) and composited in a single pass, so
-editing with no boxes reproduces plain near/far rendering bit for bit.
+inversely with distance. Near depths lie in [near, t_sphere] and far depths
+past it, so the object, near and far streams need no sort: object and near
+samples alternate (objects reuse the near depths), then the far ladder
+follows, composited in one pass; with no boxes, editing reproduces plain
+near/far rendering bit for bit.
 
 The renderers take one ray or a packet of R rays (a Ray with (R, 3)
 arrays) and work on (R, S) sample arrays with the same layout for every
@@ -34,8 +36,6 @@ from .metrics import OrientedBox3
 # Density written into pruned samples; compositing clamps sigma at zero, so
 # this deletes the sample exactly while keeping the stored value faithful.
 SUPPRESSION_SIGMA = -1e-5
-
-_OBJECT, _NEAR, _FAR = 0, 1, 2
 
 
 @dataclass
@@ -192,8 +192,9 @@ def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> n
     u = _stratified(0.0, 1.0, jitter)
     # row-wise searchsorted: cdf[hi - 1] <= u < cdf[hi]
     hi = np.clip(np.count_nonzero(cdf[:, None, :] <= u[..., None], axis=-1), 1, cdf.shape[-1] - 1)
-    c0, c1 = np.take_along_axis(cdf, hi - 1, axis=-1), np.take_along_axis(cdf, hi, axis=-1)
-    e0, e1 = np.take_along_axis(edges, hi - 1, axis=-1), np.take_along_axis(edges, hi, axis=-1)
+    lo = hi - 1 + np.arange(len(cdf))[:, None] * cdf.shape[-1]  # flat index of cdf[hi - 1]
+    c0, c1 = np.take(cdf, lo), np.take(cdf, lo + 1)
+    e0, e1 = np.take(edges, lo), np.take(edges, lo + 1)
     return np.where(u >= cdf[:, -1:], edges[:, -1:], (e1 - e0) / (c1 - c0) * (u - c0) + e0)
 
 
@@ -282,42 +283,40 @@ def render_full(
 
 def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
                      near_field, far_field, boxes, object_field):
-    """Composite each ray's object, near and far streams, (R, S) arrays,
-    merged by t (ties: object, then near, then far); zero-length segments
-    get sigma 0. Returns color, acc and the near and far weights in ladder
-    order."""
+    """Composite each ray's object, near and far streams, (R, S) arrays, in
+    one static (R, 2 sn + sf) layout ordered by t (ties: object, then near,
+    then far): object sample i in column 2i, near sample i in column 2i + 1,
+    the far ladder from column 2 sn. Object slots stay at sigma 0 with no
+    boxes (moving zero weights would regroup acc's pairwise sum), as do
+    zero-length segments. Returns color, acc and the near and far weights."""
     dirs = np.atleast_2d(ray.direction)[:, None, :]
 
-    def evaluate(field, pts, mask):
-        colors, sigmas = np.zeros(pts.shape), np.zeros(pts.shape[:-1])
-        colors[mask], sigmas[mask] = field.eval(pts[mask], np.broadcast_to(dirs, pts.shape)[mask])
-        return colors, sigmas
+    def evaluate(field, pts):
+        colors, sigmas = field.eval(pts.reshape(-1, 3),
+                                    np.broadcast_to(dirs, pts.shape).reshape(-1, 3))
+        return colors.reshape(pts.shape), np.reshape(sigmas, pts.shape[:-1])
 
-    near_pts, far_pts = ray.at(near_ts), ray.at(far_ts)
-    near_colors, near_sigmas = evaluate(near_field, near_pts, np.ones_like(near_ts, dtype=bool))
-    obj_colors, obj_sigmas = np.zeros(near_colors.shape), np.zeros(near_ts.shape)
+    (n_rays, sn), sf = near_ts.shape, far_ts.shape[1]
+    obj, near, far = np.s_[:, 0:2 * sn:2], np.s_[:, 1:2 * sn:2], np.s_[:, 2 * sn:]
+    colors = np.zeros((n_rays, 2 * sn + sf, 3))
+    sigmas = np.zeros((n_rays, 2 * sn + sf))
+    deltas = np.empty_like(sigmas)
+    deltas[obj] = deltas[near] = near_deltas
+    deltas[far] = far_deltas
+
+    near_pts = ray.at(near_ts)
+    colors[near], sigmas[near] = evaluate(near_field, near_pts)
     if boxes:
         inside = np.any([box.contains(near_pts.reshape(-1, 3)) for box in boxes], axis=0)
         inside = inside.reshape(near_ts.shape)
-        near_sigmas[inside] = SUPPRESSION_SIGMA
+        sigmas[near][inside] = SUPPRESSION_SIGMA
         if object_field is not None and inside.any():
-            obj_colors, obj_sigmas = evaluate(object_field, near_pts, inside)
-    far_colors, far_sigmas = evaluate(far_field, far_pts, np.ones_like(far_ts, dtype=bool))
+            colors[obj][inside], sigmas[obj][inside] = object_field.eval(
+                near_pts[inside], np.broadcast_to(dirs, near_pts.shape)[inside])
+    colors[far], sigmas[far] = evaluate(far_field, ray.at(far_ts))
 
-    sn, sf = near_ts.shape[1], far_ts.shape[1]
-    t = np.concatenate([near_ts, near_ts, far_ts], axis=-1)
-    deltas = np.concatenate([near_deltas, near_deltas, far_deltas], axis=-1)
-    sigmas = np.concatenate([obj_sigmas, near_sigmas, far_sigmas], axis=-1)
-    sigmas = np.where(deltas > 0, sigmas, 0.0)
-    colors = np.concatenate([obj_colors, near_colors, far_colors], axis=1)
-    ranks = np.broadcast_to(np.repeat([_OBJECT, _NEAR, _FAR], [sn, sn, sf]), t.shape)
-    order = np.lexsort((ranks, t), axis=-1)
-    comp = composite(np.take_along_axis(colors, order[..., None], axis=1),
-                     np.take_along_axis(sigmas, order, axis=1),
-                     np.take_along_axis(deltas, order, axis=1))
-    weights = np.empty_like(comp.weights)
-    np.put_along_axis(weights, order, comp.weights, axis=1)
-    return comp.color, comp.acc, weights[:, sn:2 * sn], weights[:, 2 * sn:]
+    comp = composite(colors, np.where(deltas > 0, sigmas, 0.0), deltas)
+    return comp.color, comp.acc, comp.weights[near], comp.weights[far]
 
 
 def render_ray_nearfar(

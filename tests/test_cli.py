@@ -405,6 +405,13 @@ def without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def assert_format_error(capsys, path, key):
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["type"] == "FileFormatError"
+    assert str(path) in err["message"] and repr(key) in err["message"]
+    return err["message"]
+
+
 class TestEvalInputErrors:
     """Malformed eval inputs exit 3 with a FileFormatError naming the file
     and the key, before any output is written."""
@@ -422,57 +429,144 @@ class TestEvalInputErrors:
         assert not out.exists()
         return code
 
-    def assert_format_error(self, capsys, path, key):
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["type"] == "FileFormatError"
-        assert str(path) in err["message"] and repr(key) in err["message"]
-        return err["message"]
-
     @pytest.mark.parametrize("key", ["center", "size", "score"])
     def test_detect_box_missing_key(self, tmp_path, capsys, key):
         pred = {"boxes": [dict(BOX, score=0.9), without(dict(BOX, score=0.9), key)]}
         assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
-        assert "boxes[1]" in self.assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert "boxes[1]" in assert_format_error(capsys, tmp_path / "pred.json", key)
 
     @pytest.mark.parametrize("key", ["center", "size"])
     def test_detect_gt_box_missing_key(self, tmp_path, capsys, key):
         pred = {"boxes": [dict(BOX, score=0.9)]}
         assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [without(BOX, key)]}) == 3
-        self.assert_format_error(capsys, tmp_path / "gt.json", key)
+        assert_format_error(capsys, tmp_path / "gt.json", key)
 
     def test_detect_missing_boxes_and_bad_score(self, tmp_path, capsys):
         assert self.run_eval(tmp_path, "eval-detect", {"x": 1}, {"boxes": [BOX]}) == 3
-        self.assert_format_error(capsys, tmp_path / "pred.json", "boxes")
+        assert_format_error(capsys, tmp_path / "pred.json", "boxes")
         pred = {"boxes": [dict(BOX, score=None)]}
         assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
-        self.assert_format_error(capsys, tmp_path / "pred.json", "score")
+        assert_format_error(capsys, tmp_path / "pred.json", "score")
 
     @pytest.mark.parametrize("key", ["rotation", "translation", "score"])
     def test_pose_record_missing_key(self, tmp_path, capsys, key):
         pred = {"poses": [without(dict(POSE, score=0.9), key)]}
         assert self.run_eval(tmp_path, "eval-pose", pred, {"poses": [POSE]}) == 3
-        msg = self.assert_format_error(capsys, tmp_path / "pred.json", key)
+        msg = assert_format_error(capsys, tmp_path / "pred.json", key)
         assert "poses[0]" in msg
 
     def test_pose_missing_poses(self, tmp_path, capsys):
         pred = {"poses": [dict(POSE, score=0.9)]}
         assert self.run_eval(tmp_path, "eval-pose", pred, {"boxes": []}) == 3
-        self.assert_format_error(capsys, tmp_path / "gt.json", "poses")
+        assert_format_error(capsys, tmp_path / "gt.json", "poses")
 
     @pytest.mark.parametrize("key", ["positions", "reference", "goal"])
     def test_trajectory_missing_key(self, tmp_path, capsys, key):
         assert self.run_eval(tmp_path, "eval-nav", {"trajectory": without(TRAJ, key)}) == 3
-        self.assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert_format_error(capsys, tmp_path / "pred.json", key)
 
     def test_missing_trajectory(self, tmp_path, capsys):
         assert self.run_eval(tmp_path, "eval-nav", {"positions": []}) == 3
-        self.assert_format_error(capsys, tmp_path / "pred.json", "trajectory")
+        assert_format_error(capsys, tmp_path / "pred.json", "trajectory")
 
     @pytest.mark.parametrize("key", ["labels_file", "n_classes"])
     def test_voxels_missing_key(self, tmp_path, capsys, key):
         doc = without({"labels_file": "labels.nfvg", "n_classes": 3}, key)
         assert self.run_eval(tmp_path, "eval-voxels", doc, doc) == 3
-        self.assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert_format_error(capsys, tmp_path / "pred.json", key)
+
+
+class TestStrictIntegers:
+    """Integer keys refuse bools, fractions and non-finite numbers (exit 3
+    naming the file and the key) instead of truncating them."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_coarse", 2.9), ("n_coarse", True), ("n_fine", 1.5), ("n_fine", float("inf")),
+        ("n_coarse", float("nan")), ("n_coarse", "16"),
+    ])
+    def test_render_sample_counts(self, tmp_path, capsys, key, value):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(**{key: value})))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
+
+    @pytest.mark.parametrize("key,value", [("width", 8.7), ("height", True), ("width", -0.5)])
+    def test_render_intrinsics(self, tmp_path, capsys, key, value):
+        doc = scene_doc()
+        doc["cameras"][0]["intrinsics"][key] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert "cameras[0]: intrinsics" in assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        doc = scene_doc(n_coarse=16.0)
+        doc["cameras"][0]["intrinsics"]["width"] = 8.0
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        (tmp_path / "b.json").write_text(json.dumps(scene_doc()))
+        assert run("render", "--scene", tmp_path / "a.json", "--out", tmp_path / "a") == 0
+        assert run("render", "--scene", tmp_path / "b.json", "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a_000.ppm").read_bytes() == (tmp_path / "b_000.ppm").read_bytes()
+
+    def test_semmap_intrinsics(self, tmp_path, capsys):
+        (tmp_path / "k.json").write_text(json.dumps(
+            {"fx": 10, "fy": 10, "cx": 2, "cy": 2, "width": 4.5, "height": 4}))
+        (tmp_path / "pose.json").write_text(json.dumps({"rotation": EYE, "translation": [0, 0, 0]}))
+        np.save(tmp_path / "d.npy", np.ones((4, 4)))
+        np.save(tmp_path / "s.npy", np.zeros((4, 4), dtype=np.int64))
+        assert run("semmap", "--depth", tmp_path / "d.npy", "--semantics",
+                   tmp_path / "s.npy", "--intrinsics", tmp_path / "k.json",
+                   "--pose", tmp_path / "pose.json", "--out", tmp_path / "m.nfvg") == 3
+        assert_format_error(capsys, tmp_path / "k.json", "width")
+
+    @pytest.mark.parametrize("value", [3.5, True, float("inf")])
+    def test_voxels_n_classes(self, tmp_path, capsys, value):
+        doc = {"labels_file": "labels.nfvg", "n_classes": value}
+        (tmp_path / "pred.json").write_text(json.dumps(doc))
+        (tmp_path / "gt.json").write_text(json.dumps(doc))
+        assert run("eval-voxels", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+                   "--out", tmp_path / "report.json") == 3
+        assert_format_error(capsys, tmp_path / "pred.json", "n_classes")
+        assert not (tmp_path / "report.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFiniteBoxes:
+    """NaN and Infinity in a box's center, size, yaw or score exit 3 naming
+    the file, the box and the key."""
+
+    CASES = [("center", [0, NAN, 0]), ("size", [1, INF, 1]), ("yaw", NAN), ("yaw", -INF)]
+
+    @pytest.mark.parametrize("key,value", CASES + [("score", NAN)])
+    def test_eval_detect_prediction(self, tmp_path, capsys, key, value):
+        pred = {"boxes": [dict(BOX, score=0.9), {**BOX, "score": 0.5, key: value}]}
+        (tmp_path / "pred.json").write_text(json.dumps(pred))
+        (tmp_path / "gt.json").write_text(json.dumps({"boxes": [BOX]}))
+        assert run("eval-detect", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+                   "--out", tmp_path / "report.json") == 3
+        assert "boxes[1]" in assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key,value", CASES)
+    def test_eval_detect_ground_truth(self, tmp_path, capsys, key, value):
+        (tmp_path / "pred.json").write_text(json.dumps({"boxes": [dict(BOX, score=0.9)]}))
+        (tmp_path / "gt.json").write_text(json.dumps({"boxes": [dict(BOX, **{key: value})]}))
+        assert run("eval-detect", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+                   "--out", tmp_path / "report.json") == 3
+        assert "boxes[0]" in assert_format_error(capsys, tmp_path / "gt.json", key)
+
+    @pytest.mark.parametrize("key,value", CASES)
+    def test_render_scene_box(self, tmp_path, capsys, key, value):
+        box = dict({"center": [0, 0, 0.5], "size": [0.3, 0.3, 0.3]}, **{key: value})
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(boxes=[box])))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert "boxes[0]" in assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
 
 
 class TestEvalFlags:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from radiant import gridsample
 from radiant.core_math import Aabb, Pose, rotation_about
 from radiant.errors import EmptyScene
-from radiant.fields import ConstantField, GridField, RadianceField
+from radiant.fields import BallField, ConstantField, GaussianBlobField, GridField, RadianceField
 from radiant.grids import VoxelGrid4D
 from radiant.gridsample import AXIS_DIRECTIONS, compute_scene_bounds, resample_grid, sample_grid
 from radiant.metrics import OrientedBox3
@@ -96,6 +97,58 @@ class TestSampleGrid:
         resampled = sample_grid(GridField(g), g.bounds, g.dims, [(0, 0, 1)], 0.01)
         assert np.array_equal(resampled.data[..., :3], g.data[..., :3])
         assert np.abs(resampled.data[..., 3] - g.data[..., 3]).max() < 1e-9
+
+
+def view_independent_fields():
+    grid = VoxelGrid4D(np.random.default_rng(2).uniform(0, 0.9, (5, 4, 3, 4)), CUBE)
+    return [ConstantField((0.2, 0.4, 0.6), 30.0),
+            GaussianBlobField((0.9, 0.5, 0.1), 20.0, (0.1, -0.2, 0.0), 0.5),
+            BallField((1.0, 0.0, 0.5), 40.0, (0.0, 0.2, 0.0), 0.7),
+            GridField(grid)]
+
+
+def count_evals(monkeypatch, field) -> list:
+    """Points per eval call of this field, recorded while sample_grid runs."""
+    calls, original = [], field.eval
+
+    def counted(pts, dirs):
+        calls.append(len(pts))
+        return original(pts, dirs)
+
+    monkeypatch.setattr(field, "eval", counted)
+    return calls
+
+
+class TestViewIndependence:
+    """Fields that ignore directions are evaluated once per chunk of voxels,
+    with the bytes of one evaluation per direction."""
+
+    @pytest.mark.parametrize("field", view_independent_fields(),
+                             ids=["constant", "gaussian", "ball", "grid"])
+    def test_evaluated_once_per_chunk(self, monkeypatch, field):
+        assert not field.view_dependent
+        monkeypatch.setattr(gridsample, "CHUNK_VOXELS", 10)
+        calls = count_evals(monkeypatch, field)
+        sample_grid(field, CUBE, (3, 3, 3), AXIS_DIRECTIONS, 0.01)
+        assert calls == [10, 10, 7]
+
+    def test_directional_field_evaluated_per_direction(self, monkeypatch):
+        field = DirectionalField()
+        assert field.view_dependent
+        monkeypatch.setattr(gridsample, "CHUNK_VOXELS", 10)
+        calls = count_evals(monkeypatch, field)
+        g = sample_grid(field, CUBE, (3, 3, 3), AXIS_DIRECTIONS, 0.01)
+        assert calls == [10] * 6 + [10] * 6 + [7] * 6
+        assert np.array_equal(g.data[..., :3], np.full((3, 3, 3, 3), 1 / 6))
+
+    @pytest.mark.parametrize("field", view_independent_fields(),
+                             ids=["constant", "gaussian", "ball", "grid"])
+    def test_same_bytes_as_per_direction_evaluation(self, monkeypatch, field):
+        dirs = np.concatenate([AXIS_DIRECTIONS, [(1.0, 2.0, 2.0)]])
+        once = sample_grid(field, CUBE, (7, 6, 5), dirs, 0.01)
+        monkeypatch.setattr(field, "view_dependent", True)
+        each = sample_grid(field, CUBE, (7, 6, 5), dirs, 0.01)
+        assert once.data.tobytes() == each.data.tobytes()
 
 
 class TestResampleGrid:

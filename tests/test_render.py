@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from radiant import render
 from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
 from radiant.errors import (
     InsideUnitSphere,
@@ -518,3 +519,116 @@ class TestPacket:
         origins[3] = (0.0, 0.0, 1.0)
         with pytest.raises(OriginOutsideSphere):
             self._render(origins, dirs, seeds)
+
+
+def _lexsort_compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
+                             near_field, far_field, boxes, object_field):
+    """The stream merge the static layout replaced, kept as its oracle:
+    concatenate the object, near and far streams, lexsort each ray's samples
+    by (t, stream), gather, composite, and scatter the weights back."""
+    dirs = np.atleast_2d(ray.direction)[:, None, :]
+
+    def evaluate(field, pts, mask):
+        colors, sigmas = np.zeros(pts.shape), np.zeros(pts.shape[:-1])
+        colors[mask], sigmas[mask] = field.eval(pts[mask], np.broadcast_to(dirs, pts.shape)[mask])
+        return colors, sigmas
+
+    near_pts, far_pts = ray.at(near_ts), ray.at(far_ts)
+    near_colors, near_sigmas = evaluate(near_field, near_pts, np.ones_like(near_ts, dtype=bool))
+    obj_colors, obj_sigmas = np.zeros(near_colors.shape), np.zeros(near_ts.shape)
+    if boxes:
+        inside = np.any([box.contains(near_pts.reshape(-1, 3)) for box in boxes], axis=0)
+        inside = inside.reshape(near_ts.shape)
+        near_sigmas[inside] = SUPPRESSION_SIGMA
+        if object_field is not None and inside.any():
+            obj_colors, obj_sigmas = evaluate(object_field, near_pts, inside)
+    far_colors, far_sigmas = evaluate(far_field, far_pts, np.ones_like(far_ts, dtype=bool))
+
+    sn, sf = near_ts.shape[1], far_ts.shape[1]
+    t = np.concatenate([near_ts, near_ts, far_ts], axis=-1)
+    deltas = np.concatenate([near_deltas, near_deltas, far_deltas], axis=-1)
+    sigmas = np.concatenate([obj_sigmas, near_sigmas, far_sigmas], axis=-1)
+    sigmas = np.where(deltas > 0, sigmas, 0.0)
+    colors = np.concatenate([obj_colors, near_colors, far_colors], axis=1)
+    ranks = np.broadcast_to(np.repeat([0, 1, 2], [sn, sn, sf]), t.shape)
+    order = np.lexsort((ranks, t), axis=-1)
+    comp = composite(np.take_along_axis(colors, order[..., None], axis=1),
+                     np.take_along_axis(sigmas, order, axis=1),
+                     np.take_along_axis(deltas, order, axis=1))
+    weights = np.empty_like(comp.weights)
+    np.put_along_axis(weights, order, comp.weights, axis=1)
+    return comp.color, comp.acc, weights[:, sn:2 * sn], weights[:, 2 * sn:]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStaticOrder:
+    """The static (object, near) pairs + far layout against the lexsort merge,
+    on the same stream arrays: every _compose_streams call of a render runs
+    both."""
+
+    SCENES = {"no-box": ((), None),
+              "box": (TestPacket.BOXES, None),
+              "box-object": (TestPacket.BOXES, TestPacket.OBJECT)}
+
+    @staticmethod
+    def _check(monkeypatch, origins, dirs, cfg, boxes, object_field):
+        """Render once, comparing every _compose_streams call with the
+        lexsort merge on the same inputs; returns which rays have a near
+        region."""
+        calls = []
+        static = render._compose_streams
+
+        def both(*args):
+            got = static(*args)
+            calls.append((got, _lexsort_compose_streams(*args)))
+            return got
+
+        monkeypatch.setattr(render, "_compose_streams", both)
+        render_full(Ray(origins, dirs), cfg, TestPacket.NEAR, TestPacket.FAR_BLOB,
+                    boxes, object_field)
+        assert len(calls) == (2 if cfg.n_fine else 1)
+        b = np.sum(origins * dirs, axis=-1)
+        has_near = -b + np.sqrt(b * b - (np.sum(origins**2, axis=-1) - 1.0)) > cfg.near
+        for (color, acc, near_w, far_w), want in calls:
+            assert _same_bits(color, want[0])
+            assert _same_bits(near_w, want[2]) and _same_bits(far_w, want[3])
+            # acc is a pairwise sum: rays without a near region used to sort
+            # their zero-length near samples in among the far ones, which
+            # may regroup it
+            assert _same_bits(acc[has_near], want[1][has_near])
+            assert np.abs(acc - want[1]).max() <= 1e-15
+        return has_near
+
+    @pytest.mark.parametrize("scene", list(SCENES))
+    @pytest.mark.parametrize("n_fine", [0, 8])
+    def test_matches_lexsort_merge(self, monkeypatch, n_fine, scene):
+        origins, dirs, seeds = TestPacket._rays()
+        cfg = RenderConfig(n_coarse=16, n_fine=n_fine, seed=seeds)
+        has_near = self._check(monkeypatch, origins, dirs, cfg, *self.SCENES[scene])
+        assert not has_near.all() and has_near.any()
+
+    def test_zero_length_segments_ignore_infinite_density(self):
+        # pixel 5 leaves the sphere before `near`: its near segments have length 0
+        origins, dirs, seeds = TestPacket._rays()
+        ray, cfg = Ray(origins[5], dirs[5]), RenderConfig(n_coarse=8, seed=int(seeds[5]))
+        opaque = render_full(ray, cfg, ConstantField((1, 0, 0), np.inf), TestPacket.FAR_BLOB)
+        empty = render_full(ray, cfg, EMPTY, TestPacket.FAR_BLOB)
+        assert _same_bits(opaque.color, empty.color) and opaque.acc == empty.acc
+
+    def test_random_rays(self, monkeypatch):
+        # half the origins near the sphere's edge, where many rays leave the
+        # sphere before `near` and so have no near region
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(300, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        radii = np.concatenate([rng.uniform(0.0, 0.95, 150), rng.uniform(0.95, 0.999, 150)])
+        origins = rng.normal(size=(300, 3))
+        origins *= (radii / np.linalg.norm(origins, axis=-1))[:, None]
+        seeds = np.arange(300, dtype=np.uint64)
+        cfg = RenderConfig(n_coarse=16, n_fine=8, seed=seeds)
+        has_near = self._check(monkeypatch, origins, dirs, cfg, *self.SCENES["box-object"])
+        assert (~has_near).sum() >= 10
