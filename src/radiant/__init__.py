@@ -47,7 +47,9 @@ from .masking import (
     recon_losses,
 )
 from .metrics import (
+    DetectionAp,
     OrientedBox3,
+    PoseAp,
     PoseRecord,
     Trajectory,
     chamfer,

@@ -10,6 +10,7 @@ only primary payloads or output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -235,8 +236,8 @@ def _cmd_render(args) -> None:
                                     f"{where}: intrinsics"),
             io.pose_from_json(io.read_key(cam, "pose", where), f"{where}: pose")))
     cfg = RenderConfig(
-        near=io.read_key(doc, "near", args.scene, float, 0.02),
-        far=io.read_key(doc, "far", args.scene, float, 3.0),
+        near=io.read_key(doc, "near", args.scene, io.json_float, 0.02),
+        far=io.read_key(doc, "far", args.scene, io.json_float, 3.0),
         n_coarse=io.read_key(doc, "n_coarse", args.scene, io.json_int, 64),
         n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, 0),
         seed=args.seed,
@@ -313,16 +314,10 @@ def _cmd_eval_detect(args) -> None:
     preds = _read_records(args.pred, "boxes", io.box_from_json, scored=True)
     gts = _read_records(args.gt, "boxes", io.box_from_json, scored=False)
     results = {}
-    labels = sorted({b.label for b in gts} | {b.label for b in preds})
-    for thresh in thresholds:
-        ap, recall = detection_ap(preds, gts, thresh)
-        per_class = {}
-        for label in labels:
-            p = [b for b in preds if b.label == label]
-            g = [b for b in gts if b.label == label]
-            c_ap, c_recall = detection_ap(p, g, thresh)
-            per_class[label] = {"ap": c_ap, "recall": c_recall}
-        results[f"{thresh:g}"] = {"ap": ap, "recall": recall, "per_class": per_class}
+    for thresh, r in zip(thresholds, detection_ap(preds, gts, thresholds)):
+        per_class = {label: {"ap": ap, "recall": recall}
+                     for label, (ap, recall) in r.per_class.items()}
+        results[f"{thresh:g}"] = {"ap": r.ap, "recall": r.recall, "per_class": per_class}
     io.dump_json(out, {"iou_thresholds": thresholds, "results": results})
     print(out)
 
@@ -337,15 +332,9 @@ def _cmd_eval_pose(args) -> None:
     sym_classes = [c for c in args.symmetric_classes.split(",") if c]
     axes = {c: axis for c in sym_classes}
     results = {}
-    labels = sorted({p.label for p in gts} | {p.label for p in preds})
-    for deg, cm in pairs:
-        ap = pose_ap(preds, gts, deg, cm, axes)
-        per_class = {}
-        for label in labels:
-            p = [x for x in preds if x.label == label]
-            g = [x for x in gts if x.label == label]
-            per_class[label] = {"ap": pose_ap(p, g, deg, cm, axes)}
-        results[f"{deg:g}deg{cm:g}cm"] = {"ap": ap, "per_class": per_class}
+    for (deg, cm), r in zip(pairs, pose_ap(preds, gts, pairs, axes)):
+        per_class = {label: {"ap": ap} for label, ap in r.per_class.items()}
+        results[f"{deg:g}deg{cm:g}cm"] = {"ap": r.ap, "per_class": per_class}
     io.dump_json(out, {"pose_thresholds": args.pose_thresholds.split(","),
                        "results": results})
     print(out)
@@ -446,7 +435,10 @@ def _cmd_semmap(args) -> None:
     print(out)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The radiant argument parser, built on first use and then shared:
+    parsing leaves it unchanged."""
     parser = _Parser(prog="radiant", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -215,8 +215,8 @@ def intrinsics_to_json(k: Intrinsics) -> dict:
 
 def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
     return Intrinsics(
-        fx=read_key(d, "fx", where, float), fy=read_key(d, "fy", where, float),
-        cx=read_key(d, "cx", where, float), cy=read_key(d, "cy", where, float),
+        fx=read_key(d, "fx", where, json_float), fy=read_key(d, "fy", where, json_float),
+        cx=read_key(d, "cx", where, json_float), cy=read_key(d, "cy", where, json_float),
         width=read_key(d, "width", where, json_int),
         height=read_key(d, "height", where, json_int),
     )
@@ -281,14 +281,16 @@ def _floats(v) -> np.ndarray:
 
 # NaN and Infinity parse as JSON numbers; a NaN box would prune nothing.
 # math.isfinite over a few values costs less than one np.isfinite call.
-def _finite_float(v) -> float:
+def json_float(v) -> float:
+    """read_key convert for a value that must be a finite JSON number."""
     v = float(v)
     if not math.isfinite(v):
         raise ValueError("non-finite value")
     return v
 
 
-def _finite_floats(v) -> np.ndarray:
+def json_floats(v) -> np.ndarray:
+    """read_key convert for an array of finite JSON numbers."""
     a = _floats(v)
     if not all(map(math.isfinite, a.ravel().tolist())):
         raise ValueError("non-finite value")
@@ -313,11 +315,11 @@ def box_to_json(b: OrientedBox3) -> dict:
 
 def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
-        center=read_key(d, "center", where, _finite_floats),
-        size=read_key(d, "size", where, _finite_floats),
-        yaw=read_key(d, "yaw", where, _finite_float, 0.0),
+        center=read_key(d, "center", where, json_floats),
+        size=read_key(d, "size", where, json_floats),
+        yaw=read_key(d, "yaw", where, json_float, 0.0),
         label=read_key(d, "class", where, str, ""),
-        score=read_key(d, "score", where, _finite_float, None),
+        score=read_key(d, "score", where, json_float, None),
     )
 
 
@@ -336,10 +338,10 @@ def pose_record_to_json(p: PoseRecord) -> dict:
 def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
     return PoseRecord(
         rotation=read_key(d, "rotation", where, _rotation),
-        translation=read_key(d, "translation", where, _floats),
-        scale=read_key(d, "scale", where, float, 1.0),
+        translation=read_key(d, "translation", where, json_floats),
+        scale=read_key(d, "scale", where, json_float, 1.0),
         label=read_key(d, "class", where, str, ""),
-        score=read_key(d, "score", where, float, None),
+        score=read_key(d, "score", where, json_float, None),
     )
 
 

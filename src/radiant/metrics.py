@@ -6,7 +6,8 @@ Definitions implemented here:
   * chamfer(A, B) = mean_A min ||a-b||^2 + mean_B min ||b-a||^2
   * box IoU = exact convex xy-polygon intersection x z-interval overlap
   * AP = area under the all-point interpolated precision-recall curve with
-    greedy score-descending one-to-one matching
+    greedy score-descending one-to-one matching within each label; one
+    matching pass gives every threshold's overall and per-label AP
   * pose error = geodesic rotation angle (minimized over rotations about the
     symmetry axis when one is given) and Euclidean translation error in cm
   * SPL = SR * L / max(P, L); nDTW = exp(-DTW / (|ref| * threshold))
@@ -49,7 +50,7 @@ class OrientedBox3:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.size))
+        return float(self.size[0] * self.size[1] * self.size[2])
 
     def corners2d(self) -> np.ndarray:
         """Footprint corners in xy, counter-clockwise, shape (4, 2)."""
@@ -140,7 +141,9 @@ def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    # shoelace formula; x1, y1 hold each vertex's successor (cheaper than np.roll)
+    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
 
 
 def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,13 +196,13 @@ def _average_precision(tp_sorted: np.ndarray, n_gt: int) -> tuple[float, float]:
     return ap, float(recall[-1])
 
 
-def _label_buckets(preds: Sequence, gts: Sequence) -> list[tuple[list, list, list]]:
+def _label_buckets(preds: Sequence, gts: Sequence) -> dict[str, tuple[list, list, list]]:
     """Split score-sorted predictions and ground truth by label.
 
-    Each bucket is (ranks, preds, gts) for a label present on both sides:
-    ranks are the bucket's positions in the descending-score order of all
-    predictions, preds follow that order and gts keep input order.
-    Predictions of a label without ground truth can match nothing.
+    Every label on either side gets a bucket (ranks, preds, gts), in sorted
+    label order: ranks are the bucket's positions in the descending-score
+    order of all predictions (stable on ties), preds follow that order and
+    gts keep input order. A bucket with one side empty can match nothing.
     """
     order = np.argsort([-p.score for p in preds], kind="stable")
     buckets: dict = {}
@@ -208,9 +211,17 @@ def _label_buckets(preds: Sequence, gts: Sequence) -> list[tuple[list, list, lis
         ranks.append(rank)
         ps.append(preds[i])
     for g in gts:
-        if g.label in buckets:
-            buckets[g.label][2].append(g)
-    return [b for b in buckets.values() if b[2]]
+        buckets.setdefault(g.label, ([], [], []))[2].append(g)
+    return {label: buckets[label] for label in sorted(buckets)}
+
+
+def _ap_records(buckets: dict, tp: np.ndarray, n_gt: int) -> tuple[tuple[float, float], dict]:
+    """Overall (AP, recall) from the TP flags of all predictions in
+    descending-score order, and (AP, recall) per label from its own flags
+    (the same order restricted to the label) and its own ground truth."""
+    per_class = {label: _average_precision(tp[ranks], len(gs))
+                 for label, (ranks, _, gs) in buckets.items()}
+    return _average_precision(tp, n_gt), per_class
 
 
 def _greedy_match(pref: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -260,24 +271,45 @@ def _iou_matrix(preds: Sequence[OrientedBox3], gts: Sequence[OrientedBox3]) -> n
     return iou
 
 
+class DetectionAp(NamedTuple):
+    """Detection result at one IoU threshold; per_class maps each label to
+    its (AP, recall)."""
+
+    ap: float
+    recall: float
+    per_class: dict
+
+
 def detection_ap(
     preds: Sequence[OrientedBox3],
     gts: Sequence[OrientedBox3],
-    iou_thresh: float,
-) -> tuple[float, float]:
-    """Detection AP and recall at one IoU threshold.
+    iou_thresholds: Sequence[float],
+) -> list[DetectionAp]:
+    """Detection AP and recall at each IoU threshold, overall and per label.
 
     Predictions are matched greedily in descending score (stable on ties) to
     the unmatched same-label ground truth with the highest IoU, the first in
-    input order on ties; a match requires IoU > 0 and IoU >= iou_thresh.
+    input order on ties; a match requires IoU > 0 and IoU >= the threshold.
+
+    Matching never crosses labels, so one pass serves every threshold and
+    both views: each label's IoU matrix is built once, and at each threshold
+    its TP flags give the label's AP and recall (against its own ground
+    truth) and, placed by score rank among all predictions, the overall
+    ones. A label with no ground truth or no predictions reports 0 and 0.
+    One record per threshold, in the order given.
     """
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError("iou_thresh must lie in (0, 1)")
-    tp = np.zeros(len(preds))
-    for ranks, ps, gs in _label_buckets(preds, gts):
-        iou = _iou_matrix(ps, gs)
-        tp[ranks] = _greedy_match(iou, (iou > 0.0) & (iou >= iou_thresh))
-    return _average_precision(tp, len(gts))
+    if not all(0.0 < t < 1.0 for t in iou_thresholds):
+        raise ValueError("IoU thresholds must lie in (0, 1)")
+    buckets = _label_buckets(preds, gts)
+    ious = [(ranks, _iou_matrix(ps, gs)) for ranks, ps, gs in buckets.values() if ps and gs]
+    results = []
+    for thresh in iou_thresholds:
+        tp = np.zeros(len(preds))
+        for ranks, iou in ious:
+            tp[ranks] = _greedy_match(iou, (iou > 0.0) & (iou >= thresh))
+        (ap, recall), per_class = _ap_records(buckets, tp, len(gts))
+        results.append(DetectionAp(ap, recall, per_class))
+    return results
 
 
 class _PoseStack(NamedTuple):
@@ -338,39 +370,59 @@ def pose_errors(pred, gt, symmetric_axis=None):
     return deg, cm
 
 
+class PoseAp(NamedTuple):
+    """Pose result at one (degrees, cm) pair; per_class maps each label to
+    its AP."""
+
+    ap: float
+    per_class: dict
+
+
 def pose_ap(
     preds: Sequence[PoseRecord],
     gts: Sequence[PoseRecord],
-    deg_thresh: float,
-    cm_thresh: float,
+    thresholds: Sequence[tuple[float, float]],
     symmetric_axes: Optional[dict] = None,
-) -> float:
-    """Pose AP at a (degrees, cm) threshold pair.
+) -> list[PoseAp]:
+    """Pose AP at each (degrees, cm) threshold pair, overall and per label.
 
     symmetric_axes maps class labels to their symmetry axis; matching is
     greedy in descending score (stable on ties), both errors must fall
     strictly below their thresholds, and among those the ground truth with
     the lexicographically smallest (degrees, cm) wins, the first in input
     order on ties.
+
+    As in detection_ap, one pass serves every pair and both views: each
+    label's pose errors and their (degrees, cm) ranking are computed once,
+    and a label with no ground truth or no predictions reports 0. One
+    record per pair, in the order given.
     """
-    if deg_thresh <= 0 or cm_thresh <= 0:
+    if any(deg <= 0 or cm <= 0 for deg, cm in thresholds):
         raise ValueError("thresholds must be positive")
     symmetric_axes = symmetric_axes or {}
-    tp = np.zeros(len(preds))
-    for ranks, ps, gs in _label_buckets(preds, gts):
+    buckets = _label_buckets(preds, gts)
+    errors = []
+    for label, (ranks, ps, gs) in buckets.items():
+        if not (ps and gs):
+            continue
         pred = _PoseStack(np.array([p.rotation for p in ps])[:, None],
                           np.array([p.translation for p in ps])[:, None])
         gt = _PoseStack(np.array([g.rotation for g in gs])[None],
                         np.array([g.translation for g in gs])[None])
-        deg, cm = pose_errors(pred, gt, symmetric_axes.get(ps[0].label))
+        deg, cm = pose_errors(pred, gt, symmetric_axes.get(label))
         # rank of (deg, cm, column) over the bucket: the smallest rank in a
         # row is its lexicographic minimum, the first column on ties
         rank = np.empty(deg.size)
         rank[np.lexsort((cm.ravel(), deg.ravel()))] = np.arange(deg.size)
-        tp[ranks] = _greedy_match(-rank.reshape(deg.shape),
-                                  (deg < deg_thresh) & (cm < cm_thresh))
-    ap, _ = _average_precision(tp, len(gts))
-    return ap
+        errors.append((ranks, deg, cm, -rank.reshape(deg.shape)))
+    results = []
+    for deg_thresh, cm_thresh in thresholds:
+        tp = np.zeros(len(preds))
+        for ranks, deg, cm, pref in errors:
+            tp[ranks] = _greedy_match(pref, (deg < deg_thresh) & (cm < cm_thresh))
+        (ap, _), per_class = _ap_records(buckets, tp, len(gts))
+        results.append(PoseAp(ap, {label: c_ap for label, (c_ap, _) in per_class.items()}))
+    return results
 
 
 def voxel_label_metrics(pred, gt, n_classes: int) -> tuple[float, float, float]:

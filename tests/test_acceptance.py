@@ -298,7 +298,7 @@ def test_criterion_6_metric_identities_and_oracles():
            OrientedBox3((3, 0, 0), (1, 1, 1), label="a")]
     preds = [OrientedBox3((0, 0, 0), (1, 1, 1), label="a", score=0.9),
              OrientedBox3((9, 0, 0), (1, 1, 1), label="a", score=0.1)]
-    ap, recall = detection_ap(preds, gts, 0.5)
+    ap, recall, _ = detection_ap(preds, gts, [0.5])[0]
     assert (ap, recall) == (pytest.approx(0.5), pytest.approx(0.5))
     deg, _ = pose_errors(
         PoseRecord(rotation_about([0, 0, 1], math.radians(30)), (0, 0, 0)),

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from radiant import io
-from radiant.cli import dispatch
+from radiant.cli import build_parser, dispatch
 
 
 def run(*argv):
@@ -634,3 +635,131 @@ class TestSemmap:
         assert grid.channels == 5
         assert grid.data.sum() == 1.0
         assert grid.data[48, 39, 0, 3] == 1.0
+
+
+def golden_eval_inputs(tmp_path):
+    """Seeded box and pose files with labels on both sides and on one side
+    only, tied scores and jittered near-copies of the ground truth."""
+    rng = np.random.default_rng(2024)
+    gt_boxes, pred_boxes = [], []
+    for i in range(36):
+        label = ("car", "van", "gt_only")[i % 3]
+        box = {"center": rng.uniform(-6, 6, 3).tolist(), "size": rng.uniform(0.5, 2.5, 3).tolist(),
+               "yaw": float(rng.uniform(-np.pi, np.pi)), "class": label}
+        gt_boxes.append(box)
+        if label != "gt_only" and i % 4:
+            pred_boxes.append({
+                "center": (np.array(box["center"]) + rng.normal(0, 0.15, 3)).tolist(),
+                "size": (np.array(box["size"]) * rng.uniform(0.85, 1.15, 3)).tolist(),
+                "yaw": box["yaw"] + float(rng.normal(0, 0.2)), "class": label,
+                "score": round(float(rng.uniform(0, 1)), 1)})
+    for i in range(12):
+        pred_boxes.append({"center": rng.uniform(-6, 6, 3).tolist(),
+                           "size": rng.uniform(0.5, 2.5, 3).tolist(),
+                           "yaw": float(rng.uniform(-np.pi, np.pi)),
+                           "class": ("car", "van", "pred_only")[i % 3],
+                           "score": round(float(rng.uniform(0, 1)), 1)})
+    gt_poses, pred_poses = [], []
+    for i in range(36):
+        label = ("bottle", "mug", "gt_only")[i % 3]
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = q * np.sign(np.linalg.det(q))
+        pose = {"rotation": rot.ravel().tolist(), "translation": rng.uniform(-1, 1, 3).tolist(),
+                "class": label}
+        gt_poses.append(pose)
+        if label != "gt_only" and i % 4:
+            angle = np.radians(rng.normal(0, 5))
+            c, s = np.cos(angle), np.sin(angle)
+            spin = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+            pred_poses.append({
+                "rotation": (spin @ rot).ravel().tolist(),
+                "translation": (np.array(pose["translation"]) + rng.normal(0, 0.04, 3)).tolist(),
+                "class": label, "score": round(float(rng.uniform(0, 1)), 1)})
+    for i in range(12):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pred_poses.append({"rotation": (q * np.sign(np.linalg.det(q))).ravel().tolist(),
+                           "translation": rng.uniform(-1, 1, 3).tolist(),
+                           "class": ("bottle", "mug", "pred_only")[i % 3],
+                           "score": round(float(rng.uniform(0, 1)), 1)})
+    for name, key, doc in (("gt_boxes", "boxes", gt_boxes), ("pred_boxes", "boxes", pred_boxes),
+                           ("gt_poses", "poses", gt_poses), ("pred_poses", "poses", pred_poses)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({key: doc}))
+
+
+def golden_eval_outputs(tmp_path):
+    """Run eval-detect and eval-pose on golden_eval_inputs; (detect, pose) bytes."""
+    golden_eval_inputs(tmp_path)
+    assert run("eval-detect", "--pred", tmp_path / "pred_boxes.json",
+               "--gt", tmp_path / "gt_boxes.json", "--iou-thresholds", "0.5,0.1,0.25,0.7",
+               "--out", tmp_path / "detect.json") == 0
+    assert run("eval-pose", "--pred", tmp_path / "pred_poses.json",
+               "--gt", tmp_path / "gt_poses.json", "--pose-thresholds", "10:10,5:5,5:10,20:3",
+               "--symmetric-classes", "bottle", "--out", tmp_path / "pose.json") == 0
+    return (tmp_path / "detect.json").read_bytes(), (tmp_path / "pose.json").read_bytes()
+
+
+class TestEvalGoldenBytes:
+    """eval-detect and eval-pose reports of a fixed seeded input, pinned by
+    hash: any change to matching or AP arithmetic shows up here."""
+
+    DETECT_SHA256 = "8fbb0341a842c5078c6ad5935111261d9b26ba6497e0a0102a14cc2056a9c66a"
+    POSE_SHA256 = "c8dfe3b7d9d9d4eaeafcb55756f67ad45ed724703d50a02caeb496778fd54678"
+
+    def test_reports_match_pinned_hashes(self, tmp_path):
+        detect, pose = golden_eval_outputs(tmp_path)
+        assert hashlib.sha256(detect).hexdigest() == self.DETECT_SHA256
+        assert hashlib.sha256(pose).hexdigest() == self.POSE_SHA256
+
+
+class TestFiniteNumbers:
+    """NaN and Infinity in a pose record's scale, score or translation, in
+    intrinsics fx/fy/cx/cy, or in a scene's near/far exit 3 naming the file
+    and the key, before any output is written."""
+
+    @pytest.mark.parametrize("key,value", [("scale", INF), ("score", NAN),
+                                           ("translation", [0, INF, 0])])
+    def test_eval_pose_prediction(self, tmp_path, capsys, key, value):
+        pred = {"poses": [dict(POSE, score=0.9), {**POSE, "score": 0.5, key: value}]}
+        (tmp_path / "pred.json").write_text(json.dumps(pred))
+        (tmp_path / "gt.json").write_text(json.dumps({"poses": [POSE]}))
+        assert run("eval-pose", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+                   "--out", tmp_path / "report.json") == 3
+        assert "poses[1]" in assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("fx", INF), ("fy", INF), ("cx", NAN), ("cy", -INF)])
+    def test_render_intrinsics(self, tmp_path, capsys, key, value):
+        doc = scene_doc()
+        doc["cameras"][0]["intrinsics"][key] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert "cameras[0]: intrinsics" in assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
+
+    @pytest.mark.parametrize("key,value", [("near", NAN), ("far", INF)])
+    def test_render_near_far(self, tmp_path, capsys, key, value):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(**{key: value})))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
+
+
+class TestSharedParser:
+    """The parser is built once per process; reusing it changes nothing."""
+
+    def test_usage_error_after_dispatch(self, tmp_path, capsys):
+        build_parser.cache_clear()
+        bad = (("bogus-command",), ("voxelize", "--field", "constant"))
+        before = []
+        for argv in bad:
+            assert run(*argv) == 1
+            before.append(capsys.readouterr().err)
+        assert run("voxelize", "--field", "constant", "--dims", "4",
+                   "--out", tmp_path / "g.nfvg") == 0
+        capsys.readouterr()
+        for argv, err in zip(bad, before):
+            assert run(*argv) == 1
+            assert capsys.readouterr().err == err
+        assert build_parser() is build_parser()

@@ -23,6 +23,18 @@ from radiant.metrics import (
 )
 
 
+def detection_ap_at(preds, gts, iou_thresh):
+    """Overall (AP, recall) of detection_ap at one IoU threshold."""
+    (result,) = detection_ap(preds, gts, [iou_thresh])
+    return result.ap, result.recall
+
+
+def pose_ap_at(preds, gts, deg_thresh, cm_thresh, symmetric_axes=None):
+    """Overall AP of pose_ap at one (degrees, cm) pair."""
+    (result,) = pose_ap(preds, gts, [(deg_thresh, cm_thresh)], symmetric_axes)
+    return result.ap
+
+
 def mc_iou_oracle(a: OrientedBox3, b: OrientedBox3, n=10**6, seed=0):
     """Independent Monte Carlo IoU: own containment math, own AABB."""
 
@@ -307,11 +319,11 @@ class TestDetectionAp:
     def test_perfect_predictions(self):
         gts = self.gt_pair()
         preds = [OrientedBox3(g.center, g.size, g.yaw, g.label, score=0.9) for g in gts]
-        ap, recall = detection_ap(preds, gts, 0.5)
+        ap, recall = detection_ap_at(preds, gts, 0.5)
         assert ap == 1.0 and recall == 1.0
 
     def test_no_predictions(self):
-        ap, recall = detection_ap([], self.gt_pair(), 0.5)
+        ap, recall = detection_ap_at([], self.gt_pair(), 0.5)
         assert ap == 0.0 and recall == 0.0
 
     def test_hand_pr_curve(self):
@@ -320,21 +332,21 @@ class TestDetectionAp:
             OrientedBox3((0, 0, 0), (1, 1, 1), label="a", score=0.9),   # TP
             OrientedBox3((10, 0, 0), (1, 1, 1), label="a", score=0.1),  # FP
         ]
-        ap, recall = detection_ap(preds, gts, 0.5)
+        ap, recall = detection_ap_at(preds, gts, 0.5)
         assert ap == pytest.approx(0.5) and recall == pytest.approx(0.5)
 
     def test_adding_correct_top_prediction_never_lowers_ap(self):
         gts = self.gt_pair()
         preds = [OrientedBox3((10, 0, 0), (1, 1, 1), label="a", score=0.4)]
-        base, _ = detection_ap(preds, gts, 0.5)
+        base, _ = detection_ap_at(preds, gts, 0.5)
         better = preds + [OrientedBox3((0, 0, 0), (1, 1, 1), label="a", score=0.95)]
-        improved, _ = detection_ap(better, gts, 0.5)
+        improved, _ = detection_ap_at(better, gts, 0.5)
         assert improved >= base
 
     def test_class_labels_must_match(self):
         gts = [OrientedBox3((0, 0, 0), (1, 1, 1), label="a")]
         preds = [OrientedBox3((0, 0, 0), (1, 1, 1), label="b", score=1.0)]
-        ap, recall = detection_ap(preds, gts, 0.5)
+        ap, recall = detection_ap_at(preds, gts, 0.5)
         assert ap == 0.0 and recall == 0.0
 
     def test_prediction_order_irrelevant(self):
@@ -345,10 +357,10 @@ class TestDetectionAp:
             OrientedBox3((3.05, 0, 0), (1, 1, 1), label="a", score=0.6),
             OrientedBox3((7, 0, 0), (1, 1, 1), label="a", score=0.3),
         ]
-        base = detection_ap(preds, gts, 0.25)
+        base = detection_ap_at(preds, gts, 0.25)
         for _ in range(5):
             order = rng.permutation(len(preds))
-            assert detection_ap([preds[i] for i in order], gts, 0.25) == base
+            assert detection_ap_at([preds[i] for i in order], gts, 0.25) == base
 
 
 class TestPoseErrors:
@@ -411,13 +423,13 @@ class TestPoseAp:
         gts = self.records()
         preds = [PoseRecord(g.rotation, g.translation, label=g.label, score=0.9)
                  for g in gts]
-        assert pose_ap(preds, gts, 5, 5) == 1.0
+        assert pose_ap_at(preds, gts, 5, 5) == 1.0
 
     def test_rotation_beyond_threshold(self):
         gts = self.records()
         bad = rotation_about([0, 0, 1], math.radians(20))
         preds = [PoseRecord(bad, g.translation, label=g.label, score=0.9) for g in gts]
-        assert pose_ap(preds, gts, 10, 10) == 0.0
+        assert pose_ap_at(preds, gts, 10, 10) == 0.0
 
     def test_hand_pr_curve(self):
         gts = self.records()
@@ -425,14 +437,14 @@ class TestPoseAp:
             PoseRecord(np.eye(3), (0, 0, 0), label="cup", score=0.9),
             PoseRecord(np.eye(3), (9, 9, 9), label="cup", score=0.1),
         ]
-        assert pose_ap(preds, gts, 5, 5) == pytest.approx(0.5)
+        assert pose_ap_at(preds, gts, 5, 5) == pytest.approx(0.5)
 
     def test_symmetric_class_axis(self):
         gts = [PoseRecord(np.eye(3), (0, 0, 0), label="bottle")]
         spun = rotation_about([0, 1, 0], math.radians(140))
         preds = [PoseRecord(spun, (0, 0, 0), label="bottle", score=1.0)]
-        assert pose_ap(preds, gts, 5, 5) == 0.0
-        assert pose_ap(preds, gts, 5, 5, {"bottle": np.array([0, 1, 0.0])}) == 1.0
+        assert pose_ap_at(preds, gts, 5, 5) == 0.0
+        assert pose_ap_at(preds, gts, 5, 5, {"bottle": np.array([0, 1, 0.0])}) == 1.0
 
 
 class TestVoxelLabels:
@@ -517,17 +529,17 @@ class TestArrayMetricsAgainstOracles:
     def test_detection_ap_exact(self, seed):
         preds, gts = random_box_sets(seed)
         for thresh in (0.05, 0.25, 0.5, 0.7):
-            assert detection_ap(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
+            assert detection_ap_at(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
             # the CLI's per-class calls: one label on both sides, or one side empty
             for label in ("a", "gt_only", "pred_only"):
                 p = [b for b in preds if b.label == label]
                 g = [b for b in gts if b.label == label]
-                assert detection_ap(p, g, thresh) == oracle_detection_ap(p, g, thresh)
+                assert detection_ap_at(p, g, thresh) == oracle_detection_ap(p, g, thresh)
 
     def test_detection_ap_empty_sets(self):
         preds, gts = random_box_sets(0)
         for p, g in (([], gts), (preds, []), ([], [])):
-            assert detection_ap(p, g, 0.5) == oracle_detection_ap(p, g, 0.5)
+            assert detection_ap_at(p, g, 0.5) == oracle_detection_ap(p, g, 0.5)
 
     def test_detection_ties_pick_first_gt(self):
         # the top prediction overlaps both ground truths by exactly 1/3; only
@@ -541,16 +553,16 @@ class TestArrayMetricsAgainstOracles:
         edge = iou3d(preds[0], gts[0])
         assert edge == iou3d(preds[0], gts[1])
         # IoU equal to the threshold matches
-        assert detection_ap(preds, gts, 0.25) == detection_ap(preds, gts, edge) == (1.0, 1.0)
+        assert detection_ap_at(preds, gts, 0.25) == detection_ap_at(preds, gts, edge) == (1.0, 1.0)
         for thresh in (0.25, edge, 0.5, 0.7):
-            assert detection_ap(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
+            assert detection_ap_at(preds, gts, thresh) == oracle_detection_ap(preds, gts, thresh)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_pose_ap_exact(self, seed):
         preds, gts = random_pose_sets(seed)
         for deg, cm in ((5, 5), (5, 10), (10, 10), (180, 100)):
             for axes in (None, SYM_AXES):
-                assert pose_ap(preds, gts, deg, cm, axes) == oracle_pose_ap(
+                assert pose_ap_at(preds, gts, deg, cm, axes) == oracle_pose_ap(
                     preds, gts, deg, cm, axes)
 
     def test_pose_ap_empty_and_one_sided(self):
@@ -559,7 +571,7 @@ class TestArrayMetricsAgainstOracles:
                  ([p for p in preds if p.label == "pred_only"], gts),
                  (preds, [g for g in gts if g.label == "gt_only"]))
         for p, g in cases:
-            assert pose_ap(p, g, 10, 10, SYM_AXES) == oracle_pose_ap(p, g, 10, 10, SYM_AXES)
+            assert pose_ap_at(p, g, 10, 10, SYM_AXES) == oracle_pose_ap(p, g, 10, 10, SYM_AXES)
 
     def test_pose_tied_errors_pick_first_gt(self):
         # the top prediction is 1 cm from both ground truths; only the
@@ -571,9 +583,9 @@ class TestArrayMetricsAgainstOracles:
                  PoseRecord(np.eye(3), (0.012, 0, 0), label="cup", score=0.5),
                  PoseRecord(np.eye(3), (0.012, 0, 0), label="cup", score=0.5)]
         assert pose_errors(preds[0], gts[0]) == pose_errors(preds[0], gts[1])
-        assert pose_ap(preds, gts, 5, 1.5) == 1.0
+        assert pose_ap_at(preds, gts, 5, 1.5) == 1.0
         for cm in (0.5, 1.5, 5):
-            assert pose_ap(preds, gts, 5, cm) == oracle_pose_ap(preds, gts, 5, cm)
+            assert pose_ap_at(preds, gts, 5, cm) == oracle_pose_ap(preds, gts, 5, cm)
 
     def test_pose_key_is_degrees_then_cm(self):
         # the top prediction prefers (1 deg, 3 cm) over (3 deg, 1 cm), which
@@ -584,8 +596,8 @@ class TestArrayMetricsAgainstOracles:
                PoseRecord(z3, (-0.01, 0, 0), label="cup")]
         preds = [PoseRecord(np.eye(3), (0.0, 0, 0), label="cup", score=0.9),
                  PoseRecord(z3, (-0.01, 0, 0), label="cup", score=0.5)]
-        assert pose_ap(preds, gts, 5, 3.5) == 1.0
-        assert pose_ap(preds, gts, 5, 3.5) == oracle_pose_ap(preds, gts, 5, 3.5)
+        assert pose_ap_at(preds, gts, 5, 3.5) == 1.0
+        assert pose_ap_at(preds, gts, 5, 3.5) == oracle_pose_ap(preds, gts, 5, 3.5)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (9, 1), (7, 12), (12, 7), (30, 30),
                                      (0, 4), (4, 0)])
@@ -704,11 +716,104 @@ class TestTracedNames:
 
             monkeypatch.setattr(radiant.metrics, name, counted)
         boxes, gts = random_box_sets(0)
-        detection_ap(boxes, gts, 0.25)
+        detection_ap_at(boxes, gts, 0.25)
         poses, pose_gts = random_pose_sets(0)
-        pose_ap(poses, pose_gts, 10, 10)
+        pose_ap_at(poses, pose_gts, 10, 10)
         path = np.array([[0.0, 0, 0], [1, 0, 0]])
         nav_metrics(Trajectory(path, path, goal=(1, 0, 0)))
         assert counts.get("iou3d", 0) >= 1
         assert counts.get("pose_errors", 0) >= 1
         assert counts.get("dtw_distance", 0) >= 1
+
+
+def oracle_by_label(oracle, preds, gts, *args):
+    """The oracle run on each label's own predictions and ground truth."""
+    labels = sorted({x.label for x in [*preds, *gts]})
+    return {label: oracle([p for p in preds if p.label == label],
+                          [g for g in gts if g.label == label], *args)
+            for label in labels}
+
+
+class TestOnePassAgainstOracles:
+    """One detection_ap/pose_ap call gives, at every threshold and in the
+    order given, the overall result the oracle gives on all predictions and
+    each label's result the oracle gives on that label's lists alone."""
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_detection(self, seed):
+        preds, gts = random_box_sets(seed)
+        # an IoU of the data as a threshold: that pair matches at it
+        edge = next(v for p in preds for g in gts
+                    if p.label == g.label and 0.0 < (v := iou3d(p, g)) < 1.0)
+        thresholds = [0.5, 0.05, edge, 0.7, 0.25]
+        results = detection_ap(preds, gts, thresholds)
+        assert len(results) == len(thresholds)
+        for thresh, r in zip(thresholds, results):
+            assert (r.ap, r.recall) == oracle_detection_ap(preds, gts, thresh)
+            assert r.per_class == oracle_by_label(oracle_detection_ap, preds, gts, thresh)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_pose(self, seed):
+        preds, gts = random_pose_sets(seed)
+        # errors of the data as thresholds: that pair does not match at them
+        deg0, cm0 = pose_errors(preds[0], next(g for g in gts if g.label == preds[0].label))
+        thresholds = [(10, 10), (5, 5), (180, 100), (deg0, 100), (180, cm0), (5, 10)]
+        for axes in (None, SYM_AXES):
+            results = pose_ap(preds, gts, thresholds, axes)
+            assert len(results) == len(thresholds)
+            for (deg, cm), r in zip(thresholds, results):
+                assert r.ap == oracle_pose_ap(preds, gts, deg, cm, axes)
+                assert r.per_class == oracle_by_label(oracle_pose_ap, preds, gts, deg, cm, axes)
+
+    def test_one_sided_labels_report_zero(self):
+        box = OrientedBox3((0, 0, 0), (1, 1, 1), label="gt_only")
+        pred = OrientedBox3((0, 0, 0), (1, 1, 1), label="pred_only", score=0.5)
+        (r,) = detection_ap([pred], [box], [0.5])
+        assert r == (0.0, 0.0, {"gt_only": (0.0, 0.0), "pred_only": (0.0, 0.0)})
+        pose = PoseRecord(np.eye(3), (0, 0, 0), label="gt_only")
+        guess = PoseRecord(np.eye(3), (0, 0, 0), label="pred_only", score=0.5)
+        (r,) = pose_ap([guess], [pose], [(5, 5)])
+        assert r == (0.0, {"gt_only": 0.0, "pred_only": 0.0})
+        assert detection_ap([], [], [0.25, 0.5]) == [(0.0, 0.0, {})] * 2
+        assert pose_ap([], [], [(5, 5)]) == [(0.0, {})]
+
+    def test_every_threshold_is_checked(self):
+        preds, gts = random_box_sets(0)
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                detection_ap(preds, gts, [0.5, bad])
+        preds, gts = random_pose_sets(0)
+        for bad in ((0, 5), (5, -1)):
+            with pytest.raises(ValueError):
+                pose_ap(preds, gts, [(5, 5), bad])
+
+
+def oracle_iou3d(a, b):
+    """iou3d with the polygon area through np.roll and the volumes through
+    np.prod, as it was first written."""
+    poly, clip = a.corners2d(), b.corners2d()
+    for i in range(4):
+        poly = radiant.metrics._clip_polygon(poly, clip[i], clip[(i + 1) % 4])
+        if len(poly) == 0:
+            break
+    inter_xy = 0.0
+    if len(poly) >= 3:
+        x, y = poly[:, 0], poly[:, 1]
+        inter_xy = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    z_lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
+    z_hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
+    inter = inter_xy * max(0.0, z_hi - z_lo)
+    union = float(np.prod(a.size)) + float(np.prod(b.size)) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def test_iou3d_bit_identical_to_roll_and_prod_formula():
+    rng = np.random.default_rng(31)
+    nonzero = 0
+    for _ in range(2000):
+        a, b = (OrientedBox3(rng.uniform(-1, 1, 3), rng.uniform(0.2, 2.5, 3),
+                             yaw=rng.uniform(-math.pi, math.pi)) for _ in range(2))
+        v = iou3d(a, b)
+        assert v == oracle_iou3d(a, b)
+        nonzero += v > 0.0
+    assert nonzero >= 1000
