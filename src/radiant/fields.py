@@ -26,6 +26,18 @@ class SdfField:
         raise NotImplementedError
 
 
+# The analytic kernels work in place on the three coordinate columns. That
+# gives the bits of np.linalg.norm and q.max(axis=-1), which reduce a length-3
+# axis left to right, at a third of their cost.
+def _columns(pts, center) -> tuple[list[np.ndarray], tuple]:
+    """Fresh float64 columns x, y, z of pts (..., 3) minus center (at least
+    1-D, so they can be updated in place), and the leading shape of pts. A
+    kernel returns result.reshape(shape)[()]: a numpy scalar for one point,
+    as the axis reductions gave."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return [np.atleast_1d(pts[..., i] - center[i]) for i in range(3)], pts.shape[:-1]
+
+
 @dataclass
 class SphereSdf(SdfField):
     center: np.ndarray
@@ -38,8 +50,15 @@ class SphereSdf(SdfField):
         self.bounds = Aabb(self.center - self.radius, self.center + self.radius)
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return np.linalg.norm(pts - self.center, axis=-1) - self.radius
+        (x, y, z), shape = _columns(pts, self.center)
+        x *= x
+        y *= y
+        x += y
+        z *= z
+        x += z
+        np.sqrt(x, out=x)
+        x -= self.radius
+        return x.reshape(shape)[()]
 
 
 @dataclass
@@ -56,10 +75,25 @@ class BoxSdf(SdfField):
 
     def eval(self, pts) -> np.ndarray:
         # exact box distance: outside part + inside part
-        q = np.abs(np.asarray(pts, dtype=np.float64) - self.center) - self.half_extents
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(q.max(axis=-1), 0.0)
-        return outside + inside
+        q, shape = _columns(pts, self.center)
+        for qi, hi in zip(q, self.half_extents):
+            np.abs(qi, out=qi)
+            qi -= hi
+        qx, qy, qz = q
+        out = np.maximum(qx, 0.0)
+        out *= out
+        t = np.maximum(qy, 0.0)
+        t *= t
+        out += t
+        np.maximum(qz, 0.0, out=t)
+        t *= t
+        out += t
+        np.sqrt(out, out=out)
+        np.maximum(qx, qy, out=t)
+        np.maximum(t, qz, out=t)
+        np.minimum(t, 0.0, out=t)
+        out += t
+        return out.reshape(shape)[()]
 
 
 class UnionSdf(SdfField):
@@ -74,7 +108,10 @@ class UnionSdf(SdfField):
         self.bounds = Aabb(lo, hi)
 
     def eval(self, pts) -> np.ndarray:
-        return np.min([c.eval(pts) for c in self.children], axis=0)
+        out = self.children[0].eval(pts)
+        for c in self.children[1:]:
+            out = np.minimum(out, c.eval(pts))
+        return out
 
 
 def make_analytic_sdf(shape: dict, where: str = "shape") -> SdfField:

@@ -90,40 +90,73 @@ def write_ply(path, samples: SurfaceSamples) -> None:
 
 
 def read_ply(path) -> SurfaceSamples:
-    """Read the PLY layout written by write_ply; residuals come back as 0."""
-    lines = Path(path).read_text().splitlines()
+    """Read the PLY layout written by write_ply; residuals come back as 0.
+
+    The body goes through numpy's C text parser. A malformed header or body
+    raises a FileFormatError subclass naming the path."""
+    # undecodable bytes (a binary body) are replaced, so the header's format
+    # line is what refuses such a file
+    lines = Path(path).read_bytes().decode("utf-8", errors="replace").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise BadMagic(f"{path}: not a PLY file")
     try:
         end = lines.index("end_header")
     except ValueError:
         raise TruncatedFile(f"{path}: missing end_header") from None
+    n = _ply_vertex_count(path, lines[1:end])
+    body = lines[end + 1 : end + 1 + n]
+    if len(body) < n:
+        raise TruncatedFile(f"{path}: {len(body)} of {n} vertices present")
+    v = _ply_body(path, body).astype(np.float64)
+    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(n))
+
+
+def _ply_vertex_count(path, header: list[str]) -> int:
+    """Vertex count of an ASCII 1.0 PLY header (the lines between "ply" and
+    "end_header")."""
     n = None
-    for line in lines[1:end]:
+    for line in header:
         parts = line.split()
-        if parts[:2] == ["format", "ascii"]:
+        if parts[:1] == ["format"]:
+            if len(parts) != 3:
+                raise FileFormatError(f"{path}: malformed format line {line!r}")
+            if parts[1] != "ascii":
+                raise BadVersion(f"{path}: unsupported PLY format {parts[1]!r}")
             if parts[2] != "1.0":
                 raise BadVersion(f"{path}: PLY format version {parts[2]}")
         elif parts[:2] == ["element", "vertex"]:
-            n = int(parts[2])
+            if len(parts) != 3:
+                raise FileFormatError(f"{path}: malformed vertex element line {line!r}")
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise FileFormatError(f"{path}: bad vertex count {parts[2]!r}") from None
     if n is None:
         raise FileFormatError(f"{path}: no vertex element")
     if n < 0:
         raise FileFormatError(f"{path}: negative vertex count {n}")
-    body = lines[end + 1 : end + 1 + n]
-    if len(body) < n:
-        raise TruncatedFile(f"{path}: {len(body)} of {n} vertices present")
+    return n
+
+
+def _ply_body(path, body: list[str]) -> np.ndarray:
+    """(N, 6) float32 values of N vertex lines. The properties are f32:
+    parsing through float32 gives back the values write_ply wrote, bit for
+    bit."""
+    if not body:
+        return np.zeros((0, 6), dtype=np.float32)  # loadtxt warns on no input
+    reason = "expected 6 floats per vertex"
+    try:
+        v = np.loadtxt(body, dtype=np.float32, comments=None, ndmin=2)
+        if v.shape == (len(body), 6):
+            return v
+    except ValueError as e:
+        reason = f"non-numeric vertex value ({e})"
+    # a refused body: name the first vertex without 6 tokens (two such lines
+    # can keep the total at 6 N), else pass on the parser's complaint
     bad = next((i for i, line in enumerate(body) if len(line.split()) != 6), None)
     if bad is not None:
         raise FileFormatError(f"{path}: expected 6 floats per vertex (vertex {bad})")
-    # the properties are f32: parse through float32 so values written by
-    # write_ply come back bit-identical
-    try:
-        v = np.array(" ".join(body).split(), dtype=np.float32)
-    except ValueError as e:
-        raise FileFormatError(f"{path}: non-numeric vertex value ({e})") from None
-    v = v.astype(np.float64).reshape(n, 6)
-    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(n))
+    raise FileFormatError(f"{path}: {reason}")
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -231,7 +264,7 @@ def pose_to_json(p: Pose) -> dict:
 
 def pose_from_json(d: dict, where: str = "pose") -> Pose:
     return Pose(read_key(d, "rotation", where, _rotation),
-                read_key(d, "translation", where, _floats))
+                read_key(d, "translation", where, json_floats))
 
 
 _REQUIRED = object()
@@ -347,10 +380,10 @@ def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
 
 def trajectory_from_json(d: dict, where: str = "trajectory") -> Trajectory:
     return Trajectory(
-        positions=read_key(d, "positions", where, _floats),
-        reference=read_key(d, "reference", where, _floats),
-        goal=read_key(d, "goal", where, _floats),
-        success_threshold=read_key(d, "success_threshold", where, float, 3.0),
+        positions=read_key(d, "positions", where, json_floats),
+        reference=read_key(d, "reference", where, json_floats),
+        goal=read_key(d, "goal", where, json_floats),
+        success_threshold=read_key(d, "success_threshold", where, json_float, 3.0),
     )
 
 

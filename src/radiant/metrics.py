@@ -132,8 +132,10 @@ def chamfer(a, b) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise EmptySet("chamfer needs two nonempty point sets")
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
+    # nearest distances do not depend on the tree's shape, and an unbalanced
+    # (sliding-midpoint) tree builds faster than a median-split one
+    d_ab, _ = cKDTree(b, balanced_tree=False).query(a)
+    d_ba, _ = cKDTree(a, balanced_tree=False).query(b)
     return float(np.mean(d_ab**2) + np.mean(d_ba**2))
 
 

@@ -101,26 +101,36 @@ def _morton3(idx: np.ndarray) -> np.ndarray:
 
 def project_to_surface(
     f: SdfField, points, iterations: int = 1, h: float = 1e-4,
-    stats: ExtractionStats | None = None,
+    stats: ExtractionStats | None = None, values=None,
 ) -> SurfaceSamples:
     """Project points onto the zero isosurface: p <- p - n * sdf(p).
 
     Applies the step `iterations` times. Points whose gradient vanishes at
     any step are dropped (callers can count them as len(points) - len(out)).
-    Each of the N points of a step costs 7 SDF evals (the value and six
-    gradient taps); they are added to stats.projection_evals when given.
+    values, when given, is f.eval(points) already computed (the traversal's
+    final-level values): the first step uses it instead of evaluating again.
+    Each step then costs 7 SDF evals per point (the value and six gradient
+    taps), the first one 6 with values, and the residual and normal of the
+    result 7 more; the evals made are added to stats.projection_evals.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
-    evals = 0
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != pts.shape[:1]:
+            raise ValueError(f"values of shape {values.shape} for {pts.shape[0]} points")
+    s, evals = values, 0
     for _ in range(iterations):
         if pts.shape[0] == 0:
             break
-        evals += 7 * pts.shape[0]
-        s = f.eval(pts)
+        if s is None:
+            s = f.eval(pts)
+            evals += pts.shape[0]
+        evals += 6 * pts.shape[0]
         normals, ok = sdf_gradients(f, pts, h)
         pts = pts[ok] - normals[ok] * s[ok, None]
+        s = None
     if stats is not None:
         stats.projection_evals += evals + 7 * pts.shape[0]
     if pts.shape[0] == 0:
@@ -157,7 +167,7 @@ def extract_surface(
     idx = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
     cell = np.asarray(cfg.bounds.extent) / n0
-    final_idx = None
+    final_idx = final_sdf = None
     for level in range(cfg.lod_start, cfg.lod_end + 1):
         centers = cfg.bounds.min + (idx + 0.5) * cell
         sdf = f.eval(centers)
@@ -172,7 +182,7 @@ def extract_surface(
             return SurfaceSamples.empty(), stats
 
         if level == cfg.lod_end:
-            final_idx = idx[occ]
+            final_idx, final_sdf = idx[occ], sdf[occ]
             break
         # subdivide survivors: each cell yields its 8 children at level+1
         _check_level_cells(level + 1, 8 * int(np.count_nonzero(occ)))
@@ -182,6 +192,8 @@ def extract_surface(
         idx = (idx[occ][:, None, :] * 2 + child[None, :, :]).reshape(-1, 3)
         cell = cell / 2.0
 
+    # the centers come from the same arithmetic as the traversal's, so the
+    # final level's values are f.eval(centers) bit for bit
     order = np.argsort(_morton3(final_idx), kind="stable")
     centers = cfg.bounds.min + (final_idx[order] + 0.5) * cell
     samples = project_to_surface(
@@ -190,6 +202,7 @@ def extract_surface(
         iterations=cfg.projection_iterations,
         h=cfg.cell_edge(cfg.lod_end) / 4.0,
         stats=stats,
+        values=final_sdf[order],
     )
 
     stats.dropped_points = centers.shape[0] - len(samples)
@@ -216,5 +229,6 @@ def dense_extract(
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
     pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     sdf = f.eval(pts)
-    kept = pts[np.abs(sdf) <= band]
-    return project_to_surface(f, kept, iterations=1, h=float(cell.max()) / 4.0)
+    band_mask = np.abs(sdf) <= band
+    return project_to_surface(f, pts[band_mask], iterations=1, h=float(cell.max()) / 4.0,
+                              values=sdf[band_mask])

@@ -132,8 +132,9 @@ class TestExtractSurface:
         assert set(stats) == {"version", "evals_per_level", "total_sdf_evals",
                               "projection_evals", "surface_points", "wall_time",
                               "no_surface", "dropped_points"}
-        # one projection step plus the final residual and normal, 7 evals a point
-        assert stats["projection_evals"] == 14 * stats["surface_points"]
+        # one projection step (six gradient taps: its value is the traversal's)
+        # plus the final residual and normal (7 evals), 13 evals a point
+        assert stats["projection_evals"] == 13 * stats["surface_points"]
 
     def test_level_budget_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
         import radiant.octree
@@ -743,6 +744,36 @@ class TestFiniteNumbers:
         scene.write_text(json.dumps(scene_doc(**{key: value})))
         assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
         assert_format_error(capsys, scene, key)
+        assert not (tmp_path / "img_000.ppm").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("positions", [[0, 0, 0], [INF, 0, 0]]), ("reference", [[0, 0, 0], [1, NAN, 0]]),
+        ("goal", [1, 0, -INF]), ("success_threshold", INF),
+    ])
+    def test_eval_nav_trajectory(self, tmp_path, capsys, key, value):
+        # an infinite success threshold used to score SR 1.0 and SPL 1.0 far
+        # from the goal, and an infinite position to write Infinity into the report
+        pred = tmp_path / "traj.json"
+        pred.write_text(json.dumps({"trajectory": {**TRAJ, key: value}}))
+        assert run("eval-nav", "--trajectory", pred, "--out", tmp_path / "nav.json") == 3
+        assert "trajectory" in assert_format_error(capsys, pred, key)
+        assert not (tmp_path / "nav.json").exists()
+
+    def test_voxelize_camera_translation(self, tmp_path, capsys):
+        cams = tmp_path / "cams.json"
+        cams.write_text(json.dumps({"cameras": [{"rotation": EYE, "translation": [0, NAN, 0]}]}))
+        assert run("voxelize", "--field", "gaussian", "--dims", "4", "--cameras", cams,
+                   "--out", tmp_path / "g.nfvg") == 3
+        assert_format_error(capsys, cams, "translation")
+        assert not (tmp_path / "g.nfvg").exists()
+
+    def test_scene_camera_translation(self, tmp_path, capsys):
+        doc = scene_doc()
+        doc["cameras"][0]["pose"]["translation"] = [0, 0, -INF]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        assert_format_error(capsys, scene, "translation")
         assert not (tmp_path / "img_000.ppm").exists()
 
 

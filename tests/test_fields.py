@@ -74,6 +74,76 @@ class TestAnalyticSdf:
             assert np.all(np.abs(f.eval(a) - f.eval(b)) <= gap + 1e-12)
 
 
+def oracle_sdf(f: SdfField, pts) -> np.ndarray:
+    """The axis-reduction SDF formulas the column kernels replaced."""
+    if isinstance(f, UnionSdf):
+        return np.min([oracle_sdf(c, pts) for c in f.children], axis=0)
+    pts = np.asarray(pts, dtype=np.float64)
+    if isinstance(f, SphereSdf):
+        return np.linalg.norm(pts - f.center, axis=-1) - f.radius
+    q = np.abs(pts - f.center) - f.half_extents
+    return np.linalg.norm(np.maximum(q, 0.0), axis=-1) + np.minimum(q.max(axis=-1), 0.0)
+
+
+KERNEL_SPHERE = SphereSdf((0.1, -0.2, 0.0), 0.5)
+KERNEL_BOX = BoxSdf((0.0, 0.25, -0.1), (0.25, 0.5, 0.125))
+KERNEL_SHAPES = {
+    "sphere": KERNEL_SPHERE,
+    "box": KERNEL_BOX,
+    "origin-box": BoxSdf((0, 0, 0), (0.5, 0.25, 0.75)),
+    "union1": UnionSdf([KERNEL_BOX]),
+    "union2": UnionSdf([KERNEL_SPHERE, KERNEL_BOX]),
+    "union3": UnionSdf([KERNEL_BOX, SphereSdf((0, 0, 0), 0.25), KERNEL_SPHERE]),
+}
+
+
+def kernel_inputs() -> list[np.ndarray]:
+    rng = np.random.default_rng(11)
+    seeded = rng.uniform(-1.2, 1.2, size=(5000, 3))
+    tied = np.round(seeded, 1)  # ties between axes and with the box faces
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    on_box = []
+    for box in (KERNEL_BOX, KERNEL_SHAPES["origin-box"]):
+        h = box.half_extents
+        corners = box.center + signs * h
+        edges = box.center + signs * h * [0.5, 1, 1]
+        faces = box.center + signs * h * [0.3, 0.6, 1]
+        on_box += [corners, edges, faces, box.center[None, :]]
+    on_sphere = KERNEL_SPHERE.center + KERNEL_SPHERE.radius * np.eye(3)
+    zeros = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]])
+    nans = np.array([[np.nan, 0.1, 0.2], [0.3, np.nan, 0.0], [0.0, 0.0, np.nan],
+                     [np.nan, np.nan, np.nan]])
+    return [seeded, tied, *on_box, on_sphere, zeros, nans,
+            np.array([0.3, -0.4, 0.2]), np.zeros((0, 3)), seeded[:20].reshape(4, 5, 3)]
+
+
+class TestColumnKernels:
+    """The column-wise kernels give the bits of the axis-reduction formulas
+    (np.linalg.norm and max over the last axis, np.min over the children)."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
+    def test_bits_equal_axis_formulas(self, name):
+        f = KERNEL_SHAPES[name]
+        for pts in kernel_inputs():
+            got, want = f.eval(pts), oracle_sdf(f, pts)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want) == pts.shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), pts[:3]
+
+    def test_input_left_unchanged(self):
+        # the kernels work in place on their own column copies
+        pts = np.random.default_rng(12).uniform(-1, 1, size=(40, 3))
+        before = pts.copy()
+        for f in KERNEL_SHAPES.values():
+            f.eval(pts)
+        assert np.array_equal(pts, before)
+
+    def test_lists_and_ints_accepted(self):
+        for f in KERNEL_SHAPES.values():
+            assert f.eval([[1, 0, 0], [0, 0, 0]]).tobytes() == \
+                oracle_sdf(f, [[1, 0, 0], [0, 0, 0]]).tobytes()
+
+
 class TestSdfNormal:
     def test_sphere_x_axis(self):
         f = SphereSdf((0, 0, 0), 0.5)

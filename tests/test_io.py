@@ -122,6 +122,18 @@ EDGE_VALUES = [-0.0, 0.0, 1e-45, -1e-45, 1.4e-45, 1e-40, -2.5e-39, 1.1754942e-38
                123456789.0, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
 
 
+_PLY_BINARY_HEADER = """ply
+format binary_little_endian 1.0
+element vertex 1
+property float x
+property float y
+property float z
+property float nx
+property float ny
+property float nz
+end_header
+"""
+
 class TestPly:
     def samples(self, rng, n=20):
         pos = rng.normal(size=(n, 3)).astype(np.float32).astype(np.float64)
@@ -254,6 +266,29 @@ class TestPly:
         io.write_ply(p, self.samples(np.random.default_rng(9), n=2))
         p.write_text(p.read_text().replace("element vertex 2", "element vertex -1"))
         with pytest.raises(FileFormatError, match="negative"):
+            io.read_ply(p)
+
+    @pytest.mark.parametrize("old,new,error,names", [
+        ("element vertex 2", "element vertex abc", FileFormatError, "'abc'"),
+        ("element vertex 2", "element vertex", FileFormatError, "'element vertex'"),
+        ("format ascii 1.0", "format ascii", FileFormatError, "'format ascii'"),
+        ("format ascii 1.0", "format binary_little_endian 1.0", BadVersion,
+         "'binary_little_endian'"),
+    ], ids=["non-integer-count", "no-count", "no-version", "binary"])
+    def test_bad_header_line_rejected(self, tmp_path, old, new, error, names):
+        p = tmp_path / "hdr.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(10), n=2))
+        p.write_text(p.read_text().replace(old, new))
+        with pytest.raises(error) as e:
+            io.read_ply(p)
+        assert str(p) in str(e.value) and names in str(e.value)
+
+    def test_binary_body_rejected_by_its_format(self, tmp_path):
+        # a body that is not UTF-8 text is refused by the header, not by decoding
+        p = tmp_path / "bin.ply"
+        header = _PLY_BINARY_HEADER.encode()
+        p.write_bytes(header + np.array([0.5, -1.0, 3e38, 1, 0, 0], "<f4").tobytes() + b"\xff\xfe")
+        with pytest.raises(BadVersion, match="'binary_little_endian'"):
             io.read_ply(p)
 
     def test_crlf_and_trailing_lines_accepted(self, tmp_path):

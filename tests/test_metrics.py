@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 import radiant.metrics
 from radiant.core_math import rotation_about, skew
@@ -250,6 +252,25 @@ class TestChamfer:
         a = np.array([[0.0, 0, 0]])
         b = np.array([[0.0, 0, 0], [1, 0, 0]])
         assert chamfer(a, b) > 0
+
+    def test_bits_equal_balanced_tree_formula(self):
+        # nearest distances do not depend on how the KD-trees split
+        rng = np.random.default_rng(3)
+        for n, m in ((1, 1), (7, 300), (2000, 500)):
+            a = rng.uniform(-1, 1, size=(n, 3))
+            b = np.round(rng.uniform(-1, 1, size=(m, 3)), 1)  # duplicates and ties
+            d_ab, _ = cKDTree(b).query(a)
+            d_ba, _ = cKDTree(a).query(b)
+            want = float(np.mean(d_ab**2) + np.mean(d_ba**2))
+            assert float.hex(chamfer(a, b)) == float.hex(want)
+
+    def test_brute_force_oracle(self):
+        rng = np.random.default_rng(4)
+        for n, m in ((1, 5), (30, 17), (200, 150)):
+            a, b = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+            d2 = cdist(a, b, "sqeuclidean")
+            want = d2.min(axis=1).mean() + d2.min(axis=0).mean()
+            assert chamfer(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestIou3d:

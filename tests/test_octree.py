@@ -7,6 +7,7 @@ from radiant.errors import RadiantError
 from radiant.fields import BoxSdf, SdfField, SphereSdf, UnionSdf
 from radiant.metrics import chamfer
 from radiant.octree import (
+    ExtractionStats,
     LodConfig,
     SurfaceSamples,
     dense_extract,
@@ -154,6 +155,56 @@ class TestProjectToSurface:
         assert np.count_nonzero(out.residuals) > 0
 
 
+def same_samples(a: SurfaceSamples, b: SurfaceSamples) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in
+               zip(samples_to_arrays(a), samples_to_arrays(b)))
+
+
+class TestTraversalValuesReused:
+    """Projection takes its first step's SDF values from the final traversal
+    level; the samples are bit for bit those of evaluating the centers again."""
+
+    @pytest.mark.parametrize("field", [SPHERE, BOX, UNION], ids=["sphere", "box", "union"])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("literal", [False, True], ids=["shell", "literal"])
+    def test_extract_equals_fresh_projection(self, monkeypatch, field, iterations, literal):
+        calls = []
+        real = radiant.octree.project_to_surface
+
+        def spy(f, points, **kw):
+            calls.append((points, kw))
+            return real(f, points, **kw)
+
+        monkeypatch.setattr(radiant.octree, "project_to_surface", spy)
+        cfg = LodConfig(3, 5, literal_occupancy=literal, projection_iterations=iterations)
+        samples, _ = extract_surface(field, cfg)
+        [(centers, kw)] = calls
+        assert kw["values"].tobytes() == field.eval(centers).tobytes()
+        fresh = real(field, centers, iterations=iterations, h=kw["h"])
+        assert len(samples) > 0 and same_samples(samples, fresh)
+
+    def test_dense_extract_equals_fresh_projection(self):
+        res, band = 24, 0.05
+        ax = -1 + (np.arange(res) + 0.5) * (2 / res)
+        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        kept = pts[np.abs(UNION.eval(pts)) <= band]
+        fresh = project_to_surface(UNION, kept, h=(2 / res) / 4.0)
+        assert same_samples(dense_extract(UNION, res, band), fresh)
+
+    def test_values_count_as_no_evals(self):
+        pts = np.random.default_rng(8).uniform(-0.9, 0.9, size=(50, 3))
+        counting = CountingSdf(BOX)
+        stats = ExtractionStats()
+        out = project_to_surface(counting, pts, iterations=2, stats=stats,
+                                 values=BOX.eval(pts))
+        assert stats.projection_evals == counting.points == (6 + 7 + 7) * len(out)
+        assert same_samples(out, project_to_surface(BOX, pts, iterations=2))
+
+    def test_values_shape_checked(self):
+        with pytest.raises(ValueError, match="values"):
+            project_to_surface(SPHERE, np.zeros((4, 3)), values=np.zeros(3))
+
+
 class TestHonestStats:
     @pytest.mark.parametrize("field", [SPHERE, UNION], ids=["sphere", "union"])
     @pytest.mark.parametrize("iterations", [1, 2])
@@ -164,7 +215,9 @@ class TestHonestStats:
         assert stats.total_sdf_evals == sum(stats.evals_per_level.values())
         assert stats.total_sdf_evals + stats.projection_evals == counting.points
         # the value and six gradient taps per point of each projection step
-        assert stats.projection_evals >= 7 * (iterations + 1) * len(samples)
+        # and of the result, less the first step's value, which the traversal
+        # already computed
+        assert stats.projection_evals >= (7 * (iterations + 1) - 1) * len(samples)
 
     def test_no_surface_has_no_projection(self):
         counting = CountingSdf(FarAwaySdf())
