@@ -289,7 +289,8 @@ def _parse_axis(text: str) -> np.ndarray:
         axis = np.array([float(t) for t in text.split(",")])
     except ValueError:
         axis = np.zeros(0)
-    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-6:
+    # written so that a NaN norm (any NaN component) fails the test too
+    if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-6:
         raise ValueError(f"--symmetry-axis {text!r}: expected a unit 3-vector x,y,z")
     return axis
 

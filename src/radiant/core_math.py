@@ -49,12 +49,15 @@ def uniform_stream(seeds, n: int) -> np.ndarray:
     return (splitmix64_stream(seeds, n) >> np.uint64(11)) * 2.0**-53
 
 
+# as_vec3 and check_rotation run once per record read from a file, so they
+# test Python floats: math.isfinite over a few values costs less than one
+# np.isfinite call.
 def as_vec3(v) -> np.ndarray:
     """Coerce to a finite float64 3-vector."""
     out = np.asarray(v, dtype=np.float64)
     if out.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not all(map(math.isfinite, out.tolist())):
         raise ValueError("vector components must be finite")
     return out
 
@@ -70,11 +73,18 @@ def check_rotation(m, tol: float = 1e-6) -> np.ndarray:
     r = np.asarray(m, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    if not np.isfinite(r).all():
+    vals = r.ravel().tolist()
+    if not all(map(math.isfinite, vals)):
         raise ValueError("matrix has non-finite entries")
-    if np.abs(r.T @ r - np.eye(3)).max() > tol:
+    a, b, c, d, e, f, g, h, i = vals
+    # the entries of R^T R - I: dot products of the columns (a d g), (b e h), (c f i)
+    gram = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+            c * c + f * f + i * i - 1.0, a * b + d * e + g * h,
+            a * c + d * f + g * i, b * c + e * f + h * i)
+    if max(map(abs, gram)) > tol:
         raise ValueError("matrix columns are not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > tol:
         raise ValueError("matrix determinant is not +1")
     return r
 

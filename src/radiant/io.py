@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -287,7 +288,7 @@ def read_key(d, key: str, where: str, convert=None, default=_REQUIRED):
         return d[key]
     try:
         return convert(d[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FileFormatError(f"{where}: bad {key!r}: {e}") from None
 
 
@@ -308,30 +309,39 @@ def json_int(v) -> int:
     return int(v)
 
 
-def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64)
-
-
 # NaN and Infinity parse as JSON numbers; a NaN box would prune nothing.
-# math.isfinite over a few values costs less than one np.isfinite call.
+# Bools and strings are refused, though float() takes them. The checks run
+# once per record, so they test Python values: math.isfinite over a few
+# values costs less than one np.isfinite call.
+_NUMBER = frozenset((int, float))
+
+
 def json_float(v) -> float:
     """read_key convert for a value that must be a finite JSON number."""
-    v = float(v)
+    if type(v) not in _NUMBER:
+        raise TypeError(f"expected a number, got {type(v).__name__}")
     if not math.isfinite(v):
         raise ValueError("non-finite value")
-    return v
+    return float(v)
 
 
 def json_floats(v) -> np.ndarray:
-    """read_key convert for an array of finite JSON numbers."""
-    a = _floats(v)
-    if not all(map(math.isfinite, a.ravel().tolist())):
+    """read_key convert for a finite JSON number or a list of them nested to
+    any depth, as a float64 array."""
+    items, kinds = [v], {type(v)}
+    while kinds == {list}:  # one nesting level per pass
+        items = list(chain.from_iterable(items))
+        kinds = set(map(type, items))
+    if not kinds <= _NUMBER:
+        names = ", ".join(sorted(k.__name__ for k in kinds - _NUMBER))
+        raise TypeError(f"expected numbers, got {names}")
+    if not all(map(math.isfinite, items)):
         raise ValueError("non-finite value")
-    return a
+    return np.array(v, dtype=np.float64)
 
 
 def _rotation(v) -> np.ndarray:
-    return _floats(v).reshape(3, 3)
+    return json_floats(v).reshape(3, 3)
 
 
 def box_to_json(b: OrientedBox3) -> dict:

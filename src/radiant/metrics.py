@@ -43,7 +43,7 @@ class OrientedBox3:
     def __post_init__(self):
         self.center = as_vec3(self.center)
         self.size = as_vec3(self.size)
-        if not np.all(self.size > 0):
+        if not min(self.size.tolist()) > 0:
             raise ValueError("box size must be positive")
         if not (-math.pi < self.yaw <= math.pi):
             self.yaw = math.atan2(math.sin(self.yaw), math.cos(self.yaw))
@@ -148,38 +148,42 @@ def _polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
 
 
-def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman step: clip poly against the half-plane left of a->b."""
-    if len(poly) == 0:
-        return poly
-    edge = b - a
-    rel = poly - a
-    side = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]  # >= 0: inside (CCW clip)
+def _clip_polygon(poly: list, a: Sequence[float], b: Sequence[float]) -> list:
+    """Sutherland-Hodgman step: clip poly, a list of (x, y) float pairs,
+    against the half-plane left of a->b. Python floats round each operation
+    as numpy's elementwise float64 ops do, and cost less on a 4-gon."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    side = [ex * (y - ay) - ey * (x - ax) for x, y in poly]  # >= 0: inside (CCW clip)
     out = []
     n = len(poly)
     for i in range(n):
         j = (i + 1) % n
-        pi, pj = poly[i], poly[j]
+        (xi, yi), (xj, yj) = poly[i], poly[j]
         si, sj = side[i], side[j]
         if si >= 0:
-            out.append(pi)
+            out.append((xi, yi))
         if (si >= 0) != (sj >= 0):
             t = si / (si - sj)
-            out.append(pi + t * (pj - pi))
-    return np.array(out) if out else np.zeros((0, 2))
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+    return out
 
 
 def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
-    """Exact IoU of two yaw boxes: polygon clipping in xy times z overlap."""
-    poly = a.corners2d()
-    clip = b.corners2d()
+    """Exact IoU of two yaw boxes: polygon clipping in xy times z overlap.
+
+    The corners (a matrix product) and the area (np.dot) stay numpy calls:
+    their rounding defines the result's bits."""
+    poly = a.corners2d().tolist()
+    clip = b.corners2d().tolist()
     for i in range(4):
         poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 4])
-        if len(poly) == 0:
+        if not poly:
             break
-    inter_xy = _polygon_area(poly)
-    z_lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
-    z_hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
+    inter_xy = _polygon_area(np.array(poly))
+    za, sa, zb, sb = float(a.center[2]), float(a.size[2]), float(b.center[2]), float(b.size[2])
+    z_lo = max(za - sa / 2.0, zb - sb / 2.0)
+    z_hi = min(za + sa / 2.0, zb + sb / 2.0)
     inter = inter_xy * max(0.0, z_hi - z_lo)
     union = a.volume + b.volume - inter
     return inter / union if union > 0 else 0.0
@@ -474,25 +478,33 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
     (n + 1, m + 1) table a diagonal is a slice with step m, and its up, left
     and up-left neighbours are the same slice shifted.
     """
+    if a.ndim != 2 or a.shape[1:] != b.shape[1:]:
+        raise DimsMismatch(f"paths of points {a.shape} and {b.shape}")
     n, m = len(a), len(b)
     w = m + 1
     dists = np.zeros((n + 1, w))
-    dists[1:, 1:] = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    # the squared coordinate differences summed left to right, as
+    # np.linalg.norm(a[:, None] - b[None], axis=-1) sums them
+    sq, diff = dists[1:, 1:], np.empty((n, m))
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        sq += diff
+    np.sqrt(sq, out=sq)
     dists = dists.ravel()
     cost = np.full((n + 1) * w, np.inf)
     cost[0] = 0.0
+    buf = np.empty(min(n, m))
     for k in range(2, n + m + 1) if n and m else ():
         i0, i1 = max(1, k - m), min(n, k - 1)
         first, last = i0 * w + k - i0, i1 * w + k - i1
         cells = slice(first, last + 1, m)
-        up = cost[first - w : last - w + 1 : m]
-        left = cost[first - 1 : last : m]
-        diag = cost[first - w - 1 : last - w : m]
-        # min(up, left, diag) with Python's min rule: a later value replaces
-        # the running minimum only when strictly smaller
-        best = np.where(left < up, left, up)
-        best = np.where(diag < best, diag, best)
-        cost[cells] = dists[cells] + best
+        best = buf[: i1 - i0 + 1]
+        # min(up, left, diag): ties are equal values, no cost is -0 or NaN,
+        # so which one np.minimum keeps does not change the bits
+        np.minimum(cost[first - 1 : last : m], cost[first - w : last - w + 1 : m], out=best)
+        np.minimum(cost[first - w - 1 : last - w : m], best, out=best)
+        np.add(dists[cells], best, out=cost[cells])
     return float(cost[-1])
 
 

@@ -90,12 +90,22 @@ def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray, 
     return samples.positions, samples.normals, samples.residuals
 
 
+# (shift, mask) steps that move bit b of a 12-bit index to bit 3b: each
+# step halves the bit groups the previous one left (8 + 4, then 4, 2, 1 bits)
+_SPREAD3 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
+    (16, 0x0F0000FF), (8, 0x0F00F00F), (4, 0xC30C30C3), (2, 0x249249249)))
+
+
 def _morton3(idx: np.ndarray) -> np.ndarray:
-    """Interleave the bits of (N,3) integer cell indices (<= 12 bits each)."""
+    """Interleave the bits of (N,3) integer cell indices (<= 12 bits each):
+    bit b of axis k goes to bit 3b + k of the code."""
     codes = np.zeros(idx.shape[0], dtype=np.uint64)
-    for bit in range(12):
-        for axis in range(3):
-            codes |= ((idx[:, axis].astype(np.uint64) >> bit) & 1) << (3 * bit + axis)
+    for axis in range(3):
+        v = idx[:, axis].astype(np.uint64)
+        for shift, mask in _SPREAD3:
+            v |= v << shift
+            v &= mask
+        codes |= v << np.uint64(axis)
     return codes
 
 

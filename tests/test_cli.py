@@ -462,6 +462,34 @@ class TestEvalInputErrors:
         assert self.run_eval(tmp_path, "eval-pose", pred, {"boxes": []}) == 3
         assert_format_error(capsys, tmp_path / "gt.json", "poses")
 
+    @pytest.mark.parametrize("key,value", [
+        ("center", ["0.1", 0, 0]), ("size", [1, 1, True]), ("yaw", False), ("score", True),
+        ("score", "0.9"), ("center", [0, None, 0]), ("size", [1, 1, 10**400]),
+    ])
+    def test_detect_box_field_not_a_number(self, tmp_path, capsys, key, value):
+        # float() takes these (a bool as 0 or 1); a JSON number is required
+        pred = {"boxes": [dict(BOX, score=0.9), {**BOX, "score": 0.5, key: value}]}
+        assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
+        assert "boxes[1]" in assert_format_error(capsys, tmp_path / "pred.json", key)
+
+    @pytest.mark.parametrize("key,value", [
+        ("rotation", ["1", 0, 0, 0, 1, 0, 0, 0, 1]), ("rotation", [1, 0, 0, 0, 1, 0, 0, 0, True]),
+        ("rotation", [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]), ("translation", [0, "0", 0]),
+        ("scale", True), ("scale", "1"),
+    ])
+    def test_pose_record_field_not_a_number(self, tmp_path, capsys, key, value):
+        gt = {"poses": [POSE, {**POSE, key: value}]}
+        assert self.run_eval(tmp_path, "eval-pose", {"poses": [dict(POSE, score=0.9)]}, gt) == 3
+        assert "poses[1]" in assert_format_error(capsys, tmp_path / "gt.json", key)
+
+    @pytest.mark.parametrize("key,value", [
+        ("positions", [[0, 0, 0], [1, False, 0]]), ("goal", ["1", 0, 0]),
+        ("success_threshold", True),
+    ])
+    def test_trajectory_field_not_a_number(self, tmp_path, capsys, key, value):
+        assert self.run_eval(tmp_path, "eval-nav", {"trajectory": {**TRAJ, key: value}}) == 3
+        assert_format_error(capsys, tmp_path / "pred.json", key)
+
     @pytest.mark.parametrize("key", ["positions", "reference", "goal"])
     def test_trajectory_missing_key(self, tmp_path, capsys, key):
         assert self.run_eval(tmp_path, "eval-nav", {"trajectory": without(TRAJ, key)}) == 3
@@ -582,6 +610,7 @@ class TestEvalFlags:
         ("--pose-thresholds", "5"), ("--pose-thresholds", "5:x"),
         ("--pose-thresholds", "5:0"), ("--symmetry-axis", "0,2,0"),
         ("--symmetry-axis", "0,1"), ("--symmetry-axis", "a,b,c"),
+        ("--symmetry-axis", "nan,0,0"), ("--symmetry-axis", "0,1,nan"),
     ])
     def test_bad_pose_flags(self, tmp_path, capsys, flag, value):
         # no prediction is of a symmetric class: the axis is still checked

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 import radiant.metrics
 from radiant.core_math import rotation_about, skew
-from radiant.errors import EmptyPath, EmptySet, LabelOutOfRange
+from radiant.errors import DimsMismatch, EmptyPath, EmptySet, LabelOutOfRange
 from radiant.metrics import (
     OrientedBox3,
     PoseRecord,
@@ -535,6 +535,13 @@ class TestNavMetrics:
         # optimal alignment: (0,0), (1,1), (2,1): cost 0 + 1 + 0
         assert dtw_distance(a, b) == pytest.approx(1.0)
 
+    def test_dtw_refuses_mismatched_point_dims(self):
+        # a broadcast of (n, 1) against (m, 3) points is not a distance
+        with pytest.raises(DimsMismatch):
+            dtw_distance(np.zeros((4, 1)), np.zeros((3, 3)))
+        with pytest.raises(DimsMismatch):
+            dtw_distance(np.zeros(4), np.zeros(4))
+
     def test_empty_path_rejected(self):
         with pytest.raises(EmptyPath):
             Trajectory(np.zeros((0, 3)), np.zeros((1, 3)), goal=(0, 0, 0))
@@ -809,12 +816,33 @@ class TestOnePassAgainstOracles:
                 pose_ap(preds, gts, [(5, 5), bad])
 
 
+def oracle_clip_polygon(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman step: clip poly against the half-plane left of a->b."""
+    if len(poly) == 0:
+        return poly
+    edge = b - a
+    rel = poly - a
+    side = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]  # >= 0: inside (CCW clip)
+    out = []
+    n = len(poly)
+    for i in range(n):
+        j = (i + 1) % n
+        pi, pj = poly[i], poly[j]
+        si, sj = side[i], side[j]
+        if si >= 0:
+            out.append(pi)
+        if (si >= 0) != (sj >= 0):
+            t = si / (si - sj)
+            out.append(pi + t * (pj - pi))
+    return np.array(out) if out else np.zeros((0, 2))
+
+
 def oracle_iou3d(a, b):
     """iou3d with the polygon area through np.roll and the volumes through
-    np.prod, as it was first written."""
+    np.prod, as it was first written, and the clip on numpy arrays."""
     poly, clip = a.corners2d(), b.corners2d()
     for i in range(4):
-        poly = radiant.metrics._clip_polygon(poly, clip[i], clip[(i + 1) % 4])
+        poly = oracle_clip_polygon(poly, clip[i], clip[(i + 1) % 4])
         if len(poly) == 0:
             break
     inter_xy = 0.0
@@ -838,3 +866,42 @@ def test_iou3d_bit_identical_to_roll_and_prod_formula():
         assert v == oracle_iou3d(a, b)
         nonzero += v > 0.0
     assert nonzero >= 1000
+
+
+def touching_pairs(rng, n):
+    """Box pairs whose footprints meet on their boundaries, where the clip's
+    side tests land on 0: corners touching at the tangent of the footprint
+    circles, edges shared exactly (axis-aligned, dyadic sizes) or up to
+    rounding (a common yaw), and identical footprints."""
+    for i in range(n):
+        sa, sb = rng.uniform(0.3, 3.0, 3), rng.uniform(0.3, 3.0, 3)
+        yaw = rng.uniform(-math.pi, math.pi)
+        kind = i % 4
+        if kind == 0:
+            reach = 0.5 * (math.hypot(sa[0], sa[1]) + math.hypot(sb[0], sb[1]))
+            yield corner_to_corner([0.0, 0.0, 0.0], sa, sb, yaw, reach)
+        elif kind == 1:
+            sa, sb = rng.integers(1, 12, 3) / 4.0, rng.integers(1, 12, 3) / 4.0
+            shift = [(sa[0] + sb[0]) / 2.0, rng.integers(-4, 5) / 8.0, 0.0]
+            yield OrientedBox3([0.0, 0.0, 0.0], sa), OrientedBox3(shift, sb)
+        elif kind == 2:
+            d = (sa[0] + sb[0]) / 2.0
+            cb = [d * math.cos(yaw), d * math.sin(yaw), 0.0]
+            yield OrientedBox3([0.0, 0.0, 0.0], sa, yaw=yaw), OrientedBox3(cb, sb, yaw=yaw)
+        else:
+            yield (OrientedBox3([0.0, 0.0, 0.0], sa, yaw=yaw),
+                   OrientedBox3([0.0, 0.0, 0.5], [sa[0], sa[1], sb[2]], yaw=yaw))
+
+
+def test_iou3d_bit_identical_to_numpy_clip():
+    """iou3d clips in Python floats; on random pairs (the recipe above) and
+    on touching ones every IoU equals the numpy clip's bit for bit."""
+    rng = np.random.default_rng(31)
+    pairs = [tuple(OrientedBox3(rng.uniform(-1, 1, 3), rng.uniform(0.2, 2.5, 3),
+                                yaw=rng.uniform(-math.pi, math.pi)) for _ in range(2))
+             for _ in range(20000)]
+    pairs += touching_pairs(np.random.default_rng(32), 2000)
+    values = [iou3d(a, b) for a, b in pairs]
+    assert values == [oracle_iou3d(a, b) for a, b in pairs]
+    touching = values[20000:]
+    assert sum(v > 0.0 for v in touching) >= 500 and sum(v == 0.0 for v in touching) >= 200

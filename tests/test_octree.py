@@ -272,3 +272,30 @@ class TestOracleEquivalence:
         pos, _, _ = samples_to_arrays(samples)
         vals = np.abs(UNION.eval(pos))
         assert vals.max() <= 1e-3 * LodConfig().bounds.diagonal
+
+
+def oracle_morton3(idx):
+    """Bit-by-bit interleave: bit b of axis k to bit 3b + k."""
+    codes = np.zeros(idx.shape[0], dtype=np.uint64)
+    for bit in range(12):
+        for axis in range(3):
+            codes |= ((idx[:, axis].astype(np.uint64) >> bit) & 1) << (3 * bit + axis)
+    return codes
+
+
+class TestMorton3:
+    def test_every_12_bit_value_on_each_axis(self):
+        # 0 and 4095 (all bits set) included, the others 0 or all ones
+        v = np.arange(4096)
+        for axis in range(3):
+            for other in (0, 4095):
+                idx = np.full((4096, 3), other)
+                idx[:, axis] = v
+                assert np.array_equal(radiant.octree._morton3(idx), oracle_morton3(idx))
+
+    def test_random_indices(self):
+        idx = np.random.default_rng(5).integers(0, 4096, size=(50000, 3))
+        idx[:4] = [[0, 0, 0], [4095, 4095, 4095], [4095, 0, 4095], [0, 4095, 0]]
+        codes = radiant.octree._morton3(idx)
+        assert np.array_equal(codes, oracle_morton3(idx))
+        assert codes[1] == 2**36 - 1
