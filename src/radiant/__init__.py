@@ -9,7 +9,7 @@ Library modules:
   masking     3D patch masking and masked-reconstruction objectives
   projmaps    semantic maps, center heatmaps, feature lifting, triplanes
   metrics     Chamfer / IoU / AP / pose / voxel / navigation metrics
-  io          NFVG, PLY, PPM and JSON formats
+  io          NFVG, PLY, PPM and JSON formats, field and shape specs
   cli         `radiant` command-line front end
 """
 
@@ -32,12 +32,12 @@ from .fields import (
     RadianceField,
     SdfField,
     grid_field_eval,
-    make_analytic_sdf,
     make_constant_field,
     sdf_normal,
 )
 from .grids import VoxelGrid4D
 from .gridsample import compute_scene_bounds, resample_grid, sample_grid
+from .io import make_analytic_sdf
 from .masking import (
     PatchMask,
     apply_mask,

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import io
 from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
-from .errors import FileFormatError, RadiantError
-from .fields import field_from_spec, make_analytic_sdf
+from .errors import RadiantError
+from .fields import ConstantField
 from .gridsample import AXIS_DIRECTIONS, sample_grid
 from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
@@ -96,19 +96,8 @@ def _parse_bounds(text: str) -> Aabb:
 
 
 def _load_spec(arg: str, presets: dict) -> dict:
-    """Resolve a preset name or a JSON file path into a spec dict."""
-    if arg in presets:
-        return json.loads(json.dumps(presets[arg]))
-    _require_inputs(arg)
-    with open(arg) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{arg}: {e}") from None
-    if not isinstance(spec, dict):
-        raise FileFormatError(f"{arg}: top-level JSON value is a {type(spec).__name__}, "
-                              "expected an object")
-    return spec
+    """The spec of a preset name, or the JSON object in the file arg names."""
+    return presets[arg] if arg in presets else io.load_versioned_json(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +106,8 @@ def _load_spec(arg: str, presets: dict) -> dict:
 
 def _cmd_voxelize(args) -> None:
     spec = _load_spec(args.field, FIELD_PRESETS)
-    if spec.get("type") == "grid":
-        _require_inputs(io.read_key(spec, "path", args.field, str))
     out = _prepare_output(args.out, args.force)
-    field = field_from_spec(spec)
+    field = io.field_from_spec(spec, Path(), args.field)
     bounds = _parse_bounds(args.bounds)
     if args.cameras:
         _require_inputs(args.cameras)
@@ -141,7 +128,7 @@ def _cmd_extract_surface(args) -> None:
     out = _prepare_output(args.out, args.force)
     stats_path = _prepare_output(args.stats or out.with_suffix(out.suffix + ".stats.json"),
                                  args.force)
-    f = make_analytic_sdf(shape, args.shape)
+    f = io.make_analytic_sdf(shape, args.shape)
     cfg = LodConfig(
         lod_start=args.lod_start,
         lod_end=args.lod_end,
@@ -210,18 +197,12 @@ def _cmd_render(args) -> None:
 
     def build_field(key):
         spec = doc.get(key)
-        if spec is None:
-            return None
-        if io.read_key(spec, "type", f"{args.scene}: {key}", default=None) == "grid":
-            path = io.read_key(spec, "path", f"{args.scene}: {key}", str)
-            spec = {**spec, "path": str(scene_dir / path)}
-            _require_inputs(spec["path"])
-        return field_from_spec(spec)
+        return None if spec is None else io.field_from_spec(spec, scene_dir,
+                                                            f"{args.scene}: {key}")
 
-    near_field = build_field("near_field") or field_from_spec(
-        {"type": "constant", "color": [0, 0, 0], "sigma": 0.0})
-    far_field = build_field("far_field") or field_from_spec(
-        {"type": "constant", "color": [0, 0, 0], "sigma": 0.0})
+    empty = ConstantField((0, 0, 0), 0.0)
+    near_field = build_field("near_field") or empty
+    far_field = build_field("far_field") or empty
     object_field = build_field("object_field")
     boxes = [io.box_from_json(b, f"{args.scene}: boxes[{i}]")
              for i, b in enumerate(io.read_key(doc, "boxes", args.scene, io.json_list, []))]
@@ -379,7 +360,7 @@ def _cmd_eval_nav(args) -> None:
 def _cmd_bench_octree(args) -> None:
     out = _prepare_output(args.out, args.force)
     shape = _load_spec(args.shape, SDF_PRESETS)
-    f = make_analytic_sdf(shape, args.shape)
+    f = io.make_analytic_sdf(shape, args.shape)
     rows = []
     for res in (40, 50, 60):
         t0 = time.perf_counter()

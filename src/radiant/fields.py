@@ -2,7 +2,8 @@
 
 Analytic shapes stand in for learned SDF networks so that extraction and
 rendering can be checked against exact surfaces. All eval methods are
-vectorized over a leading batch of points.
+vectorized over a leading batch of points. JSON specs are read into these
+classes by io.field_from_spec and io.make_analytic_sdf.
 """
 
 from __future__ import annotations
@@ -112,31 +113,6 @@ class UnionSdf(SdfField):
         for c in self.children[1:]:
             out = np.minimum(out, c.eval(pts))
         return out
-
-
-def make_analytic_sdf(shape: dict, where: str = "shape") -> SdfField:
-    """Build an analytic SDF from a plain dict description.
-
-    Accepted forms:
-      {"type": "sphere", "center": [x,y,z], "radius": r}
-      {"type": "box", "center": [x,y,z], "half_extents": [hx,hy,hz]}
-      {"type": "union", "shapes": [ ... ]}
-
-    where names the description in errors ("shape.json: shapes[1]"): a part
-    that is not an object or a missing required key raises FileFormatError.
-    """
-    from .io import json_list, read_key
-
-    kind = read_key(shape, "type", where, default=None)
-    if kind == "sphere":
-        return SphereSdf(shape.get("center", (0, 0, 0)), read_key(shape, "radius", where))
-    if kind == "box":
-        return BoxSdf(shape.get("center", (0, 0, 0)), read_key(shape, "half_extents", where))
-    if kind == "union":
-        shapes = read_key(shape, "shapes", where, json_list, [])
-        return UnionSdf([make_analytic_sdf(s, f"{where}: shapes[{i}]")
-                         for i, s in enumerate(shapes)])
-    raise ValueError(f"unknown shape type {kind!r}")
 
 
 def sdf_gradients(f: SdfField, pts, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,36 +268,3 @@ def grid_field_eval(g: GridField, x, d) -> tuple[np.ndarray, float]:
     """Single-point GridField query: (rgb, sigma); direction is ignored."""
     colors, sigmas = g.eval(as_vec3(x), d)
     return colors[0], float(sigmas[0])
-
-
-def field_from_spec(spec: dict) -> RadianceField:
-    """Build a radiance field from a plain dict description.
-
-    Accepted forms:
-      {"type": "constant", "color": [r,g,b], "sigma": s}
-      {"type": "gaussian", "color", "amplitude", "center", "scale"}
-      {"type": "ball", "color", "sigma", "center", "radius"}
-      {"type": "grid", "path": "grid.nfvg"}   (resolved by the caller via io)
-    """
-    kind = spec.get("type")
-    if kind == "constant":
-        return ConstantField(spec.get("color", (1, 1, 1)), spec.get("sigma", 0.0))
-    if kind == "gaussian":
-        return GaussianBlobField(
-            spec.get("color", (1, 1, 1)),
-            spec.get("amplitude", 20.0),
-            spec.get("center", (0, 0, 0)),
-            spec.get("scale", 0.25),
-        )
-    if kind == "ball":
-        return BallField(
-            spec.get("color", (1, 1, 1)),
-            spec.get("sigma", 40.0),
-            spec.get("center", (0, 0, 0)),
-            spec.get("radius", 0.5),
-        )
-    if kind == "grid":
-        from .io import read_nfvg
-
-        return GridField(read_nfvg(spec["path"]))
-    raise ValueError(f"unknown field type {kind!r}")

@@ -64,15 +64,17 @@ def sample_grid(
     directions,
     delta: float = ALPHA_DELTA,
 ) -> VoxelGrid4D:
-    """Average (r, g, b, alpha) over the direction set at every voxel center.
+    """Average (r, g, b, alpha) over the direction set, an (N >= 1, 3) array
+    of view directions, at every voxel center.
 
     Voxels are processed in chunks so default-size grids (160^3 x several
     directions) stay within a few hundred MB; chunking does not change the
     output (each voxel is independent).
     """
-    directions = normalize(np.atleast_2d(np.asarray(directions, dtype=np.float64)))
-    if directions.shape[0] < 1:
-        raise ValueError("need at least one direction")
+    directions = np.asarray(directions, dtype=np.float64)
+    if directions.ndim != 2 or directions.shape[0] < 1 or directions.shape[1] != 3:
+        raise ValueError(f"need (N >= 1, 3) directions, got shape {directions.shape}")
+    directions = normalize(directions)
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = VoxelGrid4D.zeros(dims, 4, bounds)

@@ -1,5 +1,6 @@
 """File formats: NFVG binary voxel grids, ASCII PLY point clouds, PPM
-images, and the JSON schemas for cameras, boxes, poses and trajectories.
+images, and the JSON schemas for cameras, boxes, poses, trajectories, and
+radiance-field and SDF shape specs.
 
 NFVG layout (little-endian): magic "NFVG", u32 version=1, u32 X, Y, Z,
 u32 channels, 6 x f64 bounds (min xyz, max xyz), then X*Y*Z*channels f32
@@ -18,6 +19,8 @@ import numpy as np
 
 from .core_math import Aabb, Intrinsics, Pose
 from .errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
+from .fields import (BallField, BoxSdf, ConstantField, GaussianBlobField, GridField,
+                     RadianceField, SdfField, SphereSdf, UnionSdf)
 from .grids import VoxelGrid4D
 from .metrics import OrientedBox3, PoseRecord, Trajectory
 from .octree import SurfaceSamples
@@ -397,10 +400,75 @@ def trajectory_from_json(d: dict, where: str = "trajectory") -> Trajectory:
     )
 
 
+def make_analytic_sdf(shape: dict, where: str = "shape") -> SdfField:
+    """Build an analytic SDF from a shape spec.
+
+    Accepted forms:
+      {"type": "sphere", "center": [x,y,z], "radius": r}
+      {"type": "box", "center": [x,y,z], "half_extents": [hx,hy,hz]}
+      {"type": "union", "shapes": [ ... ]}
+
+    where names the spec in errors ("shape.json: shapes[1]"): a part that is
+    not an object, a missing required key, a value that is not a finite JSON
+    number (or list of them) and an unknown type raise FileFormatError.
+    """
+    kind = read_key(shape, "type", where, str)
+    if kind == "sphere":
+        return SphereSdf(read_key(shape, "center", where, json_floats, (0, 0, 0)),
+                         read_key(shape, "radius", where, json_float))
+    if kind == "box":
+        return BoxSdf(read_key(shape, "center", where, json_floats, (0, 0, 0)),
+                      read_key(shape, "half_extents", where, json_floats))
+    if kind == "union":
+        shapes = read_key(shape, "shapes", where, json_list, [])
+        return UnionSdf([make_analytic_sdf(s, f"{where}: shapes[{i}]")
+                         for i, s in enumerate(shapes)])
+    raise FileFormatError(f"{where}: bad 'type': unknown shape type {kind!r}")
+
+
+def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField:
+    """Build a radiance field from a field spec.
+
+    Accepted forms (every key but type and path has a default):
+      {"type": "constant", "color": [r,g,b], "sigma": s}
+      {"type": "gaussian", "color", "amplitude", "center", "scale"}
+      {"type": "ball", "color", "sigma", "center", "radius"}
+      {"type": "grid", "path": "grid.nfvg"}
+
+    A grid path is read relative to base_dir (a scene's directory, or the
+    working directory for a spec given on the command line); an absolute
+    path is taken as it is. where names the spec in errors, as for
+    make_analytic_sdf.
+    """
+    def key(name, convert, default):
+        return read_key(spec, name, where, convert, default)
+
+    kind = read_key(spec, "type", where, str)
+    if kind == "constant":
+        return ConstantField(key("color", json_floats, (1, 1, 1)), key("sigma", json_float, 0.0))
+    if kind == "gaussian":
+        return GaussianBlobField(key("color", json_floats, (1, 1, 1)),
+                                 key("amplitude", json_float, 20.0),
+                                 key("center", json_floats, (0, 0, 0)),
+                                 key("scale", json_float, 0.25))
+    if kind == "ball":
+        return BallField(key("color", json_floats, (1, 1, 1)),
+                         key("sigma", json_float, 40.0),
+                         key("center", json_floats, (0, 0, 0)),
+                         key("radius", json_float, 0.5))
+    if kind == "grid":
+        return GridField(read_nfvg(Path(base_dir) / read_key(spec, "path", where, str)))
+    raise FileFormatError(f"{where}: bad 'type': unknown field type {kind!r}")
+
+
 def load_versioned_json(path) -> dict:
-    """Read a JSON object and reject unknown format versions."""
+    """Read a JSON object and reject unknown format versions. Text that is
+    not JSON raises FileFormatError naming the path."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # a JSON syntax error or undecodable bytes
+            raise FileFormatError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(
             f"{path}: top-level JSON value is a {type(doc).__name__}, expected an object")

@@ -231,31 +231,16 @@ def collapse_to_triplanes(v: FeatureVolume) -> TriplaneSet:
     )
 
 
-def _bilerp_plane(plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na, nb = plane.shape[:2]
-    a = np.clip(a, 0.0, na - 1.0)
-    b = np.clip(b, 0.0, nb - 1.0)
-    a0 = np.minimum(np.floor(a).astype(np.int64), max(na - 2, 0))
-    b0 = np.minimum(np.floor(b).astype(np.int64), max(nb - 2, 0))
-    a1 = np.minimum(a0 + 1, na - 1)
-    b1 = np.minimum(b0 + 1, nb - 1)
-    fa = (a - a0)[..., None]
-    fb = (b - b0)[..., None]
-    lo = plane[a0, b0] * (1 - fa) + plane[a1, b0] * fa
-    hi = plane[a0, b1] * (1 - fa) + plane[a1, b1] * fa
-    return lo * (1 - fb) + hi * fb
-
-
 def sample_triplane(s: TriplaneSet, x) -> np.ndarray:
     """Orthogonally project x into each plane, sample bilinearly, and
     concatenate in xy, xz, yz order. Points outside the bounds clamp."""
     x = as_vec3(x)
     cell = s.bounds.extent / np.array(s.dims, dtype=np.float64)
     cx, cy, cz = (x - s.bounds.min) / cell - 0.5
-    f_xy = _bilerp_plane(s.s_xy, np.array([cx]), np.array([cy]))[0]
-    f_xz = _bilerp_plane(s.s_xz, np.array([cx]), np.array([cz]))[0]
-    f_yz = _bilerp_plane(s.s_yz, np.array([cy]), np.array([cz]))[0]
-    return np.concatenate([f_xy, f_xz, f_yz])
+    # plane[i, j] is pixel (u, v) = (i, j) of the transposed plane
+    planes = ((s.s_xy, cx, cy), (s.s_xz, cx, cz), (s.s_yz, cy, cz))
+    return np.concatenate([bilinear_image(p.swapaxes(0, 1), [[u, v]])[0]
+                           for p, u, v in planes])
 
 
 def sample_image_feature(feature_map: np.ndarray, k: Intrinsics, pose: Pose, x) -> np.ndarray:

@@ -117,6 +117,15 @@ class TestVoxelizeRender:
                    "--cameras", tmp_path / "cams.json", "--out", out) == 0
         assert io.read_nfvg(out).dims == (4, 4, 4)
 
+    def test_voxelize_empty_camera_list(self, tmp_path, capsys):
+        (tmp_path / "cams.json").write_text(json.dumps({"cameras": []}))
+        out = tmp_path / "g.nfvg"
+        assert run("voxelize", "--field", "gaussian", "--dims", "4",
+                   "--cameras", tmp_path / "cams.json", "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and "directions" in err["message"]
+        assert not out.exists()
+
 
 class TestExtractSurface:
     def test_writes_ply_and_stats(self, tmp_path):
@@ -160,10 +169,15 @@ class TestExtractSurface:
          "shapes[1] is missing key 'half_extents'"),
         ({"type": "union", "shapes": {"type": "box"}}, "'shapes'"),
         ([{"type": "sphere", "radius": 0.5}], "is a list"),
-    ], ids=["no-radius", "union-box-no-half-extents", "shapes-not-a-list", "top-level-list"])
+        ({"type": "sphere", "radius": "0.5"}, "bad 'radius'"),
+        ({"type": "sphere", "radius": True}, "bad 'radius'"),
+        ({"type": "union", "shapes": [{"type": "cone"}]}, "shapes[0]: bad 'type'"),
+        ('{"type": "sphere", "radius": 0.5', "Expecting"),
+    ], ids=["no-radius", "union-box-no-half-extents", "shapes-not-a-list", "top-level-list",
+            "radius-string", "radius-bool", "unknown-type", "json-syntax"])
     def test_bad_shape_file_is_format_error(self, tmp_path, capsys, doc, names):
         shape = tmp_path / "shape.json"
-        shape.write_text(json.dumps(doc))
+        shape.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert run("extract-surface", "--shape", shape, "--lod-end", "4",
                    "--out", tmp_path / "b.ply") == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -242,8 +256,10 @@ class TestMalformedJson:
         ({"boxes": {"center": [0, 0, 0]}}, "bad 'boxes'"),
         ({"n_coarse": "x"}, "bad 'n_coarse'"),
         ({"far": [3.0]}, "bad 'far'"),
+        ({"far_field": {"type": "constant", "sigma": "4"}}, "far_field: bad 'sigma'"),
+        ({"object_field": {"type": "cone"}}, "object_field: bad 'type'"),
     ], ids=["near-field-list", "grid-no-path", "cameras-object", "boxes-object",
-            "n-coarse-string", "far-list"])
+            "n-coarse-string", "far-list", "far-field-sigma-string", "unknown-field-type"])
     def test_render_bad_scene_part(self, tmp_path, capsys, overrides, names):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(scene_doc(**overrides)))
@@ -256,7 +272,12 @@ class TestMalformedJson:
     @pytest.mark.parametrize("doc,names", [
         ({"type": "grid"}, "'path'"),
         ([{"type": "constant"}], "is a list"),
-    ], ids=["grid-no-path", "top-level-list"])
+        ({"type": "ball", "sigma": "40"}, "bad 'sigma'"),
+        ({"type": "ball", "color": [1, "0.6", True]}, "bad 'color'"),
+        ({"type": "ball", "radius": True}, "bad 'radius'"),
+        ({"type": "cone"}, "bad 'type'"),
+    ], ids=["grid-no-path", "top-level-list", "sigma-string", "color-string-and-bool",
+            "radius-bool", "unknown-type"])
     def test_voxelize_bad_field_file(self, tmp_path, capsys, doc, names):
         field = tmp_path / "field.json"
         field.write_text(json.dumps(doc))
@@ -449,6 +470,15 @@ class TestEvalInputErrors:
         pred = {"boxes": [dict(BOX, score=None)]}
         assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [BOX]}) == 3
         assert_format_error(capsys, tmp_path / "pred.json", "score")
+
+    def test_detect_json_syntax_error(self, tmp_path, capsys):
+        pred, gt, out = tmp_path / "pred.json", tmp_path / "gt.json", tmp_path / "r.json"
+        pred.write_text('{"boxes": [')
+        gt.write_text(json.dumps({"boxes": [BOX]}))
+        assert run("eval-detect", "--pred", pred, "--gt", gt, "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError" and str(pred) in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["rotation", "translation", "score"])
     def test_pose_record_missing_key(self, tmp_path, capsys, key):

@@ -12,11 +12,11 @@ from radiant.fields import (
     SphereSdf,
     UnionSdf,
     grid_field_eval,
-    make_analytic_sdf,
     make_constant_field,
     sdf_normal,
 )
 from radiant.grids import VoxelGrid4D, alpha_to_sigma
+from radiant.io import make_analytic_sdf
 
 
 class ConstantSdf(SdfField):

@@ -84,6 +84,14 @@ class TestSampleGrid:
         b = sample_grid(field, CUBE, (3, 3, 3), dirs[::-1], 0.01)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("dirs", [[], np.zeros((0, 3)), [(0, 1)], (0, 0, 1),
+                                      np.ones((2, 3, 1))],
+                             ids=["empty-list", "zero-rows", "two-columns", "one-vector",
+                                  "three-dims"])
+    def test_direction_set_must_be_n_by_3(self, dirs):
+        with pytest.raises(ValueError, match="directions"):
+            sample_grid(ConstantField((0, 0, 0), 1.0), CUBE, (2, 2, 2), dirs, 0.01)
+
     def test_alpha_monotone_in_sigma(self):
         lo = sample_grid(ConstantField((0, 0, 0), 5.0), CUBE, (2, 2, 2), [(0, 0, 1)], 0.01)
         hi = sample_grid(ConstantField((0, 0, 0), 9.0), CUBE, (2, 2, 2), [(0, 0, 1)], 0.01)
