@@ -283,15 +283,6 @@ def canonicalize_symmetric(r, axis) -> np.ndarray:
     return rotation_about(a, phi) @ r
 
 
-def geodesic_angle(r1, r2=None) -> float:
-    """Angle (radians) of r1 @ r2^T, or of r1 alone when r2 is None."""
-    m = np.asarray(r1, dtype=np.float64)
-    if r2 is not None:
-        m = m @ np.asarray(r2, dtype=np.float64).T
-    c = (np.trace(m) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 def sinusoidal_pe(x, n_freq: int) -> np.ndarray:
     """Fourier features: per component, [sin(2^k pi x), cos(2^k pi x)] for
     k = 0..n_freq-1, concatenated component-major."""

@@ -125,14 +125,28 @@ def sdf_gradients(f: SdfField, pts, h: float) -> tuple[np.ndarray, np.ndarray]:
     n = pts.shape[0]
     offsets = np.zeros((3, 3))
     np.fill_diagonal(offsets, h)
-    plus = f.eval((pts[:, None, :] + offsets).reshape(-1, 3)).reshape(n, 3)
-    minus = f.eval((pts[:, None, :] - offsets).reshape(-1, 3)).reshape(n, 3)
-    grad = (plus - minus) / (2.0 * h)
-    mag = np.linalg.norm(grad, axis=-1)
+    # taps[i] is pts moved along axis i, so each axis's difference comes back
+    # as one contiguous row of grad. One buffer serves the +h and then the -h
+    # taps (two would raise the peak memory of a surface job), so the +h
+    # values are copied out before it is refilled.
+    taps = np.empty((3, n, 3))
+    for i in range(3):
+        np.add(pts, offsets[i], out=taps[i])
+    grad = np.array(f.eval(taps.reshape(-1, 3)), dtype=np.float64).reshape(3, n)
+    for i in range(3):
+        np.subtract(pts, offsets[i], out=taps[i])
+    grad -= f.eval(taps.reshape(-1, 3)).reshape(3, n)
+    grad /= 2.0 * h
+    # the bits of np.linalg.norm(axis=-1), which sums a length-3 axis left
+    # to right
+    gx, gy, gz = grad
+    mag = gx * gx + gy * gy + gz * gz
+    np.sqrt(mag, out=mag)
     valid = mag >= 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
-        normals = np.where(valid[:, None], grad / mag[:, None], np.nan)
-    return normals, valid
+        grad /= mag
+    grad[:, ~valid] = np.nan
+    return np.ascontiguousarray(grad.T), valid
 
 
 def sdf_normal(f: SdfField, x, h: float = 1e-4) -> np.ndarray:

@@ -213,41 +213,8 @@ def semantic_map_to_grid(smap: SemanticMap) -> VoxelGrid4D:
     return VoxelGrid4D(smap.occupancy.astype(np.float64)[:, :, None, :], bounds)
 
 
-def grid_to_semantic_map(grid: VoxelGrid4D) -> SemanticMap:
-    x, y, z = grid.dims
-    if z != 1 or x != y or x % 2:
-        raise FileFormatError(f"not a semantic-map grid: dims {grid.dims}")
-    r = x // 2
-    cell_size = float(grid.bounds.extent[0]) / x
-    return SemanticMap(r, cell_size, grid.data[:, :, 0, :] != 0.0)
-
-
-def heatmap_to_grid(heatmap: np.ndarray) -> VoxelGrid4D:
-    """Encode an (H, W) heatmap as a single-channel grid with dims (H, W, 1)
-    and pixel-extent bounds."""
-    h = np.asarray(heatmap, dtype=np.float64)
-    rows, cols = h.shape
-    bounds = Aabb([0.0, 0.0, 0.0], [float(rows), float(cols), 1.0])
-    return VoxelGrid4D(h[:, :, None, None], bounds)
-
-
-def grid_to_heatmap(grid: VoxelGrid4D) -> np.ndarray:
-    x, y, z = grid.dims
-    if z != 1 or grid.channels != 1:
-        raise FileFormatError(f"not a heatmap grid: dims {grid.dims}, "
-                              f"channels {grid.channels}")
-    return grid.data[:, :, 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # JSON schemas
-
-
-def intrinsics_to_json(k: Intrinsics) -> dict:
-    return {
-        "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
-        "width": k.width, "height": k.height,
-    }
 
 
 def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
@@ -257,13 +224,6 @@ def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
         width=read_key(d, "width", where, json_int),
         height=read_key(d, "height", where, json_int),
     )
-
-
-def pose_to_json(p: Pose) -> dict:
-    return {
-        "rotation": [float(v) for v in p.rotation.reshape(-1)],  # row-major
-        "translation": [float(v) for v in p.translation],
-    }
 
 
 def pose_from_json(d: dict, where: str = "pose") -> Pose:
@@ -347,18 +307,6 @@ def _rotation(v) -> np.ndarray:
     return json_floats(v).reshape(3, 3)
 
 
-def box_to_json(b: OrientedBox3) -> dict:
-    out = {
-        "center": [float(v) for v in b.center],
-        "size": [float(v) for v in b.size],
-        "yaw": float(b.yaw),
-        "class": b.label,
-    }
-    if b.score is not None:
-        out["score"] = float(b.score)
-    return out
-
-
 def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
         center=read_key(d, "center", where, json_floats),
@@ -367,18 +315,6 @@ def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
         label=read_key(d, "class", where, str, ""),
         score=read_key(d, "score", where, json_float, None),
     )
-
-
-def pose_record_to_json(p: PoseRecord) -> dict:
-    out = {
-        "rotation": [float(v) for v in p.rotation.reshape(-1)],
-        "translation": [float(v) for v in p.translation],
-        "scale": float(p.scale),
-        "class": p.label,
-    }
-    if p.score is not None:
-        out["score"] = float(p.score)
-    return out
 
 
 def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
@@ -472,7 +408,7 @@ def load_versioned_json(path) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(
             f"{path}: top-level JSON value is a {type(doc).__name__}, expected an object")
-    version = doc.get("version", JSON_VERSION)
+    version = read_key(doc, "version", str(path), json_int, default=JSON_VERSION)
     if version != JSON_VERSION:
         raise BadVersion(f"{path}: unsupported JSON version {version}")
     return doc

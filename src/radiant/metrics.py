@@ -15,15 +15,33 @@ Definitions implemented here:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core_math import as_vec3, check_rotation, skew
 from .errors import DimsMismatch, EmptyPath, EmptySet, LabelOutOfRange
+
+# scipy.spatial takes ~0.3 s to import and only chamfer uses it, so it is
+# registered with importlib's LazyLoader: its code (and the scipy package's)
+# runs on the first attribute access. The spec is looked up on scipy's path,
+# which finds it without running scipy. A scipy.spatial imported earlier is
+# used as it is; a LazyLoader on its spec would run it a second time.
+_spatial = sys.modules.get("scipy.spatial")
+if _spatial is None:
+    _scipy = importlib.util.find_spec("scipy")
+    if _scipy is None:
+        raise ModuleNotFoundError("radiant needs scipy", name="scipy")
+    _spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.spatial", _scipy.submodule_search_locations)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _spatial = sys.modules["scipy.spatial"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_spatial)
 
 
 @dataclass
@@ -134,8 +152,8 @@ def chamfer(a, b) -> float:
         raise EmptySet("chamfer needs two nonempty point sets")
     # nearest distances do not depend on the tree's shape, and an unbalanced
     # (sliding-midpoint) tree builds faster than a median-split one
-    d_ab, _ = cKDTree(b, balanced_tree=False).query(a)
-    d_ba, _ = cKDTree(a, balanced_tree=False).query(b)
+    d_ab, _ = _spatial.cKDTree(b, balanced_tree=False).query(a)
+    d_ba, _ = _spatial.cKDTree(a, balanced_tree=False).query(b)
     return float(np.mean(d_ab**2) + np.mean(d_ba**2))
 
 

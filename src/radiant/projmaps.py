@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .core_math import Aabb, Intrinsics, MIN_DEPTH, Pose, as_vec3, backproject_pixels, project_point, project_points
 from .errors import DimsMismatch, LabelOutOfRange, OutOfBounds
@@ -110,21 +109,27 @@ def splat_heatmap(centers, sigmas, dims) -> np.ndarray:
 
 def detect_peaks(heatmap: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
     """3x3 non-maximum suppression: pixels equal to their neighborhood max
-    and strictly above the threshold.
+    and strictly above the threshold. Cells outside the map count as -inf.
 
     Within each 3x3 window, plateau ties keep the lexicographically smallest
     (u, v). Results are sorted by descending score (ties again by (u, v)).
+    A heatmap holding NaN raises ValueError: NaN has no place in an order,
+    so a NaN cell would make its neighborhood max undefined.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("threshold must lie in [0, 1]")
     h = np.asarray(heatmap, dtype=np.float64)
-    local_max = maximum_filter(h, size=3, mode="constant", cval=-np.inf)
+    if np.isnan(h).any():
+        raise ValueError("heatmap holds NaN")
+    rows, cols = h.shape
+    padded = np.pad(h, 1, constant_values=-np.inf)
+    # the 3x3 max, separably: over each 3-row window, then each 3-column one
+    rows_max = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    local_max = np.maximum(np.maximum(rows_max[:, :-2], rows_max[:, 1:-1]), rows_max[:, 2:])
     is_peak = (h == local_max) & (h > threshold)
 
     # kill plateau pixels that see an equal-valued, lexicographically smaller
     # (u, v) inside their window: offsets with du < 0, or du == 0 and dv < 0
-    rows, cols = h.shape
-    padded = np.pad(h, 1, constant_values=-np.inf)
     for du, dv in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
         neighbor = padded[1 + dv : 1 + dv + rows, 1 + du : 1 + du + cols]
         is_peak &= neighbor != h

@@ -173,8 +173,9 @@ class TestExtractSurface:
         ({"type": "sphere", "radius": True}, "bad 'radius'"),
         ({"type": "union", "shapes": [{"type": "cone"}]}, "shapes[0]: bad 'type'"),
         ('{"type": "sphere", "radius": 0.5', "Expecting"),
+        ({"type": "sphere", "radius": 0.5, "version": True}, "bad 'version'"),
     ], ids=["no-radius", "union-box-no-half-extents", "shapes-not-a-list", "top-level-list",
-            "radius-string", "radius-bool", "unknown-type", "json-syntax"])
+            "radius-string", "radius-bool", "unknown-type", "json-syntax", "version-bool"])
     def test_bad_shape_file_is_format_error(self, tmp_path, capsys, doc, names):
         shape = tmp_path / "shape.json"
         shape.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -542,7 +543,7 @@ class TestStrictIntegers:
 
     @pytest.mark.parametrize("key,value", [
         ("n_coarse", 2.9), ("n_coarse", True), ("n_fine", 1.5), ("n_fine", float("inf")),
-        ("n_coarse", float("nan")), ("n_coarse", "16"),
+        ("n_coarse", float("nan")), ("n_coarse", "16"), ("version", True), ("version", 1.5),
     ])
     def test_render_sample_counts(self, tmp_path, capsys, key, value):
         scene = tmp_path / "scene.json"
@@ -562,7 +563,7 @@ class TestStrictIntegers:
         assert not (tmp_path / "img_000.ppm").exists()
 
     def test_integral_float_is_accepted(self, tmp_path):
-        doc = scene_doc(n_coarse=16.0)
+        doc = scene_doc(n_coarse=16.0, version=1.0)
         doc["cameras"][0]["intrinsics"]["width"] = 8.0
         (tmp_path / "a.json").write_text(json.dumps(doc))
         (tmp_path / "b.json").write_text(json.dumps(scene_doc()))

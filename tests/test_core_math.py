@@ -14,13 +14,14 @@ from radiant.core_math import (
     check_rotation,
     gaussian_pe_kernel,
     generate_rays,
-    geodesic_angle,
     project_point,
     rotation_about,
     sinusoidal_pe,
     svd_plus,
 )
 from radiant.errors import DegenerateMatrix, NonPositiveDepth
+
+from helpers import geodesic_angle
 
 
 K100 = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)

@@ -13,6 +13,7 @@ from radiant.fields import (
     UnionSdf,
     grid_field_eval,
     make_constant_field,
+    sdf_gradients,
     sdf_normal,
 )
 from radiant.grids import VoxelGrid4D, alpha_to_sigma
@@ -142,6 +143,59 @@ class TestColumnKernels:
         for f in KERNEL_SHAPES.values():
             assert f.eval([[1, 0, 0], [0, 0, 0]]).tobytes() == \
                 oracle_sdf(f, [[1, 0, 0], [0, 0, 0]]).tobytes()
+
+
+def oracle_gradients(f: SdfField, pts, h: float):
+    """The (N, 3, 3) tap broadcast and np.linalg.norm that sdf_gradients
+    replaced with per-axis tap blocks and a written-out norm."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    n = pts.shape[0]
+    offsets = np.zeros((3, 3))
+    np.fill_diagonal(offsets, h)
+    plus = f.eval((pts[:, None, :] + offsets).reshape(-1, 3)).reshape(n, 3)
+    minus = f.eval((pts[:, None, :] - offsets).reshape(-1, 3)).reshape(n, 3)
+    grad = (plus - minus) / (2.0 * h)
+    mag = np.linalg.norm(grad, axis=-1)
+    valid = mag >= 1e-8
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals = np.where(valid[:, None], grad / mag[:, None], np.nan)
+    return normals, valid
+
+
+class TestSdfGradients:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
+    @pytest.mark.parametrize("h", [1e-4, 0.05])
+    def test_bits_equal_axis_formula(self, name, h):
+        f = KERNEL_SHAPES[name]
+        # centers have a vanishing gradient: every tap pair reads the same value
+        centers = np.array([KERNEL_SPHERE.center, KERNEL_BOX.center, np.zeros(3)])
+        for pts in [*kernel_inputs(), centers]:
+            if pts.ndim != 2:
+                continue
+            got, want = sdf_gradients(f, pts, h), oracle_gradients(f, pts, h)
+            assert got[0].shape == want[0].shape == (len(pts), 3)
+            assert got[0].tobytes() == want[0].tobytes(), pts[:3]
+            assert got[1].tobytes() == want[1].tobytes(), pts[:3]
+
+    def test_field_returning_a_view_of_its_points(self):
+        # the z = 0 plane's eval is a view of the tap buffer, which the -h
+        # taps refill after the +h evaluation
+        class PlaneSdf(SdfField):
+            def eval(self, pts):
+                return np.asarray(pts)[..., 2]
+
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(50, 3))
+        normals, valid = sdf_gradients(PlaneSdf(), pts, 1e-4)
+        assert valid.all() and np.array_equal(normals, np.tile([0.0, 0.0, 1.0], (50, 1)))
+
+    def test_vanishing_rows_hold_nan(self):
+        pts = np.array([KERNEL_SPHERE.center, [0.9, 0.1, 0.2], [-0.0, 0.0, -0.0]])
+        normals, valid = sdf_gradients(UnionSdf([KERNEL_SPHERE]), pts, 1e-4)
+        assert valid.tolist() == [False, True, True]
+        assert np.isnan(normals[0]).all() and np.isfinite(normals[1:]).all()
+        normals, valid = sdf_gradients(ConstantSdf(0.2), pts, 1e-4)
+        assert not valid.any() and np.isnan(normals).all()
+        assert normals.flags.c_contiguous
 
 
 class TestSdfNormal:

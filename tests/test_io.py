@@ -11,6 +11,8 @@ from radiant.metrics import OrientedBox3, PoseRecord
 from radiant.fields import SphereSdf
 from radiant.octree import LodConfig, SurfaceSamples, extract_surface, samples_to_arrays
 
+import helpers
+
 
 def f32_grid(rng, dims=(8, 8, 8), channels=4):
     # values representable in f32 so the file round trip is lossless
@@ -349,7 +351,7 @@ class TestMapEncodings:
         smap = SemanticMap(6, 0.25, rng.random((12, 12, 3)) > 0.7)
         p = tmp_path / "map.nfvg"
         io.write_nfvg(p, io.semantic_map_to_grid(smap))
-        back = io.grid_to_semantic_map(io.read_nfvg(p))
+        back = helpers.grid_to_semantic_map(io.read_nfvg(p))
         assert back.half_extent == 6
         assert back.cell_size == pytest.approx(0.25)
         assert np.array_equal(back.occupancy, smap.occupancy)
@@ -359,10 +361,10 @@ class TestMapEncodings:
         heat = np.round(rng.random((7, 9)) * 1e4) / 1e4  # f32-exact values
         heat = heat.astype(np.float32).astype(np.float64)
         p = tmp_path / "heat.nfvg"
-        io.write_nfvg(p, io.heatmap_to_grid(heat))
+        io.write_nfvg(p, helpers.heatmap_to_grid(heat))
         grid = io.read_nfvg(p)
         assert grid.dims == (7, 9, 1) and grid.channels == 1
-        assert np.array_equal(io.grid_to_heatmap(grid), heat)
+        assert np.array_equal(helpers.grid_to_heatmap(grid), heat)
 
     def test_wrong_layout_rejected(self):
         from radiant.core_math import Aabb
@@ -370,32 +372,32 @@ class TestMapEncodings:
 
         grid = VoxelGrid4D(np.zeros((2, 2, 2, 1)), Aabb([0, 0, 0], [1, 1, 1]))
         with pytest.raises(FileFormatError):
-            io.grid_to_heatmap(grid)
+            helpers.grid_to_heatmap(grid)
         with pytest.raises(FileFormatError):
-            io.grid_to_semantic_map(grid)
+            helpers.grid_to_semantic_map(grid)
 
 
 class TestJsonSchemas:
     def test_pose_round_trip(self):
         pose = Pose(rotation_about([0.3, 0.5, 0.8], 1.1), (1, 2, 3))
-        back = io.pose_from_json(io.pose_to_json(pose))
+        back = io.pose_from_json(helpers.pose_to_json(pose))
         assert np.abs(back.rotation - pose.rotation).max() < 1e-15
         assert np.array_equal(back.translation, pose.translation)
 
     def test_intrinsics_round_trip(self):
         k = Intrinsics(fx=100, fy=90, cx=32, cy=24, width=64, height=48)
-        assert io.intrinsics_from_json(io.intrinsics_to_json(k)) == k
+        assert io.intrinsics_from_json(helpers.intrinsics_to_json(k)) == k
 
     def test_box_round_trip(self):
         b = OrientedBox3((1, 2, 3), (0.5, 0.6, 0.7), yaw=0.3, label="car", score=0.8)
-        back = io.box_from_json(io.box_to_json(b))
+        back = io.box_from_json(helpers.box_to_json(b))
         assert np.array_equal(back.center, b.center)
         assert back.label == "car" and back.score == 0.8
 
     def test_pose_record_round_trip(self):
         r = PoseRecord(rotation_about([0, 0, 1], 0.4), (0.1, 0.2, 0.3),
                        scale=1.5, label="mug", score=0.7)
-        back = io.pose_record_from_json(io.pose_record_to_json(r))
+        back = io.pose_record_from_json(helpers.pose_record_to_json(r))
         assert np.abs(back.rotation - r.rotation).max() < 1e-15
         assert back.scale == 1.5
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from radiant.core_math import Aabb, Intrinsics, Pose
 from radiant.errors import DimsMismatch, NonPositiveDepth, OutOfBounds
@@ -134,6 +135,58 @@ class TestDetectPeaks:
         h = splat_heatmap(centers, [sigma] * len(centers), (140, 140))
         peaks = detect_peaks(h, 0.3)
         assert sorted((u, v) for u, v, _ in peaks) == sorted(centers)
+
+
+def detect_peaks_maximum_filter(heatmap, threshold):
+    """detect_peaks as it was written on scipy.ndimage.maximum_filter: the
+    oracle for the separable numpy max."""
+    h = np.asarray(heatmap, dtype=np.float64)
+    local_max = maximum_filter(h, size=3, mode="constant", cval=-np.inf)
+    is_peak = (h == local_max) & (h > threshold)
+    rows, cols = h.shape
+    padded = np.pad(h, 1, constant_values=-np.inf)
+    for du, dv in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+        is_peak &= padded[1 + dv : 1 + dv + rows, 1 + du : 1 + du + cols] != h
+    vs, us = np.nonzero(is_peak)
+    peaks = [(int(u), int(v), float(h[v, u])) for u, v in zip(us, vs)]
+    peaks.sort(key=lambda t: (-t[2], t[0], t[1]))
+    return peaks
+
+
+def hexed(peaks):
+    return [(u, v, score.hex()) for u, v, score in peaks]
+
+
+class TestDetectPeaksAgainstMaximumFilter:
+    def test_random_maps_with_plateaus_and_infinities(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            rows, cols = rng.integers(1, 40, size=2)
+            # one or two decimals make plateaus of equal cells
+            h = np.round(rng.random((rows, cols)), int(rng.integers(1, 3)))
+            special = rng.random((rows, cols))
+            h[special < 0.03] = np.inf
+            h[special > 0.97] = -np.inf
+            threshold = float(rng.choice([0.0, 0.3, rng.random(), 1.0]))
+            assert hexed(detect_peaks(h, threshold)) == \
+                hexed(detect_peaks_maximum_filter(h, threshold))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (0, 5)])
+    def test_thin_maps(self, shape):
+        h = np.random.default_rng(3).random(shape)
+        assert detect_peaks(h, 0.1) == detect_peaks_maximum_filter(h, 0.1)
+
+    def test_all_infinite(self):
+        for value in (np.inf, -np.inf):
+            h = np.full((4, 5), value)
+            assert detect_peaks(h, 0.5) == detect_peaks_maximum_filter(h, 0.5)
+
+    @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 4)])
+    def test_nan_is_refused(self, where):
+        h = splat_heatmap([(2, 2)], [1.0], (5, 5))
+        h[where] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            detect_peaks(h, 0.3)
 
 
 class TestSampleParamMap:
