@@ -1,10 +1,10 @@
 """radiant: geometry and evaluation toolkit for neural-field scenes.
 
 Library modules:
-  core_math   poses, cameras, rotations, positional encodings
+  core_math   poses, cameras, rays, rotations, positional encodings
   fields      SDF and radiance field abstractions with analytic oracles
   octree      octree LoD surface extraction + dense narrowband baseline
-  render      alpha compositing, near/far unbounded rendering, scene editing
+  render      compositing; render_full: near/far rendering with box editing
   gridsample  radiance-field to RGBA voxel grid extraction and resampling
   masking     3D patch masking and masked-reconstruction objectives
   projmaps    semantic maps, center heatmaps, feature lifting, triplanes
@@ -21,18 +21,16 @@ from .core_math import (
     backproject_pixel,
     canonicalize_symmetric,
     gaussian_pe_kernel,
-    generate_rays,
     project_point,
     sinusoidal_pe,
     svd_plus,
 )
 from .errors import RadiantError
 from .fields import (
+    ConstantField,
     GridField,
     RadianceField,
     SdfField,
-    grid_field_eval,
-    make_constant_field,
     sdf_normal,
 )
 from .grids import VoxelGrid4D
@@ -90,8 +88,7 @@ from .render import (
     contract_nerfpp,
     distortion_reg,
     prune_rays_in_boxes,
-    render_composed,
-    render_ray_nearfar,
+    render_full,
     stratified_samples,
 )
 

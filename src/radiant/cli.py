@@ -324,7 +324,7 @@ def _cmd_eval_pose(args) -> None:
 
 def _labels_from_doc(path) -> tuple[np.ndarray, int]:
     doc = io.load_versioned_json(path)
-    labels = Path(path).parent / io.read_key(doc, "labels_file", str(path), str)
+    labels = Path(path).parent / io.read_key(doc, "labels_file", str(path), io.json_str)
     n_classes = io.read_key(doc, "n_classes", str(path), io.json_int)
     _require_inputs(labels)
     grid = io.read_nfvg(labels)

@@ -62,6 +62,14 @@ def as_vec3(v) -> np.ndarray:
     return out
 
 
+def as_points(v, dim: int = 3) -> np.ndarray:
+    """Coerce to a finite float64 (N, dim) array of points."""
+    out = np.asarray(v, dtype=np.float64)
+    if out.ndim != 2 or out.shape[1] != dim or not np.isfinite(out).all():
+        raise ValueError(f"expected finite (N, {dim}) points, got shape {out.shape}")
+    return out
+
+
 def normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v, axis=-1, keepdims=True)
@@ -326,10 +334,3 @@ def generate_ray_arrays(k: Intrinsics, pose: Pose) -> tuple[np.ndarray, np.ndarr
     dirs = normalize(dirs_cam @ pose.rotation.T)
     origins = np.broadcast_to(pose.translation, dirs.shape).copy()
     return origins, dirs
-
-
-def generate_rays(k: Intrinsics, pose: Pose) -> list[Ray]:
-    """One ray per pixel, row-major; direction through (cx, cy) is the
-    camera optical axis in world frame."""
-    origins, dirs = generate_ray_arrays(k, pose)
-    return [Ray(o, d) for o, d in zip(origins, dirs)]

@@ -191,10 +191,6 @@ class ConstantField(RadianceField):
         return np.tile(self.color, (n, 1)), np.full(n, float(self.sigma))
 
 
-def make_constant_field(color, sigma: float) -> ConstantField:
-    return ConstantField(color, sigma)
-
-
 @dataclass
 class GaussianBlobField(RadianceField):
     """Smooth density bump sigma(x) = amplitude * exp(-|x-c|^2 / (2 s^2))."""
@@ -276,9 +272,3 @@ class GridField(RadianceField):
     def eval(self, pts, dirs):
         vals = self.interpolate(pts)
         return vals[:, :3], alpha_to_sigma(vals[:, 3])
-
-
-def grid_field_eval(g: GridField, x, d) -> tuple[np.ndarray, float]:
-    """Single-point GridField query: (rgb, sigma); direction is ignored."""
-    colors, sigmas = g.eval(as_vec3(x), d)
-    return colors[0], float(sigmas[0])

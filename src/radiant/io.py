@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from itertools import chain
 from pathlib import Path
@@ -179,16 +180,11 @@ def read_ppm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P6"):
         raise BadMagic(f"{path}: not a P6 PPM")
-    fields, offset = [], 2
-    while len(fields) < 3:
-        while offset < len(raw) and raw[offset : offset + 1].isspace():
-            offset += 1
-        start = offset
-        while offset < len(raw) and not raw[offset : offset + 1].isspace():
-            offset += 1
-        fields.append(int(raw[start:offset]))
-    offset += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)  # w, h, maxval
+    if header is None:
+        raise FileFormatError(f"{path}: P6 header is not width, height and maxval")
+    w, h, maxval = map(int, header.groups())
+    offset = header.end()
     if maxval != 255:
         raise BadVersion(f"{path}: maxval {maxval} unsupported")
     expected = w * h * 3
@@ -262,6 +258,13 @@ def json_list(v) -> list:
     return v
 
 
+def json_str(v) -> str:
+    """read_key convert for a value that must be a JSON string."""
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {type(v).__name__}")
+    return v
+
+
 def json_int(v) -> int:
     """read_key convert for a value that must be a JSON integer: refuses
     bools, fractions, NaN and infinities instead of truncating them."""
@@ -312,7 +315,7 @@ def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
         center=read_key(d, "center", where, json_floats),
         size=read_key(d, "size", where, json_floats),
         yaw=read_key(d, "yaw", where, json_float, 0.0),
-        label=read_key(d, "class", where, str, ""),
+        label=read_key(d, "class", where, json_str, ""),
         score=read_key(d, "score", where, json_float, None),
     )
 
@@ -322,7 +325,7 @@ def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
         rotation=read_key(d, "rotation", where, _rotation),
         translation=read_key(d, "translation", where, json_floats),
         scale=read_key(d, "scale", where, json_float, 1.0),
-        label=read_key(d, "class", where, str, ""),
+        label=read_key(d, "class", where, json_str, ""),
         score=read_key(d, "score", where, json_float, None),
     )
 
@@ -348,7 +351,7 @@ def make_analytic_sdf(shape: dict, where: str = "shape") -> SdfField:
     not an object, a missing required key, a value that is not a finite JSON
     number (or list of them) and an unknown type raise FileFormatError.
     """
-    kind = read_key(shape, "type", where, str)
+    kind = read_key(shape, "type", where, json_str)
     if kind == "sphere":
         return SphereSdf(read_key(shape, "center", where, json_floats, (0, 0, 0)),
                          read_key(shape, "radius", where, json_float))
@@ -379,7 +382,7 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
     def key(name, convert, default):
         return read_key(spec, name, where, convert, default)
 
-    kind = read_key(spec, "type", where, str)
+    kind = read_key(spec, "type", where, json_str)
     if kind == "constant":
         return ConstantField(key("color", json_floats, (1, 1, 1)), key("sigma", json_float, 0.0))
     if kind == "gaussian":
@@ -393,7 +396,7 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
                          key("center", json_floats, (0, 0, 0)),
                          key("radius", json_float, 0.5))
     if kind == "grid":
-        return GridField(read_nfvg(Path(base_dir) / read_key(spec, "path", where, str)))
+        return GridField(read_nfvg(Path(base_dir) / read_key(spec, "path", where, json_str)))
     raise FileFormatError(f"{where}: bad 'type': unknown field type {kind!r}")
 
 

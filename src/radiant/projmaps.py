@@ -1,6 +1,7 @@
 """Projection-derived representations: top-down semantic maps from RGB-D,
 center heatmaps with peak detection, image-feature lifting into a world
-grid, triplane collapse, and per-point feature sampling.
+grid, triplane collapse, and batched point sampling of triplanes, image
+features and parameter maps.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Aabb, Intrinsics, MIN_DEPTH, Pose, as_vec3, backproject_pixels, project_point, project_points
-from .errors import DimsMismatch, LabelOutOfRange, OutOfBounds
+from .core_math import Aabb, Intrinsics, MIN_DEPTH, Pose, as_points, backproject_pixels, project_points
+from .errors import DimsMismatch, LabelOutOfRange, NonPositiveDepth, OutOfBounds
 from .grids import VoxelGrid4D
 
 # Feature volumes are plain (X, Y, Z, C) grids.
@@ -140,18 +141,19 @@ def detect_peaks(heatmap: np.ndarray, threshold: float) -> list[tuple[int, int, 
     return peaks
 
 
-def sample_param_map(param_map: np.ndarray, centers) -> list[np.ndarray]:
-    """Read the parameter vector at each center (nearest integer pixel)."""
+def sample_param_map(param_map: np.ndarray, centers) -> np.ndarray:
+    """Parameter vectors at (N, 2) centers (u, v), each read at its nearest
+    integer pixel: (N, C) float64 for an (H, W, C) map. Raises OutOfBounds
+    naming the first center outside the map."""
     pm = np.asarray(param_map)
     rows, cols = pm.shape[:2]
-    out = []
-    for u, v in np.atleast_2d(np.asarray(centers, dtype=np.float64)):
-        ui = int(np.floor(u + 0.5))
-        vi = int(np.floor(v + 0.5))
-        if not (0 <= ui < cols and 0 <= vi < rows):
-            raise OutOfBounds(f"center ({u:g}, {v:g}) outside {cols}x{rows}")
-        out.append(np.array(pm[vi, ui], dtype=np.float64, copy=True))
-    return out
+    uv = as_points(centers, 2)
+    u, v = np.floor(uv + 0.5).T
+    outside = ~((0 <= u) & (u < cols) & (0 <= v) & (v < rows))
+    if outside.any():
+        cu, cv = uv[outside.argmax()]
+        raise OutOfBounds(f"center ({cu:g}, {cv:g}) outside {cols}x{rows}")
+    return pm[v.astype(np.int64), u.astype(np.int64)].astype(np.float64)
 
 
 def bilinear_image(fmap: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -173,6 +175,17 @@ def bilinear_image(fmap: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
+def _image_features(fmap: np.ndarray, uv: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(N, C) bilinear features at the (N, 2) pixel coords that are valid
+    and inside fmap's pixel-center lattice; zeros elsewhere."""
+    rows, cols = fmap.shape[:2]
+    u, v = uv.T
+    valid = valid & (u >= 0.0) & (u <= cols - 1.0) & (v >= 0.0) & (v <= rows - 1.0)
+    out = np.zeros((len(uv), fmap.shape[2]))
+    out[valid] = bilinear_image(fmap, uv[valid])
+    return out
+
+
 def lift_features_to_grid(
     feature_map: np.ndarray,
     k: Intrinsics,
@@ -184,21 +197,9 @@ def lift_features_to_grid(
     feature there; cells behind the camera or outside the image get zeros.
     All cells along one camera ray therefore share the ray's feature."""
     fmap = np.asarray(feature_map, dtype=np.float64)
-    c = fmap.shape[2]
-    vol = VoxelGrid4D.zeros(dims, c, bounds)
-    centers = vol.voxel_centers()
-    uv, z = project_points(k, pose, centers)
-    rows, cols = fmap.shape[:2]
-    valid = (
-        (z > MIN_DEPTH)
-        & (uv[:, 0] >= 0.0)
-        & (uv[:, 0] <= cols - 1.0)
-        & (uv[:, 1] >= 0.0)
-        & (uv[:, 1] <= rows - 1.0)
-    )
-    flat = vol.data.reshape(-1, c)
-    flat[valid] = bilinear_image(fmap, uv[valid])
-    vol.data = flat.reshape(*vol.dims, c)
+    vol = VoxelGrid4D.zeros(dims, fmap.shape[2], bounds)
+    uv, z = project_points(k, pose, vol.voxel_centers())
+    vol.data = _image_features(fmap, uv, z > MIN_DEPTH).reshape(vol.data.shape)
     return vol
 
 
@@ -236,25 +237,25 @@ def collapse_to_triplanes(v: FeatureVolume) -> TriplaneSet:
     )
 
 
-def sample_triplane(s: TriplaneSet, x) -> np.ndarray:
-    """Orthogonally project x into each plane, sample bilinearly, and
-    concatenate in xy, xz, yz order. Points outside the bounds clamp."""
-    x = as_vec3(x)
+def sample_triplane(s: TriplaneSet, pts) -> np.ndarray:
+    """Orthogonally project (N, 3) points into each plane, sample bilinearly,
+    and concatenate in xy, xz, yz order: (N, 3C). Points outside the bounds
+    clamp."""
     cell = s.bounds.extent / np.array(s.dims, dtype=np.float64)
-    cx, cy, cz = (x - s.bounds.min) / cell - 0.5
+    c = (as_points(pts) - s.bounds.min) / cell - 0.5
     # plane[i, j] is pixel (u, v) = (i, j) of the transposed plane
-    planes = ((s.s_xy, cx, cy), (s.s_xz, cx, cz), (s.s_yz, cy, cz))
-    return np.concatenate([bilinear_image(p.swapaxes(0, 1), [[u, v]])[0]
-                           for p, u, v in planes])
+    planes = ((s.s_xy, [0, 1]), (s.s_xz, [0, 2]), (s.s_yz, [1, 2]))
+    return np.concatenate([bilinear_image(p.swapaxes(0, 1), c[:, axes]) for p, axes in planes],
+                          axis=1)
 
 
-def sample_image_feature(feature_map: np.ndarray, k: Intrinsics, pose: Pose, x) -> np.ndarray:
-    """Bilinear image feature at the projection of a world point; zeros when
-    the point projects outside the image. Raises NonPositiveDepth behind the
-    camera."""
+def sample_image_feature(feature_map: np.ndarray, k: Intrinsics, pose: Pose, pts) -> np.ndarray:
+    """Bilinear image features at the projections of (N, 3) world points:
+    (N, C), zeros for points that project outside the image. Raises
+    NonPositiveDepth if any point is at or behind the camera."""
     fmap = np.asarray(feature_map, dtype=np.float64)
-    (u, v), _ = project_point(k, pose, x)
-    rows, cols = fmap.shape[:2]
-    if not (0.0 <= u <= cols - 1.0 and 0.0 <= v <= rows - 1.0):
-        return np.zeros(fmap.shape[2])
-    return bilinear_image(fmap, np.array([[u, v]]))[0]
+    uv, z = project_points(k, pose, as_points(pts))
+    behind = z <= MIN_DEPTH
+    if behind.any():
+        raise NonPositiveDepth(f"depth {z[behind][0]:g} is not positive")
+    return _image_features(fmap, uv, ~behind)

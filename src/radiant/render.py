@@ -11,9 +11,9 @@ samples alternate (objects reuse the near depths), then the far ladder
 follows, composited in one pass; with no boxes, editing reproduces plain
 near/far rendering bit for bit.
 
-The renderers take one ray or a packet of R rays (a Ray with (R, 3)
-arrays) and work on (R, S) sample arrays with the same layout for every
-ray, so a ray renders the same bit for bit in any packet.
+render_full is the one renderer. It takes one ray or a packet of R rays (a
+Ray with (R, 3) arrays) and works on (R, S) sample arrays with the same
+layout for every ray, so a ray renders the same bit for bit in any packet.
 """
 
 from __future__ import annotations
@@ -175,11 +175,13 @@ def prune_rays_in_boxes(samples, sigmas, boxes: Sequence[OrientedBox3]) -> np.nd
     if len(boxes) == 0 or sigmas.size == 0:
         return sigmas
     pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    inside = np.zeros(sigmas.size, dtype=bool)
-    for box in boxes:
-        inside |= box.contains(pts)
-    sigmas[inside] = SUPPRESSION_SIGMA
+    sigmas[_in_boxes(pts, boxes)] = SUPPRESSION_SIGMA
     return sigmas
+
+
+def _in_boxes(pts: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
+    """(N,) mask of the (N, 3) points inside any of the (one or more) boxes."""
+    return np.any([box.contains(pts) for box in boxes], axis=0)
 
 
 def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> np.ndarray:
@@ -216,7 +218,8 @@ def render_full(
     object_field: Optional[RadianceField] = None,
 ) -> RenderResult:
     """Render one ray, or a packet of R rays with cfg.seed an (R,) array of
-    per-ray seeds; the single merged-stream pass behind every renderer.
+    per-ray seeds. Inside the boxes the near field is pruned and object_field
+    (if given) is queried instead; with no boxes the object field is unused.
 
     Every ray gets the same (R, S) sample layout: where the per-ray
     algorithm has fewer samples (no near region when t_sphere <= near, a
@@ -307,8 +310,7 @@ def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
     near_pts = ray.at(near_ts)
     colors[near], sigmas[near] = evaluate(near_field, near_pts)
     if boxes:
-        inside = np.any([box.contains(near_pts.reshape(-1, 3)) for box in boxes], axis=0)
-        inside = inside.reshape(near_ts.shape)
+        inside = _in_boxes(near_pts.reshape(-1, 3), boxes).reshape(near_ts.shape)
         sigmas[near][inside] = SUPPRESSION_SIGMA
         if object_field is not None and inside.any():
             colors[obj][inside], sigmas[obj][inside] = object_field.eval(
@@ -317,33 +319,3 @@ def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
 
     comp = composite(colors, np.where(deltas > 0, sigmas, 0.0), deltas)
     return comp.color, comp.acc, comp.weights[near], comp.weights[far]
-
-
-def render_ray_nearfar(
-    near_field: RadianceField,
-    far_field: RadianceField,
-    ray: Ray,
-    cfg: RenderConfig,
-) -> tuple[np.ndarray, float]:
-    """Render one ray with the near/far decomposition.
-
-    Near samples cover [near, t_sphere]; far samples continue past the
-    unit-sphere exit on the inverse-radius ladder. Far radiance is seen
-    through the near transmittance. Returns (color, near accumulation).
-    """
-    res = render_full(ray, cfg, near_field, far_field)
-    return res.color, res.acc_near
-
-
-def render_composed(
-    object_field: Optional[RadianceField],
-    near_field: RadianceField,
-    far_field: RadianceField,
-    boxes: Sequence[OrientedBox3],
-    ray: Ray,
-    cfg: RenderConfig,
-) -> np.ndarray:
-    """Editable scene rendering: the object field is queried only inside the
-    boxes, the near background is pruned there, and all three streams are
-    composited along one merged sample list."""
-    return render_full(ray, cfg, near_field, far_field, boxes, object_field).color

@@ -277,8 +277,10 @@ class TestMalformedJson:
         ({"type": "ball", "color": [1, "0.6", True]}, "bad 'color'"),
         ({"type": "ball", "radius": True}, "bad 'radius'"),
         ({"type": "cone"}, "bad 'type'"),
+        ({"type": "grid", "path": ["g.nfvg"]}, "bad 'path'"),
+        ({"type": None}, "bad 'type'"),
     ], ids=["grid-no-path", "top-level-list", "sigma-string", "color-string-and-bool",
-            "radius-bool", "unknown-type"])
+            "radius-bool", "unknown-type", "path-list", "type-null"])
     def test_voxelize_bad_field_file(self, tmp_path, capsys, doc, names):
         field = tmp_path / "field.json"
         field.write_text(json.dumps(doc))
@@ -535,6 +537,22 @@ class TestEvalInputErrors:
         doc = without({"labels_file": "labels.nfvg", "n_classes": 3}, key)
         assert self.run_eval(tmp_path, "eval-voxels", doc, doc) == 3
         assert_format_error(capsys, tmp_path / "pred.json", key)
+
+    @pytest.mark.parametrize("value", [None, 5, ["None"]])
+    def test_class_not_a_string(self, tmp_path, capsys, value):
+        # str() would read null as the label "None" and match a "None" box
+        pred = {"boxes": [{**BOX, "score": 0.9, "class": value}]}
+        assert self.run_eval(tmp_path, "eval-detect", pred, {"boxes": [{**BOX, "class": "None"}]}) == 3
+        assert "boxes[0]" in assert_format_error(capsys, tmp_path / "pred.json", "class")
+        gt = {"poses": [{**POSE, "class": value}]}
+        assert self.run_eval(tmp_path, "eval-pose", {"poses": [dict(POSE, score=0.9)]}, gt) == 3
+        assert "poses[0]" in assert_format_error(capsys, tmp_path / "gt.json", "class")
+
+    @pytest.mark.parametrize("value", [["x"], 3, None])
+    def test_voxels_labels_file_not_a_string(self, tmp_path, capsys, value):
+        doc = {"labels_file": value, "n_classes": 3}
+        assert self.run_eval(tmp_path, "eval-voxels", doc, doc) == 3
+        assert_format_error(capsys, tmp_path / "pred.json", "labels_file")
 
 
 class TestStrictIntegers:

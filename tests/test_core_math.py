@@ -13,7 +13,7 @@ from radiant.core_math import (
     canonicalize_symmetric,
     check_rotation,
     gaussian_pe_kernel,
-    generate_rays,
+    generate_ray_arrays,
     project_point,
     rotation_about,
     sinusoidal_pe,
@@ -201,27 +201,27 @@ class TestPositionalEncodings:
 class TestGenerateRays:
     def test_counts_and_unit_norm(self):
         k = Intrinsics(fx=10, fy=10, cx=0.5, cy=0.5, width=2, height=2)
-        rays = generate_rays(k, IDENTITY)
-        assert len(rays) == 4
-        for ray in rays:
-            assert np.linalg.norm(ray.direction) == pytest.approx(1.0, abs=1e-12)
+        origins, dirs = generate_ray_arrays(k, IDENTITY)
+        assert origins.shape == dirs.shape == (4, 3)
+        assert np.array_equal(origins, np.zeros((4, 3)))
+        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-12
 
     def test_principal_pixel_along_optical_axis(self):
         k = Intrinsics(fx=10, fy=10, cx=1, cy=1, width=3, height=3)
-        rays = generate_rays(k, IDENTITY)
-        center = rays[1 * 3 + 1]
-        assert np.allclose(center.direction, (0, 0, 1))
+        _, dirs = generate_ray_arrays(k, IDENTITY)
+        assert np.allclose(dirs[1 * 3 + 1], (0, 0, 1))
 
     def test_corner_matches_backprojection(self):
         rng = np.random.default_rng(11)
         pose = Pose(random_rotation(rng), rng.normal(size=3))
         k = Intrinsics(fx=20, fy=25, cx=1.0, cy=2.0, width=4, height=4)
-        rays = generate_rays(k, pose)
-        corner = rays[3 * 4 + 3]  # pixel (u=3, v=3)
+        origins, dirs = generate_ray_arrays(k, pose)
+        corner = dirs[3 * 4 + 3]  # pixel (u=3, v=3)
         target = backproject_pixel(k, pose, (3, 3), 1.0)
         expected = target - pose.translation
         expected /= np.linalg.norm(expected)
-        assert np.abs(corner.direction - expected).max() < 1e-12
+        assert np.abs(corner - expected).max() < 1e-12
+        assert np.array_equal(origins[3 * 4 + 3], pose.translation)
 
 
 class TestRayPacket:

@@ -7,12 +7,11 @@ from radiant.core_math import Aabb
 from radiant.errors import EmptyUnion, NegativeDensity, VanishingGradient
 from radiant.fields import (
     BoxSdf,
+    ConstantField,
     GridField,
     SdfField,
     SphereSdf,
     UnionSdf,
-    grid_field_eval,
-    make_constant_field,
     sdf_gradients,
     sdf_normal,
 )
@@ -224,13 +223,13 @@ class TestSdfNormal:
 
 class TestConstantField:
     def test_everywhere_constant(self):
-        f = make_constant_field((1, 0, 0), 0.0)
+        f = ConstantField((1, 0, 0), 0.0)
         colors, sigmas = f.eval(np.zeros((5, 3)), np.zeros((5, 3)))
         assert np.array_equal(colors, np.tile([1, 0, 0], (5, 1)))
         assert np.array_equal(sigmas, np.zeros(5))
 
     def test_direction_independent(self):
-        f = make_constant_field((0.2, 0.4, 0.6), 3.0)
+        f = ConstantField((0.2, 0.4, 0.6), 3.0)
         pts = np.random.default_rng(1).normal(size=(4, 3))
         c1, s1 = f.eval(pts, np.tile([0, 0, 1.0], (4, 1)))
         c2, s2 = f.eval(pts, np.tile([1.0, 0, 0], (4, 1)))
@@ -238,7 +237,7 @@ class TestConstantField:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(NegativeDensity):
-            make_constant_field((1, 0, 0), -1.0)
+            ConstantField((1, 0, 0), -1.0)
 
 
 class TestGridField:
@@ -254,9 +253,9 @@ class TestGridField:
         c = centers[1, 2, 3]
         vals = f.interpolate(c)[0]
         assert np.abs(vals - grid.data[1, 2, 3]).max() < 1e-12
-        color, sigma = grid_field_eval(f, c, (0, 0, 1))
-        assert np.abs(color - grid.data[1, 2, 3, :3]).max() < 1e-12
-        assert sigma == pytest.approx(alpha_to_sigma(grid.data[1, 2, 3, 3]))
+        colors, sigmas = f.eval([c], [(0, 0, 1)])
+        assert np.abs(colors[0] - grid.data[1, 2, 3, :3]).max() < 1e-12
+        assert sigmas[0] == pytest.approx(alpha_to_sigma(grid.data[1, 2, 3, 3]))
 
     def test_midpoint_interpolates_red(self):
         grid = VoxelGrid4D.zeros((2, 1, 1), 4, Aabb([0, 0, 0], [2, 1, 1]))
@@ -268,8 +267,8 @@ class TestGridField:
     def test_outside_bounds_is_empty(self):
         rng = np.random.default_rng(3)
         f = GridField(self.make_grid(rng))
-        color, sigma = grid_field_eval(f, (5.0, 0, 0), (0, 0, 1))
-        assert np.array_equal(color, np.zeros(3)) and sigma == 0.0
+        colors, sigmas = f.eval([(5.0, 0, 0)], [(0, 0, 1)])
+        assert np.array_equal(colors, np.zeros((1, 3))) and np.array_equal(sigmas, [0.0])
 
     def test_centers_reproduce_grid_exactly(self):
         rng = np.random.default_rng(4)

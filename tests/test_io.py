@@ -342,6 +342,14 @@ class TestPpm:
         with pytest.raises(BadMagic):
             io.read_ppm(p)
 
+    @pytest.mark.parametrize("raw", [b"P6", b"P6\n4 4", b"P6\n4 4\n255", b"P6\nx 4\n255\n",
+                                     b"P6\n-4 4\n255\n", b"P6\n4 4 # comment\n255\n"])
+    def test_bad_header_names_file(self, tmp_path, raw):
+        p = tmp_path / "x.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(FileFormatError, match="x.ppm: P6 header"):
+            io.read_ppm(p)
+
 
 class TestMapEncodings:
     def test_semantic_map_round_trip(self, tmp_path):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
-from radiant.core_math import Aabb, Intrinsics, Pose
+from radiant.core_math import Aabb, Intrinsics, Pose, project_point
 from radiant.errors import DimsMismatch, NonPositiveDepth, OutOfBounds
 from radiant.grids import VoxelGrid4D
 from radiant.projmaps import (
@@ -198,9 +199,9 @@ class TestSampleParamMap:
     def test_planted_value(self):
         pm = np.zeros((8, 8, 2))
         pm[3, 5] = [1.0, 2.0]
-        assert np.array_equal(sample_param_map(pm, [(5, 3)])[0], [1.0, 2.0])
+        assert np.array_equal(sample_param_map(pm, [(5, 3)]), [[1.0, 2.0]])
         # nearest-pixel rounding
-        assert np.array_equal(sample_param_map(pm, [(4.6, 3.4)])[0], [1.0, 2.0])
+        assert np.array_equal(sample_param_map(pm, [(4.6, 3.4)]), [[1.0, 2.0]])
 
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
@@ -280,16 +281,17 @@ class TestTriplanes:
         tp.s_xy[...] = 0.1
         tp.s_xz[...] = 0.2
         tp.s_yz[...] = 0.3
-        out = sample_triplane(tp, (0.0, 0.0, 0.0))
-        assert np.allclose(out, [0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+        out = sample_triplane(tp, [(0.0, 0.0, 0.0)])
+        assert np.allclose(out, [[0.1, 0.1, 0.2, 0.2, 0.3, 0.3]])
 
     def test_grid_nodes_match_axis_mean_oracle(self):
         rng = np.random.default_rng(4)
         vol = self.make_volume(rng, n=8, c=2)
         tp = collapse_to_triplanes(vol)
         centers = vol.voxel_centers().reshape(8, 8, 8, 3)
-        for i, j, k in [(0, 0, 0), (3, 5, 7), (7, 7, 7), (2, 6, 1)]:
-            got = sample_triplane(tp, centers[i, j, k])
+        nodes = [(0, 0, 0), (3, 5, 7), (7, 7, 7), (2, 6, 1)]
+        out = sample_triplane(tp, [centers[n] for n in nodes])
+        for (i, j, k), got in zip(nodes, out):
             xy = np.mean([vol.data[i, j, kk] for kk in range(8)], axis=0)
             xz = np.mean([vol.data[i, jj, k] for jj in range(8)], axis=0)
             yz = np.mean([vol.data[ii, j, k] for ii in range(8)], axis=0)
@@ -301,37 +303,139 @@ class TestTriplanes:
         vol.data[...] = np.arange(4)[:, None, None, None]  # linear in x index
         tp = collapse_to_triplanes(vol)
         # halfway between the first two x-centers: bilinear gives 0.5
-        out = sample_triplane(tp, (1.0, 2.0, 2.0))
-        assert out[0] == pytest.approx(0.5)
+        out = sample_triplane(tp, [(1.0, 2.0, 2.0)])
+        assert out[0, 0] == pytest.approx(0.5)
 
     def test_outside_clamps(self):
         rng = np.random.default_rng(5)
         vol = self.make_volume(rng, n=4, c=1)
         tp = collapse_to_triplanes(vol)
         corner_node = vol.voxel_centers().reshape(4, 4, 4, 3)[0, 0, 0]
-        inside = sample_triplane(tp, corner_node)
-        outside = sample_triplane(tp, corner_node - 10.0)
+        inside, outside = sample_triplane(tp, [corner_node, corner_node - 10.0])
         assert np.allclose(inside, outside)
 
 
 class TestSampleImageFeature:
     def test_constant(self):
         fmap = np.full((100, 100, 4), 0.25)
-        out = sample_image_feature(fmap, K, Pose.identity(), (0.1, -0.1, 2.0))
-        assert np.array_equal(out, np.full(4, 0.25))
+        out = sample_image_feature(fmap, K, Pose.identity(), [(0.1, -0.1, 2.0)])
+        assert np.array_equal(out, np.full((1, 4), 0.25))
 
     def test_exact_pixel_center(self):
         fmap = np.zeros((100, 100, 1))
         fmap[50, 60, 0] = 3.0
         # u = 100 * 0.2 / 2 + 50 = 60, v = 50
-        out = sample_image_feature(fmap, K, Pose.identity(), (0.2, 0.0, 2.0))
-        assert out[0] == pytest.approx(3.0, abs=1e-12)
+        out = sample_image_feature(fmap, K, Pose.identity(), [(0.2, 0.0, 2.0)])
+        assert out[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_behind_camera(self):
         with pytest.raises(NonPositiveDepth):
-            sample_image_feature(np.zeros((4, 4, 1)), K, Pose.identity(), (0, 0, -1))
+            sample_image_feature(np.zeros((4, 4, 1)), K, Pose.identity(), [(0, 0, -1)])
 
     def test_out_of_image_zeros(self):
         fmap = np.full((100, 100, 2), 0.9)
-        out = sample_image_feature(fmap, K, Pose.identity(), (5.0, 0.0, 1.0))
-        assert np.array_equal(out, np.zeros(2))
+        out = sample_image_feature(fmap, K, Pose.identity(), [(5.0, 0.0, 1.0)])
+        assert np.array_equal(out, np.zeros((1, 2)))
+
+
+# Per-point oracles: the one-point samplers the batched calls replaced, with
+# the bilinear arithmetic written out on Python floats in the same order.
+def bilinear_at(fmap, u, v):
+    rows, cols = fmap.shape[:2]
+    x = min(max(u, 0.0), cols - 1.0)
+    y = min(max(v, 0.0), rows - 1.0)
+    x0 = min(math.floor(x), max(cols - 2, 0))
+    y0 = min(math.floor(y), max(rows - 2, 0))
+    x1, y1 = min(x0 + 1, cols - 1), min(y0 + 1, rows - 1)
+    fx, fy = x - x0, y - y0
+    top = fmap[y0, x0] * (1 - fx) + fmap[y0, x1] * fx
+    bot = fmap[y1, x0] * (1 - fx) + fmap[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def triplane_at(tp, x):
+    cell = tp.bounds.extent / np.array(tp.dims, dtype=np.float64)
+    cx, cy, cz = ((np.asarray(x) - tp.bounds.min) / cell - 0.5).tolist()
+    planes = ((tp.s_xy, cx, cy), (tp.s_xz, cx, cz), (tp.s_yz, cy, cz))
+    return np.concatenate([bilinear_at(p.swapaxes(0, 1), u, v) for p, u, v in planes])
+
+
+def image_feature_at(fmap, k, pose, x):
+    (u, v), _ = project_point(k, pose, x)
+    rows, cols = fmap.shape[:2]
+    if not (0.0 <= u <= cols - 1.0 and 0.0 <= v <= rows - 1.0):
+        return np.zeros(fmap.shape[2])
+    return bilinear_at(fmap, u, v)
+
+
+def param_map_at(pm, u, v):
+    ui, vi = math.floor(u + 0.5), math.floor(v + 0.5)
+    rows, cols = pm.shape[:2]
+    if not (0 <= ui < cols and 0 <= vi < rows):
+        raise OutOfBounds(f"center ({u:g}, {v:g})")
+    return np.array(pm[vi, ui], dtype=np.float64)
+
+
+class TestBatchedSamplersAgainstPerPoint:
+    def test_triplane_bit_equal(self):
+        rng = np.random.default_rng(20)
+        bounds = Aabb([-1.0, -0.5, 0.0], [1.0, 1.5, 0.5])
+        tp = collapse_to_triplanes(VoxelGrid4D(rng.normal(size=(6, 5, 4, 3)), bounds))
+        # a box half again as wide as the bounds: many points clamp
+        pts = rng.uniform(bounds.min - 0.5, bounds.max + 0.5, (2000, 3))
+        assert not bounds.contains(pts).all() and bounds.contains(pts).any()
+        got = sample_triplane(tp, pts)
+        assert got.shape == (2000, 9)
+        want = np.array([triplane_at(tp, x) for x in pts])
+        assert np.array_equal(got, want)
+
+    def test_image_feature_bit_equal(self):
+        rng = np.random.default_rng(21)
+        fmap = rng.normal(size=(30, 40, 2))
+        k = Intrinsics(fx=35, fy=30, cx=19.5, cy=14.5, width=40, height=30)
+        pose = Pose(R_FORWARD_X, (0.3, -0.2, 0.1))
+        # in front of the camera (world +x), about a third outside the image
+        pts = np.column_stack([rng.uniform(0.5, 3.0, 2000), rng.uniform(-2.5, 2.5, (2000, 2))])
+        got = sample_image_feature(fmap, k, pose, pts)
+        want = np.array([image_feature_at(fmap, k, pose, x) for x in pts])
+        outside = (want == 0).all(axis=1)
+        assert 200 < outside.sum() < 1800
+        assert got.shape == (2000, 2) and np.array_equal(got, want)
+
+    def test_image_feature_one_point_behind_raises(self):
+        pts = np.array([(0.0, 0.0, 1.0)] * 5 + [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0)])
+        with pytest.raises(NonPositiveDepth, match="depth 0 "):
+            sample_image_feature(np.zeros((4, 4, 1)), K, Pose.identity(), pts)
+
+    def test_param_map_equal(self):
+        rng = np.random.default_rng(22)
+        pm = rng.normal(size=(12, 20, 4))
+        # centers round to pixels inside the map: u in [-0.5, 19.5), v in [-0.5, 11.5)
+        uv = rng.uniform((-0.5, -0.5), (19.49, 11.49), (2000, 2))
+        got = sample_param_map(pm, uv)
+        assert got.dtype == np.float64 and got.shape == (2000, 4)
+        assert np.array_equal(got, [param_map_at(pm, u, v) for u, v in uv])
+
+    def test_param_map_names_first_center_outside(self):
+        rng = np.random.default_rng(23)
+        uv = rng.uniform((-3.0, -3.0), (23.0, 15.0), (1000, 2))
+        outside = [not (0 <= math.floor(u + 0.5) < 20 and 0 <= math.floor(v + 0.5) < 12)
+                   for u, v in uv]
+        u, v = uv[outside.index(True)]
+        assert outside.index(True) > 0 and sum(outside) > 1
+        with pytest.raises(OutOfBounds, match=re.escape(f"center ({u:g}, {v:g}) outside 20x12")):
+            sample_param_map(np.zeros((12, 20, 1)), uv)
+
+    @pytest.mark.parametrize("pts", [(0.0, 0.0, 1.0), [(0.0, 0.0)], [(0.0, np.nan, 1.0)],
+                                     [(0.0, 0.0, np.inf)]])
+    def test_points_must_be_finite_n_by_3(self, pts):
+        tp = collapse_to_triplanes(VoxelGrid4D(np.zeros((2, 2, 2, 1)), Aabb([0, 0, 0], [1, 1, 1])))
+        with pytest.raises(ValueError, match="finite"):
+            sample_triplane(tp, pts)
+        with pytest.raises(ValueError, match="finite"):
+            sample_image_feature(np.zeros((4, 4, 1)), K, Pose.identity(), pts)
+
+    @pytest.mark.parametrize("centers", [(1.0, 1.0), [(1.0, 1.0, 1.0)], [(np.nan, 1.0)]])
+    def test_centers_must_be_finite_n_by_2(self, centers):
+        with pytest.raises(ValueError, match="finite"):
+            sample_param_map(np.zeros((4, 4, 1)), centers)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,9 +25,7 @@ from radiant.render import (
     contract_nerfpp,
     distortion_reg,
     prune_rays_in_boxes,
-    render_composed,
     render_full,
-    render_ray_nearfar,
     stratified_samples,
 )
 
@@ -257,12 +256,17 @@ class TestPrune:
         out = prune_rays_in_boxes([[0.51, 0, 0], [0, 0, 0]], [7.0, 9.0], [box])
         assert out[0] == 7.0 and out[1] == SUPPRESSION_SIGMA
 
+    def test_any_of_several_boxes(self):
+        boxes = [OrientedBox3((0, 0, 0), (1, 1, 1)), OrientedBox3((2, 0, 0), (1, 1, 1))]
+        out = prune_rays_in_boxes([[0, 0, 0], [2, 0, 0], [1, 0, 0.9]], [7.0, 8.0, 9.0], boxes)
+        assert np.array_equal(out, [SUPPRESSION_SIGMA, SUPPRESSION_SIGMA, 9.0])
+
 
 class TestNearFar:
     def test_opaque_near_hides_far(self):
         cfg = RenderConfig(seed=1)
-        color1, acc1 = render_ray_nearfar(RED, ConstantField((0, 1, 0), 1e9), RAY_Z, cfg)
-        color2, acc2 = render_ray_nearfar(RED, EMPTY, RAY_Z, cfg)
+        color1, _, acc1 = render_full(RAY_Z, cfg, RED, ConstantField((0, 1, 0), 1e9))
+        color2, _, acc2 = render_full(RAY_Z, cfg, RED, EMPTY)
         assert np.array_equal(color1, color2)
         assert np.array_equal(color1, [1, 0, 0])
         assert acc1 == pytest.approx(1.0, abs=1e-12)
@@ -270,45 +274,50 @@ class TestNearFar:
     def test_transparent_near_passes_to_far(self):
         cfg = RenderConfig(seed=2)
         blue = ConstantField((0, 0, 1), 1e9)
-        color, acc_near = render_ray_nearfar(EMPTY, blue, RAY_Z, cfg)
+        color, _, acc_near = render_full(RAY_Z, cfg, EMPTY, blue)
         assert np.array_equal(color, [0, 0, 1])
         assert acc_near == 0.0
 
     def test_both_empty(self):
         cfg = RenderConfig(seed=3)
-        color, acc_near = render_ray_nearfar(EMPTY, EMPTY, RAY_Z, cfg)
+        color, _, acc_near = render_full(RAY_Z, cfg, EMPTY, EMPTY)
         assert np.array_equal(color, np.zeros(3))
         assert acc_near == 0.0
 
     def test_origin_outside_rejected(self):
         with pytest.raises(OriginOutsideSphere):
-            render_ray_nearfar(EMPTY, EMPTY, Ray((2, 0, 0), (0, 0, 1)), RenderConfig())
+            render_full(Ray((2, 0, 0), (0, 0, 1)), RenderConfig(), EMPTY, EMPTY)
 
     def test_composited_matches_two_stage_formula(self):
         # translucent near over an opaque far background
         cfg = RenderConfig(seed=11)
         near = ConstantField((1, 0, 0), 1.0)
         far = ConstantField((0, 0, 1), 1e9)
-        color, acc_near = render_ray_nearfar(near, far, RAY_Z, cfg)
+        color, _, acc_near = render_full(RAY_Z, cfg, near, far)
         expected = acc_near * np.array([1, 0, 0]) + (1 - acc_near) * np.array([0, 0, 1])
         assert np.abs(color - expected).max() < 1e-12
 
 
 class TestRenderComposed:
     def test_empty_boxes_bit_identical(self):
-        cfg = RenderConfig(seed=21)
+        # a box behind the camera holds no near sample: the editing branch
+        # runs, prunes nothing and never queries the object field
         near = GaussianBlobField((0.9, 0.4, 0.1), 5.0, (0, 0, 0.4), 0.2)
         far = ConstantField((0.1, 0.2, 0.3), 2.0)
-        base, _ = render_ray_nearfar(near, far, RAY_Z, cfg)
-        composed = render_composed(None, near, far, [], RAY_Z, cfg)
-        assert np.array_equal(base, composed)
+        box = OrientedBox3((0, 0, -0.6), (0.3, 0.3, 0.3))
+        obj = ConstantField((1, 1, 0), 1e9)
+        for seed, n_fine in itertools.product(range(21, 31), (0, 8)):
+            cfg = RenderConfig(seed=seed, n_fine=n_fine)
+            base = render_full(RAY_Z, cfg, near, far)
+            edited = render_full(RAY_Z, cfg, near, far, [box], obj)
+            assert all(np.array_equal(a, b) for a, b in zip(base, edited))
 
     def test_opaque_object_occludes(self):
         cfg = RenderConfig(seed=5)
         box = OrientedBox3((0, 0, 0.5), (1, 1, 1.2))
         yellow = ConstantField((1, 1, 0), 1e9)
         near = ConstantField((1, 0, 0), 5.0)
-        color = render_composed(yellow, near, EMPTY, [box], RAY_Z, cfg)
+        color = render_full(RAY_Z, cfg, near, EMPTY, [box], yellow).color
         assert np.array_equal(color, [1, 1, 0])
 
     def test_deleted_object_hole_filled_by_far(self):
@@ -318,14 +327,8 @@ class TestRenderComposed:
         near_color = np.array([0.8, 0.2, 0.1])
         far_color = np.array([0.1, 0.3, 0.9])
         box = OrientedBox3((0, 0, 0.45), (2, 2, 0.5))  # z in [0.2, 0.7]
-        got = render_composed(
-            None,
-            ConstantField(near_color, near_sigma),
-            ConstantField(far_color, far_sigma),
-            [box],
-            RAY_Z,
-            cfg,
-        )
+        got = render_full(RAY_Z, cfg, ConstantField(near_color, near_sigma),
+                          ConstantField(far_color, far_sigma), [box]).color
 
         # oracle: replay the near [0, n) and far [n, 2n) draws, composite manually
         t_sphere = 1.0
@@ -355,15 +358,18 @@ class TestRenderComposed:
         box = OrientedBox3((0, 0, 0.5), (3, 3, 1.2))
         near = ConstantField((1, 0, 0), 50.0)
         far = ConstantField((0.2, 0.5, 0.7), 4.0)
-        pruned = render_composed(None, near, far, [box], RAY_Z, cfg)
-        background, _ = render_ray_nearfar(EMPTY, far, RAY_Z, cfg)
+        pruned = render_full(RAY_Z, cfg, near, far, [box]).color
+        background = render_full(RAY_Z, cfg, EMPTY, far).color
         assert np.abs(pruned - background).max() < 1e-12
+        # the same near segment covered by two boxes that meet at z = 0.5
+        halves = [OrientedBox3((0, 0, 0.2), (3, 3, 0.6)), OrientedBox3((0, 0, 0.8), (3, 3, 0.6))]
+        assert np.array_equal(render_full(RAY_Z, cfg, near, far, halves).color, pruned)
 
     def test_fine_sampling_conserves(self):
         cfg = RenderConfig(seed=41, n_coarse=32, n_fine=32)
         near = GaussianBlobField((0.9, 0.4, 0.1), 8.0, (0, 0, 0.4), 0.15)
         far = ConstantField((0.1, 0.2, 0.3), 2.0)
-        color, acc_near = render_ray_nearfar(near, far, RAY_Z, cfg)
+        color, _, acc_near = render_full(RAY_Z, cfg, near, far)
         assert 0.0 <= acc_near <= 1.0 + 1e-9
         assert np.all(color >= 0) and np.all(color <= 1 + 1e-9)
 
