@@ -87,11 +87,111 @@ end_header
 def write_ply(path, samples: SurfaceSamples) -> None:
     """ASCII PLY with per-vertex position and normal. Values are rounded to
     f32 and written with 9 significant digits, which identify every f32
-    exactly and re-format stably."""
+    exactly and re-format stably: the bytes of `"%.9g" % float(f32)`, made
+    in numpy by _ply_lines, PLY_CHUNK vertices at a time."""
     n = len(samples)
     vals = np.concatenate([samples.positions, samples.normals], axis=1).astype(np.float32)
-    body = ("%.9g %.9g %.9g %.9g %.9g %.9g\n" * n) % tuple(vals.ravel().tolist())
-    Path(path).write_text(_PLY_HEADER.format(n) + body)
+    with open(path, "wb") as fh:
+        # each line carries the newline before it, so the header's last
+        # newline comes from the first vertex and the body ends with one more
+        fh.write(_PLY_HEADER.format(n)[:-1].encode())
+        for start in range(0, n, PLY_CHUNK):
+            fh.write(_ply_lines(vals[start : start + PLY_CHUNK]))
+        fh.write(b"\n")
+
+
+# The PLY body formatter. Each value gets a 20-byte row of ASCII
+#   byte 0       the separator before it: "\n" for a line's first value, else " "
+#   bytes 1-3    "-0."
+#   bytes 4-15   "000" and the 9 significant digits d0..d8, as three 4-digit words
+#   bytes 16-19  "e+dd" or "e-dd", the decimal exponent X
+# and a keep mask selects the bytes of the value's %.9g form. %g writes
+# fixed notation for -4 <= X < 9, else scientific, and strips trailing zeros,
+# so the mask depends only on the sign, X and the count k of significant
+# digits left. Where the point falls among the digits (fixed notation with
+# X >= 0 and a fraction, or scientific with k > 1), the digits before it move
+# one byte left (into the last "0") and "." takes the byte after them.
+PLY_CHUNK = 8192  # vertices per formatting pass: bounds the temporaries
+_X_MIN, _X_MAX = -45, 38  # decimal exponents of the nonzero finite f32 values
+_POW10_MIN = 8 - _X_MAX - 1  # 10^(8 - X) for X one past either end
+_POW10 = np.array([float(f"1e{e}") for e in range(_POW10_MIN, 8 - _X_MIN + 2)])
+
+
+def _ply_tables():
+    """The formatter's lookup tables: 4-digit words of 0000..9999 and their
+    trailing zero counts, exponent words, separator heads, and the keep mask
+    and point shift of each key = ((X - _X_MIN) * 10 + k) * 2 + sign bit."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # column n: the digits of n
+    digits4 = np.ascontiguousarray((digits + ord("0")).T).view("<u4").ravel()
+    trailing_zeros4 = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0)
+    xs = range(_X_MIN, _X_MAX + 1)
+    exponent = np.frombuffer("".join(f"e{x:+03d}" for x in xs).encode(), "<u4")
+    heads = np.frombuffer(b"\n-0." + b" -0." * 5, "<u4")
+    x, k, neg, j = np.ix_(np.array(xs), np.arange(10), np.arange(2), np.arange(20))
+    sci = (x < -4) | (x >= 9)
+    point = np.where(sci, k > 1, (x >= 0) & (k > x + 1))
+    first = np.where(point, 6, np.where(sci | (x >= 0), 7, 8 + x))  # x < 0: its leading zeros
+    end = np.where(point | ~sci & (x < 0), 7 + k, np.where(sci, 8, 8 + x))
+    keep = ((j >= first) & (j < end) | (j == 0) | (j == 1) & (neg == 1)
+            | (j >= 2) & (j <= 3) & ~sci & (x < 0) | (j >= 16) & sci)
+    shift = np.broadcast_to(np.where(point, np.where(sci, 1, x + 1), 0)[..., 0], keep.shape[:3])
+    return (digits4, trailing_zeros4, exponent, heads,
+            keep.reshape(-1, 20).view("V20").ravel(), shift.ravel())
+
+
+_DIGITS4, _TRAILING_ZEROS4, _EXPONENT, _HEADS, _KEEP, _POINT_SHIFT = _ply_tables()
+
+
+def _ply_lines(block: np.ndarray) -> np.ndarray:
+    """ASCII bytes of "\\n%.9g %.9g %.9g %.9g %.9g %.9g" for each row of the
+    (N, 6) float32 block, as a uint8 array."""
+    v = block.astype(np.float64).ravel()
+    a = np.abs(v)
+    finite, zero = np.isfinite(a), a == 0
+    a[~finite | zero] = 1.0
+    # the 9 digits D = round(s) of s = |v| 10^(8 - X) in [1e8, 1e9); s is
+    # within 3e-7 of exact (two roundings), so D is exact unless s is near a
+    # half: those values, and non-finite ones, are formatted by % below
+    x = np.floor(np.log10(a)).astype(np.intp)
+    s = a * _POW10[8 - x - _POW10_MIN]
+    off = (s >= 1e9).astype(np.intp) - (s < 1e8)  # log10 rounded across a power of ten
+    redo = np.flatnonzero(off)
+    x[redo] += off[redo]
+    s[redo] = a[redo] * _POW10[8 - x[redo] - _POW10_MIN]
+    fallback = np.flatnonzero((np.abs(s - np.floor(s) - 0.5) < 1e-5) | ~finite)
+    d = np.rint(s)
+    carry = np.flatnonzero(d >= 1e9)  # 9.999999996e0 rounds to 1.00000000e1
+    d[carry] = 1e8
+    x[carry] += 1
+    d[zero] = 0  # "0" and "-0": X = 0, k = 1
+    d = d.astype(np.uint32)
+    hi = d // 100_000_000
+    mid = d // 10_000
+    lo = (d - mid * 10_000).astype(np.intp)
+    mid = (mid - hi * 10_000).astype(np.intp)
+    # d0 is nonzero unless D is, so at most 8 trailing zeros
+    k = 9 - _TRAILING_ZEROS4.take(lo) - (lo == 0) * _TRAILING_ZEROS4.take(mid)
+    key = ((x - _X_MIN) * 10 + k) * 2 + np.signbit(v)
+
+    words = np.empty((len(block), 6, 5), "<u4")
+    words[:, :, 0] = _HEADS
+    words[:, :, 1] = _DIGITS4.take(hi).reshape(-1, 6)
+    words[:, :, 2] = _DIGITS4.take(mid).reshape(-1, 6)
+    words[:, :, 3] = _DIGITS4.take(lo).reshape(-1, 6)
+    words[:, :, 4] = _EXPONENT.take(x - _X_MIN).reshape(-1, 6)
+    rows = words.view(np.uint8).reshape(-1, 20)
+    keep = _KEEP.take(key).view(np.bool_).reshape(-1, 20)
+    shift = _POINT_SHIFT.take(key)
+    for width in np.flatnonzero(np.bincount(shift)[1:]) + 1:
+        r = np.flatnonzero(shift == width)
+        rows[r, 6 : 6 + width] = rows[r, 7 : 7 + width]
+        rows[r, 6 + width] = ord(".")
+    for i in fallback:
+        text = np.frombuffer(b"%.9g" % v[i], np.uint8)
+        rows[i, 1 : 1 + len(text)] = text
+        keep[i, 1:] = False
+        keep[i, 1 : 1 + len(text)] = True
+    return rows[keep]
 
 
 def read_ply(path) -> SurfaceSamples:

@@ -88,16 +88,18 @@ class OrientedBox3:
         return np.vstack([bottom, top])
 
     def contains(self, pts) -> np.ndarray:
+        """Mask of the (..., 3) points inside the box, of shape pts.shape[:-1]
+        (a single (3,) point gives shape (1,))."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         d = pts - self.center
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        lx = c * d[:, 0] + s * d[:, 1]
-        ly = -s * d[:, 0] + c * d[:, 1]
+        lx = c * d[..., 0] + s * d[..., 1]
+        ly = -s * d[..., 0] + c * d[..., 1]
         half = self.size / 2.0
         return (
             (np.abs(lx) <= half[0])
             & (np.abs(ly) <= half[1])
-            & (np.abs(d[:, 2]) <= half[2])
+            & (np.abs(d[..., 2]) <= half[2])
         )
 
 

@@ -180,7 +180,7 @@ def prune_rays_in_boxes(samples, sigmas, boxes: Sequence[OrientedBox3]) -> np.nd
 
 
 def _in_boxes(pts: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
-    """(N,) mask of the (N, 3) points inside any of the (one or more) boxes."""
+    """Mask of the (..., 3) points inside any of the (one or more) boxes."""
     return np.any([box.contains(pts) for box in boxes], axis=0)
 
 

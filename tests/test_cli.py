@@ -145,6 +145,16 @@ class TestExtractSurface:
         # plus the final residual and normal (7 evals), 13 evals a point
         assert stats["projection_evals"] == 13 * stats["surface_points"]
 
+    # the PLY of `extract-surface --shape union --lod-end 7`, pinned by hash
+    # (its stats sidecar holds a wall time): a change to traversal,
+    # projection or the PLY text shows up here
+    UNION_LOD7_PLY_SHA256 = "1a17e03663edb2f6a7fd929a8c2f378bc85bfc71812b98eab31857c5f383f249"
+
+    def test_union_ply_matches_pinned_hash(self, tmp_path):
+        out = tmp_path / "union.ply"
+        assert run("extract-surface", "--shape", "union", "--lod-end", "7", "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.UNION_LOD7_PLY_SHA256
+
     def test_level_budget_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
         import radiant.octree
 

@@ -1,14 +1,17 @@
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiant import io
 from radiant.core_math import Aabb, Intrinsics, Pose, rotation_about
 from radiant.errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
 from radiant.grids import VoxelGrid4D
 from radiant.metrics import OrientedBox3, PoseRecord
-from radiant.fields import SphereSdf
+from radiant.fields import BoxSdf, SphereSdf, UnionSdf
 from radiant.octree import LodConfig, SurfaceSamples, extract_surface, samples_to_arrays
 
 import helpers
@@ -307,6 +310,150 @@ class TestPly:
             assert np.array_equal(back.positions, samples.positions)
             assert np.array_equal(back.normals, samples.normals)
             assert np.array_equal(back.positions, pos) and np.array_equal(back.normals, nrm)
+
+
+def f32_samples(vals) -> SurfaceSamples:
+    """Samples holding the given values as f32, six to a vertex (the last
+    vertex padded with zeros)."""
+    v = np.asarray(vals, dtype=np.float32).ravel()
+    v = np.concatenate([v, np.zeros(-len(v) % 6, np.float32)]).reshape(-1, 6).astype(np.float64)
+    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(len(v)))
+
+
+def percent_ply_bytes(samples) -> bytes:
+    """The `%` writer io.write_ply replaced: every f32 value through one
+    `%.9g` on a tuple. It formats each value as oracle_write_ply does, fast
+    enough for a million values."""
+    vals = np.concatenate([samples.positions, samples.normals], axis=1).astype(np.float32)
+    body = ("%.9g %.9g %.9g %.9g %.9g %.9g\n" * len(vals)) % tuple(vals.ravel().tolist())
+    return (io._PLY_HEADER.format(len(vals)) + body).encode()
+
+
+# The positive f32 values whose 9 digits the float64 scaling alone gets wrong:
+# s = |v| 10^(8 - X) rounds to exactly N + 1/2 although v is no tie, so
+# rounding s half to even picks the wrong last digit. write_ply formats them
+# with %. Found by comparing, for every positive f32, those digits with '%.8e'.
+NEAR_TIES = [6.661681814999999e-39, 7.838966745000001e-37, 6.985349925e-35,
+             1.397069985e-34, 3.259829965e-34, 5.122589945e-34, 6.985349925e-34,
+             1.397069985e-33, 3.860084235e-32, 3.752432815e-31, 2.817400485e-29,
+             6.606743785000001e-29, 9.901994705e-27, 2.8634637050000003e-26,
+             9.901994705e-26, 6.839422155e-23, 6.476829245e-22, 4.6696633250000004e-20,
+             3.072132665e-18, 1.0194606650000001e-16, 4.0025449250000004e-15,
+             6.205944775e-14, 9.407980715e-14, 1.241188955e-13, 9.171420845e-10,
+             2.389027145e-07, 2.9288019050000003e-06, 4.500175055e-05, 9.310196765e-05,
+             9.878415325000001e+19, 4.748830535e+22, 5.432898045e+22, 3.122925325e+23,
+             9.864475945e+24, 4.023121435e+25, 6.539735695e+28, 3.101910225e+29,
+             7.237790525e+29, 1.447558105e+30, 3.101910225e+30, 5.583438405e+30,
+             6.410614465e+30, 1.447558105e+31, 2.274734165e+31, 3.101910225e+31,
+             3.929086285e+31, 4.756262345e+31, 5.583438405e+31, 6.410614465e+31,
+             7.237790525e+31, 8.064966585e+31, 8.892142645e+31, 9.719318705e+31,
+             1.447558105e+32, 2.274734165e+32, 3.101910225e+32, 3.929086285e+32,
+             4.756262345e+32, 5.583438405e+32, 6.410614465e+32, 7.237790525e+32,
+             8.064966585e+32, 8.892142645e+32, 9.719318705e+32, 1.447558105e+33,
+             7.641909335e+34, 2.190122715e+35, 6.504291905000001e+37, 2.855167375e+38]
+
+
+def exact_ties() -> list[float]:
+    """f32 values whose exact decimal expansion has 10 significant digits
+    ending in 5, which %.9g rounds half to even."""
+    cands = [m * 2.0**-p for p in range(150) for m in range(1, 64, 2)]
+    cands += [n + j / 8 for n in range(1048577, 1048657) for j in (1, 3, 5, 7)]
+    cands += [n + j / 16 for n in range(200000, 200040) for j in (1, 3, 13, 15)]
+    ties = []
+    for x in cands:
+        digits = "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
+        if float(np.float32(x)) == x and len(digits) == 10 and digits[-1] == "5":
+            ties.append(x)
+    return ties
+
+
+class TestPlyWriterOracle:
+    """write_ply formats in numpy; its bytes must be those of `%.9g` on
+    every f32, with `%` kept only for near-ties and non-finite values."""
+
+    def assert_oracle_bytes(self, tmp_path, samples, oracle=None):
+        new = tmp_path / "new.ply"
+        io.write_ply(new, samples)
+        if oracle is None:
+            old = tmp_path / "old.ply"
+            oracle_write_ply(old, samples.positions, samples.normals)
+            want = old.read_bytes()
+        else:
+            want = oracle(samples)
+        assert new.read_bytes() == want
+
+    def test_every_f32_near_each_power_of_ten(self, tmp_path):
+        # +-2^12 ulps around 1e-45 .. 1e38: exponent and notation changes,
+        # values rounding up into the next decade, subnormals at the low end
+        centres = np.array([10.0**e for e in range(-45, 39)], np.float32).view(np.int32)
+        bits = (centres[:, None] + np.arange(-4096, 4097)).ravel()
+        bits = np.unique(np.clip(bits, 0, 0x7F7FFFFF)).astype(np.uint32)
+        signs = np.random.default_rng(0).integers(0, 2, len(bits), dtype=np.uint32) << 31
+        vals = (bits | signs).view(np.float32)
+        assert len(vals) > 600_000
+        self.assert_oracle_bytes(tmp_path, f32_samples(vals), percent_ply_bytes)
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(1).integers(0, 2**32, 1_000_000, dtype=np.uint64)
+        vals = bits.astype(np.uint32).view(np.float32)
+        assert np.isnan(vals).any()
+        with np.errstate(invalid="ignore"):  # casts of signalling NaNs
+            self.assert_oracle_bytes(tmp_path, f32_samples(vals), percent_ply_bytes)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(width=32), max_size=48))
+    def test_any_f32_property(self, tmp_path_factory, vals):
+        self.assert_oracle_bytes(tmp_path_factory.mktemp("ply"), f32_samples(vals))
+
+    def test_ties_and_near_ties(self, tmp_path):
+        ties = exact_ties() + NEAR_TIES
+        assert len(ties) > 500 and all(float(np.float32(t)) == t for t in NEAR_TIES)
+        vals = np.array(ties + [-t for t in ties])
+        self.assert_oracle_bytes(tmp_path, f32_samples(vals))
+        p = tmp_path / "ties.ply"
+        io.write_ply(p, f32_samples([1234567.125, 1234567.375, 2.0**-14, -200000.0625,
+                                     0.01025390625, 131073.1875]))
+        assert p.read_text().splitlines()[-1] == \
+            "1234567.12 1234567.38 6.10351562e-05 -200000.062 0.0102539062 131073.188"
+
+    def test_zeros_subnormals_extremes_and_non_finite(self, tmp_path):
+        sub = np.concatenate([np.arange(1, 2049), np.arange(0x7FFFFF - 2048, 0x800001)])
+        special = np.array([0.0, -0.0, 3.4028235e38, -3.4028235e38, 1.1754944e-38,
+                            float("nan"), float("-nan"), float("inf"), float("-inf")],
+                           np.float32).view(np.uint32)
+        bits = np.concatenate([sub, sub | 0x80000000, special]).astype(np.uint32)
+        self.assert_oracle_bytes(tmp_path, f32_samples(bits.view(np.float32)))
+
+    def test_box_face_clouds(self, tmp_path):
+        # box faces give normals whose components are exactly 0, -0 or +-1
+        rng = np.random.default_rng(2)
+        n = 3000
+        axis, side = rng.integers(0, 3, n), rng.choice([-1.0, 1.0], n)
+        normals = np.zeros((n, 3))
+        normals[np.arange(n), axis] = side
+        normals[rng.random((n, 3)) < 0.2] *= -1.0
+        centre = np.array([0.35, 0.0, 0.0])
+        positions = centre + rng.uniform(-0.25, 0.25, (n, 3))
+        positions[np.arange(n), axis] = centre[axis] + 0.25 * side
+        box = SurfaceSamples(positions, normals, np.zeros(n))
+        union, _ = extract_surface(UnionSdf([SphereSdf((-0.35, 0, 0), 0.3),
+                                             BoxSdf((0.35, 0, 0), (0.25, 0.25, 0.25))]),
+                                   LodConfig(3, 6))
+        vals = np.concatenate([union.positions, union.normals], axis=1)
+        assert np.isin(vals, (0.0, 1.0, -1.0)).mean() > 0.1
+        for s in (box, union):
+            self.assert_oracle_bytes(tmp_path, s)
+
+    @pytest.mark.parametrize("n", [io.PLY_CHUNK - 1, io.PLY_CHUNK, io.PLY_CHUNK + 1,
+                                   2 * io.PLY_CHUNK + 3, 0])
+    def test_output_independent_of_chunking(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        vals = rng.normal(scale=10.0 ** rng.integers(-6, 10, (n, 1)), size=(n, 6))
+        # values formatted by % at each chunk's first and last vertex
+        ends = np.unique(np.clip([0, io.PLY_CHUNK - 1, io.PLY_CHUNK, n - 1], 0, max(n - 1, 0)))
+        if n:
+            vals[ends, 0], vals[ends, 4], vals[ends, 5] = float("nan"), 1234567.125, -0.0
+        self.assert_oracle_bytes(tmp_path, f32_samples(vals), percent_ply_bytes)
 
 
 class TestBenchmarkContract:

@@ -261,6 +261,26 @@ class TestPrune:
         out = prune_rays_in_boxes([[0, 0, 0], [2, 0, 0], [1, 0, 0.9]], [7.0, 8.0, 9.0], boxes)
         assert np.array_equal(out, [SUPPRESSION_SIGMA, SUPPRESSION_SIGMA, 9.0])
 
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 3, 3)])
+    def test_ray_sample_batches_read_the_last_axis(self, shape):
+        # (R, S, 3) samples give the (R, S) mask of their flattened (R*S, 3) rows;
+        # with S = 3 a mask read along the wrong axis would still have that shape
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1.0, 1.0, shape)
+        boxes = [OrientedBox3((0.2, -0.1, 0.0), (1.0, 0.8, 1.2), yaw=0.4),
+                 OrientedBox3((-0.5, 0.5, 0.3), (0.6, 0.6, 0.6))]
+        pts[0, 1], pts[1, 2] = boxes[0].center, boxes[1].center + 0.1
+        pts[0, 0] = pts[1, 1] = 5.0
+        flat = pts.reshape(-1, 3)
+        for box in boxes:
+            want = box.contains(flat).reshape(shape[:-1])
+            assert want.any() and not want.all()
+            assert np.array_equal(box.contains(pts), want)
+        sig = rng.uniform(0.0, 5.0, shape[:-1])
+        out = prune_rays_in_boxes(pts, sig, boxes)
+        assert np.array_equal(out, prune_rays_in_boxes(flat, sig.ravel(), boxes).reshape(shape[:-1]))
+        assert (out == SUPPRESSION_SIGMA).any()
+
 
 class TestNearFar:
     def test_opaque_near_hides_far(self):
