@@ -28,7 +28,7 @@ from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
 from .octree import LodConfig, dense_extract, extract_surface
 from .projmaps import SemanticMapConfig, build_semantic_map
-from .render import RenderConfig, render_full
+from .render import RenderConfig, packet_bytes, render_full
 
 SDF_PRESETS = {
     "sphere": {"type": "sphere", "center": [0, 0, 0], "radius": 0.5},
@@ -79,12 +79,21 @@ def _prepare_output(path, force: bool) -> Path:
     return out
 
 
+# RGBA values one voxelized grid may hold (a 203^3 grid): larger dims are
+# refused before the grid is allocated
+MAX_GRID_VALUES = 1 << 25
+
+
 def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = [int(t) for t in text.split(",")]
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3 or any(p < 1 for p in parts):
         raise ValueError(f"bad dims {text!r}; expected N or X,Y,Z")
+    values = parts[0] * parts[1] * parts[2] * 4
+    if values > MAX_GRID_VALUES:
+        raise RadiantError(f"--dims {text}: an RGBA grid of {values} values, over the "
+                           f"budget of {MAX_GRID_VALUES}; use smaller dims")
     return tuple(parts)
 
 
@@ -170,6 +179,9 @@ def _cmd_mask(args) -> None:
 
 # rays per render_full call: bounds the packet's (rays x samples) arrays
 PACKET_RAYS = 256
+# bytes of a packet's largest array (render.packet_bytes): a scene over it
+# is refused before rendering
+MAX_PACKET_BYTES = 1 << 26
 
 
 def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_field):
@@ -223,6 +235,13 @@ def _cmd_render(args) -> None:
         n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, 0),
         seed=args.seed,
     )
+    rays = min(PACKET_RAYS, max(k.width * k.height for k, _ in views))
+    nbytes = packet_bytes(rays, cfg)
+    if nbytes > MAX_PACKET_BYTES:
+        raise RadiantError(
+            f"{args.scene}: n_coarse {cfg.n_coarse} and n_fine {cfg.n_fine} need a "
+            f"{nbytes}-byte array for a packet of {rays} rays, over the budget of "
+            f"{MAX_PACKET_BYTES}; use fewer samples")
 
     image_paths = [
         _prepare_output(f"{args.out}_{ci:03d}.ppm", args.force)

@@ -163,7 +163,11 @@ class RadianceField:
     """Emission/absorption field: eval maps (points, directions) to
     (rgb in [0,1]^3, density sigma >= 0). view_dependent is False for a
     field whose eval ignores dirs: callers may evaluate a point once for a
-    whole direction set."""
+    whole direction set.
+
+    eval is pointwise: row i of its output depends only on row i of pts
+    and dirs, bit for bit, whatever else is in the batch. The renderer
+    relies on it to reuse the coarse pass's values in the fine pass."""
 
     view_dependent = True
 

@@ -14,6 +14,9 @@ near/far rendering bit for bit.
 render_full is the one renderer. It takes one ray or a packet of R rays (a
 Ray with (R, 3) arrays) and works on (R, S) sample arrays with the same
 layout for every ray, so a ray renders the same bit for bit in any packet.
+Each sample is evaluated once: the fine pass evaluates only its new near
+and far draws and merges them by depth with the coarse pass's values,
+which, as field evals are pointwise, are the bits a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -200,6 +203,14 @@ def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> n
     return np.where(u >= cdf[:, -1:], edges[:, -1:], (e1 - e0) / (c1 - c0) * (u - c0) + e0)
 
 
+def packet_bytes(n_rays: int, cfg: RenderConfig) -> int:
+    """Bytes of the largest array render_full makes for a packet of n_rays:
+    the (R, 3 (n_coarse + n_fine), 3) float64 colors of its sample layout,
+    or the (R, n_fine, n_coarse + 1) bools of the fine draws' CDF search."""
+    n, f = cfg.n_coarse, cfg.n_fine
+    return n_rays * max(3 * (n + f) * 3 * 8, f * (n + 1))
+
+
 class RenderResult(NamedTuple):
     """Composited color, accumulated opacity, and the part of it from the
     near region: (3,) and floats for one ray, (R, 3) and (R,) for a packet."""
@@ -244,29 +255,22 @@ def render_full(
     # the sphere, later samples stride toward infinity
     u = (n - np.arange(n) - jitter[:, n:2 * n]) / n
 
-    def near_deltas(ts):
-        return np.where(has_near, np.diff(ts, axis=-1, append=t_sphere), 0.0)
+    def far_depths(u_desc):
+        return -b + np.sqrt(b * b + (1.0 / u_desc) ** 2 - oo)  # where |o + t d| = 1 / u
 
-    def far_ladder(u_desc):
-        ts = -b + np.sqrt(b * b + (1.0 / u_desc) ** 2 - oo)  # where |o + t d| = 1 / u
-        # the ladder runs to infinity: the last segment repeats the one
-        # before it (for a lone sample, the gap from the sphere)
-        gaps = np.diff(ts, axis=-1, prepend=t_sphere)
-        return ts, np.concatenate([gaps[:, 1:], gaps[:, -1:]], axis=-1)
+    def evaluate(near_ts, far_ts):
+        return _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_field)
 
-    near = (near_ts, near_deltas(near_ts))
-    far = far_ladder(u)
+    far_ts = far_depths(u)
+    near, far = evaluate(near_ts, far_ts)
     if n_fine > 0:
-        _, _, near_w, far_w = _compose_streams(ray, *near, *far, near_field, far_field,
-                                               boxes, object_field)
+        _, _, near_w, far_w = _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near)
         # rays with fewer than 2 near samples repeat their first sample
         fine_near = has_near & (n >= 2)
         edges = np.concatenate([np.full_like(t_sphere, cfg.near),
                                 0.5 * (near_ts[:, :-1] + near_ts[:, 1:]), t_sphere], axis=-1)
         fine = _sample_pdf(edges, near_w, jitter[:, 2 * n:2 * n + n_fine])
-        ts = np.sort(np.concatenate([near_ts, np.where(fine_near, fine, near_ts[:, :1])],
-                                    axis=-1), axis=-1)
-        near = (ts, near_deltas(ts))
+        fine_ts = np.where(fine_near, fine, near_ts[:, :1])
 
         u_asc = u[:, ::-1]
         edges_u = np.concatenate([np.zeros_like(t_sphere), 0.5 * (u_asc[:, :-1] + u_asc[:, 1:]),
@@ -274,24 +278,39 @@ def render_full(
         fine_u = _sample_pdf(edges_u, far_w[:, ::-1], jitter[:, 2 * n + n_fine:])
         # draws at u ~ 0 (infinite radius) become repeats of the first sample
         fine_u = np.where(fine_u > 1e-9, fine_u, u[:, :1])
-        far = far_ladder(-np.sort(-np.concatenate([u, fine_u], axis=-1), axis=-1))
 
-    color, acc, near_w, _ = _compose_streams(ray, *near, *far, near_field, far_field,
-                                             boxes, object_field)
+        # only the new draws are evaluated; far depths never rise with u, so
+        # ordering them by depth is the ladder's descending-u order
+        fine_far_ts = far_depths(fine_u)
+        fine_near_vals, fine_far_vals = evaluate(fine_ts, fine_far_ts)
+        near_ts, *near = _merge((near_ts, *near), (fine_ts, *fine_near_vals))
+        far_ts, *far = _merge((far_ts, *far), (fine_far_ts, *fine_far_vals))
+
+    color, acc, near_w, _ = _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near)
     acc_near = near_w.sum(axis=-1)
     if ray.origin.ndim == 1:
         return RenderResult(color[0], float(acc[0]), float(acc_near[0]))
     return RenderResult(color, acc, acc_near)
 
 
-def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
-                     near_field, far_field, boxes, object_field):
-    """Composite each ray's object, near and far streams, (R, S) arrays, in
-    one static (R, 2 sn + sf) layout ordered by t (ties: object, then near,
-    then far): object sample i in column 2i, near sample i in column 2i + 1,
-    the far ladder from column 2 sn. Object slots stay at sigma 0 with no
-    boxes (moving zero weights would regroup acc's pairwise sum), as do
-    zero-length segments. Returns color, acc and the near and far weights."""
+def _merge(coarse, fine):
+    """Join each coarse (R, S, ...) array to its fine counterpart along the
+    sample axis, and order every ray's row by the joined depths, the first
+    array of each. Equal depths give a point equal values, so which of two
+    tied samples comes first does not change any array."""
+    joined = [np.concatenate([c, f], axis=1) for c, f in zip(coarse, fine)]
+    n_rays, s = joined[0].shape
+    rows = np.argsort(joined[0], axis=1) + (np.arange(n_rays) * s)[:, None]
+    return [np.take(a.reshape((n_rays * s,) + a.shape[2:]), rows, axis=0) for a in joined]
+
+
+def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_field):
+    """Field values at each ray's near and far depths, (R, S) arrays.
+
+    Returns near = (object colors, object sigmas, near colors, near sigmas)
+    and far = (colors, sigmas). Inside the boxes the near sigmas hold
+    SUPPRESSION_SIGMA and the object field's values fill the object arrays,
+    which hold zeros everywhere else (and everywhere with no object field)."""
     dirs = np.atleast_2d(ray.direction)[:, None, :]
 
     def evaluate(field, pts):
@@ -299,23 +318,43 @@ def _compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
                                     np.broadcast_to(dirs, pts.shape).reshape(-1, 3))
         return colors.reshape(pts.shape), np.reshape(sigmas, pts.shape[:-1])
 
-    (n_rays, sn), sf = near_ts.shape, far_ts.shape[1]
-    obj, near, far = np.s_[:, 0:2 * sn:2], np.s_[:, 1:2 * sn:2], np.s_[:, 2 * sn:]
-    colors = np.zeros((n_rays, 2 * sn + sf, 3))
-    sigmas = np.zeros((n_rays, 2 * sn + sf))
-    deltas = np.empty_like(sigmas)
-    deltas[obj] = deltas[near] = near_deltas
-    deltas[far] = far_deltas
-
     near_pts = ray.at(near_ts)
-    colors[near], sigmas[near] = evaluate(near_field, near_pts)
+    colors, sigmas = evaluate(near_field, near_pts)
+    obj_colors, obj_sigmas = np.zeros(near_pts.shape), np.zeros(near_ts.shape)
     if boxes:
         inside = _in_boxes(near_pts.reshape(-1, 3), boxes).reshape(near_ts.shape)
-        sigmas[near][inside] = SUPPRESSION_SIGMA
+        sigmas = np.where(inside, SUPPRESSION_SIGMA, sigmas)
         if object_field is not None and inside.any():
-            colors[obj][inside], sigmas[obj][inside] = object_field.eval(
+            obj_colors[inside], obj_sigmas[inside] = object_field.eval(
                 near_pts[inside], np.broadcast_to(dirs, near_pts.shape)[inside])
-    colors[far], sigmas[far] = evaluate(far_field, ray.at(far_ts))
+    return (obj_colors, obj_sigmas, colors, sigmas), evaluate(far_field, ray.at(far_ts))
+
+
+def _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near):
+    """Composite each ray's object, near and far streams, the (R, S) depths
+    and the values of _eval_streams, in one static (R, 2 sn + sf) layout
+    ordered by t (ties: object, then near, then far): object sample i in
+    column 2i, near sample i in column 2i + 1, the far ladder from column
+    2 sn. Object slots stay at sigma 0 with no boxes (moving zero weights
+    would regroup acc's pairwise sum), as do zero-length segments.
+
+    A near sample's segment runs to the next one (the last to the sphere)
+    and has length 0 on a ray with no near region; a far segment runs to
+    the next far sample, and the last repeats the one before it (for a lone
+    sample, the gap from the sphere), as the ladder runs to infinity.
+    Returns color, acc and the near and far weights."""
+    (n_rays, sn), sf = near_ts.shape, far_ts.shape[1]
+    obj, near_s, far_s = np.s_[:, 0:2 * sn:2], np.s_[:, 1:2 * sn:2], np.s_[:, 2 * sn:]
+    colors = np.empty((n_rays, 2 * sn + sf, 3))
+    sigmas = np.empty((n_rays, 2 * sn + sf))
+    deltas = np.empty_like(sigmas)
+    colors[obj], sigmas[obj], colors[near_s], sigmas[near_s] = near
+    colors[far_s], sigmas[far_s] = far
+    deltas[obj] = deltas[near_s] = np.where(has_near, np.diff(near_ts, axis=-1, append=t_sphere),
+                                            0.0)
+    gaps = np.diff(far_ts, axis=-1, prepend=t_sphere)
+    deltas[:, 2 * sn:-1] = gaps[:, 1:]
+    deltas[:, -1:] = gaps[:, -1:]
 
     comp = composite(colors, np.where(deltas > 0, sigmas, 0.0), deltas)
-    return comp.color, comp.acc, comp.weights[near], comp.weights[far]
+    return comp.color, comp.acc, comp.weights[near_s], comp.weights[far_s]

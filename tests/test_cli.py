@@ -127,6 +127,64 @@ class TestVoxelizeRender:
         assert not out.exists()
 
 
+class TestBudgets:
+    """Inputs whose arrays would exceed a budget exit 3 before any of those
+    arrays is allocated."""
+
+    @staticmethod
+    def _refuse_calls(monkeypatch, *names):
+        import radiant.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before the budget check")
+
+        for name in names:
+            monkeypatch.setattr(radiant.cli, name, refuse)
+
+    def test_render_sample_budget(self, tmp_path, capsys, monkeypatch):
+        self._refuse_calls(monkeypatch, "generate_ray_arrays", "splitmix64_stream",
+                           "render_full")
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(n_coarse=10**9)))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "RadiantError"
+        assert str(scene) in err["message"] and "n_coarse" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+    @pytest.mark.parametrize("n_coarse,n_fine,largest", [
+        (16, 4, 64 * 3 * 20 * 3 * 8),  # the (64, 60, 3) float64 layout colors
+        (200, 400, 64 * 400 * 201),  # the (64, 400, 201) bools of the CDF search
+    ], ids=["layout", "cdf-search"])
+    def test_render_budget_edge(self, tmp_path, monkeypatch, n_coarse, n_fine, largest):
+        import radiant.cli
+
+        scene = tmp_path / "scene.json"  # 8x8 pixels
+        scene.write_text(json.dumps(scene_doc(n_coarse=n_coarse, n_fine=n_fine)))
+        monkeypatch.setattr(radiant.cli, "MAX_PACKET_BYTES", largest)
+        assert run("render", "--scene", scene, "--out", tmp_path / "a") == 0
+        monkeypatch.setattr(radiant.cli, "MAX_PACKET_BYTES", largest - 1)
+        assert run("render", "--scene", scene, "--out", tmp_path / "b") == 3
+
+    def test_voxelize_grid_budget(self, tmp_path, capsys, monkeypatch):
+        self._refuse_calls(monkeypatch, "sample_grid")
+        out = tmp_path / "g.nfvg"
+        assert run("voxelize", "--field", "gaussian", "--dims", "100000", "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "RadiantError"
+        assert "--dims 100000" in err["message"]
+        assert not out.exists()
+
+    def test_voxelize_budget_edge(self, tmp_path, monkeypatch):
+        import radiant.cli
+
+        monkeypatch.setattr(radiant.cli, "MAX_GRID_VALUES", 4 * 4 * 5 * 4)
+        assert run("voxelize", "--field", "gaussian", "--dims", "4,4,5",
+                   "--out", tmp_path / "a.nfvg") == 0
+        assert run("voxelize", "--field", "gaussian", "--dims", "4,5,5",
+                   "--out", tmp_path / "b.nfvg") == 3
+
+
 class TestExtractSurface:
     def test_writes_ply_and_stats(self, tmp_path):
         out = tmp_path / "pts.ply"

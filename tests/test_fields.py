@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from radiant.core_math import Aabb
 from radiant.errors import EmptyUnion, NegativeDensity, VanishingGradient
 from radiant.fields import (
+    BallField,
     BoxSdf,
     ConstantField,
+    GaussianBlobField,
     GridField,
     SdfField,
     SphereSdf,
@@ -276,3 +278,39 @@ class TestGridField:
         f = GridField(grid)
         vals = f.interpolate(grid.voxel_centers())
         assert np.array_equal(vals.reshape(grid.data.shape), grid.data)
+
+
+class TestPointwiseEval:
+    """Row i of a radiance field's eval depends only on row i of its input:
+    permuting the batch or splitting it gives the same bits."""
+
+    @staticmethod
+    def _fields():
+        rng = np.random.default_rng(6)
+        grid = VoxelGrid4D(rng.uniform(0.0, 0.9, (5, 4, 6, 4)),
+                           Aabb([-0.5, -0.6, -0.4], [0.6, 0.5, 0.7]))
+        return {"constant": ConstantField((0.2, 0.4, 0.6), 3.0),
+                "gaussian": GaussianBlobField((0.9, 0.4, 0.1), 12.0, (0.05, -0.05, 0.2), 0.25),
+                "ball": BallField((0.3, 0.9, 0.1), 30.0, (0.1, 0.0, 0.1), 0.5),
+                "grid": GridField(grid)}
+
+    @pytest.mark.parametrize("name", ["constant", "gaussian", "ball", "grid"])
+    def test_permuted_and_split_batches(self, name):
+        field = self._fields()[name]
+        rng = np.random.default_rng(7)
+        # about half the points fall outside the grid's bounds and the ball
+        pts = rng.uniform(-1.0, 1.0, (301, 3))
+        dirs = rng.normal(size=(301, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        colors, sigmas = field.eval(pts, dirs)
+        perm = rng.permutation(len(pts))
+        p_colors, p_sigmas = field.eval(pts[perm], dirs[perm])
+        assert p_colors.tobytes() == colors[perm].tobytes()
+        assert p_sigmas.tobytes() == sigmas[perm].tobytes()
+        for cut in (1, 150):
+            head, tail = field.eval(pts[:cut], dirs[:cut]), field.eval(pts[cut:], dirs[cut:])
+            assert np.concatenate([head[0], tail[0]]).tobytes() == colors.tobytes()
+            assert np.concatenate([head[1], tail[1]]).tobytes() == sigmas.tobytes()
+        if name == "grid":
+            inside = field.bounds.contains(pts)
+            assert 0 < inside.sum() < len(pts) and sigmas[~inside].max() == 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from radiant.errors import (
     NegativeDensity,
     OriginOutsideSphere,
 )
-from radiant.fields import ConstantField, GaussianBlobField
+from radiant.fields import ConstantField, GaussianBlobField, RadianceField
 from radiant.metrics import OrientedBox3
 from radiant.render import (
     RenderConfig,
@@ -593,8 +594,9 @@ def _same_bits(a, b) -> bool:
 
 class TestStaticOrder:
     """The static (object, near) pairs + far layout against the lexsort merge,
-    on the same stream arrays: every _compose_streams call of a render runs
-    both."""
+    at the same depths: every _compose_streams call of a render runs both.
+    The merge evaluates every field afresh, so the fine pass's reuse of the
+    coarse pass's values is checked too."""
 
     SCENES = {"no-box": ((), None),
               "box": (TestPacket.BOXES, None),
@@ -603,19 +605,24 @@ class TestStaticOrder:
     @staticmethod
     def _check(monkeypatch, origins, dirs, cfg, boxes, object_field):
         """Render once, comparing every _compose_streams call with the
-        lexsort merge on the same inputs; returns which rays have a near
+        lexsort merge at the same depths; returns which rays have a near
         region."""
         calls = []
         static = render._compose_streams
+        ray = Ray(origins, dirs)
 
-        def both(*args):
-            got = static(*args)
-            calls.append((got, _lexsort_compose_streams(*args)))
+        def both(near_ts, near, far_ts, far, t_sphere, has_near):
+            got = static(near_ts, near, far_ts, far, t_sphere, has_near)
+            near_deltas = np.where(has_near, np.diff(near_ts, axis=-1, append=t_sphere), 0.0)
+            gaps = np.diff(far_ts, axis=-1, prepend=t_sphere)
+            far_deltas = np.concatenate([gaps[:, 1:], gaps[:, -1:]], axis=-1)
+            calls.append((got, _lexsort_compose_streams(
+                ray, near_ts, near_deltas, far_ts, far_deltas,
+                TestPacket.NEAR, TestPacket.FAR_BLOB, boxes, object_field)))
             return got
 
         monkeypatch.setattr(render, "_compose_streams", both)
-        render_full(Ray(origins, dirs), cfg, TestPacket.NEAR, TestPacket.FAR_BLOB,
-                    boxes, object_field)
+        render_full(ray, cfg, TestPacket.NEAR, TestPacket.FAR_BLOB, boxes, object_field)
         assert len(calls) == (2 if cfg.n_fine else 1)
         b = np.sum(origins * dirs, axis=-1)
         has_near = -b + np.sqrt(b * b - (np.sum(origins**2, axis=-1) - 1.0)) > cfg.near
@@ -658,3 +665,47 @@ class TestStaticOrder:
         cfg = RenderConfig(n_coarse=16, n_fine=8, seed=seeds)
         has_near = self._check(monkeypatch, origins, dirs, cfg, *self.SCENES["box-object"])
         assert (~has_near).sum() >= 10
+
+
+class _Counting(RadianceField):
+    """A field that records every point it evaluates."""
+
+    def __init__(self, field):
+        self.field, self.points = field, []
+
+    def eval(self, pts, dirs):
+        self.points.append(np.array(pts))
+        return self.field.eval(pts, dirs)
+
+    def count(self) -> int:
+        return sum(len(p) for p in self.points)
+
+
+class TestEvalOnce:
+    """The fine pass evaluates only its new draws and reuses the coarse
+    pass's values, with the bits of the renderer that evaluated every
+    sample again."""
+
+    # sha256 of color, acc and acc_near of the packet below as rendered by
+    # the re-evaluating fine pass
+    SHA256 = {"no-box": "8bad7a6ae46812ab3e86bb97fafd5d979cc082472eceef7e22f24fd62f2c10f7",
+              "box-object": "1151da5c533b6dac8f715fc992eb211281399525279a904f84ffc086c96adbb8"}
+
+    @pytest.mark.parametrize("scene", list(SHA256))
+    def test_each_sample_is_evaluated_once(self, scene):
+        origins, dirs, seeds = TestPacket._rays()
+        n, f = 16, 8
+        boxes, object_field = TestStaticOrder.SCENES[scene]
+        near, far = _Counting(TestPacket.NEAR), _Counting(TestPacket.FAR_BLOB)
+        obj = None if object_field is None else _Counting(object_field)
+        res = render_full(Ray(origins, dirs), RenderConfig(n_coarse=n, n_fine=f, seed=seeds),
+                          near, far, boxes, obj)
+        # pixel 5 has no near region: its fine near draws repeat its first
+        # sample, and are evaluated all the same
+        assert near.count() == far.count() == len(origins) * (n + f)
+        if obj is not None:
+            near_pts = np.concatenate(near.points)
+            inside = np.any([box.contains(near_pts) for box in boxes], axis=0)
+            assert 0 < obj.count() == inside.sum()
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in res))
+        assert digest.hexdigest() == self.SHA256[scene]
