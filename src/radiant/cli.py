@@ -182,6 +182,8 @@ PACKET_RAYS = 256
 # bytes of a packet's largest array (render.packet_bytes): a scene over it
 # is refused before rendering
 MAX_PACKET_BYTES = 1 << 26
+# pixels of one camera: the image's ray, color and seed arrays hold W*H rows
+MAX_IMAGE_PIXELS = 1 << 22
 
 
 def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_field):
@@ -235,6 +237,11 @@ def _cmd_render(args) -> None:
         n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, 0),
         seed=args.seed,
     )
+    for ci, (k, _) in enumerate(views):
+        if k.width * k.height > MAX_IMAGE_PIXELS:
+            raise RadiantError(
+                f"{args.scene}: cameras[{ci}] is {k.width}x{k.height}, over the budget "
+                f"of {MAX_IMAGE_PIXELS} pixels a camera; use a smaller image")
     rays = min(PACKET_RAYS, max(k.width * k.height for k, _ in views))
     nbytes = packet_bytes(rays, cfg)
     if nbytes > MAX_PACKET_BYTES:
@@ -562,10 +569,7 @@ def dispatch(argv) -> int:
         return 1
     try:
         args.func(args)
-    except RadiantError as e:
-        _emit_error("domain", e)
-        return 3
-    except ValueError as e:
+    except (RadiantError, ValueError) as e:
         _emit_error("domain", e)
         return 3
     except OSError as e:

@@ -1,10 +1,12 @@
 """Octree level-of-detail surface extraction from an SDF, plus the dense
 narrowband baseline it is benchmarked against.
 
-The traversal keeps cells whose center SDF value is within the cell edge
-length (shell rule), subdivides each survivor into 8 children, and at the
-final level projects surviving cell centers onto the zero isosurface along
-the finite-difference normal: p' = p - n * sdf(p).
+The traversal starts from the root cell and subdivides every cell into its
+8 children in Morton (Z-order) order, so each level is in Morton order
+without a sort. From lod_start on it keeps only the cells whose center SDF
+value is within the cell edge length (shell rule), and at the final level
+projects the surviving cell centers onto the zero isosurface along the
+finite-difference normal: p' = p - n * sdf(p).
 """
 
 from __future__ import annotations
@@ -90,23 +92,10 @@ def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray, 
     return samples.positions, samples.normals, samples.residuals
 
 
-# (shift, mask) steps that move bit b of a 12-bit index to bit 3b: each
-# step halves the bit groups the previous one left (8 + 4, then 4, 2, 1 bits)
-_SPREAD3 = tuple((np.uint64(s), np.uint64(m)) for s, m in (
-    (16, 0x0F0000FF), (8, 0x0F00F00F), (4, 0xC30C30C3), (2, 0x249249249)))
-
-
-def _morton3(idx: np.ndarray) -> np.ndarray:
-    """Interleave the bits of (N,3) integer cell indices (<= 12 bits each):
-    bit b of axis k goes to bit 3b + k of the code."""
-    codes = np.zeros(idx.shape[0], dtype=np.uint64)
-    for axis in range(3):
-        v = idx[:, axis].astype(np.uint64)
-        for shift, mask in _SPREAD3:
-            v |= v << shift
-            v &= mask
-        codes |= v << np.uint64(axis)
-    return codes
+# child c of cell i is cell 2i + _CHILDREN[c]: x varies fastest, so the
+# children of a cell, and by induction each level grown from the root cell,
+# are in Morton order (bit b of axis k is bit 3b + k of the code)
+_CHILDREN = np.array([[c & 1, c >> 1 & 1, c >> 2] for c in range(8)])
 
 
 def project_to_surface(
@@ -170,52 +159,41 @@ def extract_surface(
     stats = ExtractionStats()
     t0 = time.perf_counter()
 
-    n0 = 1 << cfg.lod_start
-    _check_level_cells(cfg.lod_start, n0**3)
-    ax = np.arange(n0)
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    idx = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    _check_level_cells(cfg.lod_start, 8**cfg.lod_start)
+    idx = np.zeros((1, 3), dtype=np.int64)  # the root cell
+    cell = np.asarray(cfg.bounds.extent)
+    for level in range(cfg.lod_end + 1):
+        if level >= cfg.lod_start:
+            centers = cfg.bounds.min + (idx + 0.5) * cell
+            sdf = f.eval(centers)
+            stats.evals_per_level[level] = int(sdf.size)
+            stats.total_sdf_evals += int(sdf.size)
 
-    cell = np.asarray(cfg.bounds.extent) / n0
-    final_idx = final_sdf = None
-    for level in range(cfg.lod_start, cfg.lod_end + 1):
-        centers = cfg.bounds.min + (idx + 0.5) * cell
-        sdf = f.eval(centers)
-        stats.evals_per_level[level] = int(sdf.size)
-        stats.total_sdf_evals += int(sdf.size)
-
-        edge = cfg.cell_edge(level)
-        occ = sdf < edge if cfg.literal_occupancy else np.abs(sdf) < edge
-        if not occ.any():
-            stats.no_surface = True
-            stats.wall_time = time.perf_counter() - t0
-            return SurfaceSamples.empty(), stats
-
-        if level == cfg.lod_end:
-            final_idx, final_sdf = idx[occ], sdf[occ]
-            break
-        # subdivide survivors: each cell yields its 8 children at level+1
-        _check_level_cells(level + 1, 8 * int(np.count_nonzero(occ)))
-        child = np.array(
-            [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-        )
-        idx = (idx[occ][:, None, :] * 2 + child[None, :, :]).reshape(-1, 3)
+            edge = cfg.cell_edge(level)
+            occ = sdf < edge if cfg.literal_occupancy else np.abs(sdf) < edge
+            if not occ.any():
+                stats.no_surface = True
+                stats.wall_time = time.perf_counter() - t0
+                return SurfaceSamples.empty(), stats
+            if level == cfg.lod_end:
+                break
+            idx = idx[occ]
+            _check_level_cells(level + 1, 8 * len(idx))
+        # each kept cell yields its 8 children at level + 1
+        idx = (idx[:, None, :] * 2 + _CHILDREN).reshape(-1, 3)
         cell = cell / 2.0
 
-    # the centers come from the same arithmetic as the traversal's, so the
-    # final level's values are f.eval(centers) bit for bit
-    order = np.argsort(_morton3(final_idx), kind="stable")
-    centers = cfg.bounds.min + (final_idx[order] + 0.5) * cell
+    centers = centers[occ]
     samples = project_to_surface(
         f,
         centers,
         iterations=cfg.projection_iterations,
         h=cfg.cell_edge(cfg.lod_end) / 4.0,
         stats=stats,
-        values=final_sdf[order],
+        values=sdf[occ],
     )
 
-    stats.dropped_points = centers.shape[0] - len(samples)
+    stats.dropped_points = len(centers) - len(samples)
     stats.surface_points = len(samples)
     stats.wall_time = time.perf_counter() - t0
     return samples, stats

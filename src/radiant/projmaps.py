@@ -14,9 +14,6 @@ from .core_math import Aabb, Intrinsics, MIN_DEPTH, Pose, as_points, backproject
 from .errors import DimsMismatch, LabelOutOfRange, NonPositiveDepth, OutOfBounds
 from .grids import VoxelGrid4D
 
-# Feature volumes are plain (X, Y, Z, C) grids.
-FeatureVolume = VoxelGrid4D
-
 
 @dataclass
 class SemanticMapConfig:
@@ -192,7 +189,7 @@ def lift_features_to_grid(
     pose: Pose,
     dims,
     bounds: Aabb,
-) -> FeatureVolume:
+) -> VoxelGrid4D:
     """Project every grid cell center into the image and store the bilinear
     feature there; cells behind the camera or outside the image get zeros.
     All cells along one camera ray therefore share the ray's feature."""
@@ -220,12 +217,8 @@ class TriplaneSet:
         if got != expected:
             raise DimsMismatch(f"plane shapes {got} do not match dims {self.dims}")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.s_xy.shape[2]
 
-
-def collapse_to_triplanes(v: FeatureVolume) -> TriplaneSet:
+def collapse_to_triplanes(v: VoxelGrid4D) -> TriplaneSet:
     """Mean-collapse the volume along z, y and x into the xy, xz and yz
     planes (uniform weights stand in for learned softmax aggregation)."""
     return TriplaneSet(

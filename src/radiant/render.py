@@ -195,8 +195,12 @@ def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> n
     cdf = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
     cdf = np.concatenate([np.zeros_like(cdf[:, :1]), cdf], axis=-1)
     u = _stratified(0.0, 1.0, jitter)
-    # row-wise searchsorted: cdf[hi - 1] <= u < cdf[hi]
-    hi = np.clip(np.count_nonzero(cdf[:, None, :] <= u[..., None], axis=-1), 1, cdf.shape[-1] - 1)
+    # row-wise searchsorted, cdf[hi - 1] <= u < cdf[hi], by a stable merge:
+    # u ascends and a knot tied with a draw sorts first, so draw k lands at
+    # position hi + k (NaN knots sort last, uncounted as by <=)
+    order = np.argsort(np.concatenate([cdf, u], axis=-1), axis=-1, kind="stable")
+    pos = np.flatnonzero(order >= cdf.shape[-1]).reshape(u.shape) % order.shape[-1]
+    hi = np.clip(pos - np.arange(u.shape[-1]), 1, cdf.shape[-1] - 1)
     lo = hi - 1 + np.arange(len(cdf))[:, None] * cdf.shape[-1]  # flat index of cdf[hi - 1]
     c0, c1 = np.take(cdf, lo), np.take(cdf, lo + 1)
     e0, e1 = np.take(edges, lo), np.take(edges, lo + 1)
@@ -205,10 +209,8 @@ def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> n
 
 def packet_bytes(n_rays: int, cfg: RenderConfig) -> int:
     """Bytes of the largest array render_full makes for a packet of n_rays:
-    the (R, 3 (n_coarse + n_fine), 3) float64 colors of its sample layout,
-    or the (R, n_fine, n_coarse + 1) bools of the fine draws' CDF search."""
-    n, f = cfg.n_coarse, cfg.n_fine
-    return n_rays * max(3 * (n + f) * 3 * 8, f * (n + 1))
+    the (R, 3 (n_coarse + n_fine), 3) float64 colors of its sample layout."""
+    return n_rays * 3 * (cfg.n_coarse + cfg.n_fine) * 3 * 8
 
 
 class RenderResult(NamedTuple):

@@ -154,8 +154,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("n_coarse,n_fine,largest", [
         (16, 4, 64 * 3 * 20 * 3 * 8),  # the (64, 60, 3) float64 layout colors
-        (200, 400, 64 * 400 * 201),  # the (64, 400, 201) bools of the CDF search
-    ], ids=["layout", "cdf-search"])
+    ], ids=["layout"])
     def test_render_budget_edge(self, tmp_path, monkeypatch, n_coarse, n_fine, largest):
         import radiant.cli
 
@@ -165,6 +164,33 @@ class TestBudgets:
         assert run("render", "--scene", scene, "--out", tmp_path / "a") == 0
         monkeypatch.setattr(radiant.cli, "MAX_PACKET_BYTES", largest - 1)
         assert run("render", "--scene", scene, "--out", tmp_path / "b") == 3
+
+    def test_render_pixel_budget(self, tmp_path, capsys, monkeypatch):
+        self._refuse_calls(monkeypatch, "generate_ray_arrays", "splitmix64_stream",
+                           "render_full")
+        doc = scene_doc()
+        huge = json.loads(json.dumps(doc["cameras"][0]))
+        huge["intrinsics"].update(width=100000, height=100000)
+        doc["cameras"].append(huge)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "RadiantError"
+        assert str(scene) in err["message"] and "cameras[1]" in err["message"]
+        assert "100000x100000" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+    def test_render_pixel_budget_edge(self, tmp_path, monkeypatch):
+        import radiant.cli
+
+        scene = tmp_path / "scene.json"  # 8x8 pixels
+        scene.write_text(json.dumps(scene_doc()))
+        monkeypatch.setattr(radiant.cli, "MAX_IMAGE_PIXELS", 64)
+        assert run("render", "--scene", scene, "--out", tmp_path / "a") == 0
+        monkeypatch.setattr(radiant.cli, "MAX_IMAGE_PIXELS", 63)
+        assert run("render", "--scene", scene, "--out", tmp_path / "b") == 3
+        assert not (tmp_path / "b_000.ppm").exists()
 
     def test_voxelize_grid_budget(self, tmp_path, capsys, monkeypatch):
         self._refuse_calls(monkeypatch, "sample_grid")

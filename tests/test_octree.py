@@ -283,19 +283,28 @@ def oracle_morton3(idx):
     return codes
 
 
-class TestMorton3:
-    def test_every_12_bit_value_on_each_axis(self):
-        # 0 and 4095 (all bits set) included, the others 0 or all ones
-        v = np.arange(4096)
-        for axis in range(3):
-            for other in (0, 4095):
-                idx = np.full((4096, 3), other)
-                idx[:, axis] = v
-                assert np.array_equal(radiant.octree._morton3(idx), oracle_morton3(idx))
+class TestMortonOrder:
+    """The final-level cell centers reach projection in Morton order."""
 
-    def test_random_indices(self):
-        idx = np.random.default_rng(5).integers(0, 4096, size=(50000, 3))
-        idx[:4] = [[0, 0, 0], [4095, 4095, 4095], [4095, 0, 4095], [0, 4095, 0]]
-        codes = radiant.octree._morton3(idx)
-        assert np.array_equal(codes, oracle_morton3(idx))
-        assert codes[1] == 2**36 - 1
+    LOD_END = 6
+
+    @pytest.mark.parametrize("field", [SPHERE, BOX, UNION], ids=["sphere", "box", "union"])
+    @pytest.mark.parametrize("lod_start", [1, 3, LOD_END])
+    @pytest.mark.parametrize("literal", [False, True], ids=["shell", "literal"])
+    def test_centers_strictly_increase(self, monkeypatch, field, lod_start, literal):
+        calls = []
+        real = radiant.octree.project_to_surface
+
+        def spy(f, points, **kw):
+            calls.append(points)
+            return real(f, points, **kw)
+
+        monkeypatch.setattr(radiant.octree, "project_to_surface", spy)
+        cfg = LodConfig(lod_start, self.LOD_END, literal_occupancy=literal)
+        _, stats = extract_surface(field, cfg)
+        [centers] = calls
+        cell = cfg.bounds.extent / (1 << self.LOD_END)
+        idx = np.rint((centers - cfg.bounds.min) / cell - 0.5).astype(np.int64)
+        assert np.array_equal(cfg.bounds.min + (idx + 0.5) * cell, centers)
+        assert len(centers) == stats.surface_points + stats.dropped_points > 100
+        assert np.all(np.diff(oracle_morton3(idx).astype(np.int64)) > 0)

@@ -709,3 +709,72 @@ class TestEvalOnce:
             assert 0 < obj.count() == inside.sum()
         digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in res))
         assert digest.hexdigest() == self.SHA256[scene]
+
+
+def _broadcast_sample_pdf(edges, weights, jitter):
+    """render._sample_pdf as it searched the CDF before: each draw's bin
+    from an (R, n_fine, n_coarse + 1) count of the knots <= u."""
+    w = np.maximum(weights, 0.0) + 1e-9
+    cdf = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
+    cdf = np.concatenate([np.zeros_like(cdf[:, :1]), cdf], axis=-1)
+    u = (np.arange(jitter.shape[-1]) + jitter) / jitter.shape[-1]
+    hi = np.clip(np.count_nonzero(cdf[:, None, :] <= u[..., None], axis=-1), 1, cdf.shape[-1] - 1)
+    lo = hi - 1 + np.arange(len(cdf))[:, None] * cdf.shape[-1]
+    c0, c1 = np.take(cdf, lo), np.take(cdf, lo + 1)
+    e0, e1 = np.take(edges, lo), np.take(edges, lo + 1)
+    return np.where(u >= cdf[:, -1:], edges[:, -1:], (e1 - e0) / (c1 - c0) * (u - c0) + e0)
+
+
+class TestSamplePdf:
+    """The stable-merge CDF search gives the broadcast count's bits."""
+
+    @staticmethod
+    def _check(edges, weights, jitter):
+        got = render._sample_pdf(edges, weights, jitter)
+        assert got.tobytes() == _broadcast_sample_pdf(edges, weights, jitter).tobytes()
+
+    @pytest.mark.parametrize("n_coarse,n_fine", [(1, 1), (1, 3), (2, 1), (2, 5), (16, 8),
+                                                 (64, 32), (200, 400)])
+    def test_random_rows(self, n_coarse, n_fine):
+        rng = np.random.default_rng(n_coarse * 1000 + n_fine)
+        rows = 40
+        edges = np.sort(rng.uniform(0.0, 3.0, (rows, n_coarse + 1)), axis=-1)
+        weights = rng.exponential(size=(rows, n_coarse)) * (rng.random((rows, n_coarse)) < 0.7)
+        weights[:4] = 0.0  # all-zero rows: the 1e-9 floor makes the pdf uniform
+        weights[4:8] = -rng.random((4, n_coarse))
+        self._check(edges, weights, rng.random((rows, n_fine)))
+
+    @pytest.mark.parametrize("n_coarse", [1, 2, 8])
+    def test_draws_on_knots(self, n_coarse):
+        # equal weights put the knots near k / n_coarse and zero jitter puts
+        # draws at k / n_fine: draw 0 ties knot 0, and with 2 bins draw 2
+        # ties the knot at exactly 1/2
+        n_fine = 2 * n_coarse
+        edges = np.sort(np.random.default_rng(n_coarse).uniform(0.0, 3.0, (3, n_coarse + 1)))
+        weights = np.ones((3, n_coarse))
+        jitter = np.zeros((3, n_fine))
+        jitter[1] = 1.0 - 2.0**-53  # the largest jitter below 1
+        self._check(edges, weights, jitter)
+
+    def test_tied_knots(self):
+        # one huge weight: the 1e-9 floor of the others is lost to rounding,
+        # so runs of equal knots sit before and after it
+        edges = np.linspace(0.5, 2.5, 9)[None, :].repeat(4, axis=0)
+        weights = np.zeros((4, 8))
+        weights[:, 3] = 1e10
+        weights[1, 0] = 1e10
+        weights[2, 7] = 1e10
+        weights[3, 0] = 1e10  # knots 1 to 4 are 1/2, which draw 3 ties
+        jitter = np.linspace(0.0, 0.999, 4 * 6).reshape(4, 6)
+        jitter[3] = 0.0
+        cdf = np.cumsum(weights[0] + 1e-9) / np.sum(weights[0] + 1e-9)
+        assert cdf[4] == cdf[5] == cdf[7] == 1.0  # the ties are real
+        self._check(edges, weights, jitter)
+
+    def test_nan_knots_are_not_counted(self):
+        edges = np.linspace(0.0, 1.0, 6)[None, :].repeat(2, axis=0)
+        weights = np.ones((2, 5))
+        weights[0, 2] = np.nan
+        weights[1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            self._check(edges, weights, np.full((2, 4), 0.25))
