@@ -426,8 +426,8 @@ def _cmd_bench_octree(args) -> None:
 def _cmd_semmap(args) -> None:
     _require_inputs(args.depth, args.semantics, args.intrinsics, args.pose)
     out = _prepare_output(args.out, args.force)
-    depth = np.load(args.depth)
-    semantics = np.load(args.semantics)
+    depth = io.read_npy(args.depth, 2)
+    semantics = io.read_npy(args.semantics, 2, integral=True)
     k = io.intrinsics_from_json(io.load_versioned_json(args.intrinsics),
                                 str(args.intrinsics))
     pose = io.pose_from_json(io.load_versioned_json(args.pose), str(args.pose))

@@ -28,8 +28,8 @@ class SdfField:
 
 
 # The analytic kernels work in place on the three coordinate columns. That
-# gives the bits of np.linalg.norm and q.max(axis=-1), which reduce a length-3
-# axis left to right, at a third of their cost.
+# gives the bits of np.linalg.norm, np.sum and q.max(axis=-1), which reduce a
+# length-3 axis left to right, at a third of their cost.
 def _columns(pts, center) -> tuple[list[np.ndarray], tuple]:
     """Fresh float64 columns x, y, z of pts (..., 3) minus center (at least
     1-D, so they can be updated in place), and the leading shape of pts. A
@@ -215,10 +215,17 @@ class GaussianBlobField(RadianceField):
             raise ValueError("scale must be positive")
 
     def eval(self, pts, dirs):
-        pts = np.atleast_2d(pts)
-        d2 = np.sum((pts - self.center) ** 2, axis=-1)
-        sig = self.amplitude * np.exp(-d2 / (2.0 * self.scale**2))
-        return np.tile(self.color, (pts.shape[0], 1)), sig
+        (x, y, z), _ = _columns(np.atleast_2d(pts), self.center)
+        x *= x
+        y *= y
+        x += y
+        z *= z
+        x += z
+        np.negative(x, out=x)
+        x /= 2.0 * self.scale**2
+        np.exp(x, out=x)
+        x *= self.amplitude
+        return np.tile(self.color, (len(x), 1)), x
 
 
 @dataclass

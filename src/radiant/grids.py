@@ -48,14 +48,20 @@ class VoxelGrid4D:
         x, y, z = dims
         return cls(np.zeros((x, y, z, channels)), bounds)
 
-    def voxel_centers(self) -> np.ndarray:
-        """World positions of all voxel centers, shape (X*Y*Z, 3), x-major."""
-        axes = [
-            self.bounds.min[i] + (np.arange(self.dims[i]) + 0.5) * self.cell_size[i]
-            for i in range(3)
-        ]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    def voxel_centers(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """World positions min + (i + 0.5) * cell of the voxel centers with
+        flat x-major indices [start, stop) (all by default), shape
+        (stop - start, 3): a view of the x-planes that hold the range."""
+        x, y, z = self.dims
+        stop = x * y * z if stop is None else stop
+        plane = y * z
+        x0, x1 = start // plane, -(-stop // plane)
+        lo, cell = self.bounds.min, self.cell_size
+        out = np.empty((x1 - x0, y, z, 3))
+        out[..., 0] = (lo[0] + (np.arange(x0, x1) + 0.5) * cell[0])[:, None, None]
+        out[..., 1] = (lo[1] + (np.arange(y) + 0.5) * cell[1])[:, None]
+        out[..., 2] = lo[2] + (np.arange(z) + 0.5) * cell[2]
+        return out.reshape(-1, 3)[start - x0 * plane:stop - x0 * plane]
 
     def world_to_grid(self, pts) -> np.ndarray:
         """Continuous voxel-center coordinates: centers land on integers."""
@@ -108,6 +114,12 @@ def trilinear(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
     c0 = c00 * (1 - fy) + c10 * fy
     c1 = c01 * (1 - fy) + c11 * fy
     return (c0 * (1 - fz) + c1 * fz).T
+
+
+def sigma_to_alpha(sigma, delta):
+    """Opacity of a segment of length delta at density sigma:
+    alpha = 1 - exp(-sigma * delta)."""
+    return -np.expm1(-sigma * delta)
 
 
 def alpha_to_sigma(alpha, delta: float = ALPHA_DELTA):

@@ -1,6 +1,6 @@
 """File formats: NFVG binary voxel grids, ASCII PLY point clouds, PPM
-images, and the JSON schemas for cameras, boxes, poses, trajectories, and
-radiance-field and SDF shape specs.
+images, checked .npy arrays, and the JSON schemas for cameras, boxes, poses,
+trajectories, and radiance-field and SDF shape specs.
 
 NFVG layout (little-endian): magic "NFVG", u32 version=1, u32 X, Y, Z,
 u32 channels, 6 x f64 bounds (min xyz, max xyz), then X*Y*Z*channels f32
@@ -33,16 +33,23 @@ _HEADER = struct.Struct("<4sIIIII")
 JSON_VERSION = 1
 
 
+# values write_nfvg converts to f32 and writes at a time (whole x-planes)
+NFVG_CHUNK_VALUES = 1 << 20
+
+
 def write_nfvg(path, grid: VoxelGrid4D) -> None:
-    """Write a grid; values are materialized as f32."""
+    """Write a grid; values are converted to f32 and written a run of
+    x-planes (about NFVG_CHUNK_VALUES values) at a time, so the whole
+    payload is never copied."""
     x, y, z = grid.dims
     header = _HEADER.pack(NFVG_MAGIC, NFVG_VERSION, x, y, z, grid.channels)
     bounds = np.concatenate([grid.bounds.min, grid.bounds.max]).astype("<f8")
-    payload = np.ascontiguousarray(grid.data, dtype="<f4")
+    planes = max(1, NFVG_CHUNK_VALUES // max(1, y * z * grid.channels))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(bounds.tobytes())
-        fh.write(payload.tobytes())
+        for lo in range(0, x, planes):
+            fh.write(np.ascontiguousarray(grid.data[lo:lo + planes], dtype="<f4"))
 
 
 def read_nfvg(path) -> VoxelGrid4D:
@@ -292,6 +299,25 @@ def read_ppm(path) -> np.ndarray:
         raise TruncatedFile(f"{path}: pixel payload truncated")
     data = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=offset)
     return data.reshape(h, w, 3).astype(np.float64) / 255.0
+
+
+def read_npy(path, ndim: int, integral: bool = False) -> np.ndarray:
+    """The ndim-D integer or float (not bool) array of a .npy file, read
+    without pickle. With integral, float values must be integers, by the
+    rule of json_int: fractions, NaN and infinities are refused, not
+    truncated. Anything else raises FileFormatError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            a = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as e:
+        raise FileFormatError(f"{path}: not a .npy array: {e}") from None
+    if a.dtype.kind not in "iuf":
+        raise FileFormatError(f"{path}: expected numbers, got dtype {a.dtype}")
+    if a.ndim != ndim:
+        raise FileFormatError(f"{path}: expected a {ndim}-D array, got shape {a.shape}")
+    if integral and a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.trunc(a))):
+        raise FileFormatError(f"{path}: expected integers, got a fraction, NaN or infinity")
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     OriginOutsideSphere,
 )
 from .fields import RadianceField
+from .grids import sigma_to_alpha
 from .metrics import OrientedBox3
 
 # Density written into pruned samples; compositing clamps sigma at zero, so
@@ -106,7 +107,7 @@ def alpha_from_sigma(sigma, delta):
         raise NegativeDensity("sigma must be nonnegative")
     if np.any(delta <= 0):
         raise ValueError("delta must be positive")
-    out = -np.expm1(-sigma * delta)
+    out = sigma_to_alpha(sigma, delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,13 +132,19 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
         raise LengthMismatch(
             f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/{deltas.shape}"
         )
-    alpha = -np.expm1(-np.maximum(sigmas, 0.0) * deltas)
-    trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
-                                      axis=-1), axis=-1)
-    weights = alpha * trans
+    weights = _weights(sigmas, deltas)
     acc = weights.sum(axis=-1)
     return CompositeResult(color=np.sum(weights[..., None] * colors, axis=-2),
                            acc=float(acc) if acc.ndim == 0 else acc, weights=weights)
+
+
+def _weights(sigmas, deltas) -> np.ndarray:
+    """composite's weights of (..., S) sigmas, clamped at zero here, and
+    deltas: w_i = alpha_i * prod_{j<i} (1 - alpha_j) along the last axis."""
+    alpha = sigma_to_alpha(np.maximum(sigmas, 0.0), deltas)
+    trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
+                                      axis=-1), axis=-1)
+    return alpha * trans
 
 
 def contract_nerfpp(x) -> np.ndarray:
@@ -266,7 +273,7 @@ def render_full(
     far_ts = far_depths(u)
     near, far = evaluate(near_ts, far_ts)
     if n_fine > 0:
-        _, _, near_w, far_w = _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near)
+        near_w, far_w = _stream_weights(near_ts, near, far_ts, far, t_sphere, has_near)
         # rays with fewer than 2 near samples repeat their first sample
         fine_near = has_near & (n >= 2)
         edges = np.concatenate([np.full_like(t_sphere, cfg.near),
@@ -332,8 +339,8 @@ def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_fie
     return (obj_colors, obj_sigmas, colors, sigmas), evaluate(far_field, ray.at(far_ts))
 
 
-def _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near):
-    """Composite each ray's object, near and far streams, the (R, S) depths
+def _layout(near_ts, near, far_ts, far, t_sphere, has_near):
+    """Lay out each ray's object, near and far streams, the (R, S) depths
     and the values of _eval_streams, in one static (R, 2 sn + sf) layout
     ordered by t (ties: object, then near, then far): object sample i in
     column 2i, near sample i in column 2i + 1, the far ladder from column
@@ -344,19 +351,36 @@ def _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near):
     and has length 0 on a ray with no near region; a far segment runs to
     the next far sample, and the last repeats the one before it (for a lone
     sample, the gap from the sphere), as the ladder runs to infinity.
-    Returns color, acc and the near and far weights."""
+    Returns the layout's sigmas and deltas, and the column slices of the
+    object, near and far samples. Colors are laid out by the caller that
+    needs them."""
     (n_rays, sn), sf = near_ts.shape, far_ts.shape[1]
-    obj, near_s, far_s = np.s_[:, 0:2 * sn:2], np.s_[:, 1:2 * sn:2], np.s_[:, 2 * sn:]
-    colors = np.empty((n_rays, 2 * sn + sf, 3))
+    slots = obj, near_s, far_s = np.s_[:, 0:2 * sn:2], np.s_[:, 1:2 * sn:2], np.s_[:, 2 * sn:]
     sigmas = np.empty((n_rays, 2 * sn + sf))
     deltas = np.empty_like(sigmas)
-    colors[obj], sigmas[obj], colors[near_s], sigmas[near_s] = near
-    colors[far_s], sigmas[far_s] = far
+    sigmas[obj], sigmas[near_s], sigmas[far_s] = near[1], near[3], far[1]
     deltas[obj] = deltas[near_s] = np.where(has_near, np.diff(near_ts, axis=-1, append=t_sphere),
                                             0.0)
     gaps = np.diff(far_ts, axis=-1, prepend=t_sphere)
     deltas[:, 2 * sn:-1] = gaps[:, 1:]
     deltas[:, -1:] = gaps[:, -1:]
+    return np.where(deltas > 0, sigmas, 0.0), deltas, slots
 
-    comp = composite(colors, np.where(deltas > 0, sigmas, 0.0), deltas)
+
+def _stream_weights(near_ts, near, far_ts, far, t_sphere, has_near):
+    """The near and far weights of the layout, and nothing else: what the
+    coarse pass needs to place the fine draws."""
+    sigmas, deltas, (_, near_s, far_s) = _layout(near_ts, near, far_ts, far, t_sphere, has_near)
+    weights = _weights(sigmas, deltas)
+    return weights[near_s], weights[far_s]
+
+
+def _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near):
+    """Composite the layout of the streams (see _layout); returns color,
+    acc and the near and far weights."""
+    sigmas, deltas, (obj, near_s, far_s) = _layout(near_ts, near, far_ts, far, t_sphere,
+                                                   has_near)
+    colors = np.empty(sigmas.shape + (3,))
+    colors[obj], colors[near_s], colors[far_s] = near[0], near[2], far[0]
+    comp = composite(colors, sigmas, deltas)
     return comp.color, comp.acc, comp.weights[near_s], comp.weights[far_s]

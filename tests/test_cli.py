@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import radiant
 from radiant import io
-from radiant.cli import build_parser, dispatch
+from radiant.cli import MAX_GRID_VALUES, build_parser, dispatch
 
 
 def run(*argv):
@@ -209,6 +213,35 @@ class TestBudgets:
                    "--out", tmp_path / "a.nfvg") == 0
         assert run("voxelize", "--field", "gaussian", "--dims", "4,5,5",
                    "--out", tmp_path / "b.nfvg") == 3
+
+
+class TestPeakMemory:
+    """Peak RSS of a command at a budget's edge, read by the child process
+    that runs it, against a stated ceiling."""
+
+    # 203^3 voxels is the largest cube under MAX_GRID_VALUES: 268 MB of
+    # float64 output. The command reads ~293 MB; it read 569 MB while it
+    # built every voxel center up front, kept an (N, 4) accumulator and
+    # wrote the NFVG payload from two whole copies
+    VOXELIZE_CEILING_MB = 400
+
+    def test_voxelize_at_the_grid_budget(self, tmp_path):
+        assert 203**3 * 4 <= MAX_GRID_VALUES < 204**3 * 4
+        out = tmp_path / "g.nfvg"
+        script = ("import resource, sys\n"
+                  "from radiant.cli import dispatch\n"
+                  "code = dispatch(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(radiant.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, "voxelize", "--field", "gaussian",
+                               "--dims", "203", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        code, peak_kb = proc.stdout.split()[-2:]
+        assert code == "0", proc.stderr
+        assert out.stat().st_size == 24 + 48 + 203**3 * 4 * 4
+        assert int(peak_kb) / 1024 < self.VOXELIZE_CEILING_MB
 
 
 class TestExtractSurface:
@@ -808,6 +841,82 @@ class TestSemmap:
         assert grid.channels == 5
         assert grid.data.sum() == 1.0
         assert grid.data[48, 39, 0, 3] == 1.0
+
+
+class TestSemmapArrays:
+    """The depth and semantics .npy files of semmap are read by io.read_npy:
+    anything but a 2-D numeric array, with integer labels, exits 3 with a
+    FileFormatError naming the file."""
+
+    @staticmethod
+    def _run(tmp_path, depth=None, sem=None):
+        (tmp_path / "k.json").write_text(json.dumps(
+            {"fx": 10, "fy": 10, "cx": 2, "cy": 2, "width": 4, "height": 4}))
+        (tmp_path / "pose.json").write_text(json.dumps(
+            {"rotation": [0, 0, 1, -1, 0, 0, 0, -1, 0], "translation": [0, 0, 0]}))
+        for name, value in (("d.npy", depth), ("s.npy", sem)):
+            path = tmp_path / name
+            if isinstance(value, bytes):
+                path.write_bytes(value)
+            else:
+                default = np.full((4, 4), 2.0) if name == "d.npy" else np.ones((4, 4), int)
+                np.save(path, default if value is None else value, allow_pickle=True)
+        return run("semmap", "--depth", tmp_path / "d.npy", "--semantics", tmp_path / "s.npy",
+                   "--intrinsics", tmp_path / "k.json", "--pose", tmp_path / "pose.json",
+                   "--classes", "3", "--out", tmp_path / "map.nfvg")
+
+    @staticmethod
+    def _assert_refused(capsys, tmp_path, path, words):
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "FileFormatError"
+        assert err["message"].startswith(f"{path}: ") and words in err["message"]
+        assert not (tmp_path / "map.nfvg").exists()
+
+    BAD_FILES = {
+        "junk": (b"not an npy file", "not a .npy array"),
+        "empty": (b"", "not a .npy array"),
+        "truncated": (None, "not a .npy array"),
+        "object": (np.array([{"a": 1}, 2], dtype=object), "not a .npy array"),
+        "strings": (np.array([["a", "b"], ["c", "d"]]), "expected numbers"),
+        "complex": (np.ones((4, 4), complex), "expected numbers"),
+        "bool": (np.ones((4, 4), bool), "expected numbers"),
+    }
+
+    @pytest.mark.parametrize("which", ["d.npy", "s.npy"])
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_not_a_numeric_npy(self, tmp_path, capsys, case, which):
+        value, words = self.BAD_FILES[case]
+        if case == "truncated":
+            np.save(tmp_path / "full.npy", np.ones((4, 4)))
+            value = (tmp_path / "full.npy").read_bytes()[:-8]
+        kwargs = {"depth" if which == "d.npy" else "sem": value}
+        assert self._run(tmp_path, **kwargs) == 3
+        self._assert_refused(capsys, tmp_path, tmp_path / which, words)
+
+    @pytest.mark.parametrize("which,value", [
+        ("d.npy", np.full(16, 2.0)), ("d.npy", np.full((4, 4, 1), 2.0)),
+        ("d.npy", np.float64(2.0)), ("s.npy", np.ones(16, int)),
+        ("s.npy", np.ones((1, 4, 4), int)),
+    ], ids=["depth-1d", "depth-3d", "depth-0d", "sem-1d", "sem-3d"])
+    def test_not_2d(self, tmp_path, capsys, which, value):
+        kwargs = {"depth" if which == "d.npy" else "sem": value}
+        assert self._run(tmp_path, **kwargs) == 3
+        self._assert_refused(capsys, tmp_path, tmp_path / which, "expected a 2-D array")
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
+    def test_labels_not_integers(self, tmp_path, capsys, bad):
+        sem = np.ones((4, 4))
+        sem[1, 2] = bad
+        assert self._run(tmp_path, sem=sem) == 3
+        self._assert_refused(capsys, tmp_path, tmp_path / "s.npy", "expected integers")
+
+    def test_integral_float_labels_read_as_integers(self, tmp_path):
+        assert self._run(tmp_path, sem=np.full((4, 4), 2.0)) == 0
+        assert io.read_nfvg(tmp_path / "map.nfvg").data[..., 2].any()
+        floats = (tmp_path / "map.nfvg").read_bytes()
+        (tmp_path / "map.nfvg").unlink()
+        assert self._run(tmp_path, sem=np.full((4, 4), 2, dtype=np.uint8)) == 0
+        assert (tmp_path / "map.nfvg").read_bytes() == floats
 
 
 def golden_eval_inputs(tmp_path):

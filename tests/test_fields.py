@@ -280,6 +280,43 @@ class TestGridField:
         assert np.array_equal(vals.reshape(grid.data.shape), grid.data)
 
 
+def oracle_gaussian_sigma(f: GaussianBlobField, pts) -> np.ndarray:
+    """GaussianBlobField's density as it was computed before the column
+    kernel: np.sum of squared offsets over the last axis."""
+    pts = np.atleast_2d(pts)
+    d2 = np.sum((pts - f.center) ** 2, axis=-1)
+    return f.amplitude * np.exp(-d2 / (2.0 * f.scale**2))
+
+
+class TestGaussianKernel:
+    """GaussianBlobField.eval on the column kernel gives the bits of the
+    np.sum formula."""
+
+    FIELDS = [GaussianBlobField((0.9, 0.4, 0.1), 12.0, (0.05, -0.05, 0.2), 0.25),
+              GaussianBlobField((0.2, 0.6, 0.3), 2, (0.0, 0.0, 2.0), 1.0),
+              GaussianBlobField((0.5, 0.5, 0.5), 1e3, (-0.3, 0.7, 0.1), 3e-3)]
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_bits_equal_sum_formula(self, i):
+        f = self.FIELDS[i]
+        rng = np.random.default_rng(21)
+        inputs = kernel_inputs() + [rng.normal(scale=4.0, size=(2000, 3)),
+                                    rng.uniform(-1, 1, size=(1, 3)), [0.1, 0.2, 0.3],
+                                    np.zeros((0, 3)), [[1, 0, 0], [0, 2, 0]]]
+        for pts in inputs:
+            colors, sigmas = f.eval(pts, None)
+            want = oracle_gaussian_sigma(f, pts)
+            assert sigmas.shape == want.shape and sigmas.tobytes() == want.tobytes()
+            assert colors.shape == (len(np.atleast_2d(pts)), 3)
+            assert np.array_equal(colors, np.tile(f.color, (len(colors), 1)))
+
+    def test_input_left_unchanged(self):
+        pts = np.random.default_rng(22).uniform(-1, 1, size=(40, 3))
+        before = pts.copy()
+        self.FIELDS[0].eval(pts, None)
+        assert np.array_equal(pts, before)
+
+
 class TestPointwiseEval:
     """Row i of a radiance field's eval depends only on row i of its input:
     permuting the batch or splitting it gives the same bits."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radiant import gridsample
-from radiant.core_math import Aabb, Pose, rotation_about
+from radiant.core_math import Aabb, Pose, normalize, rotation_about
 from radiant.errors import EmptyScene
 from radiant.fields import BallField, ConstantField, GaussianBlobField, GridField, RadianceField
 from radiant.grids import VoxelGrid4D
@@ -157,6 +157,82 @@ class TestViewIndependence:
         monkeypatch.setattr(field, "view_dependent", True)
         each = sample_grid(field, CUBE, (7, 6, 5), dirs, 0.01)
         assert once.data.tobytes() == each.data.tobytes()
+
+
+def meshgrid_centers(grid: VoxelGrid4D) -> np.ndarray:
+    """Every voxel center, built as VoxelGrid4D.voxel_centers built them:
+    per-axis coordinates, a meshgrid and a stack."""
+    axes = [grid.bounds.min[i] + (np.arange(grid.dims[i]) + 0.5) * grid.cell_size[i]
+            for i in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def strided_sample_grid(field, bounds, dims, directions, delta) -> VoxelGrid4D:
+    """sample_grid as it summed before: every center up front, and an
+    (N, 4) accumulator whose first 3 columns take the colors."""
+    directions = normalize(np.asarray(directions, dtype=np.float64))
+    grid = VoxelGrid4D.zeros(dims, 4, bounds)
+    centers = meshgrid_centers(grid)
+    acc = np.zeros((centers.shape[0], 4))
+    for i, d in enumerate(directions):
+        if i == 0 or field.view_dependent:
+            colors, sigmas = field.eval(centers, np.tile(d, (centers.shape[0], 1)))
+            alpha = -np.expm1(-np.asarray(sigmas, dtype=np.float64) * delta)
+        acc[:, :3] += colors
+        acc[:, 3] += alpha
+    acc /= directions.shape[0]
+    grid.data = acc.reshape(*grid.dims, 4)
+    return grid
+
+
+class SignedZeroField(RadianceField):
+    """-0.0 colors and sigmas for x < 0, NaN for x > 0.5, and a value that
+    depends on the point and the direction in between."""
+
+    def __init__(self, view_dependent: bool):
+        self.view_dependent = view_dependent
+
+    def eval(self, pts, dirs):
+        x = pts[:, 0]
+        colors = np.abs(pts * dirs) if self.view_dependent else np.abs(pts)
+        colors = np.where((x < 0)[:, None], -0.0, np.where((x > 0.5)[:, None], np.nan, colors))
+        sigmas = np.where(x < 0, -0.0, np.where(x > 0.5, np.nan, 40.0 * colors[:, 0]))
+        return colors, sigmas
+
+
+class TestContiguousSums:
+    """sample_grid's per-chunk contiguous sums give the bytes of the (N, 4)
+    strided accumulator over every voxel center."""
+
+    FIELDS = {"directional": DirectionalField(),
+              "gaussian": view_independent_fields()[1],
+              "grid": view_independent_fields()[3],
+              "signed-zero-dependent": SignedZeroField(True),
+              "signed-zero-independent": SignedZeroField(False)}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 7 * 6 * 5], ids=["1", "7", "whole"])
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_bits_equal_strided_accumulator(self, monkeypatch, name, chunk):
+        field = self.FIELDS[name]
+        bounds = Aabb([-1.0, -0.5, -0.25], [1.0, 0.75, 1.0])
+        dirs = np.concatenate([AXIS_DIRECTIONS, [(1.0, 2.0, 2.0)]])
+        want = strided_sample_grid(field, bounds, (7, 6, 5), dirs, 0.01)
+        monkeypatch.setattr(gridsample, "CHUNK_VOXELS", chunk)
+        got = sample_grid(field, bounds, (7, 6, 5), dirs, 0.01)
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        if name.startswith("signed-zero"):
+            # -0.0 values sum to +0.0 from the zero start; NaN stays NaN
+            alpha = got.data[..., 3]
+            assert np.isnan(alpha).any() and (alpha == 0).any()
+            assert not np.signbit(alpha[alpha == 0]).any()
+
+    def test_voxel_centers_range_bits_equal_meshgrid(self):
+        grid = VoxelGrid4D.zeros((7, 6, 5), 4, Aabb([-1.0, -0.5, -0.25], [1.0, 0.75, 1.0]))
+        want = meshgrid_centers(grid)
+        assert grid.voxel_centers().tobytes() == want.tobytes()
+        for lo, hi in [(0, 1), (0, 7), (5, 36), (31, 210), (209, 210), (40, 40)]:
+            assert grid.voxel_centers(lo, hi).tobytes() == want[lo:hi].tobytes()
 
 
 class TestResampleGrid:

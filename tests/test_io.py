@@ -88,6 +88,35 @@ class TestNfvg:
             assert np.array_equal(back.data, grid.data)
 
 
+def oracle_write_nfvg(grid: VoxelGrid4D) -> bytes:
+    """The NFVG bytes as written in one piece: header, bounds, and the whole
+    payload converted to f32 at once."""
+    header = io._HEADER.pack(io.NFVG_MAGIC, io.NFVG_VERSION, *grid.dims, grid.channels)
+    bounds = np.concatenate([grid.bounds.min, grid.bounds.max]).astype("<f8")
+    return header + bounds.tobytes() + np.ascontiguousarray(grid.data, dtype="<f4").tobytes()
+
+
+class TestNfvgChunkedWrite:
+    """write_nfvg converts and writes runs of x-planes, with the bytes of
+    the whole-payload write."""
+
+    @pytest.mark.parametrize("chunk", [1, 20, 60, 61, 1 << 20])
+    def test_bytes_equal_one_piece_write(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io, "NFVG_CHUNK_VALUES", chunk)
+        rng = np.random.default_rng(7)
+        grids = [VoxelGrid4D(rng.normal(size=(7, 3, 5, 4)), Aabb([-1, -2, -3], [4, 5, 6])),
+                 # a transposed, non-contiguous array and one x-plane
+                 VoxelGrid4D(rng.normal(size=(4, 5, 3, 7)).transpose(3, 2, 1, 0),
+                             Aabb([0, 0, 0], [1, 1, 1])),
+                 VoxelGrid4D(np.array([[[[np.nan, -0.0, np.inf, 1e30]]]]),
+                             Aabb([0, 0, 0], [1, 1, 1])),
+                 VoxelGrid4D(np.zeros((3, 0, 2, 4)), Aabb([0, 0, 0], [1, 1, 1]))]
+        for i, grid in enumerate(grids):
+            path = tmp_path / f"g{i}.nfvg"
+            io.write_nfvg(path, grid)
+            assert path.read_bytes() == oracle_write_nfvg(grid)
+
+
 def oracle_write_ply(path, positions, normals) -> None:
     """The per-value PLY writer that io.write_ply replaced."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import radiant.cli
 from radiant import render
 from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
 from radiant.errors import (
@@ -594,7 +596,8 @@ def _same_bits(a, b) -> bool:
 
 class TestStaticOrder:
     """The static (object, near) pairs + far layout against the lexsort merge,
-    at the same depths: every _compose_streams call of a render runs both.
+    at the same depths: every _stream_weights and _compose_streams call of a
+    render runs both.
     The merge evaluates every field afresh, so the fine pass's reuse of the
     coarse pass's values is checked too."""
 
@@ -604,36 +607,45 @@ class TestStaticOrder:
 
     @staticmethod
     def _check(monkeypatch, origins, dirs, cfg, boxes, object_field):
-        """Render once, comparing every _compose_streams call with the
-        lexsort merge at the same depths; returns which rays have a near
-        region."""
+        """Render once, comparing every pass with the lexsort merge at the
+        same depths: the near and far weights of the coarse pass's
+        _stream_weights (with n_fine) and of the final _compose_streams, and
+        the final color and acc; returns which rays have a near region."""
         calls = []
-        static = render._compose_streams
         ray = Ray(origins, dirs)
 
-        def both(near_ts, near, far_ts, far, t_sphere, has_near):
-            got = static(near_ts, near, far_ts, far, t_sphere, has_near)
-            near_deltas = np.where(has_near, np.diff(near_ts, axis=-1, append=t_sphere), 0.0)
-            gaps = np.diff(far_ts, axis=-1, prepend=t_sphere)
-            far_deltas = np.concatenate([gaps[:, 1:], gaps[:, -1:]], axis=-1)
-            calls.append((got, _lexsort_compose_streams(
-                ray, near_ts, near_deltas, far_ts, far_deltas,
-                TestPacket.NEAR, TestPacket.FAR_BLOB, boxes, object_field)))
-            return got
+        def hook(name):
+            real = getattr(render, name)
 
-        monkeypatch.setattr(render, "_compose_streams", both)
+            def both(near_ts, near, far_ts, far, t_sphere, has_near):
+                got = real(near_ts, near, far_ts, far, t_sphere, has_near)
+                near_deltas = np.where(has_near, np.diff(near_ts, axis=-1, append=t_sphere), 0.0)
+                gaps = np.diff(far_ts, axis=-1, prepend=t_sphere)
+                far_deltas = np.concatenate([gaps[:, 1:], gaps[:, -1:]], axis=-1)
+                calls.append((name, got, _lexsort_compose_streams(
+                    ray, near_ts, near_deltas, far_ts, far_deltas,
+                    TestPacket.NEAR, TestPacket.FAR_BLOB, boxes, object_field)))
+                return got
+
+            monkeypatch.setattr(render, name, both)
+
+        hook("_stream_weights")
+        hook("_compose_streams")
         render_full(ray, cfg, TestPacket.NEAR, TestPacket.FAR_BLOB, boxes, object_field)
-        assert len(calls) == (2 if cfg.n_fine else 1)
+        assert [c[0] for c in calls] == ["_stream_weights"] * (cfg.n_fine > 0) + ["_compose_streams"]
         b = np.sum(origins * dirs, axis=-1)
         has_near = -b + np.sqrt(b * b - (np.sum(origins**2, axis=-1) - 1.0)) > cfg.near
-        for (color, acc, near_w, far_w), want in calls:
-            assert _same_bits(color, want[0])
+        for name, got, want in calls:
+            near_w, far_w = got[-2:]
             assert _same_bits(near_w, want[2]) and _same_bits(far_w, want[3])
-            # acc is a pairwise sum: rays without a near region used to sort
-            # their zero-length near samples in among the far ones, which
-            # may regroup it
-            assert _same_bits(acc[has_near], want[1][has_near])
-            assert np.abs(acc - want[1]).max() <= 1e-15
+            if name == "_compose_streams":
+                color, acc = got[:2]
+                assert _same_bits(color, want[0])
+                # acc is a pairwise sum: rays without a near region used to
+                # sort their zero-length near samples in among the far ones,
+                # which may regroup it
+                assert _same_bits(acc[has_near], want[1][has_near])
+                assert np.abs(acc - want[1]).max() <= 1e-15
         return has_near
 
     @pytest.mark.parametrize("scene", list(SCENES))
@@ -709,6 +721,48 @@ class TestEvalOnce:
             assert 0 < obj.count() == inside.sum()
         digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in res))
         assert digest.hexdigest() == self.SHA256[scene]
+
+
+class TestCompositeCalls:
+    """Only the final pass runs the color composite; the coarse pass of a
+    fine render computes weights alone."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls, real = [], render.composite
+
+        def counted(colors, sigmas, deltas):
+            calls.append(np.shape(colors))
+            return real(colors, sigmas, deltas)
+
+        monkeypatch.setattr(render, "composite", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_fine", [0, 8])
+    def test_once_per_packet(self, monkeypatch, n_fine):
+        calls = self._count(monkeypatch)
+        origins, dirs, seeds = TestPacket._rays()
+        render_full(Ray(origins, dirs), RenderConfig(n_coarse=16, n_fine=n_fine, seed=seeds),
+                    TestPacket.NEAR, TestPacket.FAR_BLOB, TestPacket.BOXES, TestPacket.OBJECT)
+        # the final layout: (object, near) pairs and the far ladder
+        assert calls == [(64, 3 * (16 + n_fine), 3)]
+
+    def test_once_per_packet_of_an_image(self, monkeypatch, tmp_path):
+        calls = self._count(monkeypatch)
+        monkeypatch.setattr(radiant.cli, "PACKET_RAYS", 24)  # 8x8 pixels: 3 packets
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "near_field": {"type": "gaussian", "color": [0.9, 0.4, 0.1], "amplitude": 12.0,
+                           "center": [0.05, -0.05, 0.45], "scale": 0.25},
+            "far_field": {"type": "constant", "color": [0.1, 0.2, 0.4], "sigma": 1.5},
+            "cameras": [{"intrinsics": {"fx": 8, "fy": 8, "cx": 3.5, "cy": 3.5,
+                                        "width": 8, "height": 8},
+                         "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                  "translation": [0, 0, 0]}}],
+            "n_coarse": 16, "n_fine": 8}))
+        assert radiant.cli.dispatch(["render", "--scene", str(scene),
+                                     "--out", str(tmp_path / "img")]) == 0
+        assert [c[0] for c in calls] == [24, 24, 16]
 
 
 def _broadcast_sample_pdf(edges, weights, jitter):
