@@ -19,7 +19,6 @@ from .core_math import (
     Pose,
     Ray,
     backproject_pixel,
-    canonicalize_symmetric,
     gaussian_pe_kernel,
     project_point,
     sinusoidal_pe,
@@ -83,11 +82,9 @@ from .render import (
     CompositeResult,
     RaySamples,
     RenderConfig,
-    alpha_from_sigma,
     composite,
     contract_nerfpp,
     distortion_reg,
-    prune_rays_in_boxes,
     render_full,
     stratified_samples,
 )

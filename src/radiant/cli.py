@@ -23,6 +23,7 @@ from . import io
 from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
 from .errors import RadiantError
 from .fields import ConstantField
+from .grids import ALPHA_DELTA
 from .gridsample import AXIS_DIRECTIONS, sample_grid
 from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
@@ -231,10 +232,10 @@ def _cmd_render(args) -> None:
                                     f"{where}: intrinsics"),
             io.pose_from_json(io.read_key(cam, "pose", where), f"{where}: pose")))
     cfg = RenderConfig(
-        near=io.read_key(doc, "near", args.scene, io.json_float, 0.02),
-        far=io.read_key(doc, "far", args.scene, io.json_float, 3.0),
-        n_coarse=io.read_key(doc, "n_coarse", args.scene, io.json_int, 64),
-        n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, 0),
+        near=io.read_key(doc, "near", args.scene, io.json_float, RenderConfig.near),
+        far=io.read_key(doc, "far", args.scene, io.json_float, RenderConfig.far),
+        n_coarse=io.read_key(doc, "n_coarse", args.scene, io.json_int, RenderConfig.n_coarse),
+        n_fine=io.read_key(doc, "n_fine", args.scene, io.json_int, RenderConfig.n_fine),
         seed=args.seed,
     )
     for ci, (k, _) in enumerate(views):
@@ -461,7 +462,7 @@ def build_parser() -> _Parser:
                    help=f"preset ({', '.join(FIELD_PRESETS)}) or field JSON path")
     p.add_argument("--dims", default="160", help="N or X,Y,Z voxel counts")
     p.add_argument("--bounds", default="-1,-1,-1,1,1,1")
-    p.add_argument("--delta", type=float, default=0.01,
+    p.add_argument("--delta", type=float, default=ALPHA_DELTA,
                    help="preset distance for the alpha conversion")
     p.add_argument("--cameras", help="camera JSON; view axes replace the "
                                      "default 6 axis directions")
@@ -472,8 +473,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract-surface", help="octree SDF surface extraction to PLY")
     p.add_argument("--shape", required=True,
                    help=f"preset ({', '.join(SDF_PRESETS)}) or shape JSON path")
-    p.add_argument("--lod-start", type=int, default=3)
-    p.add_argument("--lod-end", type=int, default=6)
+    p.add_argument("--lod-start", type=int, default=LodConfig.lod_start)
+    p.add_argument("--lod-end", type=int, default=LodConfig.lod_end)
     p.add_argument("--bounds", default="-1,-1,-1,1,1,1")
     p.add_argument("--literal-occupancy", action="store_true",
                    help="keep cells with signed sdf < cell size instead of |sdf|")
@@ -542,11 +543,11 @@ def build_parser() -> _Parser:
     p.add_argument("--semantics", required=True, help=".npy integer class image")
     p.add_argument("--intrinsics", required=True, help="intrinsics JSON")
     p.add_argument("--pose", required=True, help="pose JSON")
-    p.add_argument("--half-extent", type=int, default=40)
-    p.add_argument("--cell-size", type=float, default=0.1)
-    p.add_argument("--height-min", type=float, default=0.1)
-    p.add_argument("--height-max", type=float, default=1.8)
-    p.add_argument("--classes", type=int, default=1)
+    p.add_argument("--half-extent", type=int, default=SemanticMapConfig.r)
+    p.add_argument("--cell-size", type=float, default=SemanticMapConfig.cell_size)
+    p.add_argument("--height-min", type=float, default=SemanticMapConfig.height_min)
+    p.add_argument("--height-max", type=float, default=SemanticMapConfig.height_max)
+    p.add_argument("--classes", type=int, default=SemanticMapConfig.classes)
     p.add_argument("--out", required=True)
     common(p, seed=False)
     p.set_defaults(func=_cmd_semmap)

@@ -272,25 +272,6 @@ def svd_plus(m) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def canonicalize_symmetric(r, axis) -> np.ndarray:
-    """Remove the rotation component about a symmetry axis.
-
-    Returns Rot(axis, -theta*) @ r where theta* maximizes the trace of the
-    product, i.e. the representative of {Rot(axis, t) @ r} with the smallest
-    geodesic angle. Idempotent, and maps Rot(axis, t) @ r to the same output
-    for every t.
-    """
-    r = check_rotation(r)
-    a = as_vec3(axis)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-6:
-        raise ValueError("symmetry axis must be unit length")
-    # tr(Rot(a, phi) @ r) = A cos(phi) + B sin(phi) + const
-    big_a = np.trace(r) - a @ r @ a
-    big_b = np.trace(skew(a) @ r)
-    phi = math.atan2(big_b, big_a)
-    return rotation_about(a, phi) @ r
-
-
 def sinusoidal_pe(x, n_freq: int) -> np.ndarray:
     """Fourier features: per component, [sin(2^k pi x), cos(2^k pi x)] for
     k = 0..n_freq-1, concatenated component-major."""

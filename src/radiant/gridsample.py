@@ -78,8 +78,8 @@ def sample_grid(
     if directions.ndim != 2 or directions.shape[0] < 1 or directions.shape[1] != 3:
         raise ValueError(f"need (N >= 1, 3) directions, got shape {directions.shape}")
     directions = normalize(directions)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     grid = VoxelGrid4D.zeros(dims, 4, bounds)
     out = grid.data.reshape(-1, 4)
     for lo in range(0, out.shape[0], CHUNK_VOXELS):

@@ -209,8 +209,8 @@ def dense_extract(
     keep |sdf| <= band, and project the survivors onto the surface."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if band <= 0:
-        raise ValueError("band must be positive")
+    if not 0 < band < np.inf:  # NaN fails too
+        raise ValueError(f"band must be finite and positive, got {band}")
     bounds = bounds or cube_bounds()
     cell = bounds.extent / resolution
     ax = [bounds.min[i] + (np.arange(resolution) + 0.5) * cell[i] for i in range(3)]

@@ -23,6 +23,16 @@ class SemanticMapConfig:
     height_max: float = 1.8
     classes: int = 1
 
+    def __post_init__(self):
+        # each test is written so that NaN fails it
+        for name, ok, rule in (("r", self.r >= 1, "at least 1"),
+                               ("classes", self.classes >= 1, "at least 1"),
+                               ("cell_size", 0 < self.cell_size < np.inf, "finite and positive"),
+                               ("height_min", abs(self.height_min) < np.inf, "finite"),
+                               ("height_max", abs(self.height_max) < np.inf, "finite")):
+            if not ok:
+                raise ValueError(f"semantic map {name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclass
 class SemanticMap:
@@ -54,9 +64,10 @@ def build_semantic_map(
 ) -> SemanticMap:
     """Backproject an RGB-D frame and bin obstacle pixels into the map.
 
-    Pixels with zero depth are invalid. A pixel whose world height (z) falls
-    inside [height_min, height_max] is an obstacle and sets the bit of its
-    semantic class in its cell; everything else contributes free space.
+    Pixels whose depth is not finite and positive are skipped. A pixel
+    whose world height (z) falls inside [height_min, height_max] is an
+    obstacle and sets the bit of its semantic class in its cell; everything
+    else contributes free space.
     Cells beyond the map extent are dropped; the agent sits at cell (r, r).
     """
     depth = np.asarray(depth, dtype=np.float64)
@@ -66,7 +77,7 @@ def build_semantic_map(
     r, k_classes = cfg.r, cfg.classes
     occupancy = np.zeros((2 * r, 2 * r, k_classes), dtype=bool)
 
-    vv, uu = np.nonzero(depth > 0)
+    vv, uu = np.nonzero(np.isfinite(depth) & (depth > 0))
     if vv.size == 0:
         return SemanticMap(r, cfg.cell_size, occupancy)
     labels = semantics[vv, uu].astype(np.int64)

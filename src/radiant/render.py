@@ -27,12 +27,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core_math import Ray, uniform_stream
-from .errors import (
-    LengthMismatch,
-    InsideUnitSphere,
-    NegativeDensity,
-    OriginOutsideSphere,
-)
+from .errors import InsideUnitSphere, LengthMismatch, OriginOutsideSphere
 from .fields import RadianceField
 from .grids import sigma_to_alpha
 from .metrics import OrientedBox3
@@ -97,18 +92,6 @@ def stratified_samples(ray: Ray, cfg: RenderConfig) -> RaySamples:
     t = _stratified(cfg.near, cfg.far, uniform_stream(cfg.seed, cfg.n_coarse)[0])
     deltas = np.append(np.diff(t), cfg.far - t[-1])
     return RaySamples(t, deltas)
-
-
-def alpha_from_sigma(sigma, delta):
-    """Opacity of one segment: alpha = 1 - exp(-sigma * delta)."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise NegativeDensity("sigma must be nonnegative")
-    if np.any(delta <= 0):
-        raise ValueError("delta must be positive")
-    out = sigma_to_alpha(sigma, delta)
-    return float(out) if out.ndim == 0 else out
 
 
 def composite(colors, sigmas, deltas) -> CompositeResult:
@@ -177,20 +160,9 @@ def distortion_reg(s, w) -> float:
     return cross + self_term
 
 
-def prune_rays_in_boxes(samples, sigmas, boxes: Sequence[OrientedBox3]) -> np.ndarray:
-    """Replace the density of samples inside any box with the suppression
-    value (exact deletion after the compositing clamp). Faces count as
-    inside."""
-    sigmas = np.array(sigmas, dtype=np.float64, copy=True)
-    if len(boxes) == 0 or sigmas.size == 0:
-        return sigmas
-    pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    sigmas[_in_boxes(pts, boxes)] = SUPPRESSION_SIGMA
-    return sigmas
-
-
 def _in_boxes(pts: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
-    """Mask of the (..., 3) points inside any of the (one or more) boxes."""
+    """Mask of the (..., 3) points inside any of the (one or more) boxes;
+    faces count as inside."""
     return np.any([box.contains(pts) for box in boxes], axis=0)
 
 

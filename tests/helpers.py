@@ -1,8 +1,6 @@
 """Writers and decoders the tests use to build and read back inputs: the
 JSON forms of the records io reads, the NFVG encodings of heatmaps and
-semantic maps, and the geodesic angle of a rotation."""
-
-import math
+semantic maps."""
 
 import numpy as np
 
@@ -77,11 +75,3 @@ def pose_record_to_json(p: PoseRecord) -> dict:
         out["score"] = float(p.score)
     return out
 
-
-def geodesic_angle(r1, r2=None) -> float:
-    """Angle (radians) of r1 @ r2^T, or of r1 alone when r2 is None."""
-    m = np.asarray(r1, dtype=np.float64)
-    if r2 is not None:
-        m = m @ np.asarray(r2, dtype=np.float64).T
-    c = (np.trace(m) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -841,6 +842,68 @@ class TestSemmap:
         assert grid.channels == 5
         assert grid.data.sum() == 1.0
         assert grid.data[48, 39, 0, 3] == 1.0
+
+
+class TestNonFiniteFlags:
+    """Numeric flags that are NaN, infinite or out of range exit 3 with JSON
+    on stderr and write no output."""
+
+    @staticmethod
+    def semmap_inputs(tmp_path, depth):
+        np.save(tmp_path / "d.npy", depth)
+        np.save(tmp_path / "s.npy", np.ones(depth.shape, int))
+        (tmp_path / "k.json").write_text(json.dumps(
+            {"fx": 10, "fy": 10, "cx": 2, "cy": 2, "width": 4, "height": 4}))
+        (tmp_path / "pose.json").write_text(json.dumps(
+            {"rotation": [0, 0, 1, -1, 0, 0, 0, -1, 0], "translation": [0, 0, 0]}))
+        return ["semmap", "--depth", tmp_path / "d.npy", "--semantics", tmp_path / "s.npy",
+                "--intrinsics", tmp_path / "k.json", "--pose", tmp_path / "pose.json",
+                "--classes", "2"]
+
+    @pytest.mark.parametrize("argv,words", [
+        (["voxelize", "--field", "sphere", "--dims", "4", "--delta", "nan"], "delta"),
+        (["voxelize", "--field", "sphere", "--dims", "4", "--delta", "inf"], "delta"),
+        (["bench-octree", "--band", "nan"], "band"),
+        (["bench-octree", "--band", "inf"], "band"),
+    ], ids=["delta-nan", "delta-inf", "band-nan", "band-inf"])
+    def test_voxelize_and_bench_octree(self, tmp_path, capsys, argv, words):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "ValueError"
+        assert words in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--height-min", "nan", "height_min"), ("--height-max", "inf", "height_max"),
+        ("--cell-size", "0", "cell_size"), ("--cell-size", "nan", "cell_size"),
+        ("--half-extent", "-2", "r"), ("--classes", "0", "classes"),
+    ])
+    def test_semmap(self, tmp_path, capsys, flag, value, field):
+        argv = self.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, flag, value, "--out", tmp_path / "map.nfvg") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "ValueError"
+        assert f"semantic map {field} " in err["message"]
+        assert not (tmp_path / "map.nfvg").exists()
+
+    def test_semmap_skips_infinite_depth_quietly(self, tmp_path, capsys):
+        depth = np.full((4, 4), 2.0)
+        depth[0, 1] = 0.0
+        argv = self.semmap_inputs(tmp_path, depth)
+        assert run(*argv, "--out", tmp_path / "zero.nfvg") == 0
+        depth[0, 1] = np.inf
+        argv = self.semmap_inputs(tmp_path, depth)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--out", tmp_path / "inf.nfvg") == 0
+        assert capsys.readouterr().err == ""
+        want = (tmp_path / "zero.nfvg").read_bytes()
+        assert (tmp_path / "inf.nfvg").read_bytes() == want
+        assert io.read_nfvg(tmp_path / "inf.nfvg").data.any()
 
 
 class TestSemmapArrays:

@@ -10,7 +10,6 @@ from radiant.core_math import (
     Pose,
     Ray,
     backproject_pixel,
-    canonicalize_symmetric,
     check_rotation,
     gaussian_pe_kernel,
     generate_ray_arrays,
@@ -20,8 +19,6 @@ from radiant.core_math import (
     svd_plus,
 )
 from radiant.errors import DegenerateMatrix, NonPositiveDepth
-
-from helpers import geodesic_angle
 
 
 K100 = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
@@ -133,37 +130,6 @@ class TestSvdPlus:
     def test_fixed_point_on_so3(self, seed):
         r = random_rotation(np.random.default_rng(seed))
         assert np.abs(svd_plus(r) - r).max() < 1e-9
-
-
-class TestCanonicalize:
-    def test_pure_axis_rotation_cancels(self):
-        r = rotation_about([0, 1, 0], math.radians(73))
-        assert np.abs(canonicalize_symmetric(r, [0, 1, 0]) - np.eye(3)).max() < 1e-12
-
-    def test_identity(self):
-        assert np.allclose(canonicalize_symmetric(np.eye(3), [0, 0, 1]), np.eye(3))
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.integers(0, 2**31), st.floats(-math.pi, math.pi))
-    def test_idempotent_and_invariant(self, seed, theta):
-        rng = np.random.default_rng(seed)
-        r = random_rotation(rng)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        canon = canonicalize_symmetric(r, axis)
-        again = canonicalize_symmetric(canon, axis)
-        assert np.abs(again - canon).max() < 1e-9
-        spun = rotation_about(axis, theta) @ r
-        assert np.abs(canonicalize_symmetric(spun, axis) - canon).max() < 1e-9
-
-    def test_minimizes_geodesic_angle(self):
-        rng = np.random.default_rng(3)
-        r = random_rotation(rng)
-        axis = np.array([0.0, 0.0, 1.0])
-        canon = canonicalize_symmetric(r, axis)
-        base = geodesic_angle(canon)
-        for theta in np.linspace(-math.pi, math.pi, 721):
-            assert geodesic_angle(rotation_about(axis, theta) @ r) >= base - 1e-12
 
 
 class TestPositionalEncodings:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radiant.grids import trilinear
+from radiant.grids import sigma_to_alpha, trilinear
 
 
 def corner_tuple_trilinear(data, coords):
@@ -71,3 +75,23 @@ class TestTrilinear:
         idx = np.stack(np.meshgrid(*(np.arange(n) for n in data.shape[:3]), indexing="ij"),
                        axis=-1).reshape(-1, 3)
         assert np.array_equal(trilinear(data, idx.astype(np.float64)), data.reshape(-1, 2))
+
+
+class TestSigmaToAlpha:
+    def test_zero(self):
+        assert sigma_to_alpha(0.0, 0.01) == 0.0
+
+    def test_direct_value(self):
+        assert sigma_to_alpha(100.0, 0.01) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+
+    def test_saturates(self):
+        assert sigma_to_alpha(1e9, 0.01) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.floats(0, 1e6), st.floats(1e-6, 10))
+    def test_bounds_and_monotonicity(self, sigma, delta):
+        a = sigma_to_alpha(sigma, delta)
+        assert 0.0 <= a <= 1.0
+        if sigma * delta < 36:  # below float64 saturation of 1 - exp(-x)
+            assert a < 1.0
+        assert sigma_to_alpha(sigma + 1.0, delta) >= a

@@ -15,7 +15,6 @@ from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
 from radiant.errors import (
     InsideUnitSphere,
     LengthMismatch,
-    NegativeDensity,
     OriginOutsideSphere,
 )
 from radiant.fields import ConstantField, GaussianBlobField, RadianceField
@@ -23,11 +22,9 @@ from radiant.metrics import OrientedBox3
 from radiant.render import (
     RenderConfig,
     SUPPRESSION_SIGMA,
-    alpha_from_sigma,
     composite,
     contract_nerfpp,
     distortion_reg,
-    prune_rays_in_boxes,
     render_full,
     stratified_samples,
 )
@@ -101,30 +98,6 @@ class TestRaySamplesValidation:
 
         with pytest.raises(LengthMismatch):
             RaySamples([0.1, 0.2], [0.1])
-
-
-class TestAlphaFromSigma:
-    def test_zero(self):
-        assert alpha_from_sigma(0.0, 0.01) == 0.0
-
-    def test_direct_value(self):
-        assert alpha_from_sigma(100.0, 0.01) == pytest.approx(1 - math.exp(-1), abs=1e-15)
-
-    def test_saturates(self):
-        assert alpha_from_sigma(1e9, 0.01) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeDensity):
-            alpha_from_sigma(-0.1, 0.01)
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.floats(0, 1e6), st.floats(1e-6, 10))
-    def test_bounds_and_monotonicity(self, sigma, delta):
-        a = alpha_from_sigma(sigma, delta)
-        assert 0.0 <= a <= 1.0
-        if sigma * delta < 36:  # below float64 saturation of 1 - exp(-x)
-            assert a < 1.0
-        assert alpha_from_sigma(sigma + 1.0, delta) >= a
 
 
 class TestComposite:
@@ -240,29 +213,42 @@ class TestDistortionReg:
 
 
 class TestPrune:
+    """render_full prunes the near field inside the boxes: _in_boxes masks
+    the samples and _eval_streams writes SUPPRESSION_SIGMA there."""
+
+    @staticmethod
+    def near_sigmas(near_ts, boxes):
+        """Near and object sigmas of z-axis samples at near_ts, with a near
+        field of sigma 7 and no object field."""
+        (_, obj_sigmas, _, sigmas), _ = render._eval_streams(
+            RAY_Z, near_ts, near_ts + 2.0, ConstantField((1, 0, 0), 7.0), EMPTY, boxes, None)
+        return sigmas, obj_sigmas
+
     def test_suppression_value(self):
         # stored for fidelity; compositing clamps it to zero at use
         assert SUPPRESSION_SIGMA == -1e-5
 
     def test_no_boxes_identity(self):
-        sig = np.array([1.0, 2.0, 3.0])
-        out = prune_rays_in_boxes(np.zeros((3, 3)), sig, [])
-        assert np.array_equal(out, sig)
+        sigmas, obj_sigmas = self.near_sigmas(np.array([[0.25, 0.5, 0.75]]), [])
+        assert np.array_equal(sigmas, np.full((1, 3), 7.0))
+        assert np.array_equal(obj_sigmas, np.zeros((1, 3)))
 
     def test_face_point_counts_inside(self):
         box = OrientedBox3((0, 0, 0), (1, 1, 1))
-        out = prune_rays_in_boxes([[0.5, 0, 0]], [7.0], [box])
-        assert out[0] == SUPPRESSION_SIGMA
+        assert np.array_equal(render._in_boxes(np.array([[0.5, 0, 0]]), [box]), [True])
 
     def test_outside_unchanged(self):
-        box = OrientedBox3((0, 0, 0), (1, 1, 1))
-        out = prune_rays_in_boxes([[0.51, 0, 0], [0, 0, 0]], [7.0, 9.0], [box])
-        assert out[0] == 7.0 and out[1] == SUPPRESSION_SIGMA
+        # near samples on the z axis at 0.125 and 0.875 lie outside the box
+        # over [0.25, 0.75], those at 0.25 and 0.75 (its faces) and 0.5 inside
+        box = OrientedBox3((0, 0, 0.5), (1, 1, 0.5))
+        sigmas, obj_sigmas = self.near_sigmas(np.array([[0.125, 0.25, 0.5, 0.75, 0.875]]), [box])
+        assert np.array_equal(sigmas, [[7.0] + [SUPPRESSION_SIGMA] * 3 + [7.0]])
+        assert np.array_equal(obj_sigmas, np.zeros((1, 5)))
 
     def test_any_of_several_boxes(self):
         boxes = [OrientedBox3((0, 0, 0), (1, 1, 1)), OrientedBox3((2, 0, 0), (1, 1, 1))]
-        out = prune_rays_in_boxes([[0, 0, 0], [2, 0, 0], [1, 0, 0.9]], [7.0, 8.0, 9.0], boxes)
-        assert np.array_equal(out, [SUPPRESSION_SIGMA, SUPPRESSION_SIGMA, 9.0])
+        pts = np.array([[0, 0, 0], [2, 0, 0], [1, 0, 0.9]], dtype=float)
+        assert np.array_equal(render._in_boxes(pts, boxes), [True, True, False])
 
     @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 3, 3)])
     def test_ray_sample_batches_read_the_last_axis(self, shape):
@@ -279,10 +265,9 @@ class TestPrune:
             want = box.contains(flat).reshape(shape[:-1])
             assert want.any() and not want.all()
             assert np.array_equal(box.contains(pts), want)
-        sig = rng.uniform(0.0, 5.0, shape[:-1])
-        out = prune_rays_in_boxes(pts, sig, boxes)
-        assert np.array_equal(out, prune_rays_in_boxes(flat, sig.ravel(), boxes).reshape(shape[:-1]))
-        assert (out == SUPPRESSION_SIGMA).any()
+        mask = render._in_boxes(pts, boxes)
+        assert np.array_equal(mask, render._in_boxes(flat, boxes).reshape(shape[:-1]))
+        assert mask.any() and not mask.all()
 
 
 class TestNearFar:
