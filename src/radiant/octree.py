@@ -7,6 +7,12 @@ without a sort. From lod_start on it keeps only the cells whose center SDF
 value is within the cell edge length (shell rule), and at the final level
 projects the surviving cell centers onto the zero isosurface along the
 finite-difference normal: p' = p - n * sdf(p).
+
+Both run in blocks of BLOCK_POINTS points, so every temporary stays
+cache-sized and no whole level is built: a level is evaluated
+BLOCK_POINTS // 8 kept parents at a time, and projection runs on
+BLOCK_POINTS-point slices. Every kernel is pointwise, so the samples and
+the stats do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .fields import SdfField, sdf_gradients
 # cells one traversal level may hold: a level whose index array would exceed
 # it is refused before allocating (the sphere preset at LoD 11 needs 1.3e7)
 MAX_LEVEL_CELLS = 1 << 23
+
+# points the traversal evaluates and projection steps at a time: 2^13 points
+# keep a block's float64 (N, 3) temporaries at 192 kB, well inside L2
+BLOCK_POINTS = 1 << 13
 
 
 @dataclass
@@ -111,15 +121,35 @@ def project_to_surface(
     Each step then costs 7 SDF evals per point (the value and six gradient
     taps), the first one 6 with values, and the residual and normal of the
     result 7 more; the evals made are added to stats.projection_evals.
+    The points are projected BLOCK_POINTS at a time, in order; each point's
+    result does not depend on the block it falls in.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != pts.shape[:1]:
             raise ValueError(f"values of shape {values.shape} for {pts.shape[0]} points")
-    s, evals = values, 0
+    # each block's results are written into the output arrays at once, so
+    # the blocks are never held beside a joined copy
+    n = pts.shape[0]
+    out = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
+    filled = 0
+    for lo in range(0, n, BLOCK_POINTS):
+        block = _project_block(f, pts[lo:lo + BLOCK_POINTS], iterations, h, stats,
+                               None if values is None else values[lo:lo + BLOCK_POINTS])
+        k = len(block[0])
+        for dst, src in zip(out, block):
+            dst[filled:filled + k] = src
+        filled += k
+    return SurfaceSamples(*(a[:filled] for a in out))
+
+
+def _project_block(f, pts, iterations, h, stats, s):
+    """project_to_surface on one block of points, s their SDF values or None:
+    (positions, normals, residuals) of the points it keeps."""
+    evals = 0
     for _ in range(iterations):
         if pts.shape[0] == 0:
             break
@@ -133,10 +163,10 @@ def project_to_surface(
     if stats is not None:
         stats.projection_evals += evals + 7 * pts.shape[0]
     if pts.shape[0] == 0:
-        return SurfaceSamples.empty()
+        return samples_to_arrays(SurfaceSamples.empty())
     residual = f.eval(pts)
     normals, ok = sdf_gradients(f, pts, h)
-    return SurfaceSamples(pts[ok], normals[ok], residual[ok])
+    return pts[ok], normals[ok], residual[ok]
 
 
 def _check_level_cells(level: int, n: int) -> None:
@@ -144,6 +174,20 @@ def _check_level_cells(level: int, n: int) -> None:
         raise RadiantError(
             f"octree LoD {level} would hold {n} cells, over the per-level "
             f"budget of {MAX_LEVEL_CELLS}; use a lower LoD")
+
+
+def _children(parents: np.ndarray) -> np.ndarray:
+    """The 8 children of each (M, 3) parent cell index, as (8M, 3) in Morton
+    order when the parents are."""
+    return (parents[:, None, :] * 2 + _CHILDREN).reshape(-1, 3)
+
+
+def _child_blocks(parents: np.ndarray):
+    """The children of `parents`, BLOCK_POINTS // 8 parents at a time: each
+    block is the next Morton-ordered run of the child level."""
+    step = BLOCK_POINTS // 8
+    for lo in range(0, len(parents), step):
+        yield _children(parents[lo:lo + step])
 
 
 def extract_surface(
@@ -154,43 +198,56 @@ def extract_surface(
     Returns the projected surface samples (final-level cells in Morton order)
     and per-level instrumentation. A level with zero occupied cells stops the
     traversal: empty samples with stats.no_surface set.
+
+    Each level from lod_start on is evaluated in blocks of BLOCK_POINTS
+    children of its kept parents, and only the kept cells of a block are
+    joined, in Morton order: the memory a level takes is that of its kept
+    cells, not of all the cells evaluated. The samples and the stats are the
+    same for every block size.
     """
     cfg = cfg or LodConfig()
     stats = ExtractionStats()
     t0 = time.perf_counter()
 
     _check_level_cells(cfg.lod_start, 8**cfg.lod_start)
-    idx = np.zeros((1, 3), dtype=np.int64)  # the root cell
+    kept = np.zeros((1, 3), dtype=np.int64)  # the root cell
     cell = np.asarray(cfg.bounds.extent)
-    for level in range(cfg.lod_end + 1):
-        if level >= cfg.lod_start:
+    for level in range(1, cfg.lod_end + 1):
+        cell = cell / 2.0
+        if level < cfg.lod_start:
+            kept = _children(kept)
+            continue
+        # the final level keeps the centers of its cells for projection, the
+        # levels before it the index of each kept cell to subdivide
+        final = level == cfg.lod_end
+        edge = cfg.cell_edge(level)
+        cells, values, evals = [], [], 0
+        for idx in _child_blocks(kept):
             centers = cfg.bounds.min + (idx + 0.5) * cell
             sdf = f.eval(centers)
-            stats.evals_per_level[level] = int(sdf.size)
-            stats.total_sdf_evals += int(sdf.size)
-
-            edge = cfg.cell_edge(level)
             occ = sdf < edge if cfg.literal_occupancy else np.abs(sdf) < edge
-            if not occ.any():
-                stats.no_surface = True
-                stats.wall_time = time.perf_counter() - t0
-                return SurfaceSamples.empty(), stats
-            if level == cfg.lod_end:
-                break
-            idx = idx[occ]
-            _check_level_cells(level + 1, 8 * len(idx))
-        # each kept cell yields its 8 children at level + 1
-        idx = (idx[:, None, :] * 2 + _CHILDREN).reshape(-1, 3)
-        cell = cell / 2.0
+            cells.append((centers if final else idx)[occ])
+            values.append(sdf[occ])
+            evals += len(idx)
+        stats.evals_per_level[level] = evals
+        stats.total_sdf_evals += evals
+        kept = np.concatenate(cells)
+        del cells
+        if len(kept) == 0:
+            stats.no_surface = True
+            stats.wall_time = time.perf_counter() - t0
+            return SurfaceSamples.empty(), stats
+        if not final:
+            _check_level_cells(level + 1, 8 * len(kept))
 
-    centers = centers[occ]
+    centers, values = kept, np.concatenate(values)
     samples = project_to_surface(
         f,
         centers,
         iterations=cfg.projection_iterations,
         h=cfg.cell_edge(cfg.lod_end) / 4.0,
         stats=stats,
-        values=sdf[occ],
+        values=values,
     )
 
     stats.dropped_points = len(centers) - len(samples)

@@ -32,6 +32,10 @@ class SemanticMapConfig:
                                ("height_max", abs(self.height_max) < np.inf, "finite")):
             if not ok:
                 raise ValueError(f"semantic map {name} must be {rule}, got {getattr(self, name)}")
+        # equal bounds select one height; a reversed range selects none
+        if self.height_min > self.height_max:
+            raise ValueError(f"semantic map height_min {self.height_min} is above "
+                             f"height_max {self.height_max}")
 
 
 @dataclass

@@ -225,10 +225,15 @@ class TestPeakMemory:
     # built every voxel center up front, kept an (N, 4) accumulator and
     # wrote the NFVG payload from two whole copies
     VOXELIZE_CEILING_MB = 400
+    # the sphere at LoD 10 evaluates 3.3M cells and writes 1.6M samples: the
+    # command reads 250-270 MB; it read 563 MB while the octree held whole
+    # levels and projected them in one piece
+    EXTRACT_CEILING_MB = 400
 
-    def test_voxelize_at_the_grid_budget(self, tmp_path):
-        assert 203**3 * 4 <= MAX_GRID_VALUES < 204**3 * 4
-        out = tmp_path / "g.nfvg"
+    @staticmethod
+    def _peak_mb(*argv):
+        """Peak RSS in MB of `radiant *argv` run in a child process, which must
+        exit 0."""
         script = ("import resource, sys\n"
                   "from radiant.cli import dispatch\n"
                   "code = dispatch(sys.argv[1:])\n"
@@ -236,13 +241,27 @@ class TestPeakMemory:
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(radiant.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script, "voxelize", "--field", "gaussian",
-                               "--dims", "203", "--out", str(out)],
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                               env=env, capture_output=True, text=True, timeout=300)
         code, peak_kb = proc.stdout.split()[-2:]
         assert code == "0", proc.stderr
+        return int(peak_kb) / 1024
+
+    def test_voxelize_at_the_grid_budget(self, tmp_path):
+        assert 203**3 * 4 <= MAX_GRID_VALUES < 204**3 * 4
+        out = tmp_path / "g.nfvg"
+        peak = self._peak_mb("voxelize", "--field", "gaussian", "--dims", "203", "--out", out)
         assert out.stat().st_size == 24 + 48 + 203**3 * 4 * 4
-        assert int(peak_kb) / 1024 < self.VOXELIZE_CEILING_MB
+        assert peak < self.VOXELIZE_CEILING_MB
+
+    def test_extract_surface_sphere_lod10(self, tmp_path):
+        out = tmp_path / "pts.ply"
+        peak = self._peak_mb("extract-surface", "--shape", "sphere", "--lod-end", "10",
+                             "--out", out)
+        stats = json.loads((tmp_path / "pts.ply.stats.json").read_text())
+        assert stats["evals_per_level"]["10"] == 3293056
+        assert stats["surface_points"] == 1646312
+        assert peak < self.EXTRACT_CEILING_MB
 
 
 class TestExtractSurface:
@@ -888,6 +907,18 @@ class TestNonFiniteFlags:
         assert err["error"] == "domain" and err["type"] == "ValueError"
         assert f"semantic map {field} " in err["message"]
         assert not (tmp_path / "map.nfvg").exists()
+
+    def test_semmap_height_range_reversed(self, tmp_path, capsys):
+        argv = self.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+        assert run(*argv, "--height-min", "1.8", "--height-max", "0.1",
+                   "--out", tmp_path / "map.nfvg") == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "ValueError"
+        assert "height_min 1.8 " in err["message"] and "height_max 0.1" in err["message"]
+        assert not (tmp_path / "map.nfvg").exists()
+        # equal bounds are a legal range of one height
+        assert run(*argv, "--height-min", "1.0", "--height-max", "1.0",
+                   "--out", tmp_path / "map.nfvg") == 0
 
     def test_semmap_skips_infinite_depth_quietly(self, tmp_path, capsys):
         depth = np.full((4, 4), 2.0)

@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import radiant.octree
-from radiant.core_math import Aabb
+from radiant.core_math import Aabb, cube_bounds
 from radiant.errors import RadiantError
 from radiant.fields import BoxSdf, SdfField, SphereSdf, UnionSdf
 from radiant.metrics import chamfer
@@ -34,13 +37,15 @@ class FarAwaySdf(SdfField):
 
 
 class CountingSdf(SdfField):
-    """Counts every point evaluated through it."""
+    """Counts every point evaluated through it, and the most one call got."""
 
     def __init__(self, inner):
-        self.inner, self.points = inner, 0
+        self.inner, self.points, self.most = inner, 0, 0
 
     def eval(self, pts):
-        self.points += np.asarray(pts).size // 3
+        n = np.asarray(pts).size // 3
+        self.points += n
+        self.most = max(self.most, n)
         return self.inner.eval(pts)
 
 
@@ -203,6 +208,111 @@ class TestTraversalValuesReused:
     def test_values_shape_checked(self):
         with pytest.raises(ValueError, match="values"):
             project_to_surface(SPHERE, np.zeros((4, 3)), values=np.zeros(3))
+
+
+def same_stats(a: ExtractionStats, b: ExtractionStats) -> bool:
+    a, b = dataclasses.asdict(a), dataclasses.asdict(b)
+    del a["wall_time"], b["wall_time"]
+    return a == b
+
+
+class TestBlocks:
+    """Extraction and projection run BLOCK_POINTS points at a time and give
+    the same bytes and stats for every block size: one parent a traversal
+    block (8), the same with ragged projection blocks (9), 64 points, and a
+    single block for everything (above N)."""
+
+    SIZES = [8, 9, 64]
+    WHOLE = 1 << 30
+
+    @pytest.mark.parametrize("field", [SPHERE, BOX, UNION], ids=["sphere", "box", "union"])
+    @pytest.mark.parametrize("literal", [False, True], ids=["shell", "literal"])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("bounds", [cube_bounds(), Aabb([-1, -0.6, -0.8], [0.9, 0.6, 0.8])],
+                             ids=["cube", "noncubic"])
+    def test_extraction_ignores_block_size(self, monkeypatch, field, literal, iterations,
+                                           bounds):
+        cfg = LodConfig(2, 5, bounds=bounds, literal_occupancy=literal,
+                        projection_iterations=iterations)
+        monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", self.WHOLE)
+        whole, whole_stats = extract_surface(field, cfg)
+        assert len(whole) > 100
+        for size in self.SIZES:
+            monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
+            samples, stats = extract_surface(field, cfg)
+            assert same_samples(samples, whole), size
+            assert same_stats(stats, whole_stats), size
+
+    def test_no_surface_ignores_block_size(self, monkeypatch):
+        monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", 9)
+        samples, stats = extract_surface(FarAwaySdf(), LodConfig(2, 4))
+        assert len(samples) == 0 and stats.no_surface
+        assert stats.evals_per_level == {2: 64}
+
+    def test_no_eval_call_exceeds_a_block(self, monkeypatch):
+        # the gradient taps of a projection block are evaluated in one call
+        # of 3 * BLOCK_POINTS points; no call sees a whole level
+        monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", 64)
+        field = CountingSdf(UNION)
+        samples, stats = extract_surface(field, LodConfig(3, 5, projection_iterations=2))
+        assert stats.evals_per_level[5] > 3 * 64 and len(samples) > 3 * 64
+        assert field.most == 3 * 64
+
+    @pytest.mark.parametrize("with_values", [False, True], ids=["fresh", "values"])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_projection_ignores_block_size(self, monkeypatch, with_values, iterations):
+        pts = np.random.default_rng(9).uniform(-0.9, 0.9, size=(70, 3))
+        values = UNION.eval(pts) if with_values else None
+
+        def project(size):
+            monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
+            stats = ExtractionStats()
+            out = project_to_surface(UNION, pts, iterations=iterations, stats=stats,
+                                     values=values)
+            return out, stats
+
+        whole, whole_stats = project(self.WHOLE)
+        assert len(whole) == len(pts)
+        for size in self.SIZES:
+            out, stats = project(size)
+            assert same_samples(out, whole) and same_stats(stats, whole_stats), size
+
+    @pytest.mark.parametrize("size", SIZES + [WHOLE])
+    def test_projection_of_zero_points(self, monkeypatch, size):
+        monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
+        stats = ExtractionStats()
+        out = project_to_surface(SPHERE, np.zeros((0, 3)), stats=stats, values=np.zeros(0))
+        assert out.positions.shape == out.normals.shape == (0, 3)
+        assert out.residuals.shape == (0,) and stats.projection_evals == 0
+
+    @pytest.mark.parametrize("size", SIZES + [WHOLE])
+    def test_vanishing_gradient_in_a_later_block(self, monkeypatch, size):
+        # the sphere's center has a zero central-difference gradient; at
+        # index 11 it falls in the second block of 8 or 9 points, and is
+        # dropped from the middle of the output
+        pts = np.random.default_rng(10).uniform(-0.9, 0.9, size=(20, 3))
+        pts[11] = SPHERE.center
+        monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
+        stats = ExtractionStats()
+        out = project_to_surface(SPHERE, pts, stats=stats)
+        rest = np.delete(pts, 11, axis=0)
+        assert same_samples(out, project_to_surface(SPHERE, rest))
+        # the dropped point costs its value and gradient taps, no residual
+        assert stats.projection_evals == 7 * len(pts) + 7 * len(rest)
+
+
+class TestPeakMemory:
+    def test_union_lod8_traced_peak(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact
+        # (10.2 MB); whole-level arrays made it 32.5 MB
+        tracemalloc.start()
+        try:
+            samples, _ = extract_surface(UNION, LodConfig(3, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) > 50_000
+        assert peak < 20 * 2**20
 
 
 class TestHonestStats:
