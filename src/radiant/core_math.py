@@ -132,8 +132,14 @@ class Aabb:
         return float(np.linalg.norm(self.extent))
 
     def contains(self, pts) -> np.ndarray:
+        """Whether each (..., 3) point lies in the closed box (NaN does not)."""
         pts = np.asarray(pts, dtype=np.float64)
-        return np.all((pts >= self.min) & (pts <= self.max), axis=-1)
+        inside = pts[..., 0] >= self.min[0]
+        inside &= pts[..., 0] <= self.max[0]
+        for axis in (1, 2):
+            inside &= pts[..., axis] >= self.min[axis]
+            inside &= pts[..., axis] <= self.max[axis]
+        return inside
 
 
 def cube_bounds(half: float = 1.0) -> Aabb:

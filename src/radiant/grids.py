@@ -18,6 +18,10 @@ from .errors import DimsMismatch
 # grid stores alpha: alpha = 1 - exp(-sigma * ALPHA_DELTA).
 ALPHA_DELTA = 0.01
 
+# points trilinear interpolates at a time: a block's (C, n) corner and lerp
+# temporaries stay in cache
+TRILINEAR_BLOCK = 1 << 12
+
 
 @dataclass
 class VoxelGrid4D:
@@ -74,46 +78,80 @@ class VoxelGrid4D:
 
 
 def trilinear(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of (X, Y, Z, C) data at continuous coords.
+    """Trilinear interpolation of (X, Y, Z, C) data at continuous (N, 3)
+    coords, as an (N, C) array.
 
     Coordinates are in voxel-index space (integers hit stored values) and are
     clamped to the valid range, so queries between a boundary and the nearest
     center reuse the edge value. Coordinates within 1e-9 of an integer snap
     to it, which keeps voxel-center queries exact despite the world-to-grid
-    division.
+    division. Points are interpolated TRILINEAR_BLOCK at a time into a
+    (C, N) array; each point's result is independent of the blocking.
     """
-    dims = np.array(data.shape[:3])
-    c = np.clip(coords, 0.0, dims - 1.0)
-    snapped = np.rint(c)
-    c = np.where(np.abs(c - snapped) < 1e-9, snapped, c)
-    i0 = np.floor(c).astype(np.int64)
-    i0 = np.minimum(i0, dims - 2)  # keep i0+1 in range; exact upper edge ok
-    i0 = np.maximum(i0, 0)
-    f = c - i0
-
-    if (dims == 1).any():
-        # degenerate axes: only index 0 exists, force zero fraction there
-        f = np.where(dims - 1 == 0, 0.0, f)
-        i0 = np.minimum(i0, np.maximum(dims - 2, 0))
-
-    # corners by row of the (X*Y*Z, C) view: the lower corner's row plus a
-    # step per axis to the upper one (0 where the upper index is clamped)
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    base = i0 @ strides
-    dx, dy, dz = ((np.minimum(i0 + 1, dims - 1) - i0) * strides).T
+    coords = np.asarray(coords, dtype=np.float64)
     flat = data.reshape(-1, data.shape[-1])
+    out = np.empty((flat.shape[1], coords.shape[0]))
+    for lo in range(0, coords.shape[0], TRILINEAR_BLOCK):
+        hi = lo + TRILINEAR_BLOCK
+        _trilinear_block(flat, data.shape[:3], coords[lo:hi], out[:, lo:hi])
+    return out.T
 
-    def corner(step):
-        return np.take(flat, base + step, axis=0).T  # (C, N): weights broadcast along N
 
-    fx, fy, fz = f.T
-    c00 = corner(0) * (1 - fx) + corner(dx) * fx
-    c01 = corner(dz) * (1 - fx) + corner(dx + dz) * fx
-    c10 = corner(dy) * (1 - fx) + corner(dx + dy) * fx
-    c11 = corner(dy + dz) * (1 - fx) + corner(dx + dy + dz) * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return (c0 * (1 - fz) + c1 * fz).T
+def _trilinear_block(flat, dims, coords, out) -> None:
+    """Interpolate the rows of the (X*Y*Z, C) view `flat` at (n, 3) coords
+    into the (C, n) array `out`, axis by axis on contiguous (n,) rows."""
+    strides = (dims[1] * dims[2], dims[2], 1)
+    base = np.zeros(coords.shape[0], dtype=np.int64)  # the lower corner's row
+    weights = []
+    for axis, (size, stride) in enumerate(zip(dims, strides)):
+        i0, f = _axis_prep(coords[:, axis], size)
+        i0 *= stride
+        base += i0
+        weights.append((1 - f, f))
+    (gx, fx), (gy, fy), (gz, fz) = weights
+    # a step per axis from the lower corner's row to the upper one: 0 on a
+    # degenerate axis, whose upper index is clamped to 0
+    dx, dy, dz = (stride if size > 1 else 0 for size, stride in zip(dims, strides))
+
+    def corner(step):  # (C, n): weights broadcast along n
+        return np.take(flat, base + step, axis=0).T.copy()
+
+    def face(step):  # the bilinear x-y face whose lower corner is base + step
+        return _lerp(_lerp(corner(step), corner(step + dx), gx, fx),
+                     _lerp(corner(step + dy), corner(step + dx + dy), gx, fx), gy, fy)
+
+    np.multiply(face(0), gz, out=out)  # lower face first: at most 3 corners held
+    upper = face(dz)
+    upper *= fz
+    out += upper
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """a * g + b * f with g = 1 - f, in place in a (b is overwritten)."""
+    a *= g
+    b *= f
+    a += b
+    return a
+
+
+def _axis_prep(col: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner index and fraction of coordinates `col` along an axis of
+    `size` values: clipped, snapped within 1e-9 of an integer, and the index
+    clamped so that index + 1 stays in range (an exact upper edge gets
+    fraction 1). A degenerate axis has only index 0 and fraction 0."""
+    c = np.clip(col, 0.0, size - 1.0)  # a contiguous copy of the column
+    snapped = np.rint(c)
+    gap = c - snapped
+    np.abs(gap, out=gap)
+    np.copyto(c, snapped, where=gap < 1e-9)
+    i0 = c.astype(np.int64)  # the floor: c >= 0 (NaN casts out of range)
+    np.minimum(i0, size - 2, out=i0)
+    np.maximum(i0, 0, out=i0)
+    if size == 1:
+        c.fill(0.0)
+    else:
+        c -= i0
+    return i0, c
 
 
 def sigma_to_alpha(sigma, delta):

@@ -97,7 +97,8 @@ def write_ply(path, samples: SurfaceSamples) -> None:
     exactly and re-format stably: the bytes of `"%.9g" % float(f32)`, made
     in numpy by _ply_lines, PLY_CHUNK vertices at a time."""
     n = len(samples)
-    vals = np.concatenate([samples.positions, samples.normals], axis=1).astype(np.float32)
+    # cast while concatenating: no float64 (N, 6) copy
+    vals = np.concatenate([samples.positions, samples.normals], axis=1, dtype=np.float32)
     with open(path, "wb") as fh:
         # each line carries the newline before it, so the header's last
         # newline comes from the first vertex and the body ends with one more
@@ -167,6 +168,7 @@ def _ply_lines(block: np.ndarray) -> np.ndarray:
     s[redo] = a[redo] * _POW10[8 - x[redo] - _POW10_MIN]
     fallback = np.flatnonzero((np.abs(s - np.floor(s) - 0.5) < 1e-5) | ~finite)
     d = np.rint(s)
+    del a, s, off  # each array goes once spent: these passes set write_ply's peak
     carry = np.flatnonzero(d >= 1e9)  # 9.999999996e0 rounds to 1.00000000e1
     d[carry] = 1e8
     x[carry] += 1
@@ -179,6 +181,7 @@ def _ply_lines(block: np.ndarray) -> np.ndarray:
     # d0 is nonzero unless D is, so at most 8 trailing zeros
     k = 9 - _TRAILING_ZEROS4.take(lo) - (lo == 0) * _TRAILING_ZEROS4.take(mid)
     key = ((x - _X_MIN) * 10 + k) * 2 + np.signbit(v)
+    del d, k
 
     words = np.empty((len(block), 6, 5), "<u4")
     words[:, :, 0] = _HEADS
@@ -186,9 +189,11 @@ def _ply_lines(block: np.ndarray) -> np.ndarray:
     words[:, :, 2] = _DIGITS4.take(mid).reshape(-1, 6)
     words[:, :, 3] = _DIGITS4.take(lo).reshape(-1, 6)
     words[:, :, 4] = _EXPONENT.take(x - _X_MIN).reshape(-1, 6)
+    del hi, mid, lo, x
     rows = words.view(np.uint8).reshape(-1, 20)
     keep = _KEEP.take(key).view(np.bool_).reshape(-1, 20)
     shift = _POINT_SHIFT.take(key)
+    del key
     for width in np.flatnonzero(np.bincount(shift)[1:]) + 1:
         r = np.flatnonzero(shift == width)
         rows[r, 6 : 6 + width] = rows[r, 7 : 7 + width]

@@ -226,9 +226,14 @@ class TestPeakMemory:
     # wrote the NFVG payload from two whole copies
     VOXELIZE_CEILING_MB = 400
     # the sphere at LoD 10 evaluates 3.3M cells and writes 1.6M samples: the
-    # command reads 250-270 MB; it read 563 MB while the octree held whole
+    # command reads ~185 MB; it read 250-270 MB while write_ply made a float64
+    # (N, 6) copy of the samples, and 563 MB while the octree held whole
     # levels and projected them in one piece
     EXTRACT_CEILING_MB = 400
+    # one 256-ray packet at the sample edge (n_coarse + n_fine = 3640) over a
+    # 64^3 grid near field: the command reads ~490 MB; a GridField that
+    # skipped its gather of the inside rows read ~520 MB
+    RENDER_CEILING_MB = 600
 
     @staticmethod
     def _peak_mb(*argv):
@@ -262,6 +267,18 @@ class TestPeakMemory:
         assert stats["evals_per_level"]["10"] == 3293056
         assert stats["surface_points"] == 1646312
         assert peak < self.EXTRACT_CEILING_MB
+
+    def test_render_grid_field_at_the_packet_edge(self, tmp_path):
+        assert run("voxelize", "--field", "gaussian", "--dims", "64",
+                   "--out", tmp_path / "g.nfvg") == 0
+        doc = scene_doc(near_field={"type": "grid", "path": "g.nfvg"},
+                        n_coarse=1820, n_fine=1820)
+        doc["cameras"][0]["intrinsics"].update(cx=7.5, cy=7.5, width=16, height=16)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        peak = self._peak_mb("render", "--scene", scene, "--out", tmp_path / "img")
+        assert (tmp_path / "img_000.ppm").stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+        assert peak < self.RENDER_CEILING_MB
 
 
 class TestExtractSurface:

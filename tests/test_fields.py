@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,28 @@ class TestGridField:
         f = GridField(self.make_grid(rng))
         colors, sigmas = f.eval([(5.0, 0, 0)], [(0, 0, 1)])
         assert np.array_equal(colors, np.zeros((1, 3))) and np.array_equal(sigmas, [0.0])
+
+    def test_mixed_batch_is_zero_outside_and_for_nan(self):
+        rng = np.random.default_rng(5)
+        grid = self.make_grid(rng, n=6)
+        f = GridField(grid)
+        inside = rng.uniform(-0.9, 0.9, (40, 3))
+        faces = rng.uniform(-1.0, 1.0, (12, 3))
+        faces[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) % 2, 1.0, -1.0)
+        outside = rng.uniform(-0.9, 0.9, (12, 3))
+        outside[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) % 2, 1.3, -1.0001)
+        nan = rng.uniform(-0.9, 0.9, (6, 3))
+        nan[np.arange(6), np.arange(6) % 3] = np.nan
+        pts = np.concatenate([inside, faces, outside, nan])[rng.permutation(70)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = f.interpolate(pts)
+        kept = grid.bounds.contains(pts)
+        assert kept.sum() == 52
+        assert np.array_equal(vals[~kept], np.zeros((18, 4)))
+        for p, row in zip(pts[kept], vals[kept]):  # row for row, as one-point batches
+            assert np.array_equal(row, f.interpolate(p)[0])
+        assert (vals[kept] > 0).all()
 
     def test_centers_reproduce_grid_exactly(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """Golden output hashes: the bytes of every output of the acceptance suite's
-subcommand run, of a fine render with an object field, and of seed-0 jobs
+subcommand run, of a fine render with an object field, of a render whose
+grid near field covers only part of the near region, and of seed-0 jobs
 0-2 of each perfbench workload, against the sha256 digests committed in
 golden_sha256.json. JSON outputs are hashed after the acceptance suite's
 _strip_timing, so wall-clock fields do not count.
@@ -45,6 +46,23 @@ FINE_SCENE = {
     "n_coarse": 16, "n_fine": 8,
 }
 
+# the grid covers a cube of half-side 0.4 of the near region (the unit
+# sphere): about half the near samples fall inside it, and the
+# second camera's rays start outside it
+PARTIAL_GRID_BOUNDS = "-0.4,-0.4,-0.4,0.4,0.4,0.4"
+PARTIAL_GRID_SCENE = {
+    "near_field": {"type": "grid", "path": "g.nfvg"},
+    "far_field": {"type": "constant", "color": [0.1, 0.2, 0.4], "sigma": 3.0},
+    "cameras": [
+        {"intrinsics": {"fx": 6, "fy": 6, "cx": 3.5, "cy": 3.5, "width": 8, "height": 8},
+         "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}},
+        {"intrinsics": {"fx": 5, "fy": 5, "cx": 3.5, "cy": 2.5, "width": 8, "height": 6},
+         "pose": {"rotation": [0.8, 0, 0.6, 0, 1, 0, -0.6, 0, 0.8],
+                  "translation": [-0.6, 0.1, -0.2]}},
+    ],
+    "n_coarse": 24, "n_fine": 8,
+}
+
 
 def _digest(path: Path) -> str:
     raw = path.read_bytes()
@@ -62,6 +80,17 @@ def _render_fine(base: Path) -> list:
     return [base / "img_000.ppm", base / "img_001.ppm", base / "img_metrics.json"]
 
 
+def _render_partial_grid(base: Path) -> list:
+    base.mkdir(parents=True)
+    assert dispatch(["voxelize", "--field", "gaussian", "--dims", "12,10,14",
+                     f"--bounds={PARTIAL_GRID_BOUNDS}", "--out", str(base / "g.nfvg")]) == 0
+    scene = base / "scene.json"
+    scene.write_text(json.dumps(PARTIAL_GRID_SCENE))
+    assert dispatch(["render", "--scene", str(scene), "--out", str(base / "img"),
+                     "--seed", "6"]) == 0
+    return [base / "img_000.ppm", base / "img_001.ppm", base / "img_metrics.json"]
+
+
 def golden_digests(base: Path, jobs) -> dict:
     """{output name: sha256} of every golden output, written under base;
     jobs is perfbench's jobs module."""
@@ -70,6 +99,8 @@ def golden_digests(base: Path, jobs) -> dict:
         digests.update({f"acceptance/{cmd}/{p.name}": _digest(p) for p in paths})
     digests.update({f"fine-render/{p.name}": _digest(p)
                     for p in _render_fine(base / "fine-render")})
+    digests.update({f"partial-grid-render/{p.name}": _digest(p)
+                    for p in _render_partial_grid(base / "partial-grid-render")})
     for name, workload in jobs.WORKLOADS.items():
         for index in PERFBENCH_JOBS:
             d = base / f"{name}{index}"

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiant import grids
+from radiant.core_math import Aabb
 from radiant.grids import sigma_to_alpha, trilinear
+
+# query_coords(..., n=QUERY_N) gives 10,002 points: more than two default
+# trilinear blocks
+QUERY_N = 2000
 
 
 def corner_tuple_trilinear(data, coords):
@@ -58,11 +64,37 @@ class TestTrilinear:
     def test_matches_corner_tuple_formula(self, dims, channels):
         rng = np.random.default_rng([len(dims), *dims, channels])
         data = rng.normal(size=(*dims, channels))
-        coords = query_coords(rng, dims)
+        coords = query_coords(rng, dims, n=QUERY_N)
+        assert len(coords) > 2 * grids.TRILINEAR_BLOCK
         got = trilinear(data, coords)
         want = corner_tuple_trilinear(data, coords)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    # block 1 runs ~10k blocks, so the block sizes run on one regular and one
+    # degenerate grid of the matrix above
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "over-N"])
+    @pytest.mark.parametrize("dims,channels", [((5, 4, 6), 4), ((2, 1, 5), 1)])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, dims, channels, block):
+        rng = np.random.default_rng([len(dims), *dims, channels])
+        data = rng.normal(size=(*dims, channels))
+        coords = query_coords(rng, dims, n=QUERY_N)
+        monkeypatch.setattr(grids, "TRILINEAR_BLOCK", block or len(coords) + 1)
+        got = trilinear(data, coords)
+        want = corner_tuple_trilinear(data, coords)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_coords_are_not_written(self):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(4, 3, 5, 2))
+        coords = np.asfortranarray(query_coords(rng, data.shape[:3]))
+        before = coords.copy()
+        trilinear(data, coords)
+        assert np.array_equal(coords, before)
+
+    def test_no_points(self):
+        got = trilinear(np.ones((3, 3, 3, 4)), np.zeros((0, 3)))
+        assert got.shape == (0, 4)
 
     def test_non_contiguous_data(self):
         rng = np.random.default_rng(7)
@@ -75,6 +107,46 @@ class TestTrilinear:
         idx = np.stack(np.meshgrid(*(np.arange(n) for n in data.shape[:3]), indexing="ij"),
                        axis=-1).reshape(-1, 3)
         assert np.array_equal(trilinear(data, idx.astype(np.float64)), data.reshape(-1, 2))
+
+
+def oracle_contains(box: Aabb, pts) -> np.ndarray:
+    """The np.all form Aabb.contains replaced."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return np.all((pts >= box.min) & (pts <= box.max), axis=-1)
+
+
+class TestAabbContains:
+    BOX = Aabb([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
+
+    def points(self, rng, n=300):
+        """Points inside, outside, on each face and with NaN coordinates."""
+        pts = rng.uniform([-1.5, -1.0, -0.5], [1.5, 1.0, 2.5], (n, 3))
+        axis = rng.integers(0, 3, n // 3)
+        face = np.where(rng.random(n // 3) < 0.5, self.BOX.min[axis], self.BOX.max[axis])
+        pts[np.arange(n // 3), axis] = face
+        pts[np.arange(n - 10, n), rng.integers(0, 3, 10)] = np.nan
+        return pts
+
+    def test_matches_np_all_form(self):
+        pts = self.points(np.random.default_rng(5))
+        got = self.BOX.contains(pts)
+        want = oracle_contains(self.BOX, pts)
+        assert got.shape == want.shape == (300,) and got.dtype == bool
+        assert np.array_equal(got, want)
+        assert 0 < got.sum() < len(got)
+
+    def test_matches_on_ray_sample_shape(self):
+        pts = self.points(np.random.default_rng(6)).reshape(20, 15, 3)
+        got = self.BOX.contains(pts)
+        assert got.shape == (20, 15)
+        assert np.array_equal(got, oracle_contains(self.BOX, pts))
+
+    @pytest.mark.parametrize("pt", [[0, 0, 1], [1.0, 0.5, 2.0], [-1.0, -0.5, 0.0],
+                                    [1.5, 0, 1], [0, 0, -0.1], [np.nan, 0, 1]])
+    def test_single_point(self, pt):
+        got = self.BOX.contains(pt)
+        assert np.shape(got) == ()
+        assert got == oracle_contains(self.BOX, pt)
 
 
 class TestSigmaToAlpha:

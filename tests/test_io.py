@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -242,6 +243,19 @@ class TestPly:
                 io.write_ply(new, s)
                 oracle_write_ply(old, s.positions, s.normals)
             assert new.read_bytes() == old.read_bytes(), i
+
+    def test_write_peak_below_a_float64_copy(self, tmp_path):
+        # 48 bytes a vertex is what the float64 (N, 6) copy of the positions
+        # and normals alone took, before its float32 cast
+        n = 200_000
+        s = self.samples(np.random.default_rng(5), n=n)
+        tracemalloc.start()
+        try:
+            io.write_ply(tmp_path / "big.ply", s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n
 
     def test_arrays_equal_oracle_reader(self, tmp_path):
         for i, s in enumerate(self.clouds()):
