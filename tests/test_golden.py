@@ -1,7 +1,8 @@
 """Golden output hashes: the bytes of every output of the acceptance suite's
 subcommand run, of a fine render with an object field, of a render whose
-grid near field covers only part of the near region, and of seed-0 jobs
-0-2 of each perfbench workload, against the sha256 digests committed in
+grid near field covers only part of the near region, of eval-detect and
+eval-pose on inputs built from their edge cases, and of seed-0 jobs 0-2 of
+each perfbench workload, against the sha256 digests committed in
 golden_sha256.json. JSON outputs are hashed after the acceptance suite's
 _strip_timing, so wall-clock fields do not count.
 
@@ -64,6 +65,66 @@ PARTIAL_GRID_SCENE = {
 }
 
 
+# eval inputs at the edges of reading and matching: tied scores, duplicate
+# ground truth (tied IoUs and tied pose errors), a label on one side only,
+# ground truth that carries scores, yaws outside (-pi, pi] and 3x3 nested
+# rotations
+_R90 = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+EDGE_GT_BOXES = [
+    {"center": [0, 0, 0], "size": [2, 1, 1], "yaw": 0.25, "class": "car", "score": 0.3},
+    {"center": [0, 0, 0], "size": [2, 1, 1], "yaw": 0.25 + 6.283185307179586, "class": "car"},
+    {"center": [5, 0, 0.5], "size": [1, 1, 2], "yaw": -3.141592653589793, "class": "car"},
+    {"center": [5, 5, 0], "size": [1.5, 0.5, 1], "yaw": 4.0, "class": "van", "score": 2},
+    {"center": [-4, 2, 0], "size": [1, 1, 1], "yaw": -7.5, "class": "gt_only"},
+]
+EDGE_PRED_BOXES = [
+    {"center": [0.1, 0, 0], "size": [2, 1, 1], "yaw": 0.2, "class": "car", "score": 0.9},
+    {"center": [0.1, 0, 0], "size": [2, 1, 1], "yaw": 0.2, "class": "car", "score": 0.9},
+    {"center": [-0.1, 0, 0], "size": [2, 1, 1], "yaw": 0.3 - 6.283185307179586,
+     "class": "car", "score": 0.9},
+    {"center": [5, 0, 0.5], "size": [1, 1, 2], "yaw": 3.141592653589793, "class": "car",
+     "score": 0.5},
+    {"center": [5.2, 5, 0], "size": [1.5, 0.5, 1], "yaw": 4.0 - 3.141592653589793,
+     "class": "van", "score": 1},
+    {"center": [9, 9, 9], "size": [1, 1, 1], "class": "pred_only", "score": 0.95},
+]
+EDGE_GT_POSES = [
+    {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0],
+     "class": "bottle", "score": 0.7},
+    {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0], "class": "bottle"},
+    {"rotation": _R90, "translation": [0.5, 0, 0], "scale": 0.2, "class": "mug"},
+    {"rotation": _R90, "translation": [0, 0.5, 0], "class": "gt_only", "score": 1},
+]
+EDGE_PRED_POSES = [
+    {"rotation": [[0, 0, 1], [0, 1, 0], [-1, 0, 0]], "translation": [0.01, 0, 0],
+     "class": "bottle", "score": 0.8},
+    {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0.01, 0],
+     "class": "bottle", "score": 0.8},
+    {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0.01],
+     "class": "bottle", "score": 0.8},
+    {"rotation": _R90, "translation": [0.52, 0, 0], "class": "mug", "score": 0.4},
+    {"rotation": _R90, "translation": [0.5, 0, 0.3], "class": "mug", "score": 0.4},
+    {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0],
+     "class": "pred_only", "score": 1},
+]
+
+
+def _eval_edges(base: Path) -> list:
+    base.mkdir(parents=True)
+    for name, key, entries in (("gt_boxes", "boxes", EDGE_GT_BOXES),
+                               ("pred_boxes", "boxes", EDGE_PRED_BOXES),
+                               ("gt_poses", "poses", EDGE_GT_POSES),
+                               ("pred_poses", "poses", EDGE_PRED_POSES)):
+        (base / f"{name}.json").write_text(json.dumps({key: entries}))
+    assert dispatch(["eval-detect", "--pred", str(base / "pred_boxes.json"),
+                     "--gt", str(base / "gt_boxes.json"), "--iou-thresholds", "0.1,0.5,0.9",
+                     "--out", str(base / "detect.json")]) == 0
+    assert dispatch(["eval-pose", "--pred", str(base / "pred_poses.json"),
+                     "--gt", str(base / "gt_poses.json"), "--pose-thresholds", "5:5,10:40",
+                     "--symmetric-classes", "bottle", "--out", str(base / "pose.json")]) == 0
+    return [base / "detect.json", base / "pose.json"]
+
+
 def _digest(path: Path) -> str:
     raw = path.read_bytes()
     if path.suffix == ".json":
@@ -101,6 +162,7 @@ def golden_digests(base: Path, jobs) -> dict:
                     for p in _render_fine(base / "fine-render")})
     digests.update({f"partial-grid-render/{p.name}": _digest(p)
                     for p in _render_partial_grid(base / "partial-grid-render")})
+    digests.update({f"eval-edges/{p.name}": _digest(p) for p in _eval_edges(base / "eval-edges")})
     for name, workload in jobs.WORKLOADS.items():
         for index in PERFBENCH_JOBS:
             d = base / f"{name}{index}"
