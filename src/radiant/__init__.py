@@ -44,9 +44,11 @@ from .masking import (
     recon_losses,
 )
 from .metrics import (
+    BoxBatch,
     DetectionAp,
     OrientedBox3,
     PoseAp,
+    PoseBatch,
     PoseRecord,
     Trajectory,
     chamfer,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -55,9 +56,21 @@ class _UsageError(Exception):
     pass
 
 
+_NUMBER = r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NUMBER_LIST = re.compile(rf"{_NUMBER}(,{_NUMBER})*")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse reads a token that starts with "-" as an option unless it
+        # is one negative number; a comma-separated list of numbers
+        # ("-0.4,-0.4,-0.4,0.4,0.4,0.4") is a value too
+        if _NUMBER_LIST.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -303,25 +316,18 @@ def _parse_axis(text: str) -> np.ndarray:
     return axis
 
 
-def _read_records(path, key: str, reader, scored: bool) -> list:
-    """One record per entry of the list under key in a JSON document;
-    predictions (scored) must each carry a score."""
+def _entries(path, key: str) -> tuple[list, str]:
+    """The list under key in a JSON document, and its name in errors."""
     entries = io.read_key(io.load_versioned_json(path), key, str(path), io.json_list)
-    records = []
-    for i, d in enumerate(entries):
-        where = f"{path}: {key}[{i}]"
-        if scored:
-            io.read_key(d, "score", where)
-        records.append(reader(d, where))
-    return records
+    return entries, f"{path}: {key}"
 
 
 def _cmd_eval_detect(args) -> None:
     thresholds = _parse_iou_thresholds(args.iou_thresholds)
     _require_inputs(args.pred, args.gt)
     out = _prepare_output(args.out, args.force)
-    preds = _read_records(args.pred, "boxes", io.box_from_json, scored=True)
-    gts = _read_records(args.gt, "boxes", io.box_from_json, scored=False)
+    preds = io.boxes_from_json(*_entries(args.pred, "boxes"), scored=True)
+    gts = io.boxes_from_json(*_entries(args.gt, "boxes"))
     results = {}
     for thresh, r in zip(thresholds, detection_ap(preds, gts, thresholds)):
         per_class = {label: {"ap": ap, "recall": recall}
@@ -336,8 +342,8 @@ def _cmd_eval_pose(args) -> None:
     axis = _parse_axis(args.symmetry_axis)
     _require_inputs(args.pred, args.gt)
     out = _prepare_output(args.out, args.force)
-    preds = _read_records(args.pred, "poses", io.pose_record_from_json, scored=True)
-    gts = _read_records(args.gt, "poses", io.pose_record_from_json, scored=False)
+    preds = io.poses_from_json(*_entries(args.pred, "poses"), scored=True)
+    gts = io.poses_from_json(*_entries(args.gt, "poses"))
     sym_classes = [c for c in args.symmetric_classes.split(",") if c]
     axes = {c: axis for c in sym_classes}
     results = {}

@@ -49,9 +49,8 @@ def uniform_stream(seeds, n: int) -> np.ndarray:
     return (splitmix64_stream(seeds, n) >> np.uint64(11)) * 2.0**-53
 
 
-# as_vec3 and check_rotation run once per record read from a file, so they
-# test Python floats: math.isfinite over a few values costs less than one
-# np.isfinite call.
+# as_vec3 runs once per record read from a file, so it tests Python floats:
+# math.isfinite over a few values costs less than one np.isfinite call.
 def as_vec3(v) -> np.ndarray:
     """Coerce to a finite float64 3-vector."""
     out = np.asarray(v, dtype=np.float64)
@@ -77,22 +76,23 @@ def normalize(v) -> np.ndarray:
 
 
 def check_rotation(m, tol: float = 1e-6) -> np.ndarray:
-    """Validate a 3x3 matrix as a proper rotation (orthonormal, det +1)."""
+    """Validate a 3x3 matrix, or an (N, 3, 3) stack of them, as proper
+    rotations (orthonormal, det +1)."""
     r = np.asarray(m, dtype=np.float64)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3) or r.ndim > 3:
         raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    vals = r.ravel().tolist()
-    if not all(map(math.isfinite, vals)):
+    if not np.isfinite(r).all():
         raise ValueError("matrix has non-finite entries")
-    a, b, c, d, e, f, g, h, i = vals
-    # the entries of R^T R - I: dot products of the columns (a d g), (b e h), (c f i)
-    gram = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
-            c * c + f * f + i * i - 1.0, a * b + d * e + g * h,
-            a * c + d * f + g * i, b * c + e * f + h * i)
-    if max(map(abs, gram)) > tol:
+    a, b, c, d, e, f, g, h, i = r.reshape(-1, 9).T
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail as inf
+        # the entries of R^T R - I: dot products of the columns (a d g), (b e h), (c f i)
+        gram = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+                c * c + f * f + i * i - 1.0, a * b + d * e + g * h,
+                a * c + d * f + g * i, b * c + e * f + h * i)
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if any((abs(x) > tol).any() for x in gram):
         raise ValueError("matrix columns are not orthonormal")
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > tol:
+    if (abs(det - 1.0) > tol).any():
         raise ValueError("matrix determinant is not +1")
     return r
 

@@ -15,15 +15,16 @@ import re
 import struct
 from itertools import chain
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from .core_math import Aabb, Intrinsics, Pose
+from .core_math import Aabb, Intrinsics, Pose, check_rotation
 from .errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
 from .fields import (BallField, BoxSdf, ConstantField, GaussianBlobField, GridField,
                      RadianceField, SdfField, SphereSdf, UnionSdf)
 from .grids import VoxelGrid4D
-from .metrics import OrientedBox3, PoseRecord, Trajectory
+from .metrics import BoxBatch, OrientedBox3, PoseBatch, PoseRecord, Trajectory, wrap_yaw
 from .octree import SurfaceSamples
 from .projmaps import SemanticMap
 
@@ -459,6 +460,75 @@ def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
         label=read_key(d, "class", where, json_str, ""),
         score=read_key(d, "score", where, json_float, None),
     )
+
+
+def boxes_from_json(entries: list, where: str, scored: bool = False) -> BoxBatch:
+    """The boxes of a JSON list as one BoxBatch; where names the list in
+    errors ("pred.json: boxes"), and scored requires every entry to carry a
+    score (predictions do).
+
+    The entries are read as columns, under the rules of box_from_json. If a
+    column refuses them, the entries are read again one by one, in order,
+    through box_from_json, and the first bad entry raises the error that
+    box_from_json gives it (a FileFormatError names "where[i]" and the key).
+    """
+    n = len(entries)
+    cols = _columns(entries, scored, ("center", None), ("size", None), ("yaw", 0.0))
+    if cols is not None:
+        center, size, yaw, labels, scores = cols
+        if center.shape == size.shape == (n, 3) and yaw.shape == (n,) and (size > 0).all():
+            return BoxBatch(center, size, np.array([wrap_yaw(y) for y in yaw.tolist()]),
+                            labels, scores)
+    return _records(entries, where, scored, box_from_json, BoxBatch)
+
+
+def poses_from_json(entries: list, where: str, scored: bool = False) -> PoseBatch:
+    """The poses of a JSON list as one PoseBatch, read as boxes_from_json
+    reads boxes, under the rules of pose_record_from_json."""
+    n = len(entries)
+    cols = _columns(entries, scored, ("rotation", None), ("translation", None), ("scale", 1.0))
+    if cols is not None:
+        rotation, translation, scale, labels, scores = cols
+        # a rotation is 9 numbers at any nesting, the same in every entry
+        if rotation.size == 9 * n and translation.shape == (n, 3) and scale.shape == (n,) \
+                and (scale > 0).all():
+            try:
+                rotation = check_rotation(rotation.reshape(n, 3, 3))
+            except ValueError:
+                pass
+            else:
+                return PoseBatch(rotation, translation, scale, labels, scores)
+    return _records(entries, where, scored, pose_record_from_json, PoseBatch)
+
+
+def _columns(entries: list, scored: bool, *keys) -> Optional[list]:
+    """The json_floats array of each (key, default) of keys over the
+    entries, then their labels and scores (NaN where an unscored entry has
+    none); None where json_floats or a label or score refuses them."""
+    if set(map(type, entries)) - {dict}:
+        return None
+    labels = [d.get("class", "") for d in entries]
+    given = [d["score"] for d in entries if "score" in d]
+    if set(map(type, labels)) - {str} or (scored and len(given) < len(entries)):
+        return None
+    try:
+        cols = [json_floats([d.get(key, default) for d in entries]) for key, default in keys]
+        if json_floats(given).shape != (len(given),):
+            return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    scores = np.array([d.get("score", math.nan) for d in entries], dtype=np.float64)
+    return cols + [np.array(labels, dtype=object), scores]
+
+
+def _records(entries: list, where: str, scored: bool, reader, batch):
+    records = []
+    for i, d in enumerate(entries):
+        at = f"{where}[{i}]"
+        if scored:
+            read_key(d, "score", at)
+        records.append(reader(d, at))
+    return batch.of(records)
 
 
 def trajectory_from_json(d: dict, where: str = "trajectory") -> Trajectory:

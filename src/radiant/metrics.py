@@ -44,6 +44,11 @@ if _spatial is None:
     _spec.loader.exec_module(_spatial)
 
 
+def wrap_yaw(yaw: float) -> float:
+    """yaw in (-pi, pi]: a yaw outside maps to atan2(sin, cos)."""
+    return yaw if -math.pi < yaw <= math.pi else math.atan2(math.sin(yaw), math.cos(yaw))
+
+
 @dataclass
 class OrientedBox3:
     """3D box with yaw-only rotation about world z.
@@ -63,8 +68,7 @@ class OrientedBox3:
         self.size = as_vec3(self.size)
         if not min(self.size.tolist()) > 0:
             raise ValueError("box size must be positive")
-        if not (-math.pi < self.yaw <= math.pi):
-            self.yaw = math.atan2(math.sin(self.yaw), math.cos(self.yaw))
+        self.yaw = wrap_yaw(self.yaw)
 
     @property
     def volume(self) -> float:
@@ -72,11 +76,7 @@ class OrientedBox3:
 
     def corners2d(self) -> np.ndarray:
         """Footprint corners in xy, counter-clockwise, shape (4, 2)."""
-        hx, hy = self.size[0] / 2.0, self.size[1] / 2.0
-        local = np.array([[-hx, -hy], [hx, -hy], [hx, hy], [-hx, hy]])
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + self.center[:2]
+        return _corners2d(self.center[None], self.size[None], [self.yaw])[0]
 
     def corners(self) -> np.ndarray:
         """All 8 corners, shape (8, 3)."""
@@ -103,6 +103,19 @@ class OrientedBox3:
         )
 
 
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+def _corners2d(centers: np.ndarray, sizes: np.ndarray, yaws) -> np.ndarray:
+    """(N, 4, 2) footprint corners of N boxes, counter-clockwise: one
+    (4, 2) @ (2, 2) product a box, whose rounding (BLAS may fuse the
+    multiply-adds) the IoU's bits depend on; cos and sin are math's."""
+    cos, sin = [math.cos(y) for y in yaws], [math.sin(y) for y in yaws]
+    rot = np.array([cos, np.negative(sin), sin, cos]).T.reshape(-1, 2, 2)
+    local = _CORNER_SIGNS * (sizes[:, None, :2] / 2.0)
+    return local @ rot.transpose(0, 2, 1) + centers[:, None, :2]
+
+
 @dataclass
 class PoseRecord:
     """Category-level object pose: rotation, translation (m), 1D scale."""
@@ -118,6 +131,73 @@ class PoseRecord:
         self.translation = as_vec3(self.translation)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+
+
+def _column(values, shape=()) -> np.ndarray:
+    return np.array(values, dtype=np.float64).reshape((len(values),) + shape)
+
+
+def _scores(records) -> np.ndarray:
+    return _column([math.nan if r.score is None else r.score for r in records])
+
+
+class _Batch:
+    """Records as columns: every field is an array with one row per record,
+    and len() is the record count."""
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def take(self, rows):
+        """The batch of the given rows (an index array)."""
+        return type(self)(*(col[rows] for col in vars(self).values()))
+
+
+@dataclass
+class BoxBatch(_Batch):
+    """N yaw boxes as columns: centers and sizes (N, 3), yaws (N,) in
+    (-pi, pi], labels (N,) an object array of str, and scores (N,), NaN for
+    a box without one. detection_ap reads boxes in this form."""
+
+    centers: np.ndarray
+    sizes: np.ndarray
+    yaws: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def of(cls, boxes) -> "BoxBatch":
+        """The batch of a sequence of OrientedBox3; a BoxBatch is returned
+        as it is."""
+        if isinstance(boxes, cls):
+            return boxes
+        return cls(_column([b.center for b in boxes], (3,)),
+                   _column([b.size for b in boxes], (3,)), _column([b.yaw for b in boxes]),
+                   np.array([b.label for b in boxes], dtype=object), _scores(boxes))
+
+
+@dataclass
+class PoseBatch(_Batch):
+    """N poses as columns: rotations (N, 3, 3), translations (N, 3), scales,
+    labels (an object array of str) and scores (NaN for a pose without one).
+    pose_ap reads poses in this form."""
+
+    rotations: np.ndarray
+    translations: np.ndarray
+    scales: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def of(cls, poses) -> "PoseBatch":
+        """The batch of a sequence of PoseRecord; a PoseBatch is returned as
+        it is."""
+        if isinstance(poses, cls):
+            return poses
+        return cls(_column([p.rotation for p in poses], (3, 3)),
+                   _column([p.translation for p in poses], (3,)),
+                   _column([p.scale for p in poses]),
+                   np.array([p.label for p in poses], dtype=object), _scores(poses))
 
 
 @dataclass
@@ -189,23 +269,29 @@ def _clip_polygon(poly: list, a: Sequence[float], b: Sequence[float]) -> list:
     return out
 
 
-def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
+def _prisms(c: np.ndarray, s: np.ndarray, yaws) -> list[tuple]:
+    """What iou3d reads of each box of centers c and sizes s: (footprint
+    corners as a list of 4 [x, y] lists, bottom z, top z, volume)."""
+    corners = _corners2d(c, s, yaws).tolist()
+    z_lo, z_hi = (c[:, 2] - s[:, 2] / 2.0).tolist(), (c[:, 2] + s[:, 2] / 2.0).tolist()
+    return list(zip(corners, z_lo, z_hi, (s[:, 0] * s[:, 1] * s[:, 2]).tolist()))
+
+
+def iou3d(a, b) -> float:
     """Exact IoU of two yaw boxes: polygon clipping in xy times z overlap.
 
-    The corners (a matrix product) and the area (np.dot) stay numpy calls:
-    their rounding defines the result's bits."""
-    poly = a.corners2d().tolist()
-    clip = b.corners2d().tolist()
+    a and b are two OrientedBox3, or two _prisms tuples (detection_ap makes
+    each box's once). The corners (a matrix product) and the area (np.dot)
+    stay numpy calls: their rounding defines the result's bits."""
+    if isinstance(a, OrientedBox3):
+        a, b = _prisms(np.array([a.center, b.center]), np.array([a.size, b.size]), [a.yaw, b.yaw])
+    (poly, a_lo, a_hi, a_vol), (clip, b_lo, b_hi, b_vol) = a, b
     for i in range(4):
         poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 4])
         if not poly:
             break
-    inter_xy = _polygon_area(np.array(poly))
-    za, sa, zb, sb = float(a.center[2]), float(a.size[2]), float(b.center[2]), float(b.size[2])
-    z_lo = max(za - sa / 2.0, zb - sb / 2.0)
-    z_hi = min(za + sa / 2.0, zb + sb / 2.0)
-    inter = inter_xy * max(0.0, z_hi - z_lo)
-    union = a.volume + b.volume - inter
+    inter = _polygon_area(np.array(poly)) * max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
+    union = a_vol + b_vol - inter
     return inter / union if union > 0 else 0.0
 
 
@@ -222,31 +308,33 @@ def _average_precision(tp_sorted: np.ndarray, n_gt: int) -> tuple[float, float]:
     return ap, float(recall[-1])
 
 
-def _label_buckets(preds: Sequence, gts: Sequence) -> dict[str, tuple[list, list, list]]:
-    """Split score-sorted predictions and ground truth by label.
+def _label_buckets(preds, gts) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Split predictions and ground truth (BoxBatch or PoseBatch) by label.
 
-    Every label on either side gets a bucket (ranks, preds, gts), in sorted
-    label order: ranks are the bucket's positions in the descending-score
-    order of all predictions (stable on ties), preds follow that order and
-    gts keep input order. A bucket with one side empty can match nothing.
+    Every label on either side gets a bucket (ranks, pred rows, gt rows), in
+    sorted label order: ranks are the bucket's positions in the
+    descending-score order of all predictions (stable on ties), pred rows
+    index preds in that order and gt rows index gts in input order. A
+    bucket with one side empty can match nothing.
     """
-    order = np.argsort([-p.score for p in preds], kind="stable")
-    buckets: dict = {}
-    for rank, i in enumerate(order):
-        ranks, ps, _ = buckets.setdefault(preds[i].label, ([], [], []))
-        ranks.append(rank)
-        ps.append(preds[i])
-    for g in gts:
-        buckets.setdefault(g.label, ([], [], []))[2].append(g)
-    return {label: buckets[label] for label in sorted(buckets)}
+    if np.isnan(preds.scores).any():
+        raise ValueError("every prediction needs a score")
+    order = np.argsort(-preds.scores, kind="stable")
+    labels, codes = np.unique(np.concatenate([preds.labels, gts.labels]), return_inverse=True)
+    ranked, gt_codes = codes[order], codes[len(preds):]
+    buckets = {}
+    for k, label in enumerate(labels.tolist()):
+        ranks = np.flatnonzero(ranked == k)
+        buckets[label] = (ranks, order[ranks], np.flatnonzero(gt_codes == k))
+    return buckets
 
 
 def _ap_records(buckets: dict, tp: np.ndarray, n_gt: int) -> tuple[tuple[float, float], dict]:
     """Overall (AP, recall) from the TP flags of all predictions in
     descending-score order, and (AP, recall) per label from its own flags
     (the same order restricted to the label) and its own ground truth."""
-    per_class = {label: _average_precision(tp[ranks], len(gs))
-                 for label, (ranks, _, gs) in buckets.items()}
+    per_class = {label: _average_precision(tp[ranks], len(gt_rows))
+                 for label, (ranks, _, gt_rows) in buckets.items()}
     return _average_precision(tp, n_gt), per_class
 
 
@@ -255,31 +343,35 @@ def _greedy_match(pref: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
     Row by row, a row takes the unmatched column with the largest pref among
     those where ok holds, the first such column on ties. Returns a bool flag
-    per row: whether it matched.
+    per row: whether it matched. Only the candidates (the cells where ok
+    holds) are visited: sorted by row, then by descending pref, stably, so
+    that the first column comes first on ties (np.nonzero lists a row's
+    columns in order).
     """
-    avail = np.where(ok, pref, -np.inf)
-    matched = np.zeros(len(avail), dtype=bool)
-    if not ok.any():
-        return matched
-    for i, row in enumerate(avail):
-        j = int(np.argmax(row))
-        if row[j] > -np.inf:
+    rows, cols = np.nonzero(ok)
+    matched = np.zeros(len(ok), dtype=bool)
+    order = np.lexsort((-pref[rows, cols], rows))
+    taken = np.zeros(ok.shape[1], dtype=bool).tolist()
+    done = -1
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if i != done and not taken[j]:
+            taken[j] = True
             matched[i] = True
-            avail[:, j] = -np.inf
+            done = i
     return matched
 
 
-def _footprints(boxes: Sequence[OrientedBox3]) -> tuple[np.ndarray, ...]:
+def _footprints(boxes: BoxBatch) -> tuple[np.ndarray, ...]:
     """Per box: x and y of the center, radius of the circle around the xy
     footprint, and the two ends of the z-interval."""
-    c = np.array([b.center for b in boxes])
-    s = np.array([b.size for b in boxes])
+    c, s = boxes.centers, boxes.sizes
     return (c[:, 0], c[:, 1], 0.5 * np.hypot(s[:, 0], s[:, 1]),
             c[:, 2] - s[:, 2] / 2.0, c[:, 2] + s[:, 2] / 2.0)
 
 
-def _iou_matrix(preds: Sequence[OrientedBox3], gts: Sequence[OrientedBox3]) -> np.ndarray:
-    """(P, G) IoU matrix that calls iou3d only on pairs that can overlap.
+def _iou_matrix(preds: BoxBatch, gts: BoxBatch) -> np.ndarray:
+    """(P, G) IoU matrix that calls iou3d only on pairs that can overlap,
+    on the _prisms of both batches, made once.
 
     A pair is dropped, and stays 0, when its z-intervals do not overlap (by
     iou3d's own z arithmetic) or its xy centers lie farther apart than the
@@ -292,8 +384,12 @@ def _iou_matrix(preds: Sequence[OrientedBox3], gts: Sequence[OrientedBox3]) -> n
     near = np.hypot(px - gx, py - gy) <= (pr + gr) * (1.0 + 1e-9)
     keep = near & (np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo) > 0.0)
     iou = np.zeros(keep.shape)
-    for i, j in zip(*np.nonzero(keep)):
-        iou[i, j] = iou3d(preds[i], gts[j])
+    rows, cols = np.nonzero(keep)
+    if rows.size:
+        a = _prisms(preds.centers, preds.sizes, preds.yaws.tolist())
+        b = _prisms(gts.centers, gts.sizes, gts.yaws.tolist())
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            iou[i, j] = iou3d(a[i], b[j])
     return iou
 
 
@@ -306,12 +402,11 @@ class DetectionAp(NamedTuple):
     per_class: dict
 
 
-def detection_ap(
-    preds: Sequence[OrientedBox3],
-    gts: Sequence[OrientedBox3],
-    iou_thresholds: Sequence[float],
-) -> list[DetectionAp]:
+def detection_ap(preds, gts, iou_thresholds: Sequence[float]) -> list[DetectionAp]:
     """Detection AP and recall at each IoU threshold, overall and per label.
+
+    preds and gts are BoxBatches or sequences of OrientedBox3 (converted
+    once); every prediction needs a score.
 
     Predictions are matched greedily in descending score (stable on ties) to
     the unmatched same-label ground truth with the highest IoU, the first in
@@ -326,8 +421,10 @@ def detection_ap(
     """
     if not all(0.0 < t < 1.0 for t in iou_thresholds):
         raise ValueError("IoU thresholds must lie in (0, 1)")
+    preds, gts = BoxBatch.of(preds), BoxBatch.of(gts)
     buckets = _label_buckets(preds, gts)
-    ious = [(ranks, _iou_matrix(ps, gs)) for ranks, ps, gs in buckets.values() if ps and gs]
+    ious = [(ranks, _iou_matrix(preds.take(p_rows), gts.take(g_rows)))
+            for ranks, p_rows, g_rows in buckets.values() if p_rows.size and g_rows.size]
     results = []
     for thresh in iou_thresholds:
         tp = np.zeros(len(preds))
@@ -405,12 +502,15 @@ class PoseAp(NamedTuple):
 
 
 def pose_ap(
-    preds: Sequence[PoseRecord],
-    gts: Sequence[PoseRecord],
+    preds,
+    gts,
     thresholds: Sequence[tuple[float, float]],
     symmetric_axes: Optional[dict] = None,
 ) -> list[PoseAp]:
     """Pose AP at each (degrees, cm) threshold pair, overall and per label.
+
+    preds and gts are PoseBatches or sequences of PoseRecord (converted
+    once); every prediction needs a score.
 
     symmetric_axes maps class labels to their symmetry axis; matching is
     greedy in descending score (stable on ties), both errors must fall
@@ -426,15 +526,14 @@ def pose_ap(
     if any(deg <= 0 or cm <= 0 for deg, cm in thresholds):
         raise ValueError("thresholds must be positive")
     symmetric_axes = symmetric_axes or {}
+    preds, gts = PoseBatch.of(preds), PoseBatch.of(gts)
     buckets = _label_buckets(preds, gts)
     errors = []
-    for label, (ranks, ps, gs) in buckets.items():
-        if not (ps and gs):
+    for label, (ranks, p_rows, g_rows) in buckets.items():
+        if not (p_rows.size and g_rows.size):
             continue
-        pred = _PoseStack(np.array([p.rotation for p in ps])[:, None],
-                          np.array([p.translation for p in ps])[:, None])
-        gt = _PoseStack(np.array([g.rotation for g in gs])[None],
-                        np.array([g.translation for g in gs])[None])
+        pred = _PoseStack(preds.rotations[p_rows][:, None], preds.translations[p_rows][:, None])
+        gt = _PoseStack(gts.rotations[g_rows][None], gts.translations[g_rows][None])
         deg, cm = pose_errors(pred, gt, symmetric_axes.get(label))
         # rank of (deg, cm, column) over the bucket: the smallest rank in a
         # row is its lexicographic minimum, the first column on ties

@@ -842,6 +842,47 @@ class TestEvalFlags:
         assert "--iou-thresholds" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
 
 
+class TestNumberListFlags:
+    """A comma-separated list of numbers that starts with "-" is a flag's
+    value, given as a separate argument or after "="."""
+
+    BOUNDS = "-0.4,-0.4,-0.4,0.4,0.4,0.4"
+
+    def test_voxelize_bounds(self, tmp_path):
+        spellings = (("a", ["--bounds", self.BOUNDS]), ("b", [f"--bounds={self.BOUNDS}"]))
+        for name, spelling in spellings:
+            assert run("voxelize", "--field", "gaussian", "--dims", "5", *spelling,
+                       "--out", tmp_path / f"{name}.nfvg") == 0
+        assert (tmp_path / "a.nfvg").read_bytes() == (tmp_path / "b.nfvg").read_bytes()
+        assert np.array_equal(io.read_nfvg(tmp_path / "a.nfvg").bounds.min, [-0.4] * 3)
+
+    def test_extract_surface_bounds(self, tmp_path):
+        bounds = "-1e0,-1.,-.9,1,1,1"
+        for name, spelling in (("a", ["--bounds", bounds]), ("b", [f"--bounds={bounds}"])):
+            assert run("extract-surface", "--shape", "sphere", "--lod-start", "3",
+                       "--lod-end", "5", *spelling, "--out", tmp_path / f"{name}.ply") == 0
+        assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
+
+    def test_eval_pose_symmetry_axis(self, tmp_path):
+        (tmp_path / "pred.json").write_text(json.dumps({"poses": [dict(POSE, score=0.9)]}))
+        (tmp_path / "gt.json").write_text(json.dumps({"poses": [POSE]}))
+        for name, spelling in (("a", ["--symmetry-axis", "-1,0,0"]),
+                               ("b", ["--symmetry-axis=-1,0,0"])):
+            assert run("eval-pose", "--pred", tmp_path / "pred.json", "--gt",
+                       tmp_path / "gt.json", *spelling, "--out", tmp_path / f"{name}.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("--bounds", BOUNDS, "--bogus"), ("--bogus", BOUNDS), ("--bounds", "-0.4,x"),
+        ("--bounds", "-0.4,,0.4"), ("-0.4,-0.4",),
+    ])
+    def test_unknown_option_is_still_a_usage_error(self, tmp_path, capsys, argv):
+        assert run("voxelize", "--field", "constant", "--dims", "4", *argv,
+                   "--out", tmp_path / "g.nfvg") == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "g.nfvg").exists()
+
+
 class TestBenchOctree:
     def test_report_rows(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from radiant import io
 from radiant.core_math import Aabb, Intrinsics, Pose, rotation_about
-from radiant.errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
+from radiant.errors import BadMagic, BadVersion, FileFormatError, RadiantError, TruncatedFile
 from radiant.grids import VoxelGrid4D
 from radiant.metrics import OrientedBox3, PoseRecord
 from radiant.fields import BoxSdf, SphereSdf, UnionSdf
@@ -604,3 +605,225 @@ class TestJsonSchemas:
         p.write_text('{"version": 2, "boxes": []}')
         with pytest.raises(BadVersion):
             io.load_versioned_json(p)
+
+
+# ---------------------------------------------------------------------------
+# boxes_from_json / poses_from_json against the per-record readers
+
+BAD_NUMBERS = [True, False, "0.5", None, float("nan"), float("inf"), -float("inf"), 10**400,
+               [0.5], {}]
+# values some number slots take and others refuse (a size or scale must be positive)
+EDGE_NUMBERS = [0, 0.0, -1.0, 7.5, 1e300]
+
+
+# a change to a list slot or shape leaves a value an earlier change made
+# into something else as it is
+
+
+def _set(key, value, slot=None):
+    def change(d):
+        v = d.get(key)
+        if slot is None:
+            d[key] = value
+        elif isinstance(v, list) and slot < len(v):
+            d[key] = v[:slot] + [value] + v[slot + 1:]
+        return d
+    return change
+
+
+def _reshape(key, how):
+    def change(d):
+        if isinstance(d.get(key), list) and d[key]:
+            d[key] = how(d[key])
+        return d
+    return change
+
+
+def mutations(vectors, scalars, required):
+    """Changes to one entry (each takes a copy of a dict and returns it
+    changed, or a non-dict to put in its place): bad or edge values in every
+    number slot, missing keys, wrong lengths, nested lists, non-object
+    entries, classes that are not strings, and forms the record readers
+    take (a yaw past pi, say)."""
+    out = [_set(key, v, slot) for key in vectors for slot in (0, 2)
+           for v in BAD_NUMBERS + EDGE_NUMBERS]
+    out += [_set(key, v) for key in scalars + ["class"]
+            for v in BAD_NUMBERS + EDGE_NUMBERS + [4.0, -7.5, 2 * math.pi, -math.pi]]
+    out += [lambda d, key=key: {k: v for k, v in d.items() if k != key} for key in required]
+    out += [_reshape(key, how) for key in vectors for how in (
+        lambda v: v[:-1], lambda v: v + [0.0], lambda v: [v], lambda v: [], lambda v: v[0])]
+    out += [lambda d, v=v: v for v in ([], 3, "box", None)]
+    return out
+
+
+BOX_MUTATIONS = mutations(["center", "size"], ["yaw", "score"], ["center", "size", "score"])
+POSE_MUTATIONS = mutations(["rotation", "translation"], ["scale", "score"],
+                           ["rotation", "translation", "score"])
+
+
+def apply(mutation, entries, targets):
+    return [mutation(dict(d)) if i in targets and isinstance(d, dict) else d
+            for i, d in enumerate(entries)]
+
+
+@st.composite
+def box_entries(draw):
+    n = draw(st.integers(0, 5))
+    xs = st.floats(-50, 50, allow_nan=False)
+    entries = []
+    for _ in range(n):
+        d = {"center": draw(st.lists(xs, min_size=3, max_size=3)),
+             "size": draw(st.lists(st.floats(0.1, 5), min_size=3, max_size=3)),
+             "class": draw(st.sampled_from(["car", "van", ""])),
+             "score": draw(st.floats(0, 1))}
+        if draw(st.booleans()):
+            d["yaw"] = draw(st.floats(-math.pi, math.pi).filter(lambda y: y > -math.pi))
+        entries.append(d)
+    return entries
+
+
+@st.composite
+def pose_entries(draw):
+    n = draw(st.integers(0, 5))
+    nested = draw(st.booleans())  # 3x3 nested rotations, the same in every entry
+    entries = []
+    for _ in range(n):
+        axis = draw(st.sampled_from([[1, 0, 0], [0, 1, 0], [0.6, 0, 0.8], [0.48, 0.6, 0.64]]))
+        r = rotation_about(axis, draw(st.floats(-math.pi, math.pi)))
+        if draw(st.integers(0, 9)) == 0:  # not orthonormal
+            r = 1.01 * r
+        d = {"rotation": r.tolist() if nested else r.ravel().tolist(),
+             "translation": draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3)),
+             "class": draw(st.sampled_from(["mug", "can"])), "score": draw(st.floats(0, 1))}
+        if draw(st.booleans()):
+            d["scale"] = draw(st.floats(0.01, 2))
+        entries.append(d)
+    return entries
+
+
+@st.composite
+def mutated(draw, entries, all_mutations):
+    """entries with 0-2 mutations, each on one entry or on every entry."""
+    entries = draw(entries)
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        every = draw(st.booleans())
+        targets = range(len(entries)) if every else {draw(st.integers(0, len(entries) - 1))}
+        entries = apply(draw(st.sampled_from(all_mutations)), entries, targets)
+    return entries
+
+
+def read_per_record(reader, entries, where, scored):
+    """How eval-detect and eval-pose read a list before it was read as
+    columns: a record an entry, in order, a prediction's score checked
+    first."""
+    records = []
+    for i, d in enumerate(entries):
+        if scored:
+            io.read_key(d, "score", f"{where}[{i}]")
+        records.append(reader(d, f"{where}[{i}]"))
+    return records
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except (RadiantError, ValueError) as e:
+        return type(e), str(e)
+
+
+def assert_agree(batch, records, columns):
+    """The batch reader's result against the per-record readers': the same
+    error, or each column equal to the stacked record values."""
+    if isinstance(records, tuple):
+        assert batch == records
+        return
+    assert not isinstance(batch, tuple), batch
+    assert len(batch) == len(records)
+    for column, attr, shape in columns:
+        want = np.array([getattr(r, attr) for r in records], dtype=np.float64)
+        got = getattr(batch, column)
+        assert got.dtype == np.float64 and got.shape == (len(records),) + shape
+        assert np.array_equal(got, want.reshape(got.shape))
+    assert batch.labels.tolist() == [r.label for r in records]
+    scores = [math.nan if r.score is None else r.score for r in records]
+    assert np.array_equal(batch.scores, np.array(scores, dtype=np.float64), equal_nan=True)
+
+
+BOX_COLUMNS = [("centers", "center", (3,)), ("sizes", "size", (3,)), ("yaws", "yaw", ())]
+POSE_COLUMNS = [("rotations", "rotation", (3, 3)), ("translations", "translation", (3,)),
+                ("scales", "scale", ())]
+
+
+BOX_BASE = [{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.5, "class": "car", "score": 0.9},
+            {"center": [1, 2, 3], "size": [2, 1, 0.5], "class": "van", "score": 0.5},
+            {"center": [-1, 0, 1.5], "size": [1, 3, 1], "yaw": -2.0, "score": 1}]
+POSE_BASE = [{"rotation": np.eye(3).ravel().tolist(), "translation": [0, 0, 0], "class": "mug",
+              "score": 0.9},
+             {"rotation": rotation_about([0, 1, 0], 0.3).ravel().tolist(),
+              "translation": [0.1, 0, 0], "scale": 0.5, "score": 0.2},
+             {"rotation": rotation_about([0.6, 0, 0.8], -2.0).ravel().tolist(),
+              "translation": [0, 1, 0], "class": "can", "score": 1}]
+POSE_BASE_NESTED = [dict(d, rotation=np.reshape(d["rotation"], (3, 3)).tolist())
+                    for d in POSE_BASE]
+
+
+class TestBatchReaders:
+    """boxes_from_json and poses_from_json return the columns of the stacked
+    per-record results, or raise the same error for the same first entry."""
+
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_every_mutation_agrees(self, scored):
+        for read, reader, base, all_mutations, columns in (
+                (io.boxes_from_json, io.box_from_json, [BOX_BASE], BOX_MUTATIONS, BOX_COLUMNS),
+                (io.poses_from_json, io.pose_record_from_json, [POSE_BASE, POSE_BASE_NESTED],
+                 POSE_MUTATIONS, POSE_COLUMNS)):
+            for entries in base:
+                for mutation in all_mutations:
+                    for targets in ({1}, range(3)):
+                        changed = apply(mutation, entries, targets)
+                        assert_agree(outcome(read, changed, "f.json: x", scored),
+                                     outcome(read_per_record, reader, changed, "f.json: x",
+                                             scored), columns)
+
+    @settings(deadline=None, max_examples=100)
+    @given(mutated(box_entries(), BOX_MUTATIONS), st.booleans())
+    def test_boxes_agree_with_box_from_json(self, entries, scored):
+        where = "pred.json: boxes"
+        assert_agree(outcome(io.boxes_from_json, entries, where, scored),
+                     outcome(read_per_record, io.box_from_json, entries, where, scored),
+                     BOX_COLUMNS)
+
+    @settings(deadline=None, max_examples=100)
+    @given(mutated(pose_entries(), POSE_MUTATIONS), st.booleans())
+    def test_poses_agree_with_pose_record_from_json(self, entries, scored):
+        where = "gt.json: poses"
+        assert_agree(outcome(io.poses_from_json, entries, where, scored),
+                     outcome(read_per_record, io.pose_record_from_json, entries, where, scored),
+                     POSE_COLUMNS)
+
+    def test_ground_truth_scores_and_wrapped_yaws(self):
+        entries = [{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 4.0, "score": 0.5},
+                   {"center": [1, 0, 0], "size": [1, 2, 1], "class": "van"}]
+        boxes = io.boxes_from_json(entries, "gt.json: boxes")
+        assert boxes.yaws[0] == OrientedBox3([0, 0, 0], [1, 1, 1], yaw=4.0).yaw
+        assert boxes.scores[0] == 0.5 and math.isnan(boxes.scores[1])
+        assert boxes.labels.tolist() == ["", "van"]
+        with pytest.raises(FileFormatError, match=r"boxes\[1\] is missing key 'score'"):
+            io.boxes_from_json(entries, "pred.json: boxes", scored=True)
+
+    def test_common_forms_read_no_records(self, monkeypatch):
+        """Flat and 3x3 nested rotations, yaws past pi and unscored ground
+        truth are read as columns, without a record a box or pose."""
+        def refuse(*args):
+            raise AssertionError("read through the record reader")
+
+        monkeypatch.setattr(io, "box_from_json", refuse)
+        monkeypatch.setattr(io, "pose_record_from_json", refuse)
+        boxes = [{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 7.0}, {"center": [1, 2, 3],
+                  "size": [1, 2, 3], "class": "car", "score": 0.4}]
+        assert len(io.boxes_from_json(boxes, "gt.json: boxes")) == 2
+        eye = np.eye(3)
+        for rot in (eye.ravel().tolist(), eye.tolist()):
+            poses = [{"rotation": rot, "translation": [0, 0, 0], "score": 1}] * 3
+            batch = io.poses_from_json(poses, "p.json: poses", scored=True)
+            assert batch.rotations.shape == (3, 3, 3)

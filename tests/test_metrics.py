@@ -11,6 +11,7 @@ import radiant.metrics
 from radiant.core_math import rotation_about, skew
 from radiant.errors import DimsMismatch, EmptyPath, EmptySet, LabelOutOfRange
 from radiant.metrics import (
+    BoxBatch,
     OrientedBox3,
     PoseRecord,
     Trajectory,
@@ -690,6 +691,10 @@ SLIVER_PAIRS = [
 ]
 
 
+def iou_matrix(preds, gts):
+    return radiant.metrics._iou_matrix(BoxBatch.of(preds), BoxBatch.of(gts))
+
+
 class TestIouPrefilter:
     def test_margin_keeps_circle_disjoint_slivers(self):
         for ca, sa, cb, sb, yaw_a, yaw_b in SLIVER_PAIRS:
@@ -698,7 +703,7 @@ class TestIouPrefilter:
             gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
             assert gap > footprint_radius(a) + footprint_radius(b)
             assert iou3d(a, b) > 0.0
-            assert radiant.metrics._iou_matrix([a], [b])[0, 0] == iou3d(a, b)
+            assert iou_matrix([a], [b])[0, 0] == iou3d(a, b)
 
     def test_dropped_pairs_have_zero_iou(self):
         """Corner-to-corner pairs at and around the tangent of the footprint
@@ -717,7 +722,7 @@ class TestIouPrefilter:
                 b.center[2] = (sa[2] + sb[2]) / 2.0
             preds.append(a)
             gts.append(b)
-        got = radiant.metrics._iou_matrix(preds, gts)
+        got = iou_matrix(preds, gts)
         want = np.array([iou3d(p, g) for p, g in zip(preds, gts)])
         assert np.array_equal(np.diag(got), want)
         assert np.count_nonzero(got) == np.count_nonzero(want)
@@ -770,6 +775,94 @@ class TestTracedNames:
         assert counts.get("iou3d", 0) >= 1
         assert counts.get("pose_errors", 0) >= 1
         assert counts.get("dtw_distance", 0) >= 1
+
+
+def dense_greedy_match(pref, ok):
+    """The matcher as first written: a dense argmax over each row's allowed
+    columns, the taken column blanked out after each match."""
+    avail = np.where(ok, pref, -np.inf)
+    matched = np.zeros(len(avail), dtype=bool)
+    if not ok.any():
+        return matched
+    for i, row in enumerate(avail):
+        j = int(np.argmax(row))
+        if row[j] > -np.inf:
+            matched[i] = True
+            avail[:, j] = -np.inf
+    return matched
+
+
+class TestGreedyMatch:
+    def test_candidate_walk_equals_dense_argmax(self):
+        rng = np.random.default_rng(21)
+        for trial in range(3000):
+            p, g = rng.integers(0, 9, 2)
+            # few distinct values: ties within rows and columns
+            pref = rng.integers(-3, 4, (p, g)) * [1.0, 0.5][trial % 2]
+            if trial % 3 == 0:
+                pref = -pref + 0.0  # -0.0 ties with 0.0
+            ok = rng.random((p, g)) < rng.choice([0.0, 0.2, 0.6, 1.0])
+            if p and trial % 5 == 0:
+                ok[rng.integers(0, p)] = False  # a row with no candidate
+            got = radiant.metrics._greedy_match(pref, ok)
+            assert got.dtype == bool and got.shape == (p,)
+            assert np.array_equal(got, dense_greedy_match(pref, ok)), (pref, ok)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5)])
+    def test_no_candidates(self, shape):
+        got = radiant.metrics._greedy_match(np.ones(shape), np.zeros(shape, dtype=bool))
+        assert got.shape == shape[:1] and not got.any()
+
+    def test_first_column_wins_ties(self):
+        pref = np.array([[0.5, 0.7, 0.7], [0.7, 0.7, 0.1], [0.9, 0.9, 0.9]])
+        ok = np.ones((3, 3), dtype=bool)
+        assert radiant.metrics._greedy_match(pref, ok).tolist() == [True, True, True]
+        assert dense_greedy_match(pref, ok).tolist() == [True, True, True]
+        # row 0 takes column 1, row 1 column 0, row 2 what is left
+        ok[2, 2] = False
+        assert radiant.metrics._greedy_match(pref, ok).tolist() == [True, True, False]
+
+
+def corners2d_per_box(box):
+    """OrientedBox3.corners2d as first written, one box at a time."""
+    hx, hy = box.size[0] / 2.0, box.size[1] / 2.0
+    local = np.array([[-hx, -hy], [hx, -hy], [hx, hy], [-hx, hy]])
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    return local @ np.array([[c, -s], [s, c]]).T + box.center[:2]
+
+
+class TestBatchedCorners:
+    def test_bit_equal_to_corners2d(self):
+        """The corners of a batch, made by one stacked product, against each
+        box's own corners2d() and the per-box formula, at the yaws where the
+        sine or cosine is 0 or 1 and at coordinates near 1e3."""
+        rng = np.random.default_rng(22)
+        edges = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, math.nextafter(-math.pi, 0.0),
+                 math.pi / 4, 3.0]
+        yaws = edges + list(rng.uniform(-math.pi, math.pi, 400))
+        boxes = []
+        for i, yaw in enumerate(yaws):
+            scale = 1e3 if i % 2 else 1.0
+            center = rng.uniform(-1, 1, 3) * scale + (1e3 if i % 3 == 0 else 0.0)
+            boxes.append(OrientedBox3(center, rng.uniform(0.01, 10, 3), yaw=float(yaw)))
+        batch = BoxBatch.of(boxes)
+        corners = radiant.metrics._corners2d(batch.centers, batch.sizes, batch.yaws.tolist())
+        assert corners.shape == (len(boxes), 4, 2)
+        for box, got in zip(boxes, corners):
+            assert np.array_equal(got, box.corners2d())
+            assert np.array_equal(got, corners2d_per_box(box))
+
+    def test_prisms_hold_what_iou3d_computed(self):
+        rng = np.random.default_rng(23)
+        boxes = [OrientedBox3(rng.uniform(-5, 5, 3), rng.uniform(0.1, 3, 3),
+                              yaw=float(rng.uniform(-4, 4))) for _ in range(50)]
+        batch = BoxBatch.of(boxes)
+        for box, (corners, z_lo, z_hi, volume) in zip(
+                boxes, radiant.metrics._prisms(batch.centers, batch.sizes, batch.yaws.tolist())):
+            assert corners == corners2d_per_box(box).tolist()
+            assert z_lo == float(box.center[2]) - float(box.size[2]) / 2.0
+            assert z_hi == float(box.center[2]) + float(box.size[2]) / 2.0
+            assert volume == box.volume
 
 
 def oracle_by_label(oracle, preds, gts, *args):
