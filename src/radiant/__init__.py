@@ -1,7 +1,7 @@
 """radiant: geometry and evaluation toolkit for neural-field scenes.
 
 Library modules:
-  core_math   poses, cameras, rays, rotations, positional encodings
+  core_math   poses, cameras, rays, rotations
   fields      SDF and radiance field abstractions with analytic oracles
   octree      octree LoD surface extraction + dense narrowband baseline
   render      compositing; render_full: near/far rendering with box editing
@@ -19,10 +19,7 @@ from .core_math import (
     Pose,
     Ray,
     backproject_pixel,
-    gaussian_pe_kernel,
     project_point,
-    sinusoidal_pe,
-    svd_plus,
 )
 from .errors import RadiantError
 from .fields import (
@@ -85,8 +82,6 @@ from .render import (
     RaySamples,
     RenderConfig,
     composite,
-    contract_nerfpp,
-    distortion_reg,
     render_full,
     stratified_samples,
 )

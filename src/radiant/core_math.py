@@ -1,5 +1,5 @@
-"""Geometric primitives (vectors, rigid poses, pinhole cameras, rotations,
-positional encodings) and the package's counter-based random streams.
+"""Geometric primitives (vectors, rigid poses, pinhole cameras, rotations)
+and the package's counter-based random streams.
 
 Conventions (fixed here because file formats depend on them):
   * camera looks down +z, +x right, +y down; poses are camera-to-world
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NonPositiveDepth
+from .errors import NonPositiveDepth
 
 # Depths at or below this are treated as "behind the camera".
 MIN_DEPTH = 1e-9
@@ -258,50 +258,6 @@ def backproject_pixel(k: Intrinsics, pose: Pose, pixel, depth: float) -> np.ndar
     if depth <= MIN_DEPTH:
         raise NonPositiveDepth(f"depth {depth:g} is not positive")
     return backproject_pixels(k, pose, [pixel], [depth])[0]
-
-
-def svd_plus(m) -> np.ndarray:
-    """Project a 3x3 matrix to the nearest rotation in SO(3).
-
-    U S' V^T with S' = diag(1, 1, det(U V^T)): the Frobenius-nearest
-    proper rotation. Invariant to positive rescaling of the input.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    u, s, vt = np.linalg.svd(m)
-    if s[-1] < 1e-12:
-        raise DegenerateMatrix(f"smallest singular value {s[-1]:g} < 1e-12")
-    d = 1.0 if np.linalg.det(u @ vt) > 0.0 else -1.0
-    return u @ np.diag([1.0, 1.0, d]) @ vt
-
-
-def sinusoidal_pe(x, n_freq: int) -> np.ndarray:
-    """Fourier features: per component, [sin(2^k pi x), cos(2^k pi x)] for
-    k = 0..n_freq-1, concatenated component-major."""
-    if n_freq < 1:
-        raise ValueError("n_freq must be at least 1")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    ang = x[:, None] * (np.pi * 2.0 ** np.arange(n_freq))[None, :]
-    return np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(-1)
-
-
-def gaussian_pe_kernel(r: int, w: float, b: float) -> np.ndarray:
-    """Gaussian positional-encoding kernel on a 2r x 2r grid.
-
-    Entry (i, j) is b^2 / sqrt(2 pi w^2) * exp(-d^2 / (2 w^2)) with d the
-    Euclidean offset of (i, j) from the center cell (r, r).
-    """
-    if r < 1:
-        raise ValueError("half-extent must be at least 1")
-    if w <= 0:
-        raise ValueError("input scale must be positive")
-    off = np.arange(2 * r, dtype=np.float64) - r
-    d2 = off[:, None] ** 2 + off[None, :] ** 2
-    peak = b * b / math.sqrt(2.0 * math.pi * w * w)
-    return peak * np.exp(-d2 / (2.0 * w * w))
 
 
 def generate_ray_arrays(k: Intrinsics, pose: Pose) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,6 @@ class NonPositiveDepth(RadiantError):
     """Point lies at or behind the camera plane."""
 
 
-class DegenerateMatrix(RadiantError):
-    """Matrix is too close to singular for a well-defined nearest rotation."""
-
-
 class VanishingGradient(RadiantError):
     """SDF gradient magnitude below the usable threshold."""
 
@@ -27,10 +23,6 @@ class NegativeDensity(RadiantError):
 
 class LengthMismatch(RadiantError):
     """Parallel sequences have inconsistent lengths."""
-
-
-class InsideUnitSphere(RadiantError):
-    """Point cannot be contracted: it lies inside the unit sphere."""
 
 
 class OriginOutsideSphere(RadiantError):

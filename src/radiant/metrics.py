@@ -563,7 +563,7 @@ def voxel_label_metrics(pred, gt, n_classes: int) -> tuple[float, float, float]:
     if gt.size == 0:
         raise DimsMismatch("label grids must be nonempty")
     for name, arr in (("pred", pred), ("gt", gt)):
-        if arr.min() < 0 or arr.max() >= n_classes:
+        if not (arr.min() >= 0 and arr.max() < n_classes):
             raise LabelOutOfRange(f"{name} labels outside [0, {n_classes})")
     p = pred.ravel().astype(np.int64)
     g = gt.ravel().astype(np.int64)

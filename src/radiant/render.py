@@ -1,6 +1,6 @@
 """Volume rendering: stratified ray sampling, alpha compositing, the
-inverted-sphere near/far decomposition for unbounded scenes, distortion
-regularization, and box pruning for compositional scene editing.
+inverted-sphere near/far decomposition for unbounded scenes, and box
+pruning for compositional scene editing.
 
 Rays for the near/far renderer must start inside the unit sphere. The near
 region covers [near, t_sphere] along the ray; the far region is sampled
@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core_math import Ray, uniform_stream
-from .errors import InsideUnitSphere, LengthMismatch, OriginOutsideSphere
+from .errors import LengthMismatch, OriginOutsideSphere
 from .fields import RadianceField
 from .grids import sigma_to_alpha
 from .metrics import OrientedBox3
@@ -128,36 +128,6 @@ def _weights(sigmas, deltas) -> np.ndarray:
     trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
                                       axis=-1), axis=-1)
     return alpha * trans
-
-
-def contract_nerfpp(x) -> np.ndarray:
-    """Inverted-sphere contraction: |x| >= 1 maps to (unit direction, 1/r)."""
-    x = np.asarray(x, dtype=np.float64)
-    r = float(np.linalg.norm(x))
-    if r < 1.0:
-        raise InsideUnitSphere(f"|x| = {r:g} < 1")
-    return np.append(x / r, 1.0 / r)
-
-
-def distortion_reg(s, w) -> float:
-    """Distortion penalty pushing compositing weights toward sparsity.
-
-    s are N+1 increasing sample boundaries, w the N nonnegative weights;
-    the value is the weighted pairwise midpoint spread plus one third of the
-    weighted self-interval term.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if s.size != w.size + 1:
-        raise LengthMismatch("need len(s) == len(w) + 1")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("s must be strictly increasing")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    mids = 0.5 * (s[:-1] + s[1:])
-    cross = float(w @ np.abs(mids[:, None] - mids[None, :]) @ w)
-    self_term = float(np.sum(w * w * np.diff(s))) / 3.0
-    return cross + self_term
 
 
 def _in_boxes(pts: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:

@@ -17,6 +17,14 @@ def run(*argv):
     return dispatch([str(a) for a in argv])
 
 
+def child_env():
+    """The environment for a child Python that imports this radiant."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(radiant.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def scene_doc(**overrides):
     doc = {
         "near_field": {"type": "ball", "color": [1.0, 0.5, 0.2], "sigma": 30.0,
@@ -243,11 +251,8 @@ class TestPeakMemory:
                   "from radiant.cli import dispatch\n"
                   "code = dispatch(sys.argv[1:])\n"
                   "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(radiant.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=child_env(), capture_output=True, text=True, timeout=300)
         code, peak_kb = proc.stdout.split()[-2:]
         assert code == "0", proc.stderr
         return int(peak_kb) / 1024
@@ -1227,3 +1232,59 @@ class TestSharedParser:
             assert run(*argv) == 1
             assert capsys.readouterr().err == err
         assert build_parser() is build_parser()
+
+
+def _label_docs(tmp_path, value):
+    """eval-voxels inputs whose prediction grid holds one label `value`."""
+    from radiant.core_math import Aabb
+    from radiant.grids import VoxelGrid4D
+
+    for name, label in (("pred", value), ("gt", 0.0)):
+        data = np.zeros((2, 2, 2, 1))
+        data[0, 0, 0, 0] = label
+        io.write_nfvg(tmp_path / f"{name}.nfvg", VoxelGrid4D(data, Aabb([0, 0, 0], [1, 1, 1])))
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"labels_file": f"{name}.nfvg", "n_classes": 3}))
+    return ("eval-voxels", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
+            "--out", tmp_path / "voxels.json")
+
+
+def _bad_magic_mask(tmp_path):
+    (tmp_path / "g.nfvg").write_bytes(b"JUNK" + bytes(68))
+    return ("mask", "--grid", tmp_path / "g.nfvg", "--out", tmp_path / "m.nfvg",
+            "--mask-out", tmp_path / "m.json")
+
+
+def _scene_box_without_size(tmp_path):
+    (tmp_path / "scene.json").write_text(json.dumps(scene_doc(boxes=[{"center": [0, 0, 0.5]}])))
+    return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
+def _missing_trajectory(tmp_path):
+    return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
+
+
+class TestStderrContract:
+    """An error exit writes exactly one line to stderr, the JSON record, and
+    nothing before it: in-process tests cannot see this, since pytest records
+    warnings instead of printing them."""
+
+    CASES = {
+        "nan-labels": (lambda p: _label_docs(p, NAN), 3, "LabelOutOfRange"),
+        "f32-max-labels": (lambda p: _label_docs(p, 3e38), 3, "LabelOutOfRange"),
+        "bad-magic": (_bad_magic_mask, 3, "BadMagic"),
+        "scene-box-key": (_scene_box_without_size, 3, "FileFormatError"),
+        "missing-input": (_missing_trajectory, 2, "FileNotFoundError"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_json_line(self, tmp_path, case):
+        make_argv, code, kind = self.CASES[case]
+        proc = subprocess.run([sys.executable, "-m", "radiant.cli", *map(str, make_argv(tmp_path))],
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err == {"error": "domain" if code == 3 else "io", "type": kind,
+                       "message": err["message"]}

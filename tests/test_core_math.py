@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +9,10 @@ from radiant.core_math import (
     Ray,
     backproject_pixel,
     check_rotation,
-    gaussian_pe_kernel,
     generate_ray_arrays,
     project_point,
-    rotation_about,
-    sinusoidal_pe,
-    svd_plus,
 )
-from radiant.errors import DegenerateMatrix, NonPositiveDepth
+from radiant.errors import NonPositiveDepth
 
 
 K100 = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
@@ -83,85 +77,6 @@ class TestProjection:
         assert d == pytest.approx(depth, abs=1e-9 * max(1, depth))
         back = backproject_pixel(K100, pose, pix, d)
         assert np.abs(back - x).max() < 1e-9 * max(1.0, float(np.abs(x).max()))
-
-
-class TestSvdPlus:
-    def test_identity(self):
-        assert np.allclose(svd_plus(np.eye(3)), np.eye(3))
-
-    def test_positive_scale_invariance(self):
-        r = rotation_about([0, 0, 1], math.radians(30))
-        assert np.abs(svd_plus(1.1 * r) - r).max() < 1e-12
-
-    def test_reflection_maps_to_nearest_rotation(self):
-        # brute-force oracle: discretized axis-angle search over SO(3)
-        m = np.diag([1.0, 1.0, -1.0])
-        got = svd_plus(m)
-        assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-9)
-        best = np.inf
-        rng = np.random.default_rng(7)
-        for _ in range(20000):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            r = rotation_about(axis, rng.uniform(0, math.pi))
-            best = min(best, np.linalg.norm(r - m))
-        # the returned rotation must be at least as close as any sampled one
-        assert np.linalg.norm(got - m) <= best + 1e-9
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateMatrix):
-            svd_plus(np.diag([1.0, 1.0, 0.0]))
-
-    @settings(deadline=None, max_examples=100)
-    @given(st.integers(0, 2**31))
-    def test_output_in_so3(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(3, 3))
-        if np.linalg.svd(m, compute_uv=False)[-1] < 1e-6:
-            return
-        r = svd_plus(m)
-        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-6
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-6)
-        s = rng.uniform(0.1, 10.0)
-        assert np.abs(svd_plus(s * m) - r).max() < 1e-9
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.integers(0, 2**31))
-    def test_fixed_point_on_so3(self, seed):
-        r = random_rotation(np.random.default_rng(seed))
-        assert np.abs(svd_plus(r) - r).max() < 1e-9
-
-
-class TestPositionalEncodings:
-    def test_zero_input(self):
-        assert np.allclose(sinusoidal_pe([0.0], 2), [0, 1, 0, 1])
-
-    def test_half(self):
-        out = sinusoidal_pe([0.5], 1)
-        assert out == pytest.approx([math.sin(math.pi / 2), math.cos(math.pi / 2)])
-
-    def test_output_length(self):
-        assert sinusoidal_pe([0.1, 0.2, 0.3], 4).shape == (24,)
-
-    def test_gaussian_kernel_center(self):
-        r, w, b = 4, 1.5, 2.0
-        kern = gaussian_pe_kernel(r, w, b)
-        peak = b * b / math.sqrt(2 * math.pi * w * w)
-        assert kern[r, r] == pytest.approx(peak, rel=1e-12)
-        assert kern.max() == kern[r, r]
-        assert kern.shape == (2 * r, 2 * r)
-
-    def test_gaussian_kernel_one_sigma(self):
-        r, w, b = 5, 3.0, 1.0
-        kern = gaussian_pe_kernel(r, w, b)
-        # integer offset w = 3 cells from the center is one sigma out
-        assert kern[r, r + 3] == pytest.approx(kern[r, r] * math.exp(-0.5), rel=1e-12)
-
-    def test_gaussian_kernel_reflection_symmetric(self):
-        kern = gaussian_pe_kernel(3, 1.0, 1.0)
-        core = kern[1:, 1:]  # symmetric block around the center cell
-        assert np.array_equal(core, core[::-1, ::-1])
-        assert np.array_equal(core, core.T)
 
 
 class TestGenerateRays:

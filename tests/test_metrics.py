@@ -507,6 +507,13 @@ class TestVoxelLabels:
         with pytest.raises(LabelOutOfRange):
             voxel_label_metrics(pred, gt, 2)
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_nan_labels_out_of_range(self, side):
+        labels = {"pred": np.zeros((2, 2, 2)), "gt": np.zeros((2, 2, 2))}
+        labels[side][1, 1, 1] = np.nan
+        with pytest.raises(LabelOutOfRange, match=f"{side} labels outside"):
+            voxel_label_metrics(labels["pred"], labels["gt"], 2)
+
     def test_absent_classes_ignored(self):
         gt = np.zeros((2, 2, 2), dtype=int)
         pred = np.zeros((2, 2, 2), dtype=int)

@@ -13,7 +13,6 @@ import radiant.cli
 from radiant import render
 from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
 from radiant.errors import (
-    InsideUnitSphere,
     LengthMismatch,
     OriginOutsideSphere,
 )
@@ -23,8 +22,6 @@ from radiant.render import (
     RenderConfig,
     SUPPRESSION_SIGMA,
     composite,
-    contract_nerfpp,
-    distortion_reg,
     render_full,
     stratified_samples,
 )
@@ -162,54 +159,6 @@ class TestComposite:
             bumped[i] += 1.0
             w = composite(colors, bumped, deltas).weights
             assert np.all(w[i + 1 :] <= base[i + 1 :] + 1e-12)
-
-
-class TestContract:
-    def test_basic(self):
-        assert np.allclose(contract_nerfpp((2, 0, 0)), (1, 0, 0, 0.5))
-
-    def test_boundary(self):
-        out = contract_nerfpp((0, 1, 0))
-        assert np.allclose(out, (0, 1, 0, 1))
-
-    def test_inside_rejected(self):
-        with pytest.raises(InsideUnitSphere):
-            contract_nerfpp((0.5, 0, 0))
-
-    @settings(deadline=None, max_examples=100)
-    @given(st.integers(0, 2**31), st.floats(0.0, 6.0))
-    def test_unit_norm(self, seed, log_r):
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v) * (1.0 + 10.0**log_r * rng.uniform(0.001, 1))
-        out = contract_nerfpp(v)
-        assert np.linalg.norm(out[:3]) == pytest.approx(1.0, abs=1e-12)
-        assert 0 < out[3] <= 1
-
-
-class TestDistortionReg:
-    def test_zero_weights(self):
-        assert distortion_reg([0, 1, 2], [0, 0]) == 0.0
-
-    def test_single_interval(self):
-        assert distortion_reg([0.0, 1.0], [1.0]) == pytest.approx(1 / 3)
-
-    def test_two_interval_hand_case(self):
-        # cross 2 * 0.25 * |0.5 - 1.5| + self (1/3)(0.25 + 0.25)
-        val = distortion_reg([0.0, 1.0, 2.0], [0.5, 0.5])
-        assert val == pytest.approx(0.5 + 1 / 6, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            distortion_reg([0, 1], [0.5, 0.5])
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = rng.integers(1, 30)
-            s = np.sort(rng.uniform(0, 3, n + 1))
-            s += np.arange(n + 1) * 1e-6  # strictness
-            assert distortion_reg(s, rng.uniform(0, 1, n)) >= 0.0
 
 
 class TestPrune:
