@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
-from .errors import RadiantError
+from .errors import DimsMismatch, RadiantError
 from .fields import ConstantField
 from .grids import ALPHA_DELTA
 from .gridsample import AXIS_DIRECTIONS, sample_grid
@@ -437,6 +437,9 @@ def _cmd_semmap(args) -> None:
     semantics = io.read_npy(args.semantics, 2, integral=True)
     k = io.intrinsics_from_json(io.load_versioned_json(args.intrinsics),
                                 str(args.intrinsics))
+    if depth.shape != (k.height, k.width):
+        raise DimsMismatch(f"{args.depth}: depth of shape {depth.shape} does not fit the "
+                           f"{k.width}x{k.height} image of {args.intrinsics}")
     pose = io.pose_from_json(io.load_versioned_json(args.pose), str(args.pose))
     cfg = SemanticMapConfig(
         r=args.half_extent,

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Aabb, as_vec3
+from .core_math import as_vec3
 from .errors import EmptyUnion, NegativeDensity, VanishingGradient
 from .grids import VoxelGrid4D, alpha_to_sigma, trilinear
 
 
 class SdfField:
     """Scalar signed-distance field; negative inside, zero on the surface."""
-
-    bounds: Aabb
 
     def eval(self, pts) -> np.ndarray:
         """Signed distances for points of shape (..., 3)."""
@@ -48,7 +46,6 @@ class SphereSdf(SdfField):
         self.center = as_vec3(self.center)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        self.bounds = Aabb(self.center - self.radius, self.center + self.radius)
 
     def eval(self, pts) -> np.ndarray:
         (x, y, z), shape = _columns(pts, self.center)
@@ -72,7 +69,6 @@ class BoxSdf(SdfField):
         self.half_extents = as_vec3(self.half_extents)
         if not np.all(self.half_extents > 0):
             raise ValueError("half extents must be positive")
-        self.bounds = Aabb(self.center - self.half_extents, self.center + self.half_extents)
 
     def eval(self, pts) -> np.ndarray:
         # exact box distance: outside part + inside part
@@ -104,9 +100,6 @@ class UnionSdf(SdfField):
         self.children = list(children)
         if not self.children:
             raise EmptyUnion("union of zero shapes")
-        lo = np.min([c.bounds.min for c in self.children], axis=0)
-        hi = np.max([c.bounds.max for c in self.children], axis=0)
-        self.bounds = Aabb(lo, hi)
 
     def eval(self, pts) -> np.ndarray:
         out = self.children[0].eval(pts)

@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core_math import Aabb, Intrinsics, Pose, check_rotation
+from .core_math import Aabb, Intrinsics, Pose, as_vec3, check_rotation
 from .errors import BadMagic, BadVersion, FileFormatError, TruncatedFile
 from .fields import (BallField, BoxSdf, ConstantField, GaussianBlobField, GridField,
                      RadianceField, SdfField, SphereSdf, UnionSdf)
 from .grids import VoxelGrid4D
-from .metrics import BoxBatch, OrientedBox3, PoseBatch, PoseRecord, Trajectory, wrap_yaw
+from .metrics import (BoxBatch, OrientedBox3, PoseBatch, PoseRecord, Trajectory, box_size,
+                      pose_scale, wrap_yaw)
 from .octree import SurfaceSamples
 from .projmaps import SemanticMap
 
@@ -356,7 +357,7 @@ def intrinsics_from_json(d: dict, where: str = "intrinsics") -> Intrinsics:
 
 def pose_from_json(d: dict, where: str = "pose") -> Pose:
     return Pose(read_key(d, "rotation", where, _rotation),
-                read_key(d, "translation", where, json_floats))
+                read_key(d, "translation", where, _vec3))
 
 
 _REQUIRED = object()
@@ -438,14 +439,20 @@ def json_floats(v) -> np.ndarray:
     return np.array(v, dtype=np.float64)
 
 
+# The record readers run each key's rules (shape, sign, orthonormality) in
+# its converter, so read_key names the file, entry and key of a refusal.
+def _vec3(v) -> np.ndarray:
+    return as_vec3(json_floats(v))
+
+
 def _rotation(v) -> np.ndarray:
-    return json_floats(v).reshape(3, 3)
+    return check_rotation(json_floats(v).reshape(3, 3))
 
 
 def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
-        center=read_key(d, "center", where, json_floats),
-        size=read_key(d, "size", where, json_floats),
+        center=read_key(d, "center", where, _vec3),
+        size=read_key(d, "size", where, lambda v: box_size(json_floats(v))),
         yaw=read_key(d, "yaw", where, json_float, 0.0),
         label=read_key(d, "class", where, json_str, ""),
         score=read_key(d, "score", where, json_float, None),
@@ -455,8 +462,8 @@ def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
 def pose_record_from_json(d: dict, where: str = "pose") -> PoseRecord:
     return PoseRecord(
         rotation=read_key(d, "rotation", where, _rotation),
-        translation=read_key(d, "translation", where, json_floats),
-        scale=read_key(d, "scale", where, json_float, 1.0),
+        translation=read_key(d, "translation", where, _vec3),
+        scale=read_key(d, "scale", where, lambda v: pose_scale(json_float(v)), 1.0),
         label=read_key(d, "class", where, json_str, ""),
         score=read_key(d, "score", where, json_float, None),
     )

@@ -49,6 +49,21 @@ def wrap_yaw(yaw: float) -> float:
     return yaw if -math.pi < yaw <= math.pi else math.atan2(math.sin(yaw), math.cos(yaw))
 
 
+def box_size(v) -> np.ndarray:
+    """A box's full extents: a finite 3-vector of positive values."""
+    size = as_vec3(v)
+    if not min(size.tolist()) > 0:
+        raise ValueError("box size must be positive")
+    return size
+
+
+def pose_scale(scale: float) -> float:
+    """A pose's 1D scale, which must be positive."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    return scale
+
+
 @dataclass
 class OrientedBox3:
     """3D box with yaw-only rotation about world z.
@@ -65,9 +80,7 @@ class OrientedBox3:
 
     def __post_init__(self):
         self.center = as_vec3(self.center)
-        self.size = as_vec3(self.size)
-        if not min(self.size.tolist()) > 0:
-            raise ValueError("box size must be positive")
+        self.size = box_size(self.size)
         self.yaw = wrap_yaw(self.yaw)
 
     @property
@@ -129,8 +142,7 @@ class PoseRecord:
     def __post_init__(self):
         self.rotation = check_rotation(self.rotation)
         self.translation = as_vec3(self.translation)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        self.scale = pose_scale(self.scale)
 
 
 def _column(values, shape=()) -> np.ndarray:

@@ -42,23 +42,16 @@ class LodConfig:
     literal_occupancy keeps cells with signed sdf < cell size (which also
     retains the whole interior of watertight shapes); the default shell rule
     |sdf| < cell size tracks only the surface band.
-
-    projection_iterations stays at the single-step formula by default;
-    min()-composed SDFs have gradient ridges where finite-difference normals
-    need a second step to land on the surface.
     """
 
     lod_start: int = 3
     lod_end: int = 6
     bounds: Aabb = field(default_factory=cube_bounds)
     literal_occupancy: bool = False
-    projection_iterations: int = 1
 
     def __post_init__(self):
         if not (1 <= self.lod_start <= self.lod_end <= 12):
             raise ValueError("need 1 <= lod_start <= lod_end <= 12")
-        if self.projection_iterations < 1:
-            raise ValueError("projection_iterations must be at least 1")
 
     def cell_edge(self, level: int) -> float:
         """Edge length of a level-`level` cell (level 0 is the root cell)."""
@@ -109,23 +102,21 @@ _CHILDREN = np.array([[c & 1, c >> 1 & 1, c >> 2] for c in range(8)])
 
 
 def project_to_surface(
-    f: SdfField, points, iterations: int = 1, h: float = 1e-4,
+    f: SdfField, points, h: float = 1e-4,
     stats: ExtractionStats | None = None, values=None,
 ) -> SurfaceSamples:
-    """Project points onto the zero isosurface: p <- p - n * sdf(p).
+    """Project points onto the zero isosurface in one step: p <- p - n * sdf(p).
 
-    Applies the step `iterations` times. Points whose gradient vanishes at
-    any step are dropped (callers can count them as len(points) - len(out)).
-    values, when given, is f.eval(points) already computed (the traversal's
-    final-level values): the first step uses it instead of evaluating again.
-    Each step then costs 7 SDF evals per point (the value and six gradient
-    taps), the first one 6 with values, and the residual and normal of the
-    result 7 more; the evals made are added to stats.projection_evals.
+    Points whose gradient vanishes, before or after the step, are dropped
+    (callers can count them as len(points) - len(out)). values, when given,
+    is f.eval(points) already computed (the traversal's final-level values):
+    the step uses it instead of evaluating again. The step costs 7 SDF evals
+    per point (the value and six gradient taps), 6 with values, and the
+    residual and normal of the result 7 more; the evals made are added to
+    stats.projection_evals.
     The points are projected BLOCK_POINTS at a time, in order; each point's
     result does not depend on the block it falls in.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
@@ -137,7 +128,7 @@ def project_to_surface(
     out = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
     filled = 0
     for lo in range(0, n, BLOCK_POINTS):
-        block = _project_block(f, pts[lo:lo + BLOCK_POINTS], iterations, h, stats,
+        block = _project_block(f, pts[lo:lo + BLOCK_POINTS], h, stats,
                                None if values is None else values[lo:lo + BLOCK_POINTS])
         k = len(block[0])
         for dst, src in zip(out, block):
@@ -146,20 +137,15 @@ def project_to_surface(
     return SurfaceSamples(*(a[:filled] for a in out))
 
 
-def _project_block(f, pts, iterations, h, stats, s):
+def _project_block(f, pts, h, stats, s):
     """project_to_surface on one block of points, s their SDF values or None:
     (positions, normals, residuals) of the points it keeps."""
-    evals = 0
-    for _ in range(iterations):
-        if pts.shape[0] == 0:
-            break
-        if s is None:
-            s = f.eval(pts)
-            evals += pts.shape[0]
-        evals += 6 * pts.shape[0]
-        normals, ok = sdf_gradients(f, pts, h)
-        pts = pts[ok] - normals[ok] * s[ok, None]
-        s = None
+    evals = 6 * pts.shape[0]
+    if s is None:
+        s = f.eval(pts)
+        evals += pts.shape[0]
+    normals, ok = sdf_gradients(f, pts, h)
+    pts = pts[ok] - normals[ok] * s[ok, None]
     if stats is not None:
         stats.projection_evals += evals + 7 * pts.shape[0]
     if pts.shape[0] == 0:
@@ -241,14 +227,8 @@ def extract_surface(
             _check_level_cells(level + 1, 8 * len(kept))
 
     centers, values = kept, np.concatenate(values)
-    samples = project_to_surface(
-        f,
-        centers,
-        iterations=cfg.projection_iterations,
-        h=cfg.cell_edge(cfg.lod_end) / 4.0,
-        stats=stats,
-        values=values,
-    )
+    samples = project_to_surface(f, centers, h=cfg.cell_edge(cfg.lod_end) / 4.0,
+                                 stats=stats, values=values)
 
     stats.dropped_points = len(centers) - len(samples)
     stats.surface_points = len(samples)
@@ -256,24 +236,20 @@ def extract_surface(
     return samples, stats
 
 
-def dense_extract(
-    f: SdfField,
-    resolution: int,
-    band: float,
-    bounds: Aabb | None = None,
-) -> SurfaceSamples:
-    """Brute-force baseline: evaluate every cell center of a regular grid,
-    keep |sdf| <= band, and project the survivors onto the surface."""
+def dense_extract(f: SdfField, resolution: int, band: float) -> SurfaceSamples:
+    """Brute-force baseline: evaluate every cell center of a regular grid
+    over the default cube, keep |sdf| <= band, and project the survivors
+    onto the surface."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not 0 < band < np.inf:  # NaN fails too
         raise ValueError(f"band must be finite and positive, got {band}")
-    bounds = bounds or cube_bounds()
+    bounds = cube_bounds()
     cell = bounds.extent / resolution
     ax = [bounds.min[i] + (np.arange(resolution) + 0.5) * cell[i] for i in range(3)]
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
     pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     sdf = f.eval(pts)
     band_mask = np.abs(sdf) <= band
-    return project_to_surface(f, pts[band_mask], iterations=1, h=float(cell.max()) / 4.0,
+    return project_to_surface(f, pts[band_mask], h=float(cell.max()) / 4.0,
                               values=sdf[band_mask])

@@ -684,6 +684,29 @@ class TestEvalInputErrors:
         assert self.run_eval(tmp_path, "eval-pose", {"poses": [dict(POSE, score=0.9)]}, gt) == 3
         assert "poses[1]" in assert_format_error(capsys, tmp_path / "gt.json", key)
 
+    @pytest.mark.parametrize("command,key,value,reason", [
+        ("eval-detect", "size", [1, 1, -1], "box size must be positive"),
+        ("eval-detect", "center", [0, 0], "expected a 3-vector, got shape (2,)"),
+        ("eval-pose", "rotation", [1, 0, 0, 0, 1, 0, 0, 0, 2],
+         "matrix columns are not orthonormal"),
+        ("eval-pose", "scale", 0, "scale must be positive"),
+    ], ids=["size", "center", "rotation", "scale"])
+    def test_record_rule_names_entry(self, tmp_path, capsys, command, key, value, reason):
+        # the record rules run in the readers, not after them in a bare ValueError
+        name, record = ("boxes", BOX) if command == "eval-detect" else ("poses", POSE)
+        pred = {name: [{**record, "score": 0.9, key: value}]}
+        assert self.run_eval(tmp_path, command, pred, {name: [record]}) == 3
+        msg = assert_format_error(capsys, tmp_path / "pred.json", key)
+        assert msg == f"{tmp_path / 'pred.json'}: {name}[0]: bad {key!r}: {reason}"
+
+    def test_render_box_size_names_entry(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(boxes=[{"center": [0, 0, 0.5], "size": [1, 0, 1]}])))
+        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+        msg = assert_format_error(capsys, scene, "size")
+        assert msg == f"{scene}: boxes[0]: bad 'size': box size must be positive"
+        assert not (tmp_path / "img_000.ppm").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("positions", [[0, 0, 0], [1, False, 0]]), ("goal", ["1", 0, 0]),
         ("success_threshold", True),
@@ -924,6 +947,22 @@ class TestSemmap:
         assert grid.channels == 5
         assert grid.data.sum() == 1.0
         assert grid.data[48, 39, 0, 3] == 1.0
+
+    def test_depth_must_fit_the_intrinsics(self, tmp_path, capsys):
+        depth, k, out = tmp_path / "depth.npy", tmp_path / "k.json", tmp_path / "map.nfvg"
+        np.save(depth, np.full((30, 40), 2.0))
+        np.save(tmp_path / "sem.npy", np.zeros((30, 40), dtype=np.int64))
+        k.write_text(json.dumps({
+            "fx": 80, "fy": 80, "cx": 80, "cy": 60, "width": 160, "height": 120}))
+        (tmp_path / "pose.json").write_text(json.dumps({
+            "rotation": [0, 0, 1, -1, 0, 0, 0, -1, 0], "translation": [0, 0, 0]}))
+        assert run("semmap", "--depth", depth, "--semantics", tmp_path / "sem.npy",
+                   "--intrinsics", k, "--pose", tmp_path / "pose.json", "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "DimsMismatch"
+        assert err["message"] == (
+            f"{depth}: depth of shape (30, 40) does not fit the 160x120 image of {k}")
+        assert not out.exists()
 
 
 class TestNonFiniteFlags:

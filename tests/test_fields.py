@@ -26,7 +26,6 @@ from radiant.io import make_analytic_sdf
 class ConstantSdf(SdfField):
     def __init__(self, value):
         self.value = value
-        self.bounds = Aabb([-1, -1, -1], [1, 1, 1])
 
     def eval(self, pts):
         return np.full(np.asarray(pts).shape[:-1], self.value)

@@ -773,6 +773,9 @@ class TestBatchReaders:
 
     @pytest.mark.parametrize("scored", [False, True])
     def test_every_mutation_agrees(self, scored):
+        """Each mutation of the base entries reads the same both ways, and
+        every refusal is a FileFormatError naming the entry."""
+        where = "f.json: x"
         for read, reader, base, all_mutations, columns in (
                 (io.boxes_from_json, io.box_from_json, [BOX_BASE], BOX_MUTATIONS, BOX_COLUMNS),
                 (io.poses_from_json, io.pose_record_from_json, [POSE_BASE, POSE_BASE_NESTED],
@@ -781,9 +784,12 @@ class TestBatchReaders:
                 for mutation in all_mutations:
                     for targets in ({1}, range(3)):
                         changed = apply(mutation, entries, targets)
-                        assert_agree(outcome(read, changed, "f.json: x", scored),
-                                     outcome(read_per_record, reader, changed, "f.json: x",
-                                             scored), columns)
+                        got = outcome(read, changed, where, scored)
+                        assert_agree(got, outcome(read_per_record, reader, changed, where,
+                                                  scored), columns)
+                        if isinstance(got, tuple):
+                            assert got[0] is FileFormatError, got
+                            assert got[1].startswith(f"{where}["), got
 
     @settings(deadline=None, max_examples=100)
     @given(mutated(box_entries(), BOX_MUTATIONS), st.booleans())

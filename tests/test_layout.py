@@ -1,13 +1,18 @@
 """Checks over the layout of the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import radiant
+from radiant.octree import LodConfig
+from radiant.projmaps import SemanticMapConfig
+from radiant.render import RenderConfig
 
-SOURCES = sorted(Path(radiant.__file__).parent.glob("*.py"))
+PACKAGE = Path(radiant.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -21,3 +26,17 @@ def test_imports_at_module_level(path):
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside functions: {nested}"
+
+
+@pytest.mark.parametrize("config", [LodConfig, RenderConfig, SemanticMapConfig],
+                         ids=lambda c: c.__name__)
+def test_cli_sets_every_config_field(config):
+    """The CLI reads its defaults from these configs, so a field it never
+    passes by keyword is a knob no caller sets."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    passed = {kw.arg for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == config.__name__
+              for kw in node.keywords}
+    fields = {f.name for f in dataclasses.fields(config)}
+    assert fields <= passed, f"{config.__name__} fields cli.py never sets: {fields - passed}"

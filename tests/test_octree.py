@@ -29,9 +29,6 @@ UNION = UnionSdf(
 class FarAwaySdf(SdfField):
     """Always farther from the surface than the bounds diagonal."""
 
-    def __init__(self):
-        self.bounds = Aabb([-1, -1, -1], [1, 1, 1])
-
     def eval(self, pts):
         return np.full(np.asarray(pts).shape[:-1], 10.0)
 
@@ -120,37 +117,25 @@ class TestDenseExtract:
 
 class TestProjectToSurface:
     def test_single_step_exact_on_distance_field(self):
-        out = project_to_surface(SPHERE, [(0.6, 0.0, 0.0)], iterations=1)
+        out = project_to_surface(SPHERE, [(0.6, 0.0, 0.0)])
         assert np.abs(out.positions[0] - (0.5, 0, 0)).max() < 1e-9
 
     def test_surface_point_unchanged(self):
-        out = project_to_surface(SPHERE, [(0.0, 0.5, 0.0)], iterations=1)
+        out = project_to_surface(SPHERE, [(0.0, 0.5, 0.0)])
         assert np.abs(out.positions[0] - (0, 0.5, 0)).max() < 1e-9
-
-    def test_iterations_do_not_worsen_residual(self):
-        # near a box edge the first step is inexact; more steps stay at least
-        # as close
-        p = [(0.45, 0.38, 0.1)]
-        one = project_to_surface(BOX, p, iterations=1)
-        three = project_to_surface(BOX, p, iterations=3)
-        assert abs(three.residuals[0]) <= abs(one.residuals[0]) + 1e-12
 
     def test_monotone_residuals_batch(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.9, 0.9, size=(128, 3))
         before = np.abs(BOX.eval(pts))
-        out = project_to_surface(BOX, pts, iterations=1)
+        out = project_to_surface(BOX, pts)
         assert len(out) == len(pts)
         after = np.abs(out.residuals)
         assert np.all(after <= before + 1e-9)
 
-    def test_bad_iterations(self):
-        with pytest.raises(ValueError):
-            project_to_surface(SPHERE, [(0.6, 0, 0)], iterations=0)
-
     def test_record_arrays(self):
         pts = np.random.default_rng(6).uniform(-0.9, 0.9, size=(40, 3))
-        out = project_to_surface(BOX, pts, iterations=2)
+        out = project_to_surface(BOX, pts)
         assert isinstance(out, SurfaceSamples) and len(out) == 40
         assert out.positions.shape == out.normals.shape == (40, 3)
         assert out.residuals.shape == (40,)
@@ -170,9 +155,8 @@ class TestTraversalValuesReused:
     level; the samples are bit for bit those of evaluating the centers again."""
 
     @pytest.mark.parametrize("field", [SPHERE, BOX, UNION], ids=["sphere", "box", "union"])
-    @pytest.mark.parametrize("iterations", [1, 2])
     @pytest.mark.parametrize("literal", [False, True], ids=["shell", "literal"])
-    def test_extract_equals_fresh_projection(self, monkeypatch, field, iterations, literal):
+    def test_extract_equals_fresh_projection(self, monkeypatch, field, literal):
         calls = []
         real = radiant.octree.project_to_surface
 
@@ -181,11 +165,11 @@ class TestTraversalValuesReused:
             return real(f, points, **kw)
 
         monkeypatch.setattr(radiant.octree, "project_to_surface", spy)
-        cfg = LodConfig(3, 5, literal_occupancy=literal, projection_iterations=iterations)
+        cfg = LodConfig(3, 5, literal_occupancy=literal)
         samples, _ = extract_surface(field, cfg)
         [(centers, kw)] = calls
         assert kw["values"].tobytes() == field.eval(centers).tobytes()
-        fresh = real(field, centers, iterations=iterations, h=kw["h"])
+        fresh = real(field, centers, h=kw["h"])
         assert len(samples) > 0 and same_samples(samples, fresh)
 
     def test_dense_extract_equals_fresh_projection(self):
@@ -200,10 +184,9 @@ class TestTraversalValuesReused:
         pts = np.random.default_rng(8).uniform(-0.9, 0.9, size=(50, 3))
         counting = CountingSdf(BOX)
         stats = ExtractionStats()
-        out = project_to_surface(counting, pts, iterations=2, stats=stats,
-                                 values=BOX.eval(pts))
-        assert stats.projection_evals == counting.points == (6 + 7 + 7) * len(out)
-        assert same_samples(out, project_to_surface(BOX, pts, iterations=2))
+        out = project_to_surface(counting, pts, stats=stats, values=BOX.eval(pts))
+        assert stats.projection_evals == counting.points == (6 + 7) * len(out)
+        assert same_samples(out, project_to_surface(BOX, pts))
 
     def test_values_shape_checked(self):
         with pytest.raises(ValueError, match="values"):
@@ -227,13 +210,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("field", [SPHERE, BOX, UNION], ids=["sphere", "box", "union"])
     @pytest.mark.parametrize("literal", [False, True], ids=["shell", "literal"])
-    @pytest.mark.parametrize("iterations", [1, 2])
     @pytest.mark.parametrize("bounds", [cube_bounds(), Aabb([-1, -0.6, -0.8], [0.9, 0.6, 0.8])],
                              ids=["cube", "noncubic"])
-    def test_extraction_ignores_block_size(self, monkeypatch, field, literal, iterations,
-                                           bounds):
-        cfg = LodConfig(2, 5, bounds=bounds, literal_occupancy=literal,
-                        projection_iterations=iterations)
+    def test_extraction_ignores_block_size(self, monkeypatch, field, literal, bounds):
+        cfg = LodConfig(2, 5, bounds=bounds, literal_occupancy=literal)
         monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", self.WHOLE)
         whole, whole_stats = extract_surface(field, cfg)
         assert len(whole) > 100
@@ -254,21 +234,19 @@ class TestBlocks:
         # of 3 * BLOCK_POINTS points; no call sees a whole level
         monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", 64)
         field = CountingSdf(UNION)
-        samples, stats = extract_surface(field, LodConfig(3, 5, projection_iterations=2))
+        samples, stats = extract_surface(field, LodConfig(3, 5))
         assert stats.evals_per_level[5] > 3 * 64 and len(samples) > 3 * 64
         assert field.most == 3 * 64
 
     @pytest.mark.parametrize("with_values", [False, True], ids=["fresh", "values"])
-    @pytest.mark.parametrize("iterations", [1, 2])
-    def test_projection_ignores_block_size(self, monkeypatch, with_values, iterations):
+    def test_projection_ignores_block_size(self, monkeypatch, with_values):
         pts = np.random.default_rng(9).uniform(-0.9, 0.9, size=(70, 3))
         values = UNION.eval(pts) if with_values else None
 
         def project(size):
             monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
             stats = ExtractionStats()
-            out = project_to_surface(UNION, pts, iterations=iterations, stats=stats,
-                                     values=values)
+            out = project_to_surface(UNION, pts, stats=stats, values=values)
             return out, stats
 
         whole, whole_stats = project(self.WHOLE)
@@ -317,17 +295,14 @@ class TestPeakMemory:
 
 class TestHonestStats:
     @pytest.mark.parametrize("field", [SPHERE, UNION], ids=["sphere", "union"])
-    @pytest.mark.parametrize("iterations", [1, 2])
-    def test_traversal_plus_projection_is_every_eval(self, field, iterations):
+    def test_traversal_plus_projection_is_every_eval(self, field):
         counting = CountingSdf(field)
-        samples, stats = extract_surface(
-            counting, LodConfig(3, 6, projection_iterations=iterations))
+        samples, stats = extract_surface(counting, LodConfig(3, 6))
         assert stats.total_sdf_evals == sum(stats.evals_per_level.values())
         assert stats.total_sdf_evals + stats.projection_evals == counting.points
-        # the value and six gradient taps per point of each projection step
-        # and of the result, less the first step's value, which the traversal
-        # already computed
-        assert stats.projection_evals >= (7 * (iterations + 1) - 1) * len(samples)
+        # six gradient taps per point for the step (the traversal already
+        # computed the value), then the value and six taps of the result
+        assert stats.projection_evals >= (6 + 7) * len(samples)
 
     def test_no_surface_has_no_projection(self):
         counting = CountingSdf(FarAwaySdf())
@@ -373,14 +348,6 @@ class TestOracleEquivalence:
         samples, _ = extract_surface(field, LodConfig(3, 6))
         pos, _, _ = samples_to_arrays(samples)
         vals = np.abs(field.eval(pos))
-        assert vals.max() <= 1e-3 * LodConfig().bounds.diagonal
-
-    def test_projected_residuals_union_multi_step(self):
-        # min() unions have gradient ridges; the single-step formula stalls
-        # there, so the non-metric escape hatch takes a second step
-        samples, _ = extract_surface(UNION, LodConfig(3, 6, projection_iterations=2))
-        pos, _, _ = samples_to_arrays(samples)
-        vals = np.abs(UNION.eval(pos))
         assert vals.max() <= 1e-3 * LodConfig().bounds.diagonal
 
 
