@@ -24,8 +24,7 @@ from . import io
 from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
 from .errors import DimsMismatch, RadiantError
 from .fields import ConstantField
-from .grids import ALPHA_DELTA
-from .gridsample import AXIS_DIRECTIONS, sample_grid
+from .gridsample import sample_grid
 from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
 from .octree import LodConfig, dense_extract, extract_surface
@@ -93,8 +92,20 @@ def _prepare_output(path, force: bool) -> Path:
     return out
 
 
-# RGBA values one voxelized grid may hold (a 203^3 grid): larger dims are
-# refused before the grid is allocated
+def _prepare_outputs(force: bool, **paths) -> list[Path]:
+    """_prepare_output for each output flag, named by keyword (mask_out for
+    --mask-out), after refusing two flags that name one file."""
+    flags = {}
+    for name, path in paths.items():
+        flag = "--" + name.replace("_", "-")
+        same = flags.setdefault(Path(path).resolve(), flag)
+        if same != flag:
+            raise OSError(f"{same} and {flag} name the same file: {path}")
+    return [_prepare_output(path, force) for path in paths.values()]
+
+
+# values one voxelized RGBA grid (a 203^3 grid) or one semantic map (2r x 2r
+# cells by classes) may hold: larger ones are refused before they are allocated
 MAX_GRID_VALUES = 1 << 25
 
 
@@ -131,26 +142,16 @@ def _cmd_voxelize(args) -> None:
     spec = _load_spec(args.field, FIELD_PRESETS)
     out = _prepare_output(args.out, args.force)
     field = io.field_from_spec(spec, Path(), args.field)
-    bounds = _parse_bounds(args.bounds)
-    if args.cameras:
-        _require_inputs(args.cameras)
-        cameras = io.read_key(io.load_versioned_json(args.cameras), "cameras",
-                              str(args.cameras), io.json_list)
-        poses = [io.pose_from_json(c, f"{args.cameras}: cameras[{i}]")
-                 for i, c in enumerate(cameras)]
-        directions = np.array([p.rotation @ [0.0, 0.0, 1.0] for p in poses])
-    else:
-        directions = AXIS_DIRECTIONS
-    grid = sample_grid(field, bounds, _parse_dims(args.dims), directions, args.delta)
+    grid = sample_grid(field, _parse_bounds(args.bounds), _parse_dims(args.dims))
     io.write_nfvg(out, grid)
     print(out)
 
 
 def _cmd_extract_surface(args) -> None:
     shape = _load_spec(args.shape, SDF_PRESETS)
-    out = _prepare_output(args.out, args.force)
-    stats_path = _prepare_output(args.stats or out.with_suffix(out.suffix + ".stats.json"),
-                                 args.force)
+    out = Path(args.out)
+    out, stats_path = _prepare_outputs(
+        args.force, out=out, stats=args.stats or out.with_suffix(out.suffix + ".stats.json"))
     f = io.make_analytic_sdf(shape, args.shape)
     cfg = LodConfig(
         lod_start=args.lod_start,
@@ -174,8 +175,7 @@ def _cmd_extract_surface(args) -> None:
 
 def _cmd_mask(args) -> None:
     _require_inputs(args.grid)
-    out = _prepare_output(args.out, args.force)
-    mask_out = _prepare_output(args.mask_out, args.force)
+    out, mask_out = _prepare_outputs(args.force, out=args.out, mask_out=args.mask_out)
     grid = io.read_nfvg(args.grid)
     patches = patchify(grid.dims, args.patch)
     mask = random_mask(patches.n_patches, args.ratio, args.seed,
@@ -431,6 +431,18 @@ def _cmd_bench_octree(args) -> None:
 
 
 def _cmd_semmap(args) -> None:
+    cfg = SemanticMapConfig(
+        r=args.half_extent,
+        cell_size=args.cell_size,
+        height_min=args.height_min,
+        height_max=args.height_max,
+        classes=args.classes,
+    )
+    values = (2 * cfg.r) ** 2 * cfg.classes
+    if values > MAX_GRID_VALUES:
+        raise RadiantError(f"--half-extent {cfg.r} and --classes {cfg.classes}: a map of "
+                           f"{values} values, over the budget of {MAX_GRID_VALUES}; use a "
+                           "smaller map or fewer classes")
     _require_inputs(args.depth, args.semantics, args.intrinsics, args.pose)
     out = _prepare_output(args.out, args.force)
     depth = io.read_npy(args.depth, 2)
@@ -441,13 +453,6 @@ def _cmd_semmap(args) -> None:
         raise DimsMismatch(f"{args.depth}: depth of shape {depth.shape} does not fit the "
                            f"{k.width}x{k.height} image of {args.intrinsics}")
     pose = io.pose_from_json(io.load_versioned_json(args.pose), str(args.pose))
-    cfg = SemanticMapConfig(
-        r=args.half_extent,
-        cell_size=args.cell_size,
-        height_min=args.height_min,
-        height_max=args.height_max,
-        classes=args.classes,
-    )
     smap = build_semantic_map(depth, semantics, k, pose, cfg)
     io.write_nfvg(out, io.semantic_map_to_grid(smap))
     print(out)
@@ -460,21 +465,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="radiant", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("voxelize", help="sample a radiance field into an NFVG grid")
     p.add_argument("--field", required=True,
                    help=f"preset ({', '.join(FIELD_PRESETS)}) or field JSON path")
     p.add_argument("--dims", default="160", help="N or X,Y,Z voxel counts")
     p.add_argument("--bounds", default="-1,-1,-1,1,1,1")
-    p.add_argument("--delta", type=float, default=ALPHA_DELTA,
-                   help="preset distance for the alpha conversion")
-    p.add_argument("--cameras", help="camera JSON; view axes replace the "
-                                     "default 6 axis directions")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=_cmd_voxelize)
@@ -498,12 +497,14 @@ def build_parser() -> _Parser:
     p.add_argument("--patch", type=int, default=4)
     p.add_argument("--out", required=True)
     p.add_argument("--mask-out", required=True, help="mask JSON output path")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("render", help="render scene JSON to PPM images")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True, help="output prefix")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_render)
 
@@ -512,7 +513,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--iou-thresholds", default="0.25,0.5")
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_eval_detect)
 
     p = sub.add_parser("eval-pose", help="category-level pose AP")
@@ -523,20 +524,20 @@ def build_parser() -> _Parser:
     p.add_argument("--symmetric-classes", default="bottle,bowl,can")
     p.add_argument("--symmetry-axis", default="0,1,0")
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_eval_pose)
 
     p = sub.add_parser("eval-voxels", help="semantic voxel label metrics")
     p.add_argument("--pred", required=True, help='JSON with {"labels_file", "n_classes"}')
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_eval_voxels)
 
     p = sub.add_parser("eval-nav", help="navigation metrics for one episode")
     p.add_argument("--trajectory", required=True)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_eval_nav)
 
     p = sub.add_parser("bench-octree", help="octree vs dense-grid sampling benchmark")
@@ -544,7 +545,7 @@ def build_parser() -> _Parser:
                    help=f"preset ({', '.join(SDF_PRESETS)}) or shape JSON path")
     p.add_argument("--band", type=float, default=0.03)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_bench_octree)
 
     p = sub.add_parser("semmap", help="top-down semantic map from an RGB-D frame")
@@ -558,7 +559,7 @@ def build_parser() -> _Parser:
     p.add_argument("--height-max", type=float, default=SemanticMapConfig.height_max)
     p.add_argument("--classes", type=int, default=SemanticMapConfig.classes)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_semmap)
 
     return parser

@@ -2,8 +2,9 @@
 
 Analytic shapes stand in for learned SDF networks so that extraction and
 rendering can be checked against exact surfaces. All eval methods are
-vectorized over a leading batch of points. JSON specs are read into these
-classes by io.field_from_spec and io.make_analytic_sdf.
+vectorized over a leading batch of points; a radiance field is a function
+of position only, with no view-direction input. JSON specs are read into
+these classes by io.field_from_spec and io.make_analytic_sdf.
 """
 
 from __future__ import annotations
@@ -153,19 +154,15 @@ def sdf_normal(f: SdfField, x, h: float = 1e-4) -> np.ndarray:
 
 
 class RadianceField:
-    """Emission/absorption field: eval maps (points, directions) to
-    (rgb in [0,1]^3, density sigma >= 0). view_dependent is False for a
-    field whose eval ignores dirs: callers may evaluate a point once for a
-    whole direction set.
+    """Emission/absorption field: eval maps points to (rgb in [0,1]^3,
+    density sigma >= 0).
 
-    eval is pointwise: row i of its output depends only on row i of pts
-    and dirs, bit for bit, whatever else is in the batch. The renderer
-    relies on it to reuse the coarse pass's values in the fine pass."""
+    eval is pointwise: row i of its output depends only on row i of pts,
+    bit for bit, whatever else is in the batch. The renderer relies on it
+    to reuse the coarse pass's values in the fine pass."""
 
-    view_dependent = True
-
-    def eval(self, pts, dirs) -> tuple[np.ndarray, np.ndarray]:
-        """pts, dirs of shape (N, 3) -> (colors (N, 3), sigmas (N,))."""
+    def eval(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """pts of shape (N, 3) -> (colors (N, 3), sigmas (N,))."""
         raise NotImplementedError
 
 
@@ -174,8 +171,6 @@ class ConstantField(RadianceField):
     color: np.ndarray
     sigma: float
 
-    view_dependent = False
-
     def __post_init__(self):
         self.color = as_vec3(self.color)
         if self.sigma < 0:
@@ -183,7 +178,7 @@ class ConstantField(RadianceField):
         if np.any(self.color < 0) or np.any(self.color > 1):
             raise ValueError("color components must lie in [0, 1]")
 
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         n = np.atleast_2d(pts).shape[0]
         return np.tile(self.color, (n, 1)), np.full(n, float(self.sigma))
 
@@ -197,8 +192,6 @@ class GaussianBlobField(RadianceField):
     center: np.ndarray
     scale: float
 
-    view_dependent = False
-
     def __post_init__(self):
         self.color = as_vec3(self.color)
         self.center = as_vec3(self.center)
@@ -207,7 +200,7 @@ class GaussianBlobField(RadianceField):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         (x, y, z), _ = _columns(np.atleast_2d(pts), self.center)
         x *= x
         y *= y
@@ -230,8 +223,6 @@ class BallField(RadianceField):
     center: np.ndarray
     radius: float
 
-    view_dependent = False
-
     def __post_init__(self):
         self.color = as_vec3(self.color)
         self.center = as_vec3(self.center)
@@ -240,7 +231,7 @@ class BallField(RadianceField):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         pts = np.atleast_2d(pts)
         inside = np.linalg.norm(pts - self.center, axis=-1) <= self.radius
         return np.tile(self.color, (pts.shape[0], 1)), np.where(inside, self.sigma, 0.0)
@@ -254,8 +245,6 @@ class GridField(RadianceField):
     the exact inverse of the extraction formula. Outside the grid bounds the
     field is empty.
     """
-
-    view_dependent = False
 
     def __init__(self, grid: VoxelGrid4D):
         if grid.channels != 4:
@@ -273,6 +262,6 @@ class GridField(RadianceField):
             out[inside] = trilinear(self.grid.data, coords)
         return out
 
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         vals = self.interpolate(pts)
         return vals[:, :3], alpha_to_sigma(vals[:, 3])

@@ -160,7 +160,7 @@ def sigma_to_alpha(sigma, delta):
     return -np.expm1(-sigma * delta)
 
 
-def alpha_to_sigma(alpha, delta: float = ALPHA_DELTA):
-    """Invert the extraction formula: sigma = -ln(1 - alpha) / delta."""
+def alpha_to_sigma(alpha):
+    """Invert the extraction formula: sigma = -ln(1 - alpha) / ALPHA_DELTA."""
     with np.errstate(divide="ignore"):
-        return -np.log1p(-np.asarray(alpha, dtype=np.float64)) / delta
+        return -np.log1p(-np.asarray(alpha, dtype=np.float64)) / ALPHA_DELTA

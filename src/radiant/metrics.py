@@ -579,19 +579,22 @@ def voxel_label_metrics(pred, gt, n_classes: int) -> tuple[float, float, float]:
             raise LabelOutOfRange(f"{name} labels outside [0, {n_classes})")
     p = pred.ravel().astype(np.int64)
     g = gt.ravel().astype(np.int64)
-    confusion = np.bincount(g * n_classes + p, minlength=n_classes * n_classes)
-    confusion = confusion.reshape(n_classes, n_classes)
-    tp = np.diag(confusion).astype(np.float64)
-    gt_count = confusion.sum(axis=1).astype(np.float64)
-    pred_count = confusion.sum(axis=0).astype(np.float64)
+    n = n_classes
+    if n > g.size:
+        # more classes than voxels: count over the ranks of the labels
+        # instead, which keep their order, so memory follows the voxels
+        _, ranks = np.unique(np.concatenate([g, p]), return_inverse=True)
+        g, p = ranks[:g.size], ranks[g.size:]
+        n = 2 * g.size
+    gt_count = np.bincount(g, minlength=n).astype(np.float64)
     present = gt_count > 0
-    union = gt_count + pred_count - tp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        iou = np.where(union > 0, tp / union, 0.0)
-        acc_c = np.where(gt_count > 0, tp / gt_count, 0.0)
-    m_iou = float(iou[present].mean())
-    m_acc = float(acc_c[present].mean())
-    acc = float(tp.sum() / max(g.size, 1))
+    gt_count = gt_count[present]
+    pred_count = np.bincount(p, minlength=n)[present].astype(np.float64)
+    tp = np.bincount(g, weights=p == g, minlength=n)[present]
+    iou = tp / (gt_count + pred_count - tp)
+    m_iou = float(iou.mean())
+    m_acc = float((tp / gt_count).mean())
+    acc = float(tp.sum() / g.size)
     return m_iou, m_acc, acc
 
 

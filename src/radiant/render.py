@@ -262,11 +262,9 @@ def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_fie
     and far = (colors, sigmas). Inside the boxes the near sigmas hold
     SUPPRESSION_SIGMA and the object field's values fill the object arrays,
     which hold zeros everywhere else (and everywhere with no object field)."""
-    dirs = np.atleast_2d(ray.direction)[:, None, :]
 
     def evaluate(field, pts):
-        colors, sigmas = field.eval(pts.reshape(-1, 3),
-                                    np.broadcast_to(dirs, pts.shape).reshape(-1, 3))
+        colors, sigmas = field.eval(pts.reshape(-1, 3))
         return colors.reshape(pts.shape), np.reshape(sigmas, pts.shape[:-1])
 
     near_pts = ray.at(near_ts)
@@ -276,8 +274,7 @@ def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_fie
         inside = _in_boxes(near_pts.reshape(-1, 3), boxes).reshape(near_ts.shape)
         sigmas = np.where(inside, SUPPRESSION_SIGMA, sigmas)
         if object_field is not None and inside.any():
-            obj_colors[inside], obj_sigmas[inside] = object_field.eval(
-                near_pts[inside], np.broadcast_to(dirs, near_pts.shape)[inside])
+            obj_colors[inside], obj_sigmas[inside] = object_field.eval(near_pts[inside])
     return (obj_colors, obj_sigmas, colors, sigmas), evaluate(far_field, ray.at(far_ts))
 
 

@@ -169,7 +169,7 @@ def test_criterion_3_conservation_and_convergence():
         for seed in range(20):
             cfg = RenderConfig(near=0.02, far=3.0, n_coarse=n, seed=seed)
             s = stratified_samples(ray, cfg)
-            _, sig = blob.eval(ray.at(s.t_values), np.tile([0, 0, 1.0], (n, 1)))
+            _, sig = blob.eval(ray.at(s.t_values))
             errs.append(abs((1.0 - composite(np.zeros((n, 3)), sig, s.deltas).acc) - t_exact))
         return float(np.mean(errs))
 
@@ -192,7 +192,7 @@ def test_criterion_4_grid_round_trip():
     rgb_exact = True
     for _ in range(5):
         g = VoxelGrid4D(rng.uniform(0, 0.97, size=(16, 16, 16, 4)), CUBE)
-        out = sample_grid(GridField(g), g.bounds, g.dims, [(0, 0, 1)], 0.01)
+        out = sample_grid(GridField(g), g.bounds, g.dims)
         rgb_exact &= bool(np.array_equal(out.data[..., :3], g.data[..., :3]))
         worst_alpha = max(worst_alpha, float(np.abs(out.data[..., 3] - g.data[..., 3]).max()))
     ok = rgb_exact and worst_alpha <= 1e-9

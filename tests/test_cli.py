@@ -114,31 +114,6 @@ class TestVoxelizeRender:
         assert run("render", "--scene", scene, "--out", tmp_path / "img",
                    "--seed", "-1") == 0
 
-    def test_voxelize_with_camera_directions(self, tmp_path):
-        # two cameras looking along +x and -x: a direction-dependent field
-        # averages to 0.5 (checked at the library level in test_gridsample;
-        # here the flag wiring and determinism)
-        rot_posx = [0, 0, 1, -1, 0, 0, 0, -1, 0]
-        rot_negx = [0, 0, -1, 1, 0, 0, 0, -1, 0]
-        cams = {"cameras": [
-            {"rotation": rot_posx, "translation": [-2, 0, 0]},
-            {"rotation": rot_negx, "translation": [2, 0, 0]},
-        ]}
-        (tmp_path / "cams.json").write_text(json.dumps(cams))
-        out = tmp_path / "g.nfvg"
-        assert run("voxelize", "--field", "gaussian", "--dims", "4",
-                   "--cameras", tmp_path / "cams.json", "--out", out) == 0
-        assert io.read_nfvg(out).dims == (4, 4, 4)
-
-    def test_voxelize_empty_camera_list(self, tmp_path, capsys):
-        (tmp_path / "cams.json").write_text(json.dumps({"cameras": []}))
-        out = tmp_path / "g.nfvg"
-        assert run("voxelize", "--field", "gaussian", "--dims", "4",
-                   "--cameras", tmp_path / "cams.json", "--out", out) == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "domain" and "directions" in err["message"]
-        assert not out.exists()
-
 
 class TestBudgets:
     """Inputs whose arrays would exceed a budget exit 3 before any of those
@@ -222,6 +197,24 @@ class TestBudgets:
                    "--out", tmp_path / "a.nfvg") == 0
         assert run("voxelize", "--field", "gaussian", "--dims", "4,5,5",
                    "--out", tmp_path / "b.nfvg") == 3
+
+    def test_semmap_map_budget(self, tmp_path, capsys, monkeypatch):
+        self._refuse_calls(monkeypatch, "build_semantic_map")
+        argv = TestNonFiniteFlags.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+        out = tmp_path / "map.nfvg"
+        assert run(*argv, "--half-extent", "100000", "--classes", "1000", "--out", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "domain" and err["type"] == "RadiantError"
+        assert "--half-extent 100000" in err["message"] and "--classes 1000" in err["message"]
+        assert not out.exists()
+
+    def test_semmap_budget_edge(self, tmp_path, monkeypatch):
+        import radiant.cli
+
+        argv = TestNonFiniteFlags.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+        monkeypatch.setattr(radiant.cli, "MAX_GRID_VALUES", 80 * 80 * 2)
+        assert run(*argv, "--classes", "2", "--out", tmp_path / "a.nfvg") == 0
+        assert run(*argv, "--classes", "3", "--out", tmp_path / "b.nfvg") == 3
 
 
 class TestPeakMemory:
@@ -390,6 +383,39 @@ class TestMask:
         assert neg["masked_indices"] == top["masked_indices"]
 
 
+class TestSameFileOutputs:
+    """Two output flags of one command that name the same file exit 2,
+    naming both flags, before anything is written, with or without --force."""
+
+    @staticmethod
+    def _argv(tmp_path, command, first, second):
+        if command == "extract-surface":
+            return ("extract-surface", "--shape", "sphere", "--lod-end", "4",
+                    "--out", first, "--stats", second)
+        run("voxelize", "--field", "sphere", "--dims", "4", "--out", tmp_path / "g.nfvg")
+        return ("mask", "--grid", tmp_path / "g.nfvg", "--out", first, "--mask-out", second)
+
+    FLAGS = {"extract-surface": "--out and --stats", "mask": "--out and --mask-out"}
+
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_refused_before_writing(self, tmp_path, capsys, command, force):
+        out = tmp_path / "a.out"
+        if force:
+            out.write_text("kept")
+        # a second spelling of the same path
+        argv = self._argv(tmp_path, command, out, tmp_path / "sub" / ".." / "a.out")
+        (tmp_path / "sub").mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv, *(["--force"] if force else [])) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "io" and err["type"] == "OSError"
+        assert f"{self.FLAGS[command]} name the same file" in err["message"]
+        assert sorted(tmp_path.iterdir()) == before
+        assert not force or out.read_text() == "kept"
+
+
 class TestMalformedJson:
     def test_top_level_list_is_format_error(self, tmp_path, capsys):
         (tmp_path / "t.json").write_text("[1, 2, 3]")
@@ -460,22 +486,6 @@ class TestMalformedJson:
         assert str(field) in err["message"] and names in err["message"]
         assert not (tmp_path / "g.nfvg").exists()
 
-
-    @pytest.mark.parametrize("doc,key", [
-        ({"views": []}, "cameras"),
-        ({"cameras": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}, "translation"),
-        ({"cameras": [{"translation": [0, 0, 0]}]}, "rotation"),
-    ])
-    def test_voxelize_cameras_missing_key(self, tmp_path, capsys, doc, key):
-        cams = tmp_path / "cams.json"
-        cams.write_text(json.dumps(doc))
-        assert run("voxelize", "--field", "gaussian", "--dims", "4",
-                   "--cameras", cams, "--out", tmp_path / "g.nfvg") == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["type"] == "FileFormatError"
-        assert str(cams) in err["message"] and repr(key) in err["message"]
-        assert not (tmp_path / "g.nfvg").exists()
-
     @pytest.mark.parametrize("drop", ["fx", "height"])
     def test_semmap_intrinsics_missing_key(self, tmp_path, capsys, drop):
         k = {"fx": 10, "fy": 10, "cx": 2, "cy": 2, "width": 4, "height": 4}
@@ -520,13 +530,6 @@ class TestNanRotation:
         (tmp_path / "scene.json").write_text(json.dumps(doc))
         assert run("render", "--scene", tmp_path / "scene.json",
                    "--out", tmp_path / "img") == 3
-        self.assert_domain_error(capsys)
-
-    def test_voxelize_camera_pose(self, tmp_path, capsys):
-        cams = {"cameras": [{"rotation": NAN_ROTATION, "translation": [0, 0, 0]}]}
-        (tmp_path / "cams.json").write_text(json.dumps(cams))
-        assert run("voxelize", "--field", "gaussian", "--dims", "4", "--cameras",
-                   tmp_path / "cams.json", "--out", tmp_path / "g.nfvg") == 3
         self.assert_domain_error(capsys)
 
 
@@ -574,6 +577,19 @@ class TestEvalCommands:
                    "--gt", tmp_path / "gt.json", "--out", out) == 0
         report = json.loads(out.read_text())
         assert report["mIoU"] == report["mAcc"] == report["Acc"] == 1.0
+
+    def test_eval_voxels_counts_present_classes_only(self, tmp_path):
+        # ten million classes used to allocate a 10^14-entry confusion matrix
+        reports = []
+        for n_classes in (3, 10**7):
+            base = tmp_path / str(n_classes)
+            base.mkdir()
+            argv = _label_docs(base, 2.0, n_classes)
+            assert run(*argv) == 0
+            reports.append(json.loads(argv[-1].read_text()))
+        assert reports[0] == reports[1]
+        # class 0 only is present: 7 of its 8 voxels predicted, none predicted wrongly as 0
+        assert reports[0]["mIoU"] == reports[0]["mAcc"] == reports[0]["Acc"] == 7 / 8
 
     def test_eval_nav(self, tmp_path):
         traj = {"trajectory": {
@@ -982,11 +998,9 @@ class TestNonFiniteFlags:
                 "--classes", "2"]
 
     @pytest.mark.parametrize("argv,words", [
-        (["voxelize", "--field", "sphere", "--dims", "4", "--delta", "nan"], "delta"),
-        (["voxelize", "--field", "sphere", "--dims", "4", "--delta", "inf"], "delta"),
         (["bench-octree", "--band", "nan"], "band"),
         (["bench-octree", "--band", "inf"], "band"),
-    ], ids=["delta-nan", "delta-inf", "band-nan", "band-inf"])
+    ], ids=["band-nan", "band-inf"])
     def test_voxelize_and_bench_octree(self, tmp_path, capsys, argv, words):
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 3
@@ -1236,14 +1250,6 @@ class TestFiniteNumbers:
         assert "trajectory" in assert_format_error(capsys, pred, key)
         assert not (tmp_path / "nav.json").exists()
 
-    def test_voxelize_camera_translation(self, tmp_path, capsys):
-        cams = tmp_path / "cams.json"
-        cams.write_text(json.dumps({"cameras": [{"rotation": EYE, "translation": [0, NAN, 0]}]}))
-        assert run("voxelize", "--field", "gaussian", "--dims", "4", "--cameras", cams,
-                   "--out", tmp_path / "g.nfvg") == 3
-        assert_format_error(capsys, cams, "translation")
-        assert not (tmp_path / "g.nfvg").exists()
-
     def test_scene_camera_translation(self, tmp_path, capsys):
         doc = scene_doc()
         doc["cameras"][0]["pose"]["translation"] = [0, 0, -INF]
@@ -1273,8 +1279,9 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
 
-def _label_docs(tmp_path, value):
-    """eval-voxels inputs whose prediction grid holds one label `value`."""
+def _label_docs(tmp_path, value, n_classes=3):
+    """eval-voxels inputs whose prediction grid holds one label `value` among
+    zeros, and whose ground truth is all zeros."""
     from radiant.core_math import Aabb
     from radiant.grids import VoxelGrid4D
 
@@ -1283,7 +1290,7 @@ def _label_docs(tmp_path, value):
         data[0, 0, 0, 0] = label
         io.write_nfvg(tmp_path / f"{name}.nfvg", VoxelGrid4D(data, Aabb([0, 0, 0], [1, 1, 1])))
         (tmp_path / f"{name}.json").write_text(
-            json.dumps({"labels_file": f"{name}.nfvg", "n_classes": 3}))
+            json.dumps({"labels_file": f"{name}.nfvg", "n_classes": n_classes}))
     return ("eval-voxels", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "gt.json",
             "--out", tmp_path / "voxels.json")
 
@@ -1297,6 +1304,11 @@ def _bad_magic_mask(tmp_path):
 def _scene_box_without_size(tmp_path):
     (tmp_path / "scene.json").write_text(json.dumps(scene_doc(boxes=[{"center": [0, 0, 0.5]}])))
     return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
+def _huge_semmap(tmp_path):
+    argv = TestNonFiniteFlags.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+    return (*argv, "--half-extent", "100000", "--classes", "1000", "--out", tmp_path / "m.nfvg")
 
 
 def _missing_trajectory(tmp_path):
@@ -1314,6 +1326,9 @@ class TestStderrContract:
         "bad-magic": (_bad_magic_mask, 3, "BadMagic"),
         "scene-box-key": (_scene_box_without_size, 3, "FileFormatError"),
         "missing-input": (_missing_trajectory, 2, "FileNotFoundError"),
+        "semmap-over-budget": (_huge_semmap, 3, "RadiantError"),
+        # a success: nothing on stderr
+        "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1323,6 +1338,9 @@ class TestStderrContract:
                               env=child_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         lines = proc.stderr.splitlines()
+        if code == 0:
+            assert lines == [], proc.stderr
+            return
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert err == {"error": "domain" if code == 3 else "io", "type": kind,

@@ -227,16 +227,9 @@ class TestSdfNormal:
 class TestConstantField:
     def test_everywhere_constant(self):
         f = ConstantField((1, 0, 0), 0.0)
-        colors, sigmas = f.eval(np.zeros((5, 3)), np.zeros((5, 3)))
+        colors, sigmas = f.eval(np.zeros((5, 3)))
         assert np.array_equal(colors, np.tile([1, 0, 0], (5, 1)))
         assert np.array_equal(sigmas, np.zeros(5))
-
-    def test_direction_independent(self):
-        f = ConstantField((0.2, 0.4, 0.6), 3.0)
-        pts = np.random.default_rng(1).normal(size=(4, 3))
-        c1, s1 = f.eval(pts, np.tile([0, 0, 1.0], (4, 1)))
-        c2, s2 = f.eval(pts, np.tile([1.0, 0, 0], (4, 1)))
-        assert np.array_equal(c1, c2) and np.array_equal(s1, s2)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(NegativeDensity):
@@ -256,7 +249,7 @@ class TestGridField:
         c = centers[1, 2, 3]
         vals = f.interpolate(c)[0]
         assert np.abs(vals - grid.data[1, 2, 3]).max() < 1e-12
-        colors, sigmas = f.eval([c], [(0, 0, 1)])
+        colors, sigmas = f.eval([c])
         assert np.abs(colors[0] - grid.data[1, 2, 3, :3]).max() < 1e-12
         assert sigmas[0] == pytest.approx(alpha_to_sigma(grid.data[1, 2, 3, 3]))
 
@@ -270,7 +263,7 @@ class TestGridField:
     def test_outside_bounds_is_empty(self):
         rng = np.random.default_rng(3)
         f = GridField(self.make_grid(rng))
-        colors, sigmas = f.eval([(5.0, 0, 0)], [(0, 0, 1)])
+        colors, sigmas = f.eval([(5.0, 0, 0)])
         assert np.array_equal(colors, np.zeros((1, 3))) and np.array_equal(sigmas, [0.0])
 
     def test_mixed_batch_is_zero_outside_and_for_nan(self):
@@ -327,7 +320,7 @@ class TestGaussianKernel:
                                     rng.uniform(-1, 1, size=(1, 3)), [0.1, 0.2, 0.3],
                                     np.zeros((0, 3)), [[1, 0, 0], [0, 2, 0]]]
         for pts in inputs:
-            colors, sigmas = f.eval(pts, None)
+            colors, sigmas = f.eval(pts)
             want = oracle_gaussian_sigma(f, pts)
             assert sigmas.shape == want.shape and sigmas.tobytes() == want.tobytes()
             assert colors.shape == (len(np.atleast_2d(pts)), 3)
@@ -336,7 +329,7 @@ class TestGaussianKernel:
     def test_input_left_unchanged(self):
         pts = np.random.default_rng(22).uniform(-1, 1, size=(40, 3))
         before = pts.copy()
-        self.FIELDS[0].eval(pts, None)
+        self.FIELDS[0].eval(pts)
         assert np.array_equal(pts, before)
 
 
@@ -360,15 +353,13 @@ class TestPointwiseEval:
         rng = np.random.default_rng(7)
         # about half the points fall outside the grid's bounds and the ball
         pts = rng.uniform(-1.0, 1.0, (301, 3))
-        dirs = rng.normal(size=(301, 3))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        colors, sigmas = field.eval(pts, dirs)
+        colors, sigmas = field.eval(pts)
         perm = rng.permutation(len(pts))
-        p_colors, p_sigmas = field.eval(pts[perm], dirs[perm])
+        p_colors, p_sigmas = field.eval(pts[perm])
         assert p_colors.tobytes() == colors[perm].tobytes()
         assert p_sigmas.tobytes() == sigmas[perm].tobytes()
         for cut in (1, 150):
-            head, tail = field.eval(pts[:cut], dirs[:cut]), field.eval(pts[cut:], dirs[cut:])
+            head, tail = field.eval(pts[:cut]), field.eval(pts[cut:])
             assert np.concatenate([head[0], tail[0]]).tobytes() == colors.tobytes()
             assert np.concatenate([head[1], tail[1]]).tobytes() == sigmas.tobytes()
         if name == "grid":

@@ -4,23 +4,14 @@ import numpy as np
 import pytest
 
 from radiant import gridsample
-from radiant.core_math import Aabb, Pose, normalize, rotation_about
+from radiant.core_math import Aabb, Pose
 from radiant.errors import EmptyScene
 from radiant.fields import BallField, ConstantField, GaussianBlobField, GridField, RadianceField
 from radiant.grids import VoxelGrid4D
-from radiant.gridsample import AXIS_DIRECTIONS, compute_scene_bounds, resample_grid, sample_grid
+from radiant.gridsample import compute_scene_bounds, resample_grid, sample_grid
 from radiant.metrics import OrientedBox3
 
 CUBE = Aabb([-1, -1, -1], [1, 1, 1])
-
-
-class DirectionalField(RadianceField):
-    """White when viewed along +x, black along -x."""
-
-    def eval(self, pts, dirs):
-        dirs = np.atleast_2d(dirs)
-        bright = (dirs[:, 0] > 0).astype(float)
-        return np.tile(bright[:, None], (1, 3)), np.zeros(len(dirs))
 
 
 class TestSceneBounds:
@@ -64,37 +55,18 @@ class TestSceneBounds:
 class TestSampleGrid:
     def test_constant_transparent_red(self):
         field = ConstantField((1, 0, 0), 0.0)
-        g = sample_grid(field, CUBE, (4, 4, 4), AXIS_DIRECTIONS, 0.01)
+        g = sample_grid(field, CUBE, (4, 4, 4))
         assert np.array_equal(g.data[..., :3], np.tile([1.0, 0, 0], (4, 4, 4, 1)))
         assert np.array_equal(g.data[..., 3], np.zeros((4, 4, 4)))
 
     def test_constant_density_alpha(self):
         field = ConstantField((0, 0, 0), 100.0)
-        g = sample_grid(field, CUBE, (3, 3, 3), [(0, 0, 1)], 0.01)
+        g = sample_grid(field, CUBE, (3, 3, 3))
         assert np.abs(g.data[..., 3] - (1 - math.exp(-1))).max() < 1e-15
 
-    def test_direction_dependent_mean(self):
-        g = sample_grid(DirectionalField(), CUBE, (2, 2, 2), [(1, 0, 0), (-1, 0, 0)], 0.01)
-        assert np.array_equal(g.data[..., :3], np.full((2, 2, 2, 3), 0.5))
-
-    def test_direction_permutation_bit_identical(self):
-        field = DirectionalField()
-        dirs = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)]
-        a = sample_grid(field, CUBE, (3, 3, 3), dirs, 0.01)
-        b = sample_grid(field, CUBE, (3, 3, 3), dirs[::-1], 0.01)
-        assert np.array_equal(a.data, b.data)
-
-    @pytest.mark.parametrize("dirs", [[], np.zeros((0, 3)), [(0, 1)], (0, 0, 1),
-                                      np.ones((2, 3, 1))],
-                             ids=["empty-list", "zero-rows", "two-columns", "one-vector",
-                                  "three-dims"])
-    def test_direction_set_must_be_n_by_3(self, dirs):
-        with pytest.raises(ValueError, match="directions"):
-            sample_grid(ConstantField((0, 0, 0), 1.0), CUBE, (2, 2, 2), dirs, 0.01)
-
     def test_alpha_monotone_in_sigma(self):
-        lo = sample_grid(ConstantField((0, 0, 0), 5.0), CUBE, (2, 2, 2), [(0, 0, 1)], 0.01)
-        hi = sample_grid(ConstantField((0, 0, 0), 9.0), CUBE, (2, 2, 2), [(0, 0, 1)], 0.01)
+        lo = sample_grid(ConstantField((0, 0, 0), 5.0), CUBE, (2, 2, 2))
+        hi = sample_grid(ConstantField((0, 0, 0), 9.0), CUBE, (2, 2, 2))
         assert np.all(hi.data[..., 3] > lo.data[..., 3])
         assert np.all(hi.data[..., 3] < 1.0)
 
@@ -102,7 +74,7 @@ class TestSampleGrid:
         rng = np.random.default_rng(0)
         data = rng.uniform(0, 0.97, size=(16, 16, 16, 4))
         g = VoxelGrid4D(data, CUBE)
-        resampled = sample_grid(GridField(g), g.bounds, g.dims, [(0, 0, 1)], 0.01)
+        resampled = sample_grid(GridField(g), g.bounds, g.dims)
         assert np.array_equal(resampled.data[..., :3], g.data[..., :3])
         assert np.abs(resampled.data[..., 3] - g.data[..., 3]).max() < 1e-9
 
@@ -119,44 +91,25 @@ def count_evals(monkeypatch, field) -> list:
     """Points per eval call of this field, recorded while sample_grid runs."""
     calls, original = [], field.eval
 
-    def counted(pts, dirs):
+    def counted(pts):
         calls.append(len(pts))
-        return original(pts, dirs)
+        return original(pts)
 
     monkeypatch.setattr(field, "eval", counted)
     return calls
 
 
 class TestViewIndependence:
-    """Fields that ignore directions are evaluated once per chunk of voxels,
-    with the bytes of one evaluation per direction."""
+    """Radiance fields take positions only, so every field is evaluated
+    once per chunk of voxels."""
 
     @pytest.mark.parametrize("field", view_independent_fields(),
                              ids=["constant", "gaussian", "ball", "grid"])
     def test_evaluated_once_per_chunk(self, monkeypatch, field):
-        assert not field.view_dependent
         monkeypatch.setattr(gridsample, "CHUNK_VOXELS", 10)
         calls = count_evals(monkeypatch, field)
-        sample_grid(field, CUBE, (3, 3, 3), AXIS_DIRECTIONS, 0.01)
+        sample_grid(field, CUBE, (3, 3, 3))
         assert calls == [10, 10, 7]
-
-    def test_directional_field_evaluated_per_direction(self, monkeypatch):
-        field = DirectionalField()
-        assert field.view_dependent
-        monkeypatch.setattr(gridsample, "CHUNK_VOXELS", 10)
-        calls = count_evals(monkeypatch, field)
-        g = sample_grid(field, CUBE, (3, 3, 3), AXIS_DIRECTIONS, 0.01)
-        assert calls == [10] * 6 + [10] * 6 + [7] * 6
-        assert np.array_equal(g.data[..., :3], np.full((3, 3, 3, 3), 1 / 6))
-
-    @pytest.mark.parametrize("field", view_independent_fields(),
-                             ids=["constant", "gaussian", "ball", "grid"])
-    def test_same_bytes_as_per_direction_evaluation(self, monkeypatch, field):
-        dirs = np.concatenate([AXIS_DIRECTIONS, [(1.0, 2.0, 2.0)]])
-        once = sample_grid(field, CUBE, (7, 6, 5), dirs, 0.01)
-        monkeypatch.setattr(field, "view_dependent", True)
-        each = sample_grid(field, CUBE, (7, 6, 5), dirs, 0.01)
-        assert once.data.tobytes() == each.data.tobytes()
 
 
 def meshgrid_centers(grid: VoxelGrid4D) -> np.ndarray:
@@ -167,65 +120,55 @@ def meshgrid_centers(grid: VoxelGrid4D) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def strided_sample_grid(field, bounds, dims, directions, delta) -> VoxelGrid4D:
-    """sample_grid as it summed before: every center up front, and an
-    (N, 4) accumulator whose first 3 columns take the colors."""
-    directions = normalize(np.asarray(directions, dtype=np.float64))
+def strided_sample_grid(field, bounds, dims) -> VoxelGrid4D:
+    """sample_grid by its definition: one eval over every voxel center, the
+    extraction formula for alpha, and 0.0 added to every value, written into
+    the first 3 and the last column of one (N, 4) array."""
     grid = VoxelGrid4D.zeros(dims, 4, bounds)
-    centers = meshgrid_centers(grid)
-    acc = np.zeros((centers.shape[0], 4))
-    for i, d in enumerate(directions):
-        if i == 0 or field.view_dependent:
-            colors, sigmas = field.eval(centers, np.tile(d, (centers.shape[0], 1)))
-            alpha = -np.expm1(-np.asarray(sigmas, dtype=np.float64) * delta)
-        acc[:, :3] += colors
-        acc[:, 3] += alpha
-    acc /= directions.shape[0]
+    colors, sigmas = field.eval(meshgrid_centers(grid))
+    acc = np.empty((len(colors), 4))
+    acc[:, :3] = colors + 0.0
+    acc[:, 3] = -np.expm1(-np.asarray(sigmas, dtype=np.float64) * 0.01) + 0.0
     grid.data = acc.reshape(*grid.dims, 4)
     return grid
 
 
 class SignedZeroField(RadianceField):
     """-0.0 colors and sigmas for x < 0, NaN for x > 0.5, and a value that
-    depends on the point and the direction in between."""
+    depends on the point in between."""
 
-    def __init__(self, view_dependent: bool):
-        self.view_dependent = view_dependent
-
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         x = pts[:, 0]
-        colors = np.abs(pts * dirs) if self.view_dependent else np.abs(pts)
-        colors = np.where((x < 0)[:, None], -0.0, np.where((x > 0.5)[:, None], np.nan, colors))
+        colors = np.where((x < 0)[:, None], -0.0, np.where((x > 0.5)[:, None], np.nan,
+                                                          np.abs(pts)))
         sigmas = np.where(x < 0, -0.0, np.where(x > 0.5, np.nan, 40.0 * colors[:, 0]))
         return colors, sigmas
 
 
 class TestContiguousSums:
-    """sample_grid's per-chunk contiguous sums give the bytes of the (N, 4)
-    strided accumulator over every voxel center."""
+    """sample_grid's contiguous per-chunk writes give the bytes of the (N, 4)
+    strided oracle over every voxel center."""
 
-    FIELDS = {"directional": DirectionalField(),
+    FIELDS = {"constant": view_independent_fields()[0],
               "gaussian": view_independent_fields()[1],
+              "ball": view_independent_fields()[2],
               "grid": view_independent_fields()[3],
-              "signed-zero-dependent": SignedZeroField(True),
-              "signed-zero-independent": SignedZeroField(False)}
+              "signed-zero-independent": SignedZeroField()}
 
     @pytest.mark.parametrize("chunk", [1, 7, 7 * 6 * 5], ids=["1", "7", "whole"])
     @pytest.mark.parametrize("name", list(FIELDS))
     def test_bits_equal_strided_accumulator(self, monkeypatch, name, chunk):
         field = self.FIELDS[name]
         bounds = Aabb([-1.0, -0.5, -0.25], [1.0, 0.75, 1.0])
-        dirs = np.concatenate([AXIS_DIRECTIONS, [(1.0, 2.0, 2.0)]])
-        want = strided_sample_grid(field, bounds, (7, 6, 5), dirs, 0.01)
+        want = strided_sample_grid(field, bounds, (7, 6, 5))
         monkeypatch.setattr(gridsample, "CHUNK_VOXELS", chunk)
-        got = sample_grid(field, bounds, (7, 6, 5), dirs, 0.01)
+        got = sample_grid(field, bounds, (7, 6, 5))
         assert got.data.shape == want.data.shape
         assert got.data.tobytes() == want.data.tobytes()
         if name.startswith("signed-zero"):
-            # -0.0 values sum to +0.0 from the zero start; NaN stays NaN
-            alpha = got.data[..., 3]
-            assert np.isnan(alpha).any() and (alpha == 0).any()
-            assert not np.signbit(alpha[alpha == 0]).any()
+            # -0.0 values are stored as +0.0; NaN stays NaN
+            assert np.isnan(got.data).any() and (got.data == 0).any()
+            assert not np.signbit(got.data[got.data == 0]).any()
 
     def test_voxel_centers_range_bits_equal_meshgrid(self):
         grid = VoxelGrid4D.zeros((7, 6, 5), 4, Aabb([-1.0, -0.5, -0.25], [1.0, 0.75, 1.0]))

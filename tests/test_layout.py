@@ -1,12 +1,16 @@
 """Checks over the layout of the package source."""
 
+import argparse
 import ast
 import dataclasses
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import radiant
+from radiant.cli import build_parser
 from radiant.octree import LodConfig
 from radiant.projmaps import SemanticMapConfig
 from radiant.render import RenderConfig
@@ -40,3 +44,16 @@ def test_cli_sets_every_config_field(config):
               for kw in node.keywords}
     fields = {f.name for f in dataclasses.fields(config)}
     assert fields <= passed, f"{config.__name__} fields cli.py never sets: {fields - passed}"
+
+
+def test_cli_reads_every_flag():
+    """A flag whose subcommand function never reads args.<dest> is accepted
+    and then ignored."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
+                   if action.dest != "help"
+                   and not re.search(rf"\bargs\.{action.dest}\b", source)]
+    assert not unread, f"flags their subcommand never reads: {unread}"

@@ -520,6 +520,24 @@ class TestVoxelLabels:
         m_iou, m_acc, acc = voxel_label_metrics(pred, gt, 5)
         assert (m_iou, m_acc, acc) == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("offset,n_classes", [(0, 40), (0, 65), (10**12, 10**12 + 40)],
+                             ids=["per-class", "ranks", "huge-labels"])
+    def test_counts_match_per_class_oracle(self, offset, n_classes):
+        # more classes than the 64 voxels are counted by label rank; the
+        # report must not depend on n_classes or on where the labels sit
+        rng = np.random.default_rng(23)
+        gt = rng.integers(0, 30, size=(4, 4, 4))
+        pred = np.where(rng.random(gt.shape) < 0.6, gt, rng.integers(0, 40, gt.shape))
+        ious, accs = [], []
+        for c in np.unique(gt):
+            tp = np.sum((pred == c) & (gt == c))
+            ious.append(tp / (np.sum(gt == c) + np.sum(pred == c) - tp))
+            accs.append(tp / np.sum(gt == c))
+        want = (np.mean(ious), np.mean(accs), np.mean(pred == gt))
+        got = voxel_label_metrics(pred + offset, gt + offset, n_classes)
+        assert got == pytest.approx(want, abs=1e-15)
+        assert got == voxel_label_metrics(pred, gt, 40)
+
 
 class TestNavMetrics:
     def straight_path(self):

@@ -349,7 +349,7 @@ class TestQuadratureConvergence:
                 cfg = RenderConfig(near=0.02, far=3.0, n_coarse=n, seed=seed)
                 s = stratified_samples(RAY_Z, cfg)
                 pts = RAY_Z.at(s.t_values)
-                _, sig = blob.eval(pts, np.tile([0, 0, 1.0], (n, 1)))
+                _, sig = blob.eval(pts)
                 res = composite(np.zeros((n, 3)), sig, s.deltas)
                 errs.append(abs((1.0 - res.acc) - t_exact))
             return float(np.mean(errs))
@@ -380,15 +380,15 @@ def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
 
     def compose(near_ts, near_deltas, far_ts, far_deltas):
         near_pts = o + near_ts[:, None] * d
-        near_c, near_s = near_field.eval(near_pts, np.tile(d, (near_ts.size, 1)))
+        near_c, near_s = near_field.eval(near_pts)
         inside = np.zeros(near_ts.size, dtype=bool)
         for box in boxes:
             inside |= box.contains(near_pts)
         near_s = np.where(inside, SUPPRESSION_SIGMA, near_s)
         obj_c, obj_s = np.zeros((0, 3)), np.zeros(0)
         if object_field is not None and inside.any():
-            obj_c, obj_s = object_field.eval(near_pts[inside], np.tile(d, (inside.sum(), 1)))
-        far_c, far_s = far_field.eval(o + far_ts[:, None] * d, np.tile(d, (far_ts.size, 1)))
+            obj_c, obj_s = object_field.eval(near_pts[inside])
+        far_c, far_s = far_field.eval(o + far_ts[:, None] * d)
         t_all = np.concatenate([near_ts[inside], near_ts, far_ts])
         ranks = np.repeat([0, 1, 2], [inside.sum(), near_ts.size, far_ts.size])
         order = np.lexsort((ranks, t_all))
@@ -489,11 +489,10 @@ def _lexsort_compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
     """The stream merge the static layout replaced, kept as its oracle:
     concatenate the object, near and far streams, lexsort each ray's samples
     by (t, stream), gather, composite, and scatter the weights back."""
-    dirs = np.atleast_2d(ray.direction)[:, None, :]
 
     def evaluate(field, pts, mask):
         colors, sigmas = np.zeros(pts.shape), np.zeros(pts.shape[:-1])
-        colors[mask], sigmas[mask] = field.eval(pts[mask], np.broadcast_to(dirs, pts.shape)[mask])
+        colors[mask], sigmas[mask] = field.eval(pts[mask])
         return colors, sigmas
 
     near_pts, far_pts = ray.at(near_ts), ray.at(far_ts)
@@ -619,9 +618,9 @@ class _Counting(RadianceField):
     def __init__(self, field):
         self.field, self.points = field, []
 
-    def eval(self, pts, dirs):
+    def eval(self, pts):
         self.points.append(np.array(pts))
-        return self.field.eval(pts, dirs)
+        return self.field.eval(pts)
 
     def count(self) -> int:
         return sum(len(p) for p in self.points)
