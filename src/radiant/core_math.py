@@ -75,9 +75,13 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def check_rotation(m, tol: float = 1e-6) -> np.ndarray:
+# how far R^T R may be from I, and det R from +1, entry by entry
+ROTATION_TOL = 1e-6
+
+
+def check_rotation(m) -> np.ndarray:
     """Validate a 3x3 matrix, or an (N, 3, 3) stack of them, as proper
-    rotations (orthonormal, det +1)."""
+    rotations (orthonormal, det +1, within ROTATION_TOL)."""
     r = np.asarray(m, dtype=np.float64)
     if r.shape[-2:] != (3, 3) or r.ndim > 3:
         raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
@@ -90,9 +94,9 @@ def check_rotation(m, tol: float = 1e-6) -> np.ndarray:
                 c * c + f * f + i * i - 1.0, a * b + d * e + g * h,
                 a * c + d * f + g * i, b * c + e * f + h * i)
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if any((abs(x) > tol).any() for x in gram):
+    if any((abs(x) > ROTATION_TOL).any() for x in gram):
         raise ValueError("matrix columns are not orthonormal")
-    if (abs(det - 1.0) > tol).any():
+    if (abs(det - 1.0) > ROTATION_TOL).any():
         raise ValueError("matrix determinant is not +1")
     return r
 
@@ -142,8 +146,9 @@ class Aabb:
         return inside
 
 
-def cube_bounds(half: float = 1.0) -> Aabb:
-    return Aabb(np.full(3, -half), np.full(3, half))
+def cube_bounds() -> Aabb:
+    """The default scene box, [-1, 1]^3."""
+    return Aabb(np.full(3, -1.0), np.full(3, 1.0))
 
 
 @dataclass

@@ -209,7 +209,7 @@ def _ply_lines(block: np.ndarray) -> np.ndarray:
 
 
 def read_ply(path) -> SurfaceSamples:
-    """Read the PLY layout written by write_ply; residuals come back as 0.
+    """Read the PLY layout written by write_ply: positions and normals.
 
     The body goes through numpy's C text parser. A malformed header or body
     raises a FileFormatError subclass naming the path."""
@@ -227,7 +227,7 @@ def read_ply(path) -> SurfaceSamples:
     if len(body) < n:
         raise TruncatedFile(f"{path}: {len(body)} of {n} vertices present")
     v = _ply_body(path, body).astype(np.float64)
-    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(n))
+    return SurfaceSamples(v[:, :3], v[:, 3:])
 
 
 def _ply_vertex_count(path, header: list[str]) -> int:

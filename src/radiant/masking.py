@@ -160,20 +160,19 @@ def recon_losses(
     pred: VoxelGrid4D,
     target: VoxelGrid4D,
     m: PatchMask,
-    alpha_floor: float = ALPHA_DELTA,
 ) -> ReconLosses:
     """Masked reconstruction losses.
 
     rgb: mean squared rgb error (over voxels and channels jointly) on masked
-    voxels whose target alpha exceeds alpha_floor; alpha: mean squared alpha
-    error over all masked voxels. An empty rgb gate yields 0, flagged via
-    rgb_voxels == 0.
+    voxels whose target alpha exceeds grids.ALPHA_DELTA; alpha: mean squared
+    alpha error over all masked voxels. An empty rgb gate yields 0, flagged
+    via rgb_voxels == 0.
     """
     pred.check_same_dims(target)
     vm = _voxel_mask(pred.dims, m)
     if not vm.any():
         return ReconLosses(0.0, 0.0, 0)
-    gate = vm & (target.data[..., 3] > alpha_floor)
+    gate = vm & (target.data[..., 3] > ALPHA_DELTA)
     n_rgb = int(np.count_nonzero(gate))
     if n_rgb:
         diff = pred.data[gate][:, :3] - target.data[gate][:, :3]

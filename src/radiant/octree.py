@@ -60,20 +60,19 @@ class LodConfig:
 
 @dataclass
 class SurfaceSamples:
-    """Extracted surface points as parallel float64 arrays: positions (N,3),
-    unit normals (N,3) and the SDF values left after projection (N,).
-    len() is N."""
+    """Extracted surface points as parallel float64 arrays: positions (N,3)
+    and unit normals (N,3), what a PLY holds. len() is N. The SDF left at
+    the samples is f.eval(samples.positions)."""
 
     positions: np.ndarray
     normals: np.ndarray
-    residuals: np.ndarray
 
     def __len__(self) -> int:
         return self.positions.shape[0]
 
     @classmethod
     def empty(cls) -> "SurfaceSamples":
-        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 @dataclass
@@ -90,9 +89,9 @@ class ExtractionStats:
     dropped_points: int = 0
 
 
-def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(positions (N,3), normals (N,3), residuals (N,)) of a sample record."""
-    return samples.positions, samples.normals, samples.residuals
+def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray]:
+    """(positions (N,3), normals (N,3)) of a sample record."""
+    return samples.positions, samples.normals
 
 
 # child c of cell i is cell 2i + _CHILDREN[c]: x varies fastest, so the
@@ -112,7 +111,7 @@ def project_to_surface(
     is f.eval(points) already computed (the traversal's final-level values):
     the step uses it instead of evaluating again. The step costs 7 SDF evals
     per point (the value and six gradient taps), 6 with values, and the
-    residual and normal of the result 7 more; the evals made are added to
+    normal of the result 6 more; the evals made are added to
     stats.projection_evals.
     The points are projected BLOCK_POINTS at a time, in order; each point's
     result does not depend on the block it falls in.
@@ -125,7 +124,7 @@ def project_to_surface(
     # each block's results are written into the output arrays at once, so
     # the blocks are never held beside a joined copy
     n = pts.shape[0]
-    out = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
+    out = (np.empty((n, 3)), np.empty((n, 3)))
     filled = 0
     for lo in range(0, n, BLOCK_POINTS):
         block = _project_block(f, pts[lo:lo + BLOCK_POINTS], h, stats,
@@ -139,7 +138,7 @@ def project_to_surface(
 
 def _project_block(f, pts, h, stats, s):
     """project_to_surface on one block of points, s their SDF values or None:
-    (positions, normals, residuals) of the points it keeps."""
+    (positions, normals) of the points it keeps."""
     evals = 6 * pts.shape[0]
     if s is None:
         s = f.eval(pts)
@@ -147,12 +146,9 @@ def _project_block(f, pts, h, stats, s):
     normals, ok = sdf_gradients(f, pts, h)
     pts = pts[ok] - normals[ok] * s[ok, None]
     if stats is not None:
-        stats.projection_evals += evals + 7 * pts.shape[0]
-    if pts.shape[0] == 0:
-        return samples_to_arrays(SurfaceSamples.empty())
-    residual = f.eval(pts)
+        stats.projection_evals += evals + 6 * pts.shape[0]
     normals, ok = sdf_gradients(f, pts, h)
-    return pts[ok], normals[ok], residual[ok]
+    return pts[ok], normals[ok]
 
 
 def _check_level_cells(level: int, n: int) -> None:

@@ -54,10 +54,6 @@ class SemanticMap:
                 f"occupancy {self.occupancy.shape} does not match half extent {r}"
             )
 
-    @property
-    def classes(self) -> int:
-        return self.occupancy.shape[2]
-
 
 def build_semantic_map(
     depth: np.ndarray,

@@ -82,8 +82,8 @@ def test_criterion_1_octree_dense_equivalence():
     for field in (SPHERE, BOX):
         oct_samples, _ = extract_surface(field, LodConfig(3, 6))
         den_samples = dense_extract(field, 64, 0.03)
-        oct_pos, _, _ = samples_to_arrays(oct_samples)
-        den_pos, _, _ = samples_to_arrays(den_samples)
+        oct_pos, _ = samples_to_arrays(oct_samples)
+        den_pos, _ = samples_to_arrays(den_samples)
         worst_chamfer = max(worst_chamfer, chamfer(oct_pos, den_pos))
         worst_resid = max(
             worst_resid,

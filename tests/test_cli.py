@@ -294,8 +294,8 @@ class TestExtractSurface:
                               "projection_evals", "surface_points", "wall_time",
                               "no_surface", "dropped_points"}
         # one projection step (six gradient taps: its value is the traversal's)
-        # plus the final residual and normal (7 evals), 13 evals a point
-        assert stats["projection_evals"] == 13 * stats["surface_points"]
+        # plus the final normal (six taps), 6 + 6 = 12 evals a point
+        assert stats["projection_evals"] == 12 * stats["surface_points"]
 
     # the PLY of `extract-surface --shape union --lod-end 7`, pinned by hash
     # (its stats sidecar holds a wall time): a change to traversal,

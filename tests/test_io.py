@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -176,13 +177,13 @@ class TestPly:
         nrm = rng.normal(size=(n, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         nrm = nrm.astype(np.float32).astype(np.float64)
-        return SurfaceSamples(pos, nrm, np.zeros(n))
+        return SurfaceSamples(pos, nrm)
 
     def edge_samples(self, rng):
         vals = np.array(EDGE_VALUES * 6)
         rng.shuffle(vals)
         vals = vals[: len(vals) // 6 * 6].reshape(-1, 6)
-        return SurfaceSamples(vals[:, :3], vals[:, 3:], np.zeros(len(vals)))
+        return SurfaceSamples(vals[:, :3], vals[:, 3:])
 
     def test_round_trip(self, tmp_path):
         samples = self.samples(np.random.default_rng(0))
@@ -192,7 +193,7 @@ class TestPly:
         assert len(back) == len(samples)
         assert np.array_equal(back.positions, samples.positions)
         assert np.array_equal(back.normals, samples.normals)
-        assert np.array_equal(back.residuals, np.zeros(len(samples)))
+        assert vars(back).keys() == {"positions", "normals"}
 
     def test_file_level_round_trip(self, tmp_path):
         samples = self.samples(np.random.default_rng(1))
@@ -231,7 +232,7 @@ class TestPly:
         the edge values, and an empty cloud."""
         rng = np.random.default_rng(7)
         out = [SurfaceSamples(rng.normal(scale=10.0 ** rng.integers(-8, 9), size=(n, 3)),
-                              rng.normal(size=(n, 3)), rng.normal(size=n))
+                              rng.normal(size=(n, 3)))
                for n in (1, 2, 17, 500, 2000)]
         out += [self.edge_samples(np.random.default_rng(i)) for i in range(3)]
         out.append(SurfaceSamples.empty())
@@ -268,7 +269,7 @@ class TestPly:
             assert back.positions.tobytes() == pos.tobytes(), i
             assert back.normals.tobytes() == nrm.tobytes(), i
             assert back.positions.dtype == back.normals.dtype == np.float64
-            assert np.array_equal(back.residuals, np.zeros(len(s)))
+            assert vars(back).keys() == {"positions", "normals"}
 
     def test_edge_values_survive(self, tmp_path):
         s = self.edge_samples(np.random.default_rng(0))
@@ -356,12 +357,76 @@ class TestPly:
             assert np.array_equal(back.positions, pos) and np.array_equal(back.normals, nrm)
 
 
+# a valid two-vertex PLY as write_ply lays it out
+PLY_BYTES = (io._PLY_HEADER.format(2)
+             + "0.5 -0.00100000005 2 0 0.600000024 0.800000012\n"
+             + "-0 9.99999935e-39 123456.703 -1 0 0\n").encode()
+PLY_JUNK = st.one_of(st.binary(min_size=1, max_size=8),
+                     st.sampled_from([b"\n", b"\r\n", b" ", b"-", b"\x00", b"1e39", b"nan",
+                                      b"99999999999999999999", b"element vertex 1\n"]))
+
+
+@st.composite
+def mutated_ply(draw):
+    """PLY_BYTES with 1-3 edits: a truncation, a byte flip, an insertion or
+    appended junk."""
+    raw = PLY_BYTES
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "flip", "insert", "append"]))
+        at = draw(st.integers(0, max(len(raw) - 1, 0)))
+        if kind == "truncate":
+            raw = raw[:at]
+        elif kind == "flip" and raw:
+            raw = raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+        elif kind == "insert":
+            raw = raw[:at] + draw(PLY_JUNK) + raw[at:]
+        else:
+            raw += draw(PLY_JUNK)
+    return raw
+
+
+def header_vertex_count(raw: bytes) -> int:
+    """The vertex count of the last "element vertex" line before end_header."""
+    lines = raw.decode("utf-8", errors="replace").splitlines()
+    header = [line.split() for line in lines[1:lines.index("end_header")]]
+    return [int(parts[2]) for parts in header if parts[:2] == ["element", "vertex"]][-1]
+
+
+class TestPlyMutations:
+    @settings(deadline=None, max_examples=150)
+    @given(mutated_ply())
+    def test_read_or_refused_naming_the_file(self, tmp_path_factory, raw):
+        # a mutated PLY reads as a record of its header's N vertices, or is
+        # refused with a FileFormatError naming the file; nothing else, and
+        # no warning
+        p = tmp_path_factory.mktemp("ply") / "m.ply"
+        p.write_bytes(raw)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = io.read_ply(p)
+        except FileFormatError as e:
+            assert str(e).startswith(f"{p}: "), e
+            return
+        n = header_vertex_count(raw)
+        assert vars(out).keys() == {"positions", "normals"}
+        assert out.positions.shape == out.normals.shape == (n, 3)
+        assert out.positions.dtype == out.normals.dtype == np.float64
+
+    def test_unmutated_bytes_round_trip(self, tmp_path):
+        # the property starts from a PLY that write_ply would write
+        p = tmp_path / "a.ply"
+        p.write_bytes(PLY_BYTES)
+        io.write_ply(tmp_path / "b.ply", io.read_ply(p))
+        assert (tmp_path / "b.ply").read_bytes() == PLY_BYTES
+
+
 def f32_samples(vals) -> SurfaceSamples:
     """Samples holding the given values as f32, six to a vertex (the last
     vertex padded with zeros)."""
     v = np.asarray(vals, dtype=np.float32).ravel()
     v = np.concatenate([v, np.zeros(-len(v) % 6, np.float32)]).reshape(-1, 6).astype(np.float64)
-    return SurfaceSamples(v[:, :3], v[:, 3:], np.zeros(len(v)))
+    return SurfaceSamples(v[:, :3], v[:, 3:])
 
 
 def percent_ply_bytes(samples) -> bytes:
@@ -479,7 +544,7 @@ class TestPlyWriterOracle:
         centre = np.array([0.35, 0.0, 0.0])
         positions = centre + rng.uniform(-0.25, 0.25, (n, 3))
         positions[np.arange(n), axis] = centre[axis] + 0.25 * side
-        box = SurfaceSamples(positions, normals, np.zeros(n))
+        box = SurfaceSamples(positions, normals)
         union, _ = extract_surface(UnionSdf([SphereSdf((-0.35, 0, 0), 0.3),
                                              BoxSdf((0.35, 0, 0), (0.25, 0.25, 0.25))]),
                                    LodConfig(3, 6))

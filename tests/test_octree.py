@@ -49,7 +49,7 @@ class CountingSdf(SdfField):
 class TestExtractSurface:
     def test_sphere_samples_on_surface(self):
         samples, stats = extract_surface(SPHERE, LodConfig())
-        pos, nrm, res = samples_to_arrays(samples)
+        pos, nrm = samples_to_arrays(samples)
         assert len(samples) > 1000
         assert np.abs(np.linalg.norm(pos, axis=1) - 0.5).max() <= 1e-3
         assert np.abs(np.linalg.norm(nrm, axis=1) - 1.0).max() < 1e-9
@@ -59,8 +59,8 @@ class TestExtractSurface:
     def test_empty_field_flags_no_surface(self):
         samples, stats = extract_surface(FarAwaySdf(), LodConfig())
         assert len(samples) == 0
+        assert vars(samples).keys() == {"positions", "normals"}
         assert samples.positions.shape == samples.normals.shape == (0, 3)
-        assert samples.residuals.shape == (0,)
         assert stats.no_surface
 
     def test_eval_budget_on_sphere(self):
@@ -72,13 +72,13 @@ class TestExtractSurface:
     def test_deterministic(self):
         s1, _ = extract_surface(UNION, LodConfig())
         s2, _ = extract_surface(UNION, LodConfig())
-        p1, n1, _ = samples_to_arrays(s1)
-        p2, n2, _ = samples_to_arrays(s2)
+        p1, n1 = samples_to_arrays(s1)
+        p2, n2 = samples_to_arrays(s2)
         assert np.array_equal(p1, p2) and np.array_equal(n1, n2)
 
     def test_residuals_shrink(self):
         samples, _ = extract_surface(BOX, LodConfig())
-        pos, _, res = samples_to_arrays(samples)
+        res = BOX.eval(samples.positions)
         assert np.abs(res).max() <= 1e-3 * LodConfig().bounds.diagonal
 
     def test_literal_occupancy_keeps_interior(self):
@@ -111,7 +111,7 @@ class TestDenseExtract:
 
     def test_projected_points_on_sphere(self):
         samples = dense_extract(SPHERE, 64, 0.03)
-        pos, _, _ = samples_to_arrays(samples)
+        pos, _ = samples_to_arrays(samples)
         assert np.abs(np.linalg.norm(pos, axis=1) - 0.5).max() <= 1e-3
 
 
@@ -130,19 +130,20 @@ class TestProjectToSurface:
         before = np.abs(BOX.eval(pts))
         out = project_to_surface(BOX, pts)
         assert len(out) == len(pts)
-        after = np.abs(out.residuals)
+        after = np.abs(BOX.eval(out.positions))
         assert np.all(after <= before + 1e-9)
 
     def test_record_arrays(self):
         pts = np.random.default_rng(6).uniform(-0.9, 0.9, size=(40, 3))
         out = project_to_surface(BOX, pts)
         assert isinstance(out, SurfaceSamples) and len(out) == 40
+        assert vars(out).keys() == {"positions", "normals"}
         assert out.positions.shape == out.normals.shape == (40, 3)
-        assert out.residuals.shape == (40,)
         assert all(a.dtype == np.float64 for a in samples_to_arrays(out))
-        # the SDF left at each projected point, not merely a small number
-        assert np.array_equal(out.residuals, BOX.eval(out.positions))
-        assert np.count_nonzero(out.residuals) > 0
+        # one step leaves an SDF value at the samples: smaller, but not zero
+        residuals = BOX.eval(out.positions)
+        assert residuals.shape == (40,) and np.count_nonzero(residuals) > 0
+        assert np.abs(residuals).max() < np.abs(BOX.eval(pts)).max()
 
 
 def same_samples(a: SurfaceSamples, b: SurfaceSamples) -> bool:
@@ -185,7 +186,8 @@ class TestTraversalValuesReused:
         counting = CountingSdf(BOX)
         stats = ExtractionStats()
         out = project_to_surface(counting, pts, stats=stats, values=BOX.eval(pts))
-        assert stats.projection_evals == counting.points == (6 + 7) * len(out)
+        # six gradient taps for the step, six for the normal of the result
+        assert stats.projection_evals == counting.points == (6 + 6) * len(out)
         assert same_samples(out, project_to_surface(BOX, pts))
 
     def test_values_shape_checked(self):
@@ -260,8 +262,9 @@ class TestBlocks:
         monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
         stats = ExtractionStats()
         out = project_to_surface(SPHERE, np.zeros((0, 3)), stats=stats, values=np.zeros(0))
+        assert vars(out).keys() == {"positions", "normals"}
         assert out.positions.shape == out.normals.shape == (0, 3)
-        assert out.residuals.shape == (0,) and stats.projection_evals == 0
+        assert stats.projection_evals == 0
 
     @pytest.mark.parametrize("size", SIZES + [WHOLE])
     def test_vanishing_gradient_in_a_later_block(self, monkeypatch, size):
@@ -275,8 +278,10 @@ class TestBlocks:
         out = project_to_surface(SPHERE, pts, stats=stats)
         rest = np.delete(pts, 11, axis=0)
         assert same_samples(out, project_to_surface(SPHERE, rest))
-        # the dropped point costs its value and gradient taps, no residual
-        assert stats.projection_evals == 7 * len(pts) + 7 * len(rest)
+        # every point costs its value and six gradient taps for the step; the
+        # 19 kept points cost six more taps for their normals, the dropped one
+        # none
+        assert stats.projection_evals == 7 * len(pts) + 6 * len(rest)
 
 
 class TestPeakMemory:
@@ -301,8 +306,8 @@ class TestHonestStats:
         assert stats.total_sdf_evals == sum(stats.evals_per_level.values())
         assert stats.total_sdf_evals + stats.projection_evals == counting.points
         # six gradient taps per point for the step (the traversal already
-        # computed the value), then the value and six taps of the result
-        assert stats.projection_evals >= (6 + 7) * len(samples)
+        # computed the value), then six taps for the normal of the result
+        assert stats.projection_evals >= (6 + 6) * len(samples)
 
     def test_no_surface_has_no_projection(self):
         counting = CountingSdf(FarAwaySdf())
@@ -333,8 +338,8 @@ class TestOracleEquivalence:
     def test_chamfer_octree_vs_dense(self, field):
         oct_samples, stats = extract_surface(field, LodConfig(3, 6))
         dense_samples = dense_extract(field, 64, 0.03)
-        oct_pos, _, _ = samples_to_arrays(oct_samples)
-        den_pos, _, _ = samples_to_arrays(dense_samples)
+        oct_pos, _ = samples_to_arrays(oct_samples)
+        den_pos, _ = samples_to_arrays(dense_samples)
         finest_edge = 2.0 / 64
         assert chamfer(oct_pos, den_pos) <= 2 * finest_edge
 
@@ -346,7 +351,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("field", [SPHERE, BOX], ids=["sphere", "box"])
     def test_projected_residuals(self, field):
         samples, _ = extract_surface(field, LodConfig(3, 6))
-        pos, _, _ = samples_to_arrays(samples)
+        pos, _ = samples_to_arrays(samples)
         vals = np.abs(field.eval(pos))
         assert vals.max() <= 1e-3 * LodConfig().bounds.diagonal
 
