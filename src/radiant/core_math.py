@@ -135,14 +135,14 @@ class Aabb:
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.extent))
 
-    def contains(self, pts) -> np.ndarray:
-        """Whether each (..., 3) point lies in the closed box (NaN does not)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        inside = pts[..., 0] >= self.min[0]
-        inside &= pts[..., 0] <= self.max[0]
+    def contains(self, xyz) -> np.ndarray:
+        """Whether each point of the (3, ...) rows lies in the closed box (NaN does not)."""
+        xyz = np.asarray(xyz, dtype=np.float64)
+        inside = xyz[0] >= self.min[0]
+        inside &= xyz[0] <= self.max[0]
         for axis in (1, 2):
-            inside &= pts[..., axis] >= self.min[axis]
-            inside &= pts[..., axis] <= self.max[axis]
+            inside &= xyz[axis] >= self.min[axis]
+            inside &= xyz[axis] <= self.max[axis]
         return inside
 
 
@@ -216,13 +216,11 @@ class Ray:
             raise ValueError("ray direction must be unit length")
 
     def at(self, t) -> np.ndarray:
-        """Points origin + t * direction; for a packet, t's first axis
-        indexes the rays."""
-        t = np.asarray(t, dtype=np.float64)[..., None]
-        if self.origin.ndim == 1:
-            return self.origin + t * self.direction
-        shape = (-1,) + (1,) * (t.ndim - 2) + (3,)
-        return self.origin.reshape(shape) + t * self.direction.reshape(shape)
+        """Points origin + t * direction as (3, *t.shape) rows x, y, z; for
+        a packet, t's first axis indexes the rays."""
+        t = np.asarray(t, dtype=np.float64)
+        shape = (3,) + (-1,) * (self.origin.ndim - 1) + (1,) * (t.ndim - self.origin.ndim + 1)
+        return self.origin.T.reshape(shape) + t * self.direction.T.reshape(shape)
 
 
 def project_points(k: Intrinsics, pose: Pose, pts) -> tuple[np.ndarray, np.ndarray]:

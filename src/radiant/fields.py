@@ -1,10 +1,10 @@
 """Field abstractions: signed distance fields and radiance fields.
 
 Analytic shapes stand in for learned SDF networks so that extraction and
-rendering can be checked against exact surfaces. All eval methods are
-vectorized over a leading batch of points; a radiance field is a function
-of position only, with no view-direction input. JSON specs are read into
-these classes by io.field_from_spec and io.make_analytic_sdf.
+rendering can be checked against exact surfaces. An SDF evaluates (..., 3)
+points, a radiance field (3, ...) coordinate rows, with no view-direction
+input. JSON specs are read into these classes by io.field_from_spec and
+io.make_analytic_sdf.
 """
 
 from __future__ import annotations
@@ -157,13 +157,18 @@ class RadianceField:
     """Emission/absorption field: eval maps points to (rgb in [0,1]^3,
     density sigma >= 0).
 
-    eval is pointwise: row i of its output depends only on row i of pts,
-    bit for bit, whatever else is in the batch. The renderer relies on it
-    to reuse the coarse pass's values in the fine pass."""
+    eval is pointwise: a point's output depends only on that point, bit
+    for bit, whatever else is in the batch. The renderer relies on it to
+    reuse the coarse pass's values in the fine pass."""
 
-    def eval(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """pts of shape (N, 3) -> (colors (N, 3), sigmas (N,))."""
+    def eval(self, xyz) -> tuple[np.ndarray, np.ndarray]:
+        """xyz of shape (3, ...) -> (colors (3, ...), sigmas (...))."""
         raise NotImplementedError
+
+
+def _color_rows(color: np.ndarray, shape: tuple) -> np.ndarray:
+    """One color at every point of `shape`: a read-only (3, *shape) broadcast."""
+    return np.broadcast_to(color.reshape((3,) + (1,) * len(shape)), (3,) + shape)
 
 
 @dataclass
@@ -178,9 +183,9 @@ class ConstantField(RadianceField):
         if np.any(self.color < 0) or np.any(self.color > 1):
             raise ValueError("color components must lie in [0, 1]")
 
-    def eval(self, pts):
-        n = np.atleast_2d(pts).shape[0]
-        return np.tile(self.color, (n, 1)), np.full(n, float(self.sigma))
+    def eval(self, xyz):
+        shape = np.shape(xyz)[1:]
+        return _color_rows(self.color, shape), np.full(shape, float(self.sigma))
 
 
 @dataclass
@@ -200,8 +205,8 @@ class GaussianBlobField(RadianceField):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def eval(self, pts):
-        (x, y, z), _ = _columns(np.atleast_2d(pts), self.center)
+    def eval(self, xyz):
+        (x, y, z), shape = _columns(np.moveaxis(xyz, 0, -1), self.center)
         x *= x
         y *= y
         x += y
@@ -211,7 +216,7 @@ class GaussianBlobField(RadianceField):
         x /= 2.0 * self.scale**2
         np.exp(x, out=x)
         x *= self.amplitude
-        return np.tile(self.color, (len(x), 1)), x
+        return _color_rows(self.color, shape), x.reshape(shape)
 
 
 @dataclass
@@ -231,10 +236,10 @@ class BallField(RadianceField):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def eval(self, pts):
-        pts = np.atleast_2d(pts)
+    def eval(self, xyz):
+        pts = np.moveaxis(np.asarray(xyz, dtype=np.float64), 0, -1)
         inside = np.linalg.norm(pts - self.center, axis=-1) <= self.radius
-        return np.tile(self.color, (pts.shape[0], 1)), np.where(inside, self.sigma, 0.0)
+        return _color_rows(self.color, inside.shape), np.where(inside, self.sigma, 0.0)
 
 
 class GridField(RadianceField):
@@ -252,16 +257,21 @@ class GridField(RadianceField):
         self.grid = grid
         self.bounds = grid.bounds
 
-    def interpolate(self, pts) -> np.ndarray:
-        """Raw trilinear channel values; zeros outside the bounds."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        out = np.zeros((pts.shape[0], self.grid.channels))
-        inside = self.bounds.contains(pts)
-        if inside.any():
-            coords = self.grid.world_to_grid(pts[inside])
-            out[inside] = trilinear(self.grid.data, coords)
+    def interpolate(self, xyz) -> np.ndarray:
+        """Raw trilinear (C, ...) channel values; zeros outside the bounds."""
+        xyz = np.asarray(xyz, dtype=np.float64)
+        inside = self.bounds.contains(xyz)
+        every = inside.all()  # as a render's near samples are: skip the gather and scatter
+        pts = xyz.reshape(3, -1) if every else xyz[:, inside]
+        # continuous voxel-center coordinates: centers land on integers
+        coords = (pts - self.bounds.min[:, None]) / self.grid.cell_size[:, None] - 0.5
+        vals = trilinear(self.grid.data, coords)
+        if every:
+            return vals.reshape(vals.shape[:1] + xyz.shape[1:])
+        out = np.zeros((self.grid.channels,) + xyz.shape[1:])
+        out[:, inside] = vals
         return out
 
-    def eval(self, pts):
-        vals = self.interpolate(pts)
-        return vals[:, :3], alpha_to_sigma(vals[:, 3])
+    def eval(self, xyz):
+        vals = self.interpolate(xyz)
+        return vals[:3], alpha_to_sigma(vals[3])

@@ -67,44 +67,39 @@ class VoxelGrid4D:
         out[..., 2] = lo[2] + (np.arange(z) + 0.5) * cell[2]
         return out.reshape(-1, 3)[start - x0 * plane:stop - x0 * plane]
 
-    def world_to_grid(self, pts) -> np.ndarray:
-        """Continuous voxel-center coordinates: centers land on integers."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return (pts - self.bounds.min) / self.cell_size - 0.5
-
     def check_same_dims(self, other: "VoxelGrid4D"):
         if self.data.shape != other.data.shape:
             raise DimsMismatch(f"{self.data.shape} vs {other.data.shape}")
 
 
 def trilinear(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of (X, Y, Z, C) data at continuous (N, 3)
-    coords, as an (N, C) array.
+    """Trilinear interpolation of (X, Y, Z, C) data at the continuous
+    (3, N) coordinate rows, as a (C, N) array.
 
     Coordinates are in voxel-index space (integers hit stored values) and are
     clamped to the valid range, so queries between a boundary and the nearest
     center reuse the edge value. Coordinates within 1e-9 of an integer snap
     to it, which keeps voxel-center queries exact despite the world-to-grid
-    division. Points are interpolated TRILINEAR_BLOCK at a time into a
-    (C, N) array; each point's result is independent of the blocking.
+    division. Points are interpolated TRILINEAR_BLOCK at a time; each point's
+    result is independent of the blocking.
     """
     coords = np.asarray(coords, dtype=np.float64)
     flat = data.reshape(-1, data.shape[-1])
-    out = np.empty((flat.shape[1], coords.shape[0]))
-    for lo in range(0, coords.shape[0], TRILINEAR_BLOCK):
+    out = np.empty((flat.shape[1], coords.shape[1]))
+    for lo in range(0, coords.shape[1], TRILINEAR_BLOCK):
         hi = lo + TRILINEAR_BLOCK
-        _trilinear_block(flat, data.shape[:3], coords[lo:hi], out[:, lo:hi])
-    return out.T
+        _trilinear_block(flat, data.shape[:3], coords[:, lo:hi], out[:, lo:hi])
+    return out
 
 
 def _trilinear_block(flat, dims, coords, out) -> None:
-    """Interpolate the rows of the (X*Y*Z, C) view `flat` at (n, 3) coords
-    into the (C, n) array `out`, axis by axis on contiguous (n,) rows."""
+    """Interpolate the rows of the (X*Y*Z, C) view `flat` at (3, n) coords
+    into the (C, n) array `out`, axis by axis on (n,) rows."""
     strides = (dims[1] * dims[2], dims[2], 1)
-    base = np.zeros(coords.shape[0], dtype=np.int64)  # the lower corner's row
+    base = np.zeros(coords.shape[1], dtype=np.int64)  # the lower corner's row
     weights = []
     for axis, (size, stride) in enumerate(zip(dims, strides)):
-        i0, f = _axis_prep(coords[:, axis], size)
+        i0, f = _axis_prep(coords[axis], size)
         i0 *= stride
         base += i0
         weights.append((1 - f, f))
@@ -134,12 +129,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndar
     return a
 
 
-def _axis_prep(col: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower corner index and fraction of coordinates `col` along an axis of
+def _axis_prep(row: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner index and fraction of coordinates `row` along an axis of
     `size` values: clipped, snapped within 1e-9 of an integer, and the index
     clamped so that index + 1 stays in range (an exact upper edge gets
     fraction 1). A degenerate axis has only index 0 and fraction 0."""
-    c = np.clip(col, 0.0, size - 1.0)  # a contiguous copy of the column
+    c = np.clip(row, 0.0, size - 1.0)  # a contiguous copy
     snapped = np.rint(c)
     gap = c - snapped
     np.abs(gap, out=gap)

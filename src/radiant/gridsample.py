@@ -59,9 +59,9 @@ def sample_grid(field: RadianceField, bounds: Aabb, dims) -> VoxelGrid4D:
     out = grid.data.reshape(-1, 4)
     for lo in range(0, out.shape[0], CHUNK_VOXELS):
         hi = min(lo + CHUNK_VOXELS, out.shape[0])
-        colors, sigmas = field.eval(grid.voxel_centers(lo, hi))
+        colors, sigmas = field.eval(grid.voxel_centers(lo, hi).T)
         alpha = sigma_to_alpha(np.asarray(sigmas, dtype=np.float64), ALPHA_DELTA)
-        np.add(colors, 0.0, out=out[lo:hi, :3])
+        np.add(colors, 0.0, out=out[lo:hi, :3].T)
         np.add(alpha, 0.0, out=out[lo:hi, 3])
     return grid
 
@@ -77,7 +77,6 @@ def resample_grid(g: VoxelGrid4D, new_dims) -> VoxelGrid4D:
         np.linspace(0.0, old[i] - 1.0, new_dims[i]) if old[i] > 1 else np.zeros(new_dims[i])
         for i in range(3)
     ]
-    cx, cy, cz = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([cx, cy, cz], axis=-1).reshape(-1, 3)
-    data = trilinear(g.data, coords).reshape(*new_dims, g.channels)
+    coords = np.reshape(np.meshgrid(*axes, indexing="ij"), (3, -1))
+    data = np.ascontiguousarray(trilinear(g.data, coords).T).reshape(*new_dims, g.channels)
     return VoxelGrid4D(data, g.bounds)

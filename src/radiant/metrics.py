@@ -100,20 +100,15 @@ class OrientedBox3:
         top = np.column_stack([xy, np.full(4, z1)])
         return np.vstack([bottom, top])
 
-    def contains(self, pts) -> np.ndarray:
-        """Mask of the (..., 3) points inside the box, of shape pts.shape[:-1]
-        (a single (3,) point gives shape (1,))."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        d = pts - self.center
+    def contains(self, xyz) -> np.ndarray:
+        """Mask of the points of the (3, ...) rows inside the box, faces included."""
+        dx, dy, dz = (np.asarray(xyz, dtype=np.float64).T - self.center).T
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        lx = c * d[..., 0] + s * d[..., 1]
-        ly = -s * d[..., 0] + c * d[..., 1]
         half = self.size / 2.0
-        return (
-            (np.abs(lx) <= half[0])
-            & (np.abs(ly) <= half[1])
-            & (np.abs(d[..., 2]) <= half[2])
-        )
+        inside = np.abs(c * dx + s * dy) <= half[0]
+        inside &= np.abs(-s * dx + c * dy) <= half[1]
+        inside &= np.abs(dz) <= half[2]
+        return inside
 
 
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])

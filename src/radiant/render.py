@@ -12,8 +12,8 @@ follows, composited in one pass; with no boxes, editing reproduces plain
 near/far rendering bit for bit.
 
 render_full is the one renderer. It takes one ray or a packet of R rays (a
-Ray with (R, 3) arrays) and works on (R, S) sample arrays with the same
-layout for every ray, so a ray renders the same bit for bit in any packet.
+Ray with (R, 3) arrays) and lays out every ray alike, in (R, S) samples,
+(3, R, S) points and (S, 3, R) colors, so a ray renders the same bits in any packet.
 Each sample is evaluated once: the fine pass evaluates only its new near
 and far draws and merges them by depth with the coarse pass's values,
 which, as field evals are pointwise, are the bits a fresh evaluation gives.
@@ -102,8 +102,9 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
     Negative densities (pruned samples) are clamped to zero here.
 
     One ray passes colors (S, 3) and sigmas, deltas (S,) and gets a (3,)
-    color and a float acc; a packet of R rays passes (R, S, 3) and (R, S)
-    and gets (R, 3) colors, (R,) acc and (R, S) weights, row by row.
+    color and a float acc; a packet of R rays passes (S, 3, R) colors and
+    (R, S) sigmas and deltas, and gets (R, 3) colors, (R,) acc and (R, S)
+    weights. Both sum colors sample after sample: a ray's bits in any packet.
     """
     colors = np.asarray(colors, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
@@ -111,14 +112,15 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
     if sigmas.ndim < 2:
         sigmas, deltas = sigmas.ravel(), deltas.ravel()
         colors = np.zeros((0, 3)) if colors.size == sigmas.size == 0 else np.atleast_2d(colors)
-    if not (colors.shape[:-1] == sigmas.shape == deltas.shape):
+    if not (colors.shape == (sigmas.shape[-1], 3) + sigmas.shape[:-1]
+            and sigmas.shape == deltas.shape):
         raise LengthMismatch(
             f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/{deltas.shape}"
         )
     weights = _weights(sigmas, deltas)
     acc = weights.sum(axis=-1)
-    return CompositeResult(color=np.sum(weights[..., None] * colors, axis=-2),
-                           acc=float(acc) if acc.ndim == 0 else acc, weights=weights)
+    color = np.add.reduce(colors * weights.T[:, None], axis=0).T
+    return CompositeResult(color, float(acc) if acc.ndim == 0 else acc, weights)
 
 
 def _weights(sigmas, deltas) -> np.ndarray:
@@ -130,10 +132,13 @@ def _weights(sigmas, deltas) -> np.ndarray:
     return alpha * trans
 
 
-def _in_boxes(pts: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
-    """Mask of the (..., 3) points inside any of the (one or more) boxes;
-    faces count as inside."""
-    return np.any([box.contains(pts) for box in boxes], axis=0)
+def _in_boxes(xyz: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
+    """Mask of the points of the (3, ...) rows xyz inside any of the (one
+    or more) boxes; faces count as inside."""
+    inside = boxes[0].contains(xyz)
+    for box in boxes[1:]:
+        inside |= box.contains(xyz)
+    return inside
 
 
 def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> np.ndarray:
@@ -158,7 +163,7 @@ def _sample_pdf(edges: np.ndarray, weights: np.ndarray, jitter: np.ndarray) -> n
 
 def packet_bytes(n_rays: int, cfg: RenderConfig) -> int:
     """Bytes of the largest array render_full makes for a packet of n_rays:
-    the (R, 3 (n_coarse + n_fine), 3) float64 colors of its sample layout."""
+    the (3 (n_coarse + n_fine), 3, R) float64 colors of its sample layout."""
     return n_rays * 3 * (cfg.n_coarse + cfg.n_fine) * 3 * 8
 
 
@@ -245,37 +250,32 @@ def render_full(
 
 
 def _merge(coarse, fine):
-    """Join each coarse (R, S, ...) array to its fine counterpart along the
-    sample axis, and order every ray's row by the joined depths, the first
-    array of each. Equal depths give a point equal values, so which of two
-    tied samples comes first does not change any array."""
-    joined = [np.concatenate([c, f], axis=1) for c, f in zip(coarse, fine)]
+    """Join each coarse (R, S) or (C, R, S) array to its fine counterpart
+    along the last, sample axis, and order every ray's samples by the joined
+    depths, the first array. Equal depths give a point equal values, so which
+    of two tied samples comes first does not change any array."""
+    joined = [np.concatenate([c, f], axis=-1) for c, f in zip(coarse, fine)]
     n_rays, s = joined[0].shape
     rows = np.argsort(joined[0], axis=1) + (np.arange(n_rays) * s)[:, None]
-    return [np.take(a.reshape((n_rays * s,) + a.shape[2:]), rows, axis=0) for a in joined]
+    return [np.take(a.reshape(a.shape[:-2] + (-1,)), rows, axis=-1) for a in joined]
 
 
 def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_field):
-    """Field values at each ray's near and far depths, (R, S) arrays.
+    """Field values at each ray's near and far depths: (3, R, S), (R, S).
 
     Returns near = (object colors, object sigmas, near colors, near sigmas)
     and far = (colors, sigmas). Inside the boxes the near sigmas hold
     SUPPRESSION_SIGMA and the object field's values fill the object arrays,
     which hold zeros everywhere else (and everywhere with no object field)."""
-
-    def evaluate(field, pts):
-        colors, sigmas = field.eval(pts.reshape(-1, 3))
-        return colors.reshape(pts.shape), np.reshape(sigmas, pts.shape[:-1])
-
-    near_pts = ray.at(near_ts)
-    colors, sigmas = evaluate(near_field, near_pts)
-    obj_colors, obj_sigmas = np.zeros(near_pts.shape), np.zeros(near_ts.shape)
+    near_xyz = ray.at(near_ts)
+    colors, sigmas = near_field.eval(near_xyz)
+    obj_colors, obj_sigmas = np.zeros(near_xyz.shape), np.zeros(near_ts.shape)
     if boxes:
-        inside = _in_boxes(near_pts.reshape(-1, 3), boxes).reshape(near_ts.shape)
+        inside = _in_boxes(near_xyz, boxes)
         sigmas = np.where(inside, SUPPRESSION_SIGMA, sigmas)
         if object_field is not None and inside.any():
-            obj_colors[inside], obj_sigmas[inside] = object_field.eval(near_pts[inside])
-    return (obj_colors, obj_sigmas, colors, sigmas), evaluate(far_field, ray.at(far_ts))
+            obj_colors[:, inside], obj_sigmas[inside] = object_field.eval(near_xyz[:, inside])
+    return (obj_colors, obj_sigmas, colors, sigmas), far_field.eval(ray.at(far_ts))
 
 
 def _layout(near_ts, near, far_ts, far, t_sphere, has_near):
@@ -315,11 +315,11 @@ def _stream_weights(near_ts, near, far_ts, far, t_sphere, has_near):
 
 
 def _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near):
-    """Composite the layout of the streams (see _layout); returns color,
-    acc and the near and far weights."""
-    sigmas, deltas, (obj, near_s, far_s) = _layout(near_ts, near, far_ts, far, t_sphere,
-                                                   has_near)
-    colors = np.empty(sigmas.shape + (3,))
-    colors[obj], colors[near_s], colors[far_s] = near[0], near[2], far[0]
+    """Composite the layout of the streams (see _layout), colors (S, 3, R);
+    returns color, acc and the near and far weights."""
+    sigmas, deltas, slots = _layout(near_ts, near, far_ts, far, t_sphere, has_near)
+    colors = np.empty((sigmas.shape[1], 3, sigmas.shape[0]))
+    for (_, cols), stream in zip(slots, (near[0], near[2], far[0])):
+        colors[cols] = stream.transpose(2, 0, 1)
     comp = composite(colors, sigmas, deltas)
-    return comp.color, comp.acc, comp.weights[near_s], comp.weights[far_s]
+    return comp.color, comp.acc, comp.weights[slots[1]], comp.weights[slots[2]]

@@ -114,10 +114,10 @@ class TestRayPacket:
         t = rng.uniform(0, 2, (5, 4))
         packet = Ray(origins, dirs)
         pts = packet.at(t)
-        assert pts.shape == (5, 4, 3)
+        assert pts.shape == (3, 5, 4)
         for i in range(5):
-            assert np.array_equal(pts[i], Ray(origins[i], dirs[i]).at(t[i]))
-        assert np.array_equal(packet.at(t[:, 0]), pts[:, 0])
+            assert np.array_equal(pts[:, i], Ray(origins[i], dirs[i]).at(t[i]))
+        assert np.array_equal(packet.at(t[:, 0]), pts[:, :, 0])
 
     def test_each_row_validated(self):
         dirs = np.tile([0.0, 0.0, 1.0], (3, 1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radiant.fields
 from radiant.core_math import Aabb
 from radiant.errors import EmptyUnion, NegativeDensity, VanishingGradient
 from radiant.fields import (
@@ -13,6 +14,7 @@ from radiant.fields import (
     ConstantField,
     GaussianBlobField,
     GridField,
+    RadianceField,
     SdfField,
     SphereSdf,
     UnionSdf,
@@ -227,8 +229,8 @@ class TestSdfNormal:
 class TestConstantField:
     def test_everywhere_constant(self):
         f = ConstantField((1, 0, 0), 0.0)
-        colors, sigmas = f.eval(np.zeros((5, 3)))
-        assert np.array_equal(colors, np.tile([1, 0, 0], (5, 1)))
+        colors, sigmas = f.eval(np.zeros((3, 5)))
+        assert np.array_equal(colors, np.tile([1, 0, 0], (5, 1)).T)
         assert np.array_equal(sigmas, np.zeros(5))
 
     def test_negative_sigma_rejected(self):
@@ -247,10 +249,10 @@ class TestGridField:
         f = GridField(grid)
         centers = grid.voxel_centers().reshape(4, 4, 4, 3)
         c = centers[1, 2, 3]
-        vals = f.interpolate(c)[0]
+        vals = f.interpolate(c[:, None])[:, 0]
         assert np.abs(vals - grid.data[1, 2, 3]).max() < 1e-12
-        colors, sigmas = f.eval([c])
-        assert np.abs(colors[0] - grid.data[1, 2, 3, :3]).max() < 1e-12
+        colors, sigmas = f.eval(c[:, None])
+        assert np.abs(colors[:, 0] - grid.data[1, 2, 3, :3]).max() < 1e-12
         assert sigmas[0] == pytest.approx(alpha_to_sigma(grid.data[1, 2, 3, 3]))
 
     def test_midpoint_interpolates_red(self):
@@ -258,13 +260,13 @@ class TestGridField:
         grid.data[1, 0, 0, 0] = 1.0  # red goes 0 -> 1 along x
         f = GridField(grid)
         mid = np.array([1.0, 0.5, 0.5])  # halfway between the two centers
-        assert f.interpolate(mid)[0, 0] == pytest.approx(0.5)
+        assert f.interpolate(mid[:, None])[0, 0] == pytest.approx(0.5)
 
     def test_outside_bounds_is_empty(self):
         rng = np.random.default_rng(3)
         f = GridField(self.make_grid(rng))
-        colors, sigmas = f.eval([(5.0, 0, 0)])
-        assert np.array_equal(colors, np.zeros((1, 3))) and np.array_equal(sigmas, [0.0])
+        colors, sigmas = f.eval([[5.0], [0], [0]])
+        assert np.array_equal(colors, np.zeros((3, 1))) and np.array_equal(sigmas, [0.0])
 
     def test_mixed_batch_is_zero_outside_and_for_nan(self):
         rng = np.random.default_rng(5)
@@ -280,19 +282,19 @@ class TestGridField:
         pts = np.concatenate([inside, faces, outside, nan])[rng.permutation(70)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals = f.interpolate(pts)
-        kept = grid.bounds.contains(pts)
+            vals = f.interpolate(pts.T).T
+        kept = grid.bounds.contains(pts.T)
         assert kept.sum() == 52
         assert np.array_equal(vals[~kept], np.zeros((18, 4)))
         for p, row in zip(pts[kept], vals[kept]):  # row for row, as one-point batches
-            assert np.array_equal(row, f.interpolate(p)[0])
+            assert np.array_equal(row, f.interpolate(p[:, None])[:, 0])
         assert (vals[kept] > 0).all()
 
     def test_centers_reproduce_grid_exactly(self):
         rng = np.random.default_rng(4)
         grid = self.make_grid(rng, n=5)
         f = GridField(grid)
-        vals = f.interpolate(grid.voxel_centers())
+        vals = f.interpolate(grid.voxel_centers().T).T
         assert np.array_equal(vals.reshape(grid.data.shape), grid.data)
 
 
@@ -320,22 +322,23 @@ class TestGaussianKernel:
                                     rng.uniform(-1, 1, size=(1, 3)), [0.1, 0.2, 0.3],
                                     np.zeros((0, 3)), [[1, 0, 0], [0, 2, 0]]]
         for pts in inputs:
-            colors, sigmas = f.eval(pts)
+            colors, sigmas = f.eval(np.moveaxis(np.atleast_2d(pts), -1, 0))
             want = oracle_gaussian_sigma(f, pts)
             assert sigmas.shape == want.shape and sigmas.tobytes() == want.tobytes()
-            assert colors.shape == (len(np.atleast_2d(pts)), 3)
-            assert np.array_equal(colors, np.tile(f.color, (len(colors), 1)))
+            assert colors.shape == (3,) + want.shape
+            assert np.array_equal(np.moveaxis(colors, 0, -1),
+                                  np.broadcast_to(f.color, want.shape + (3,)))
 
     def test_input_left_unchanged(self):
         pts = np.random.default_rng(22).uniform(-1, 1, size=(40, 3))
         before = pts.copy()
-        self.FIELDS[0].eval(pts)
+        self.FIELDS[0].eval(pts.T)
         assert np.array_equal(pts, before)
 
 
 class TestPointwiseEval:
-    """Row i of a radiance field's eval depends only on row i of its input:
-    permuting the batch or splitting it gives the same bits."""
+    """Point i of a radiance field's eval depends only on point i of its
+    input: permuting the batch or splitting it gives the same bits."""
 
     @staticmethod
     def _fields():
@@ -353,15 +356,47 @@ class TestPointwiseEval:
         rng = np.random.default_rng(7)
         # about half the points fall outside the grid's bounds and the ball
         pts = rng.uniform(-1.0, 1.0, (301, 3))
-        colors, sigmas = field.eval(pts)
+        colors, sigmas = field.eval(pts.T)
         perm = rng.permutation(len(pts))
-        p_colors, p_sigmas = field.eval(pts[perm])
-        assert p_colors.tobytes() == colors[perm].tobytes()
+        p_colors, p_sigmas = field.eval(pts[perm].T)
+        assert p_colors.tobytes() == colors[:, perm].tobytes()
         assert p_sigmas.tobytes() == sigmas[perm].tobytes()
         for cut in (1, 150):
-            head, tail = field.eval(pts[:cut]), field.eval(pts[cut:])
-            assert np.concatenate([head[0], tail[0]]).tobytes() == colors.tobytes()
+            head, tail = field.eval(pts[:cut].T), field.eval(pts[cut:].T)
+            assert np.concatenate([head[0], tail[0]], axis=1).tobytes() == colors.tobytes()
             assert np.concatenate([head[1], tail[1]]).tobytes() == sigmas.tobytes()
         if name == "grid":
-            inside = field.bounds.contains(pts)
+            inside = field.bounds.contains(pts.T)
             assert 0 < inside.sum() < len(pts) and sigmas[~inside].max() == 0.0
+
+
+RADIANCE_FIELDS = sorted((cls for cls in vars(radiant.fields).values()
+                          if isinstance(cls, type) and issubclass(cls, RadianceField)
+                          and cls is not RadianceField), key=lambda cls: cls.__name__)
+
+
+class TestRadianceFieldProtocol:
+    """Every RadianceField subclass in radiant.fields maps (3, ...) coordinate
+    rows to (3, ...) colors and (...) sigmas, point by point: a new field
+    must add an instance to TestPointwiseEval._fields to pass."""
+
+    @pytest.mark.parametrize("cls", RADIANCE_FIELDS, ids=lambda cls: cls.__name__)
+    def test_shapes_and_batches(self, cls):
+        (field,) = [f for f in TestPointwiseEval._fields().values() if type(f) is cls]
+        rng = np.random.default_rng(8)
+        xyz = rng.uniform(-1.0, 1.0, (3, 60))
+        colors, sigmas = field.eval(xyz)
+        assert colors.shape == (3, 60) and sigmas.shape == (60,)
+        empty = field.eval(np.zeros((3, 0)))
+        assert empty[0].shape == (3, 0) and empty[1].shape == (0,)
+        packet = field.eval(xyz.reshape(3, 6, 10))
+        assert packet[0].shape == (3, 6, 10) and packet[1].shape == (6, 10)
+        assert packet[0].tobytes() == colors.tobytes()
+        assert packet[1].tobytes() == sigmas.tobytes()
+        rev = field.eval(xyz[:, ::-1])  # a reversed, strided view of the batch
+        assert rev[0].tobytes() == colors[:, ::-1].tobytes()
+        assert rev[1].tobytes() == sigmas[::-1].tobytes()
+        for i in (0, 17, 59):  # a point alone
+            c, s = field.eval(xyz[:, i:i + 1])
+            assert c.tobytes() == colors[:, i:i + 1].tobytes()
+            assert s.tobytes() == sigmas[i:i + 1].tobytes()

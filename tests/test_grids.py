@@ -66,7 +66,7 @@ class TestTrilinear:
         data = rng.normal(size=(*dims, channels))
         coords = query_coords(rng, dims, n=QUERY_N)
         assert len(coords) > 2 * grids.TRILINEAR_BLOCK
-        got = trilinear(data, coords)
+        got = trilinear(data, coords.T).T
         want = corner_tuple_trilinear(data, coords)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -80,7 +80,7 @@ class TestTrilinear:
         data = rng.normal(size=(*dims, channels))
         coords = query_coords(rng, dims, n=QUERY_N)
         monkeypatch.setattr(grids, "TRILINEAR_BLOCK", block or len(coords) + 1)
-        got = trilinear(data, coords)
+        got = trilinear(data, coords.T).T
         want = corner_tuple_trilinear(data, coords)
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
@@ -89,24 +89,24 @@ class TestTrilinear:
         data = rng.normal(size=(4, 3, 5, 2))
         coords = np.asfortranarray(query_coords(rng, data.shape[:3]))
         before = coords.copy()
-        trilinear(data, coords)
+        trilinear(data, coords.T)
         assert np.array_equal(coords, before)
 
     def test_no_points(self):
-        got = trilinear(np.ones((3, 3, 3, 4)), np.zeros((0, 3)))
-        assert got.shape == (0, 4)
+        got = trilinear(np.ones((3, 3, 3, 4)), np.zeros((3, 0)))
+        assert got.shape == (4, 0)
 
     def test_non_contiguous_data(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(6, 5, 4, 8))[:, ::-1, :, ::2]
         coords = query_coords(rng, data.shape[:3])
-        assert np.array_equal(trilinear(data, coords), corner_tuple_trilinear(data, coords))
+        assert np.array_equal(trilinear(data, coords.T).T, corner_tuple_trilinear(data, coords))
 
     def test_centers_hit_stored_values(self):
         data = np.random.default_rng(3).normal(size=(3, 4, 2, 2))
         idx = np.stack(np.meshgrid(*(np.arange(n) for n in data.shape[:3]), indexing="ij"),
                        axis=-1).reshape(-1, 3)
-        assert np.array_equal(trilinear(data, idx.astype(np.float64)), data.reshape(-1, 2))
+        assert np.array_equal(trilinear(data, idx.T.astype(np.float64)).T, data.reshape(-1, 2))
 
 
 def oracle_contains(box: Aabb, pts) -> np.ndarray:
@@ -129,7 +129,7 @@ class TestAabbContains:
 
     def test_matches_np_all_form(self):
         pts = self.points(np.random.default_rng(5))
-        got = self.BOX.contains(pts)
+        got = self.BOX.contains(pts.T)
         want = oracle_contains(self.BOX, pts)
         assert got.shape == want.shape == (300,) and got.dtype == bool
         assert np.array_equal(got, want)
@@ -137,7 +137,7 @@ class TestAabbContains:
 
     def test_matches_on_ray_sample_shape(self):
         pts = self.points(np.random.default_rng(6)).reshape(20, 15, 3)
-        got = self.BOX.contains(pts)
+        got = self.BOX.contains(np.moveaxis(pts, -1, 0))
         assert got.shape == (20, 15)
         assert np.array_equal(got, oracle_contains(self.BOX, pts))
 

@@ -92,7 +92,7 @@ def count_evals(monkeypatch, field) -> list:
     calls, original = [], field.eval
 
     def counted(pts):
-        calls.append(len(pts))
+        calls.append(np.shape(pts)[1])
         return original(pts)
 
     monkeypatch.setattr(field, "eval", counted)
@@ -125,9 +125,9 @@ def strided_sample_grid(field, bounds, dims) -> VoxelGrid4D:
     extraction formula for alpha, and 0.0 added to every value, written into
     the first 3 and the last column of one (N, 4) array."""
     grid = VoxelGrid4D.zeros(dims, 4, bounds)
-    colors, sigmas = field.eval(meshgrid_centers(grid))
-    acc = np.empty((len(colors), 4))
-    acc[:, :3] = colors + 0.0
+    colors, sigmas = field.eval(meshgrid_centers(grid).T)
+    acc = np.empty((len(sigmas), 4))
+    acc[:, :3] = colors.T + 0.0
     acc[:, 3] = -np.expm1(-np.asarray(sigmas, dtype=np.float64) * 0.01) + 0.0
     grid.data = acc.reshape(*grid.dims, 4)
     return grid
@@ -137,11 +137,10 @@ class SignedZeroField(RadianceField):
     """-0.0 colors and sigmas for x < 0, NaN for x > 0.5, and a value that
     depends on the point in between."""
 
-    def eval(self, pts):
-        x = pts[:, 0]
-        colors = np.where((x < 0)[:, None], -0.0, np.where((x > 0.5)[:, None], np.nan,
-                                                          np.abs(pts)))
-        sigmas = np.where(x < 0, -0.0, np.where(x > 0.5, np.nan, 40.0 * colors[:, 0]))
+    def eval(self, xyz):
+        x = xyz[0]
+        colors = np.where(x < 0, -0.0, np.where(x > 0.5, np.nan, np.abs(xyz)))
+        sigmas = np.where(x < 0, -0.0, np.where(x > 0.5, np.nan, 40.0 * colors[0]))
         return colors, sigmas
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -279,6 +280,24 @@ class TestPly:
         want = np.concatenate([s.positions, s.normals], axis=1).astype(np.float32)
         got = np.concatenate([back.positions, back.normals], axis=1).astype(np.float32)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("token", ["1e39", "-3.5e38", "3.4028236e38", "1e400"])
+    def test_token_past_float32_refused(self, tmp_path, token):
+        # parsed as float32 these read as infinities; write_ply spells an
+        # infinity inf, and such spellings still read
+        p = tmp_path / "big.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(8), n=4))
+        lines = p.read_text().splitlines()
+        lines[-3] = "inf -Infinity NaN +inf 0 1"
+        lines[-2] = f"0 1 2 3 {token} nan"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: vertex 2 "):
+            io.read_ply(p)
+        lines[-2] = "0 1 2 3 -inf nan"
+        p.write_text("\n".join(lines) + "\n")
+        back = io.read_ply(p)
+        assert np.isinf(back.positions[1, :2]).all() and np.isnan(back.positions[1, 2])
+        assert np.isinf(back.normals[1, 0]) and np.isinf(back.normals[2, 1])
 
     @pytest.mark.parametrize("line", ["1 2 3 4 5", "1 2 3 4 5 6 7"])
     def test_wrong_token_count_rejected(self, tmp_path, line):

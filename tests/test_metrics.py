@@ -86,8 +86,8 @@ def iou3d_monte_carlo(
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, 3))
-    in_a = a.contains(pts)
-    in_b = b.contains(pts)
+    in_a = a.contains(pts.T)
+    in_b = b.contains(pts.T)
     n_union = int(np.count_nonzero(in_a | in_b))
     if n_union == 0:
         return 0.0, 0.0

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 
 import radiant.cli
 from radiant import render
-from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays
+from radiant.core_math import Intrinsics, Pose, Ray, generate_ray_arrays, splitmix64_stream
 from radiant.errors import (
     LengthMismatch,
     OriginOutsideSphere,
@@ -136,16 +137,34 @@ class TestComposite:
 
     def test_packet_rows_match_single_rays(self):
         rng = np.random.default_rng(6)
-        colors = rng.uniform(0, 1, (4, 30, 3))
+        colors = rng.uniform(0, 1, (30, 3, 4))
         sigmas = rng.uniform(0, 20, (4, 30))
         deltas = rng.uniform(1e-3, 0.1, (4, 30))
         packet = composite(colors, sigmas, deltas)
         assert packet.color.shape == (4, 3) and packet.acc.shape == (4,)
         for i in range(4):
-            row = composite(colors[i], sigmas[i], deltas[i])
+            row = composite(colors[..., i], sigmas[i], deltas[i])
             assert np.array_equal(packet.color[i], row.color)
             assert packet.acc[i] == row.acc
             assert np.array_equal(packet.weights[i], row.weights)
+
+    @pytest.mark.parametrize("n_rays", [1, 2, 5])
+    def test_packet_layout_edges(self, n_rays):
+        # (S, 3, R) colors with -0.0 values and an all -0.0 channel, and a
+        # sigma of 1e308: every ray gets its single-ray bits, signed zeros too
+        rng = np.random.default_rng(n_rays)
+        colors = rng.uniform(0, 1, (40, 3, n_rays))
+        colors[::3, 0] = -0.0
+        colors[:, 2] = -0.0
+        sigmas = rng.uniform(0, 20, (n_rays, 40))
+        sigmas[0, 7] = 1e308
+        deltas = rng.uniform(1e-3, 0.1, (n_rays, 40))
+        packet = composite(colors, sigmas, deltas)
+        for i in range(n_rays):
+            row = composite(colors[..., i], sigmas[i], deltas[i])
+            assert packet.color[i].tobytes() == row.color.tobytes()
+            assert np.float64(packet.acc[i]).tobytes() == np.float64(row.acc).tobytes()
+            assert packet.weights[i].tobytes() == row.weights.tobytes()
 
     def test_occlusion_monotonicity(self):
         rng = np.random.default_rng(4)
@@ -184,7 +203,7 @@ class TestPrune:
 
     def test_face_point_counts_inside(self):
         box = OrientedBox3((0, 0, 0), (1, 1, 1))
-        assert np.array_equal(render._in_boxes(np.array([[0.5, 0, 0]]), [box]), [True])
+        assert np.array_equal(render._in_boxes(np.array([[0.5], [0], [0]]), [box]), [True])
 
     def test_outside_unchanged(self):
         # near samples on the z axis at 0.125 and 0.875 lie outside the box
@@ -197,11 +216,11 @@ class TestPrune:
     def test_any_of_several_boxes(self):
         boxes = [OrientedBox3((0, 0, 0), (1, 1, 1)), OrientedBox3((2, 0, 0), (1, 1, 1))]
         pts = np.array([[0, 0, 0], [2, 0, 0], [1, 0, 0.9]], dtype=float)
-        assert np.array_equal(render._in_boxes(pts, boxes), [True, True, False])
+        assert np.array_equal(render._in_boxes(pts.T, boxes), [True, True, False])
 
     @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 3, 3)])
     def test_ray_sample_batches_read_the_last_axis(self, shape):
-        # (R, S, 3) samples give the (R, S) mask of their flattened (R*S, 3) rows;
+        # (3, R, S) samples give the (R, S) mask of their flattened (3, R*S) rows;
         # with S = 3 a mask read along the wrong axis would still have that shape
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1.0, 1.0, shape)
@@ -209,12 +228,13 @@ class TestPrune:
                  OrientedBox3((-0.5, 0.5, 0.3), (0.6, 0.6, 0.6))]
         pts[0, 1], pts[1, 2] = boxes[0].center, boxes[1].center + 0.1
         pts[0, 0] = pts[1, 1] = 5.0
-        flat = pts.reshape(-1, 3)
+        xyz = np.moveaxis(pts, -1, 0)
+        flat = xyz.reshape(3, -1)
         for box in boxes:
             want = box.contains(flat).reshape(shape[:-1])
             assert want.any() and not want.all()
-            assert np.array_equal(box.contains(pts), want)
-        mask = render._in_boxes(pts, boxes)
+            assert np.array_equal(box.contains(xyz), want)
+        mask = render._in_boxes(xyz, boxes)
         assert np.array_equal(mask, render._in_boxes(flat, boxes).reshape(shape[:-1]))
         assert mask.any() and not mask.all()
 
@@ -379,20 +399,20 @@ def _per_ray_reference(o, d, cfg, near_field, far_field, boxes, object_field):
         return np.interp((np.arange(f) + stream_uniforms(cfg.seed, start, f)) / f, cdf, edges)
 
     def compose(near_ts, near_deltas, far_ts, far_deltas):
-        near_pts = o + near_ts[:, None] * d
+        near_pts = o[:, None] + near_ts * d[:, None]
         near_c, near_s = near_field.eval(near_pts)
         inside = np.zeros(near_ts.size, dtype=bool)
         for box in boxes:
             inside |= box.contains(near_pts)
         near_s = np.where(inside, SUPPRESSION_SIGMA, near_s)
-        obj_c, obj_s = np.zeros((0, 3)), np.zeros(0)
+        obj_c, obj_s = np.zeros((3, 0)), np.zeros(0)
         if object_field is not None and inside.any():
-            obj_c, obj_s = object_field.eval(near_pts[inside])
-        far_c, far_s = far_field.eval(o + far_ts[:, None] * d)
+            obj_c, obj_s = object_field.eval(near_pts[:, inside])
+        far_c, far_s = far_field.eval(o[:, None] + far_ts * d[:, None])
         t_all = np.concatenate([near_ts[inside], near_ts, far_ts])
         ranks = np.repeat([0, 1, 2], [inside.sum(), near_ts.size, far_ts.size])
         order = np.lexsort((ranks, t_all))
-        res = composite(np.concatenate([obj_c, near_c, far_c])[order],
+        res = composite(np.concatenate([obj_c, near_c, far_c], axis=1)[:, order].T,
                         np.concatenate([obj_s, near_s, far_s])[order],
                         np.concatenate([near_deltas[inside], near_deltas, far_deltas])[order])
         return res.color, res.acc, res.weights[ranks[order] == 1], res.weights[ranks[order] == 2]
@@ -477,6 +497,19 @@ class TestPacket:
         # positions; a far blob of finite mass shows the far and far-fine draws
         self._check_reference(n_coarse, n_fine, self.FAR_BLOB)
 
+    def test_image_with_a_one_ray_packet(self):
+        # 257 pixels: a packet of 256 rays, then one of a single ray
+        cfg = RenderConfig(n_coarse=16, n_fine=8, seed=5)
+        k, pose = Intrinsics(40, 40, 128.0, 0.0, 257, 1), Pose(np.eye(3), (0.0, 0.1, 0.0))
+        img, _ = radiant.cli._render_image(k, pose, cfg, 0, self.NEAR, self.FAR, self.BOXES,
+                                           self.OBJECT)
+        origins, dirs = generate_ray_arrays(k, pose)
+        cam_key = splitmix64_stream(cfg.seed, 1)[0, -1]
+        for i, seed in enumerate(splitmix64_stream(cam_key, 257)[0]):
+            one = render_full(Ray(origins[i], dirs[i]), replace(cfg, seed=int(seed)),
+                              self.NEAR, self.FAR, self.BOXES, self.OBJECT)
+            assert img[0, i].tobytes() == np.clip(one.color, 0.0, 1.0).tobytes(), i
+
     def test_rejects_origin_outside_in_packet(self):
         origins, dirs, seeds = self._rays()
         origins[3] = (0.0, 0.0, 1.0)
@@ -492,14 +525,15 @@ def _lexsort_compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
 
     def evaluate(field, pts, mask):
         colors, sigmas = np.zeros(pts.shape), np.zeros(pts.shape[:-1])
-        colors[mask], sigmas[mask] = field.eval(pts[mask])
+        c, sigmas[mask] = field.eval(pts[mask].T)
+        colors[mask] = c.T
         return colors, sigmas
 
-    near_pts, far_pts = ray.at(near_ts), ray.at(far_ts)
+    near_pts, far_pts = (np.moveaxis(ray.at(t), 0, -1) for t in (near_ts, far_ts))
     near_colors, near_sigmas = evaluate(near_field, near_pts, np.ones_like(near_ts, dtype=bool))
     obj_colors, obj_sigmas = np.zeros(near_colors.shape), np.zeros(near_ts.shape)
     if boxes:
-        inside = np.any([box.contains(near_pts.reshape(-1, 3)) for box in boxes], axis=0)
+        inside = np.any([box.contains(near_pts.reshape(-1, 3).T) for box in boxes], axis=0)
         inside = inside.reshape(near_ts.shape)
         near_sigmas[inside] = SUPPRESSION_SIGMA
         if object_field is not None and inside.any():
@@ -514,7 +548,7 @@ def _lexsort_compose_streams(ray, near_ts, near_deltas, far_ts, far_deltas,
     colors = np.concatenate([obj_colors, near_colors, far_colors], axis=1)
     ranks = np.broadcast_to(np.repeat([0, 1, 2], [sn, sn, sf]), t.shape)
     order = np.lexsort((ranks, t), axis=-1)
-    comp = composite(np.take_along_axis(colors, order[..., None], axis=1),
+    comp = composite(np.take_along_axis(colors, order[..., None], axis=1).transpose(1, 2, 0),
                      np.take_along_axis(sigmas, order, axis=1),
                      np.take_along_axis(deltas, order, axis=1))
     weights = np.empty_like(comp.weights)
@@ -623,7 +657,7 @@ class _Counting(RadianceField):
         return self.field.eval(pts)
 
     def count(self) -> int:
-        return sum(len(p) for p in self.points)
+        return sum(p[0].size for p in self.points)
 
 
 class TestEvalOnce:
@@ -649,7 +683,7 @@ class TestEvalOnce:
         # sample, and are evaluated all the same
         assert near.count() == far.count() == len(origins) * (n + f)
         if obj is not None:
-            near_pts = np.concatenate(near.points)
+            near_pts = np.concatenate([p.reshape(3, -1) for p in near.points], axis=1)
             inside = np.any([box.contains(near_pts) for box in boxes], axis=0)
             assert 0 < obj.count() == inside.sum()
         digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in res))
@@ -678,7 +712,7 @@ class TestCompositeCalls:
         render_full(Ray(origins, dirs), RenderConfig(n_coarse=16, n_fine=n_fine, seed=seeds),
                     TestPacket.NEAR, TestPacket.FAR_BLOB, TestPacket.BOXES, TestPacket.OBJECT)
         # the final layout: (object, near) pairs and the far ladder
-        assert calls == [(64, 3 * (16 + n_fine), 3)]
+        assert calls == [(3 * (16 + n_fine), 3, 64)]
 
     def test_once_per_packet_of_an_image(self, monkeypatch, tmp_path):
         calls = self._count(monkeypatch)
@@ -695,7 +729,7 @@ class TestCompositeCalls:
             "n_coarse": 16, "n_fine": 8}))
         assert radiant.cli.dispatch(["render", "--scene", str(scene),
                                      "--out", str(tmp_path / "img")]) == 0
-        assert [c[0] for c in calls] == [24, 24, 16]
+        assert [c[2] for c in calls] == [24, 24, 16]
 
 
 def _broadcast_sample_pdf(edges, weights, jitter):
