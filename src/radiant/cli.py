@@ -419,10 +419,8 @@ def _cmd_bench_octree(args) -> None:
             "eval_ratio_matched": ratios[-1],
         })
         if stats.total_sdf_evals >= rows[i]["input_points"]:
-            raise RadiantError(
-                f"octree LoD{lod} used {stats.total_sdf_evals} evals, not below "
-                f"the ordinary {rows[i]['resolution']} grid"
-            )
+            raise RadiantError(f"octree LoD{lod} used {stats.total_sdf_evals} evals, not "
+                               f"below the ordinary {rows[i]['resolution']} grid")
     if not (ratios[0] > ratios[1] > ratios[2]):
         raise RadiantError(f"matched eval ratios not strictly decreasing: {ratios}")
     io.dump_json(out, {"shape": args.shape, "band": args.band, "rows": rows,

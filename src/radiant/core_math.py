@@ -61,6 +61,14 @@ def as_vec3(v) -> np.ndarray:
     return out
 
 
+def as_rows(xyz) -> np.ndarray:
+    """Coerce to float64 (3, ...) coordinate rows x, y and z; refuse other shapes."""
+    out = np.asarray(xyz, dtype=np.float64)
+    if out.shape[:1] != (3,):
+        raise ValueError(f"expected (3, ...) coordinate rows x, y, z, got shape {out.shape}")
+    return out
+
+
 def as_points(v, dim: int = 3) -> np.ndarray:
     """Coerce to a finite float64 (N, dim) array of points."""
     out = np.asarray(v, dtype=np.float64)
@@ -137,9 +145,8 @@ class Aabb:
 
     def contains(self, xyz) -> np.ndarray:
         """Whether each point of the (3, ...) rows lies in the closed box (NaN does not)."""
-        xyz = np.asarray(xyz, dtype=np.float64)
-        inside = xyz[0] >= self.min[0]
-        inside &= xyz[0] <= self.max[0]
+        xyz = as_rows(xyz)
+        inside = (xyz[0] >= self.min[0]) & (xyz[0] <= self.max[0])
         for axis in (1, 2):
             inside &= xyz[axis] >= self.min[axis]
             inside &= xyz[axis] <= self.max[axis]

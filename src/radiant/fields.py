@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import as_vec3
+from .core_math import as_rows, as_vec3
 from .errors import EmptyUnion, NegativeDensity, VanishingGradient
 from .grids import VoxelGrid4D, alpha_to_sigma, trilinear
 
@@ -162,7 +162,7 @@ class RadianceField:
     reuse the coarse pass's values in the fine pass."""
 
     def eval(self, xyz) -> tuple[np.ndarray, np.ndarray]:
-        """xyz of shape (3, ...) -> (colors (3, ...), sigmas (...))."""
+        """xyz (3, ...) -> (colors (3, ...), sigmas (...)); other shapes raise ValueError."""
         raise NotImplementedError
 
 
@@ -184,7 +184,7 @@ class ConstantField(RadianceField):
             raise ValueError("color components must lie in [0, 1]")
 
     def eval(self, xyz):
-        shape = np.shape(xyz)[1:]
+        shape = as_rows(xyz).shape[1:]
         return _color_rows(self.color, shape), np.full(shape, float(self.sigma))
 
 
@@ -206,7 +206,7 @@ class GaussianBlobField(RadianceField):
             raise ValueError("scale must be positive")
 
     def eval(self, xyz):
-        (x, y, z), shape = _columns(np.moveaxis(xyz, 0, -1), self.center)
+        (x, y, z), shape = _columns(np.moveaxis(as_rows(xyz), 0, -1), self.center)
         x *= x
         y *= y
         x += y
@@ -237,7 +237,7 @@ class BallField(RadianceField):
             raise ValueError("radius must be positive")
 
     def eval(self, xyz):
-        pts = np.moveaxis(np.asarray(xyz, dtype=np.float64), 0, -1)
+        pts = np.moveaxis(as_rows(xyz), 0, -1)
         inside = np.linalg.norm(pts - self.center, axis=-1) <= self.radius
         return _color_rows(self.color, inside.shape), np.where(inside, self.sigma, 0.0)
 
@@ -259,7 +259,7 @@ class GridField(RadianceField):
 
     def interpolate(self, xyz) -> np.ndarray:
         """Raw trilinear (C, ...) channel values; zeros outside the bounds."""
-        xyz = np.asarray(xyz, dtype=np.float64)
+        xyz = as_rows(xyz)
         inside = self.bounds.contains(xyz)
         every = inside.all()  # as a render's near samples are: skip the gather and scatter
         pts = xyz.reshape(3, -1) if every else xyz[:, inside]

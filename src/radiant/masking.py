@@ -82,9 +82,7 @@ class PatchMask:
             self.grid_dims = tuple(int(d) for d in self.grid_dims)
             gx, gy, gz = patch_grid(self.grid_dims, self.patch_size)
             if gx * gy * gz != self.masked.size:
-                raise DimsMismatch(
-                    f"{self.masked.size} mask bits for {gx * gy * gz} patches"
-                )
+                raise DimsMismatch(f"{self.masked.size} mask bits for {gx * gy * gz} patches")
 
     @property
     def n_patches(self) -> int:

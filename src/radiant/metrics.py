@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core_math import as_vec3, check_rotation, skew
+from .core_math import as_rows, as_vec3, check_rotation, skew
 from .errors import DimsMismatch, EmptyPath, EmptySet, LabelOutOfRange
 
 # scipy.spatial takes ~0.3 s to import and only chamfer uses it, so it is
@@ -102,7 +102,7 @@ class OrientedBox3:
 
     def contains(self, xyz) -> np.ndarray:
         """Mask of the points of the (3, ...) rows inside the box, faces included."""
-        dx, dy, dz = (np.asarray(xyz, dtype=np.float64).T - self.center).T
+        dx, dy, dz = (as_rows(xyz).T - self.center).T
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         half = self.size / 2.0
         inside = np.abs(c * dx + s * dy) <= half[0]

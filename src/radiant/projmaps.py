@@ -50,9 +50,7 @@ class SemanticMap:
         self.occupancy = np.asarray(self.occupancy, dtype=bool)
         r = self.half_extent
         if self.occupancy.shape[:2] != (2 * r, 2 * r):
-            raise DimsMismatch(
-                f"occupancy {self.occupancy.shape} does not match half extent {r}"
-            )
+            raise DimsMismatch(f"occupancy {self.occupancy.shape} does not match half extent {r}")
 
 
 def build_semantic_map(

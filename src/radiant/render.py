@@ -114,9 +114,8 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
         colors = np.zeros((0, 3)) if colors.size == sigmas.size == 0 else np.atleast_2d(colors)
     if not (colors.shape == (sigmas.shape[-1], 3) + sigmas.shape[:-1]
             and sigmas.shape == deltas.shape):
-        raise LengthMismatch(
-            f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/{deltas.shape}"
-        )
+        raise LengthMismatch(f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/"
+                             f"{deltas.shape}")
     weights = _weights(sigmas, deltas)
     acc = weights.sum(axis=-1)
     color = np.add.reduce(colors * weights.T[:, None], axis=0).T
@@ -133,8 +132,7 @@ def _weights(sigmas, deltas) -> np.ndarray:
 
 
 def _in_boxes(xyz: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
-    """Mask of the points of the (3, ...) rows xyz inside any of the (one
-    or more) boxes; faces count as inside."""
+    """Mask of the points of the (3, ...) rows inside any of the boxes, faces included."""
     inside = boxes[0].contains(xyz)
     for box in boxes[1:]:
         inside |= box.contains(xyz)

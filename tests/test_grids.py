@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from radiant import grids
 from radiant.core_math import Aabb
 from radiant.grids import sigma_to_alpha, trilinear
+from radiant.metrics import OrientedBox3
 
 # query_coords(..., n=QUERY_N) gives 10,002 points: more than two default
 # trilinear blocks
@@ -147,6 +148,14 @@ class TestAabbContains:
         got = self.BOX.contains(pt)
         assert np.shape(got) == ()
         assert got == oracle_contains(self.BOX, pt)
+
+    @pytest.mark.parametrize("box", [BOX, OrientedBox3((0, 0, 1), (2, 1, 2), 0.3)],
+                             ids=["aabb", "oriented"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 300])
+    def test_refuses_points_as_columns(self, box, n):
+        """(N, 3) points are refused, not read as x, y and z rows."""
+        with pytest.raises(ValueError, match=r"\(3, \.\.\.\) coordinate rows"):
+            box.contains(np.zeros((n, 3)))
 
 
 class TestSigmaToAlpha:

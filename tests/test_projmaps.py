@@ -383,7 +383,7 @@ class TestBatchedSamplersAgainstPerPoint:
         tp = collapse_to_triplanes(VoxelGrid4D(rng.normal(size=(6, 5, 4, 3)), bounds))
         # a box half again as wide as the bounds: many points clamp
         pts = rng.uniform(bounds.min - 0.5, bounds.max + 0.5, (2000, 3))
-        assert not bounds.contains(pts).all() and bounds.contains(pts).any()
+        assert not bounds.contains(pts.T).all() and bounds.contains(pts.T).any()
         got = sample_triplane(tp, pts)
         assert got.shape == (2000, 9)
         want = np.array([triplane_at(tp, x) for x in pts])
