@@ -267,9 +267,10 @@ def _ply_body(path, body: list[str]) -> np.ndarray:
     try:
         v = np.loadtxt(body, dtype=np.float32, comments=None, ndmin=2)
         if v.shape == (len(body), 6):
-            for i, j in np.argwhere(~np.isfinite(v)):  # a finite token past f32 reads as inf
-                if body[i].split()[j].lower().lstrip("+-") not in ("inf", "infinity", "nan"):
-                    raise FileFormatError(f"{path}: vertex {i} holds a value past float32")
+            if not np.isfinite(v).all():  # a finite token past f32 reads as inf
+                for i, j in np.argwhere(~np.isfinite(v)):
+                    if body[i].split()[j].lower().lstrip("+-") not in ("inf", "infinity", "nan"):
+                        raise FileFormatError(f"{path}: vertex {i} holds a value past float32")
             return v
     except ValueError as e:
         reason = f"non-numeric vertex value ({e})"
