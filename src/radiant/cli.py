@@ -363,7 +363,9 @@ def _labels_from_doc(path) -> tuple[np.ndarray, int]:
     grid = io.read_nfvg(labels)
     if grid.channels != 1:
         raise RadiantError("label grids must have a single channel")
-    return np.rint(grid.data[..., 0]), n_classes
+    data = grid.data[..., 0]
+    np.rint(data, out=data)
+    return data, n_classes
 
 
 def _cmd_eval_voxels(args) -> None:

@@ -49,8 +49,8 @@ class LabelOutOfRange(RadiantError):
     """Class label outside the declared range."""
 
 
-class EmptyPath(RadiantError):
-    """Trajectory has no positions."""
+class EmptyPath(RadiantError, ValueError):
+    """Trajectory has no positions (a ValueError, as the other path rules)."""
 
 
 class OutOfBounds(RadiantError):

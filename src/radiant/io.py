@@ -25,7 +25,7 @@ from .fields import (BallField, BoxSdf, ConstantField, GaussianBlobField, GridFi
                      RadianceField, SdfField, SphereSdf, UnionSdf)
 from .grids import VoxelGrid4D
 from .metrics import (BoxBatch, OrientedBox3, PoseBatch, PoseRecord, Trajectory, box_size,
-                      pose_scale, wrap_yaw)
+                      nav_threshold, path_points, pose_scale, wrap_yaw)
 from .octree import SurfaceSamples
 from .projmaps import SemanticMap
 
@@ -453,6 +453,10 @@ def _rotation(v) -> np.ndarray:
     return check_rotation(json_floats(v).reshape(3, 3))
 
 
+def _path(v) -> np.ndarray:
+    return path_points(json_floats(v))
+
+
 def box_from_json(d: dict, where: str = "box") -> OrientedBox3:
     return OrientedBox3(
         center=read_key(d, "center", where, _vec3),
@@ -544,10 +548,11 @@ def _records(entries: list, where: str, scored: bool, reader, batch):
 
 def trajectory_from_json(d: dict, where: str = "trajectory") -> Trajectory:
     return Trajectory(
-        positions=read_key(d, "positions", where, json_floats),
-        reference=read_key(d, "reference", where, json_floats),
-        goal=read_key(d, "goal", where, json_floats),
-        success_threshold=read_key(d, "success_threshold", where, json_float, 3.0),
+        positions=read_key(d, "positions", where, _path),
+        reference=read_key(d, "reference", where, _path),
+        goal=read_key(d, "goal", where, _vec3),
+        success_threshold=read_key(d, "success_threshold", where,
+                                   lambda v: nav_threshold(json_float(v)), 3.0),
     )
 
 

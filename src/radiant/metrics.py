@@ -64,6 +64,26 @@ def pose_scale(scale: float) -> float:
     return scale
 
 
+def path_points(v) -> np.ndarray:
+    """A trajectory path: (N, 3) points with N >= 1; one point may be given
+    flat, as a 3-vector."""
+    path = np.asarray(v, dtype=np.float64)
+    if path.size == 0:
+        raise EmptyPath("trajectory paths must be nonempty")
+    if path.shape == (3,):
+        path = path[None]
+    if path.ndim != 2 or path.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) points, got shape {path.shape}")
+    return path
+
+
+def nav_threshold(threshold: float) -> float:
+    """A navigation success threshold, which must be finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError("success threshold must be finite and positive")
+    return threshold
+
+
 @dataclass
 class OrientedBox3:
     """3D box with yaw-only rotation about world z.
@@ -217,11 +237,10 @@ class Trajectory:
     success_threshold: float = 3.0
 
     def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
-        self.reference = np.atleast_2d(np.asarray(self.reference, dtype=np.float64))
+        self.positions = path_points(self.positions)
+        self.reference = path_points(self.reference)
         self.goal = as_vec3(self.goal)
-        if self.positions.size == 0 or self.reference.size == 0:
-            raise EmptyPath("trajectory paths must be nonempty")
+        self.success_threshold = nav_threshold(self.success_threshold)
 
 
 class NavMetrics(NamedTuple):
@@ -557,6 +576,10 @@ def pose_ap(
     return results
 
 
+# voxels counted at a time in voxel_label_metrics
+LABEL_CHUNK = 1 << 15
+
+
 def voxel_label_metrics(pred, gt, n_classes: int) -> tuple[float, float, float]:
     """(mIoU, mAcc, Acc) for integer label grids.
 
@@ -572,20 +595,25 @@ def voxel_label_metrics(pred, gt, n_classes: int) -> tuple[float, float, float]:
     for name, arr in (("pred", pred), ("gt", gt)):
         if not (arr.min() >= 0 and arr.max() < n_classes):
             raise LabelOutOfRange(f"{name} labels outside [0, {n_classes})")
-    p = pred.ravel().astype(np.int64)
-    g = gt.ravel().astype(np.int64)
+    p, g = pred.ravel(), gt.ravel()
     n = n_classes
     if n > g.size:
         # more classes than voxels: count over the ranks of the labels
         # instead, which keep their order, so memory follows the voxels
-        _, ranks = np.unique(np.concatenate([g, p]), return_inverse=True)
+        _, ranks = np.unique(np.concatenate([g, p], dtype=np.int64, casting="unsafe"),
+                             return_inverse=True)
         g, p = ranks[:g.size], ranks[g.size:]
         n = 2 * g.size
-    gt_count = np.bincount(g, minlength=n).astype(np.float64)
-    present = gt_count > 0
-    gt_count = gt_count[present]
-    pred_count = np.bincount(p, minlength=n)[present].astype(np.float64)
-    tp = np.bincount(g, weights=p == g, minlength=n)[present]
+    # integer counts, LABEL_CHUNK voxels at a time: no grid-sized temporaries
+    counts = np.zeros((3, n), dtype=np.int64)
+    for lo in range(0, g.size, LABEL_CHUNK):
+        gc = g[lo:lo + LABEL_CHUNK].astype(np.int64)
+        pc = p[lo:lo + LABEL_CHUNK].astype(np.int64)
+        for row, labels in zip(counts, (gc, pc, gc[pc == gc])):
+            c = np.bincount(labels)
+            row[:len(c)] += c
+    present = counts[0] > 0
+    gt_count, pred_count, tp = counts[:, present].astype(np.float64)
     iou = tp / (gt_count + pred_count - tp)
     m_iou = float(iou.mean())
     m_acc = float((tp / gt_count).mean())
@@ -599,42 +627,69 @@ def _path_length(path: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
 
 
+# diagonals of point distances filled per block in dtw_distance
+DTW_BLOCK = 64
+
+
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Standard DTW with Euclidean point distance.
 
-    The cost table is filled one anti-diagonal (i + j = k) at a time: a
-    diagonal's cells depend only on the two before it. In the flattened
-    (n + 1, m + 1) table a diagonal is a slice with step m, and its up, left
-    and up-left neighbours are the same slice shifted.
+    The cost table is swept one anti-diagonal (i + j = k) at a time, and a
+    diagonal's cells depend only on the two before it. So three cost
+    diagonals are kept, indexed by i, and a diagonal's up, left and up-left
+    neighbours are slices of the last two shifted by one. The point
+    distances are filled DTW_BLOCK diagonals at a time into one reused
+    buffer: memory is O(DTW_BLOCK * n + n + m), not (n + 1) x (m + 1).
     """
-    if a.ndim != 2 or a.shape[1:] != b.shape[1:]:
+    if a.ndim != 2 or a.shape[1:] != b.shape[1:] or not a.shape[1]:
         raise DimsMismatch(f"paths of points {a.shape} and {b.shape}")
     n, m = len(a), len(b)
-    w = m + 1
-    dists = np.zeros((n + 1, w))
-    # the squared coordinate differences summed left to right, as
-    # np.linalg.norm(a[:, None] - b[None], axis=-1) sums them
-    sq, diff = dists[1:, 1:], np.empty((n, m))
-    for k in range(a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
-        diff *= diff
-        sq += diff
-    np.sqrt(sq, out=sq)
-    dists = dists.ravel()
-    cost = np.full((n + 1) * w, np.inf)
-    cost[0] = 0.0
-    buf = np.empty(min(n, m))
-    for k in range(2, n + m + 1) if n and m else ():
-        i0, i1 = max(1, k - m), min(n, k - 1)
-        first, last = i0 * w + k - i0, i1 * w + k - i1
-        cells = slice(first, last + 1, m)
-        best = buf[: i1 - i0 + 1]
-        # min(up, left, diag): ties are equal values, no cost is -0 or NaN,
-        # so which one np.minimum keeps does not change the bits
-        np.minimum(cost[first - 1 : last : m], cost[first - w : last - w + 1 : m], out=best)
-        np.minimum(cost[first - w - 1 : last - w : m], best, out=best)
-        np.add(dists[cells], best, out=cost[cells])
-    return float(cost[-1])
+    if not (n and m):
+        return 0.0 if n == m else math.inf
+    # points a[p] and b[s - p] sit on diagonal s = k - 2. With b's coordinate
+    # rows reversed and padded by `pad` zeros in front, b[s - p] is
+    # rb[pad + m - 1 - s + p]: a window of rb per diagonal, stepping back
+    # one as s grows
+    blk = min(DTW_BLOCK, n + m - 1)
+    width = min(n, m + blk - 1)
+    pad = blk - 1
+    ra = np.array(a.T, dtype=np.float64)
+    rb = np.zeros((ra.shape[0], pad + m - 1 + width))
+    rb[:, pad:pad + m] = b.T[:, ::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(rb, width, axis=1)
+    dist, sq = np.empty((2, blk, width))
+    prev2, prev1, cur = np.full((3, n + 1), np.inf)
+    prev2[0] = 0.0
+    for s0 in range(0, n + m - 1, blk):
+        s1 = min(s0 + blk, n + m - 1)
+        lo = max(0, s0 - m + 1)
+        w = min(n, s1) - lo
+        top = pad + m - 1 - s0 + lo
+        rows = windows[:, top - (s1 - s0) + 1:top + 1, :w][:, ::-1]
+        d, t = dist[:s1 - s0, :w], sq[:s1 - s0, :w]
+        # the squared coordinate differences added in axis order, then sqrt,
+        # as np.linalg.norm(a[:, None] - b[None], axis=-1) computes them
+        x = ra[:, lo:lo + w]
+        np.subtract(x[0], rows[0], out=d)
+        d *= d
+        for c in range(1, len(x)):
+            np.subtract(x[c], rows[c], out=t)
+            t *= t
+            d += t
+        np.sqrt(d, out=d)
+        for s in range(s0, s1):
+            i0, i1 = max(1, s - m + 2), min(n, s + 1)
+            best = cur[i0:i1 + 1]
+            # min(up, left, diag): ties are equal values, no cost is -0 or
+            # NaN, so which one np.minimum keeps does not change the bits
+            np.minimum(prev1[i0 - 1:i1], prev1[i0:i1 + 1], out=best)
+            np.minimum(prev2[i0 - 1:i1], best, out=best)
+            np.add(d[s - s0, i0 - 1 - lo:i1 - lo], best, out=best)
+            prev2, prev1, cur = prev1, cur, prev2
+            # border cells must read inf, and a reused buffer's only stale
+            # border value is the corner (0, 0) of diagonal 0
+            cur[0] = math.inf
+    return float(prev1[n])
 
 
 def nav_metrics(t: Trajectory) -> NavMetrics:

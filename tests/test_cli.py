@@ -235,15 +235,21 @@ class TestPeakMemory:
     # 64^3 grid near field: the command reads ~490 MB; a GridField that
     # skipped its gather of the inside rows read ~520 MB
     RENDER_CEILING_MB = 600
+    # two 3,000-point paths: the command reads ~37 MB; it read ~239 MB while
+    # dtw_distance held three (n + 1) x (m + 1) float64 tables
+    EVAL_NAV_CEILING_MB = 100
 
     @staticmethod
     def _peak_mb(*argv):
         """Peak RSS in MB of `radiant *argv` run in a child process, which must
-        exit 0."""
-        script = ("import resource, sys\n"
+        exit 0. The child reads its own VmHWM: ru_maxrss keeps the peak of
+        the process that spawned it (Linux carries it across exec), and so
+        reads at least the test process's own peak."""
+        script = ("import sys\n"
                   "from radiant.cli import dispatch\n"
                   "code = dispatch(sys.argv[1:])\n"
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                  "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+                  "print(code, hwm[0].split()[1])\n")
         proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                               env=child_env(), capture_output=True, text=True, timeout=300)
         code, peak_kb = proc.stdout.split()[-2:]
@@ -277,6 +283,19 @@ class TestPeakMemory:
         peak = self._peak_mb("render", "--scene", scene, "--out", tmp_path / "img")
         assert (tmp_path / "img_000.ppm").stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
         assert peak < self.RENDER_CEILING_MB
+
+    def test_eval_nav_long_paths(self, tmp_path):
+        rng = np.random.default_rng(3)
+        reference = np.linspace(0.0, 1.0, 3000)[:, None] * [30.0, 20.0, 0.0]
+        positions = reference + rng.normal(0, 0.3, reference.shape)
+        traj = tmp_path / "t.json"
+        traj.write_text(json.dumps({"trajectory": {
+            "positions": positions.tolist(), "reference": reference.tolist(),
+            "goal": reference[-1].tolist()}}))
+        out = tmp_path / "nav.json"
+        peak = self._peak_mb("eval-nav", "--trajectory", traj, "--out", out)
+        assert 0.0 < json.loads(out.read_text())["nDTW"] < 1.0
+        assert peak < self.EVAL_NAV_CEILING_MB
 
 
 class TestExtractSurface:
@@ -730,6 +749,17 @@ class TestEvalInputErrors:
     def test_trajectory_field_not_a_number(self, tmp_path, capsys, key, value):
         assert self.run_eval(tmp_path, "eval-nav", {"trajectory": {**TRAJ, key: value}}) == 3
         assert_format_error(capsys, tmp_path / "pred.json", key)
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("success_threshold", 0, "finite and positive"),
+        ("success_threshold", -2.0, "finite and positive"),
+        ("positions", [[0, 0], [1, 0]], "(N, 3)"), ("reference", [[0, 0, 0, 0]], "(N, 3)"),
+        ("positions", [], "nonempty"), ("reference", [[]], "nonempty"),
+        ("goal", [1, 0], "3-vector"),
+    ])
+    def test_trajectory_rules(self, tmp_path, capsys, key, value, rule):
+        assert self.run_eval(tmp_path, "eval-nav", {"trajectory": {**TRAJ, key: value}}) == 3
+        assert rule in assert_format_error(capsys, tmp_path / "pred.json", key)
 
     @pytest.mark.parametrize("key", ["positions", "reference", "goal"])
     def test_trajectory_missing_key(self, tmp_path, capsys, key):
@@ -1315,6 +1345,11 @@ def _missing_trajectory(tmp_path):
     return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
 
 
+def _trajectory(tmp_path, **overrides):
+    (tmp_path / "t.json").write_text(json.dumps({"trajectory": {**TRAJ, **overrides}}))
+    return ("eval-nav", "--trajectory", tmp_path / "t.json", "--out", tmp_path / "nav.json")
+
+
 class TestStderrContract:
     """An error exit writes exactly one line to stderr, the JSON record, and
     nothing before it: in-process tests cannot see this, since pytest records
@@ -1327,8 +1362,21 @@ class TestStderrContract:
         "scene-box-key": (_scene_box_without_size, 3, "FileFormatError"),
         "missing-input": (_missing_trajectory, 2, "FileNotFoundError"),
         "semmap-over-budget": (_huge_semmap, 3, "RadiantError"),
+        # a zero threshold ended in a ZeroDivisionError traceback (exit 1), a
+        # negative one exited 0 with nDTW > 1, and 2-D or 4-D points exited 3
+        # with a bare numpy broadcast message
+        "nav-zero-threshold": (lambda p: _trajectory(p, success_threshold=0), 3,
+                               "FileFormatError"),
+        "nav-negative-threshold": (lambda p: _trajectory(p, success_threshold=-1.5), 3,
+                                   "FileFormatError"),
+        "nav-2d-points": (lambda p: _trajectory(p, positions=[[0, 0], [1, 0]]), 3,
+                          "FileFormatError"),
+        "nav-4d-reference": (lambda p: _trajectory(p, reference=[[0, 0, 0, 0], [1, 0, 0, 0]]),
+                             3, "FileFormatError"),
+        "nav-empty-path": (lambda p: _trajectory(p, positions=[]), 3, "FileFormatError"),
         # a success: nothing on stderr
         "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
+        "nav-one-flat-point": (lambda p: _trajectory(p, positions=[1, 0, 0]), 0, None),
     }
 
     @pytest.mark.parametrize("case", CASES)

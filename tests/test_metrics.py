@@ -11,6 +11,8 @@ import radiant.metrics
 from radiant.core_math import rotation_about, skew
 from radiant.errors import DimsMismatch, EmptyPath, EmptySet, LabelOutOfRange
 from radiant.metrics import (
+    DTW_BLOCK,
+    LABEL_CHUNK,
     BoxBatch,
     OrientedBox3,
     PoseRecord,
@@ -172,6 +174,25 @@ def oracle_dtw(a, b):
                 cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1]
             )
     return float(cost[n, m])
+
+
+def oracle_voxel_label_metrics(pred, gt, n_classes):
+    """voxel_label_metrics counted over the whole grids at once, with
+    float64 bincounts."""
+    p = np.asarray(pred).ravel().astype(np.int64)
+    g = np.asarray(gt).ravel().astype(np.int64)
+    n = n_classes
+    if n > g.size:
+        _, ranks = np.unique(np.concatenate([g, p]), return_inverse=True)
+        g, p = ranks[:g.size], ranks[g.size:]
+        n = 2 * g.size
+    gt_count = np.bincount(g, minlength=n).astype(np.float64)
+    present = gt_count > 0
+    gt_count = gt_count[present]
+    pred_count = np.bincount(p, minlength=n)[present].astype(np.float64)
+    tp = np.bincount(g, weights=p == g, minlength=n)[present]
+    iou = tp / (gt_count + pred_count - tp)
+    return float(iou.mean()), float((tp / gt_count).mean()), float(tp.sum() / g.size)
 
 
 def random_box_sets(seed):
@@ -539,6 +560,33 @@ class TestVoxelLabels:
         assert got == voxel_label_metrics(pred, gt, 40)
 
 
+class TestChunkedVoxelCounts:
+    """voxel_label_metrics counts LABEL_CHUNK voxels at a time; the report
+    must be the unchunked one, bit for bit, at and around the chunk edge."""
+
+    @pytest.mark.parametrize("size", [LABEL_CHUNK - 1, LABEL_CHUNK, LABEL_CHUNK + 1,
+                                      3 * LABEL_CHUNK + 5])
+    def test_matches_unchunked_oracle(self, size):
+        rng = np.random.default_rng(size)
+        # classes 5, 6 and 8 never appear, 4 appears in predictions only,
+        # and the last voxel holds a class seen nowhere else
+        gt = rng.integers(0, 4, size).astype(np.float64)
+        pred = np.where(rng.random(size) < 0.7, gt, rng.integers(0, 5, size))
+        gt[-1] = pred[-1] = 7.0
+        for p, g in ((pred, gt), (pred.astype(np.int32), gt.reshape(1, 1, size))):
+            got = voxel_label_metrics(p.reshape(g.shape), g, 9)
+            assert got == oracle_voxel_label_metrics(p.reshape(g.shape), g, 9)
+
+    def test_rank_path(self):
+        # more classes than voxels: counted over label ranks, in chunks too
+        rng = np.random.default_rng(5)
+        size = LABEL_CHUNK + 1
+        gt = rng.integers(0, 10**9, size)
+        pred = np.where(rng.random(size) < 0.5, gt, rng.integers(0, 10**9, size))
+        got = voxel_label_metrics(pred, gt, 10**9)
+        assert got == oracle_voxel_label_metrics(pred, gt, 10**9)
+
+
 class TestNavMetrics:
     def straight_path(self):
         return np.array([[0.0, 0, 0], [2, 0, 0], [4, 0, 0]])
@@ -585,10 +633,35 @@ class TestNavMetrics:
             dtw_distance(np.zeros((4, 1)), np.zeros((3, 3)))
         with pytest.raises(DimsMismatch):
             dtw_distance(np.zeros(4), np.zeros(4))
+        # points with no coordinates are not a path
+        with pytest.raises(DimsMismatch):
+            dtw_distance(np.zeros((4, 0)), np.zeros((3, 0)))
 
     def test_empty_path_rejected(self):
         with pytest.raises(EmptyPath):
             Trajectory(np.zeros((0, 3)), np.zeros((1, 3)), goal=(0, 0, 0))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.inf, math.nan])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # a zero threshold divided by zero in nDTW, and a negative one gave nDTW > 1
+        path = np.array([[0.0, 0, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match="threshold"):
+            Trajectory(path, path, goal=(1, 0, 0), success_threshold=threshold)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4,), (2, 3, 1)])
+    def test_points_must_be_3d(self, shape):
+        good = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            Trajectory(np.zeros(shape), good, goal=(0, 0, 0))
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            Trajectory(good, np.zeros(shape), goal=(0, 0, 0))
+
+    def test_one_flat_point_reads_as_a_path(self):
+        t = Trajectory([1.0, 0, 0], [[0.0, 0, 0], [1, 0, 0]], goal=(1, 0, 0))
+        assert t.positions.shape == (1, 3)
+        # an empty path is a ValueError too, for library callers
+        with pytest.raises(ValueError):
+            Trajectory([], [[0.0, 0, 0]], goal=(0, 0, 0))
 
     def test_threshold_is_strict(self):
         path = np.array([[0.0, 0, 0]])
@@ -671,15 +744,24 @@ class TestArrayMetricsAgainstOracles:
         assert pose_ap_at(preds, gts, 5, 3.5) == 1.0
         assert pose_ap_at(preds, gts, 5, 3.5) == oracle_pose_ap(preds, gts, 5, 3.5)
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (9, 1), (7, 12), (12, 7), (30, 30),
-                                     (0, 4), (4, 0)])
+    # the sweep fills point distances DTW_BLOCK diagonals at a time: sizes
+    # on each side of the block edge, one- and two-block paths, one-point paths
+    B = DTW_BLOCK
+
+    @pytest.mark.parametrize("n,m", [
+        (1, 1), (1, 9), (9, 1), (7, 12), (12, 7), (30, 30), (0, 4), (4, 0), (0, 0),
+        (1, 300), (300, 1), (B - 1, 7), (7, B - 1), (B, 7), (7, B), (B + 1, 7), (7, B + 1),
+        (2 * B + 1, 7), (7, 2 * B + 1), (B, B), (B + 1, B - 1), (B - 1, 2 * B + 1),
+        (2 * B + 1, 2 * B + 1),
+    ])
     def test_dtw_exact(self, n, m):
         rng = np.random.default_rng(n * 100 + m)
-        a, b = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
-        assert dtw_distance(a, b) == oracle_dtw(a, b)
-        # repeated points give tied neighbours in the recurrence
-        a2, b2 = np.round(a), np.round(b)
-        assert dtw_distance(a2, b2) == oracle_dtw(a2, b2)
+        for dims in (3, 2):
+            a, b = rng.normal(size=(n, dims)), rng.normal(size=(m, dims))
+            assert dtw_distance(a, b) == oracle_dtw(a, b)
+            # repeated points give tied neighbours in the recurrence
+            a2, b2 = np.round(a), np.round(b)
+            assert dtw_distance(a2, b2) == oracle_dtw(a2, b2)
 
 
 def corner_to_corner(ca, sa, sb, phi, gap):
