@@ -1,9 +1,9 @@
 """Field abstractions: signed distance fields and radiance fields.
 
 Analytic shapes stand in for learned SDF networks so that extraction and
-rendering can be checked against exact surfaces. An SDF evaluates (..., 3)
-points, a radiance field (3, ...) coordinate rows, with no view-direction
-input. JSON specs are read into these classes by io.field_from_spec and
+rendering can be checked against exact surfaces. Every field evaluates
+(3, ...) coordinate rows x, y, z pointwise, with no view-direction input.
+JSON specs are read into these classes by io.field_from_spec and
 io.make_analytic_sdf.
 """
 
@@ -21,21 +21,31 @@ from .grids import VoxelGrid4D, alpha_to_sigma, trilinear
 class SdfField:
     """Scalar signed-distance field; negative inside, zero on the surface."""
 
-    def eval(self, pts) -> np.ndarray:
-        """Signed distances for points of shape (..., 3)."""
+    def eval(self, xyz) -> np.ndarray:
+        """xyz (3, ...) -> signed distances (...); other shapes raise ValueError."""
         raise NotImplementedError
 
 
-# The analytic kernels work in place on the three coordinate columns. That
-# gives the bits of np.linalg.norm, np.sum and q.max(axis=-1), which reduce a
+# The analytic kernels work in place on the three coordinate rows. That gives
+# the bits of np.linalg.norm, np.sum and q.max(axis=-1), which reduce a
 # length-3 axis left to right, at a third of their cost.
-def _columns(pts, center) -> tuple[list[np.ndarray], tuple]:
-    """Fresh float64 columns x, y, z of pts (..., 3) minus center (at least
-    1-D, so they can be updated in place), and the leading shape of pts. A
-    kernel returns result.reshape(shape)[()]: a numpy scalar for one point,
-    as the axis reductions gave."""
-    pts = np.asarray(pts, dtype=np.float64)
-    return [np.atleast_1d(pts[..., i] - center[i]) for i in range(3)], pts.shape[:-1]
+def _rows(xyz, center) -> tuple[list[np.ndarray], tuple]:
+    """Fresh float64 rows x, y, z of xyz (3, ...) minus center (at least 1-D, so
+    they can be updated in place), and the point shape of xyz. An SDF returns
+    result.reshape(shape)[()]: a numpy scalar for one point."""
+    xyz = as_rows(xyz)
+    return [np.atleast_1d(xyz[i] - center[i]) for i in range(3)], xyz.shape[1:]
+
+
+def _squared_distance(xyz, center) -> tuple[np.ndarray, tuple]:
+    """|xyz - center|^2 as a fresh, at least 1-D array, and the point shape of xyz."""
+    (x, y, z), shape = _rows(xyz, center)
+    x *= x
+    y *= y
+    x += y
+    z *= z
+    x += z
+    return x, shape
 
 
 @dataclass
@@ -48,16 +58,11 @@ class SphereSdf(SdfField):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def eval(self, pts) -> np.ndarray:
-        (x, y, z), shape = _columns(pts, self.center)
-        x *= x
-        y *= y
-        x += y
-        z *= z
-        x += z
-        np.sqrt(x, out=x)
-        x -= self.radius
-        return x.reshape(shape)[()]
+    def eval(self, xyz) -> np.ndarray:
+        d, shape = _squared_distance(xyz, self.center)
+        np.sqrt(d, out=d)
+        d -= self.radius
+        return d.reshape(shape)[()]
 
 
 @dataclass
@@ -71,9 +76,9 @@ class BoxSdf(SdfField):
         if not np.all(self.half_extents > 0):
             raise ValueError("half extents must be positive")
 
-    def eval(self, pts) -> np.ndarray:
+    def eval(self, xyz) -> np.ndarray:
         # exact box distance: outside part + inside part
-        q, shape = _columns(pts, self.center)
+        q, shape = _rows(xyz, self.center)
         for qi, hi in zip(q, self.half_extents):
             np.abs(qi, out=qi)
             qi -= hi
@@ -102,37 +107,30 @@ class UnionSdf(SdfField):
         if not self.children:
             raise EmptyUnion("union of zero shapes")
 
-    def eval(self, pts) -> np.ndarray:
-        out = self.children[0].eval(pts)
+    def eval(self, xyz) -> np.ndarray:
+        xyz = as_rows(xyz)
+        out = self.children[0].eval(xyz)
         for c in self.children[1:]:
-            out = np.minimum(out, c.eval(pts))
+            out = np.minimum(out, c.eval(xyz))
         return out
 
 
-def sdf_gradients(f: SdfField, pts, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients for a batch of points.
+def sdf_gradients(f: SdfField, xyz, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients at the points of (3, N) rows.
 
-    Returns (normals (N,3), valid (N,)) where invalid rows had gradient
+    Returns (normals (3, N), valid (N,)) where invalid points had gradient
     magnitude below 1e-8 and hold NaN.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    n = pts.shape[0]
-    offsets = np.zeros((3, 3))
-    np.fill_diagonal(offsets, h)
-    # taps[i] is pts moved along axis i, so each axis's difference comes back
-    # as one contiguous row of grad. One buffer serves the +h and then the -h
-    # taps (two would raise the peak memory of a surface job), so the +h
-    # values are copied out before it is refilled.
-    taps = np.empty((3, n, 3))
-    for i in range(3):
-        np.add(pts, offsets[i], out=taps[i])
-    grad = np.array(f.eval(taps.reshape(-1, 3)), dtype=np.float64).reshape(3, n)
-    for i in range(3):
-        np.subtract(pts, offsets[i], out=taps[i])
-    grad -= f.eval(taps.reshape(-1, 3)).reshape(3, n)
+    xyz = as_rows(xyz).reshape(3, -1)[:, None]
+    offsets = np.eye(3)[:, :, None] * h
+    # taps[:, i] is xyz moved along axis i, so row i of grad is axis i's
+    # difference. One buffer serves the +h and then the -h taps (two would
+    # raise a surface job's peak memory), so the +h values are copied out.
+    taps = xyz + offsets
+    grad = np.array(f.eval(taps), dtype=np.float64)
+    grad -= f.eval(np.subtract(xyz, offsets, out=taps))
     grad /= 2.0 * h
-    # the bits of np.linalg.norm(axis=-1), which sums a length-3 axis left
-    # to right
+    # the bits of np.linalg.norm(axis=-1), which sums 3 values left to right
     gx, gy, gz = grad
     mag = gx * gx + gy * gy + gz * gz
     np.sqrt(mag, out=mag)
@@ -140,17 +138,17 @@ def sdf_gradients(f: SdfField, pts, h: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore"):
         grad /= mag
     grad[:, ~valid] = np.nan
-    return np.ascontiguousarray(grad.T), valid
+    return grad, valid
 
 
 def sdf_normal(f: SdfField, x, h: float = 1e-4) -> np.ndarray:
-    """Unit surface normal estimate at one point; raises on flat gradients."""
+    """Unit surface normal estimate at one (3,) point; raises on flat gradients."""
     if h <= 0:
         raise ValueError("step must be positive")
     normals, valid = sdf_gradients(f, as_vec3(x), h)
     if not valid[0]:
         raise VanishingGradient(f"gradient magnitude < 1e-8 at {x}")
-    return normals[0]
+    return normals[:, 0]
 
 
 class RadianceField:
@@ -206,12 +204,7 @@ class GaussianBlobField(RadianceField):
             raise ValueError("scale must be positive")
 
     def eval(self, xyz):
-        (x, y, z), shape = _columns(np.moveaxis(as_rows(xyz), 0, -1), self.center)
-        x *= x
-        y *= y
-        x += y
-        z *= z
-        x += z
+        x, shape = _squared_distance(xyz, self.center)
         np.negative(x, out=x)
         x /= 2.0 * self.scale**2
         np.exp(x, out=x)
@@ -237,9 +230,9 @@ class BallField(RadianceField):
             raise ValueError("radius must be positive")
 
     def eval(self, xyz):
-        pts = np.moveaxis(as_rows(xyz), 0, -1)
-        inside = np.linalg.norm(pts - self.center, axis=-1) <= self.radius
-        return _color_rows(self.color, inside.shape), np.where(inside, self.sigma, 0.0)
+        d, shape = _squared_distance(xyz, self.center)
+        inside = (np.sqrt(d, out=d) <= self.radius).reshape(shape)
+        return _color_rows(self.color, shape), np.where(inside, self.sigma, 0.0)
 
 
 class GridField(RadianceField):

@@ -3,8 +3,8 @@ images, checked .npy arrays, and the JSON schemas for cameras, boxes, poses,
 trajectories, and radiance-field and SDF shape specs.
 
 NFVG layout (little-endian): magic "NFVG", u32 version=1, u32 X, Y, Z,
-u32 channels, 6 x f64 bounds (min xyz, max xyz), then X*Y*Z*channels f32
-values ordered index(x, y, z, c) = ((x*Y + y)*Z + z)*channels + c.
+u32 channels (each at least 1), 6 x f64 bounds (min xyz, max xyz), then
+X*Y*Z*channels f32 values ordered index(x, y, z, c) = ((x*Y + y)*Z + z)*channels + c.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def read_nfvg(path) -> VoxelGrid4D:
     magic, version, x, y, z, channels = _HEADER.unpack_from(raw)
     if version != NFVG_VERSION:
         raise BadVersion(f"{path}: unsupported NFVG version {version}")
+    if 0 in (x, y, z, channels):
+        raise FileFormatError(f"{path}: empty NFVG grid: dims {x}x{y}x{z}, {channels} channels")
     offset = _HEADER.size
     if len(raw) < offset + 48:
         raise TruncatedFile(f"{path}: missing bounds block")

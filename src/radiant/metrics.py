@@ -122,7 +122,8 @@ class OrientedBox3:
 
     def contains(self, xyz) -> np.ndarray:
         """Mask of the points of the (3, ...) rows inside the box, faces included."""
-        dx, dy, dz = (as_rows(xyz).T - self.center).T
+        xyz = as_rows(xyz)
+        dx, dy, dz = xyz - self.center.reshape((3,) + (1,) * (xyz.ndim - 1))
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         half = self.size / 2.0
         inside = np.abs(c * dx + s * dy) <= half[0]
@@ -258,6 +259,8 @@ def chamfer(a, b) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise EmptySet("chamfer needs two nonempty point sets")
+    if a.shape[1:] != (3,) or b.shape[1:] != (3,):
+        raise ValueError(f"chamfer needs (N, 3) point sets, got {a.shape} and {b.shape}")
     # nearest distances do not depend on the tree's shape, and an unbalanced
     # (sliding-midpoint) tree builds faster than a median-split one
     d_ab, _ = _spatial.cKDTree(b, balanced_tree=False).query(a)

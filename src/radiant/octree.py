@@ -6,7 +6,9 @@ The traversal starts from the root cell and subdivides every cell into its
 without a sort. From lod_start on it keeps only the cells whose center SDF
 value is within the cell edge length (shell rule), and at the final level
 projects the surviving cell centers onto the zero isosurface along the
-finite-difference normal: p' = p - n * sdf(p).
+finite-difference normal: p' = p - n * sdf(p). Points, cell indices and
+centers are (3, ...) coordinate rows, as fields read them; only the
+SurfaceSamples record keeps a PLY's (N, 3) layout.
 
 Both run in blocks of BLOCK_POINTS points, so every temporary stays
 cache-sized and no whole level is built: a level is evaluated
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import Aabb, cube_bounds
+from .core_math import Aabb, as_rows, cube_bounds
 from .errors import RadiantError
 from .fields import SdfField, sdf_gradients
 
@@ -31,7 +33,7 @@ from .fields import SdfField, sdf_gradients
 MAX_LEVEL_CELLS = 1 << 23
 
 # points the traversal evaluates and projection steps at a time: 2^13 points
-# keep a block's float64 (N, 3) temporaries at 192 kB, well inside L2
+# keep a block's float64 (3, N) temporaries at 192 kB, well inside L2
 BLOCK_POINTS = 1 << 13
 
 
@@ -60,9 +62,9 @@ class LodConfig:
 
 @dataclass
 class SurfaceSamples:
-    """Extracted surface points as parallel float64 arrays: positions (N,3)
-    and unit normals (N,3), what a PLY holds. len() is N. The SDF left at
-    the samples is f.eval(samples.positions)."""
+    """Extracted surface points as parallel float64 (N, 3) arrays, positions
+    and unit normals, as a PLY holds them; len() is N. Fields read (3, ...)
+    rows, so the SDF left at the samples is f.eval(samples.positions.T)."""
 
     positions: np.ndarray
     normals: np.ndarray
@@ -94,21 +96,22 @@ def samples_to_arrays(samples: SurfaceSamples) -> tuple[np.ndarray, np.ndarray]:
     return samples.positions, samples.normals
 
 
-# child c of cell i is cell 2i + _CHILDREN[c]: x varies fastest, so the
+# child c of cell i is cell 2i + _CHILDREN[:, c]: x varies fastest, so the
 # children of a cell, and by induction each level grown from the root cell,
 # are in Morton order (bit b of axis k is bit 3b + k of the code)
-_CHILDREN = np.array([[c & 1, c >> 1 & 1, c >> 2] for c in range(8)])
+_CHILDREN = np.array([[c & 1, c >> 1 & 1, c >> 2] for c in range(8)]).T
 
 
 def project_to_surface(
-    f: SdfField, points, h: float = 1e-4,
+    f: SdfField, xyz, h: float = 1e-4,
     stats: ExtractionStats | None = None, values=None,
 ) -> SurfaceSamples:
-    """Project points onto the zero isosurface in one step: p <- p - n * sdf(p).
+    """Project the points of (3, N) rows onto the zero isosurface in one
+    step: p <- p - n * sdf(p).
 
     Points whose gradient vanishes, before or after the step, are dropped
-    (callers can count them as len(points) - len(out)). values, when given,
-    is f.eval(points) already computed (the traversal's final-level values):
+    (callers can count them as N - len(out)). values, when given, is
+    f.eval(xyz) already computed (the traversal's final-level values):
     the step uses it instead of evaluating again. The step costs 7 SDF evals
     per point (the value and six gradient taps), 6 with values, and the
     normal of the result 6 more; the evals made are added to
@@ -116,39 +119,39 @@ def project_to_surface(
     The points are projected BLOCK_POINTS at a time, in order; each point's
     result does not depend on the block it falls in.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    xyz = as_rows(xyz).reshape(3, -1)
+    n = xyz.shape[1]
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != pts.shape[:1]:
-            raise ValueError(f"values of shape {values.shape} for {pts.shape[0]} points")
-    # each block's results are written into the output arrays at once, so
-    # the blocks are never held beside a joined copy
-    n = pts.shape[0]
+        if values.shape != (n,):
+            raise ValueError(f"values of shape {values.shape} for {n} points")
+    # each block's (3, k) results are written, transposed, into the (N, 3)
+    # output arrays at once, so the blocks are never held beside a joined copy
     out = (np.empty((n, 3)), np.empty((n, 3)))
     filled = 0
     for lo in range(0, n, BLOCK_POINTS):
-        block = _project_block(f, pts[lo:lo + BLOCK_POINTS], h, stats,
+        block = _project_block(f, xyz[:, lo:lo + BLOCK_POINTS], h, stats,
                                None if values is None else values[lo:lo + BLOCK_POINTS])
-        k = len(block[0])
+        k = block[0].shape[1]
         for dst, src in zip(out, block):
-            dst[filled:filled + k] = src
+            dst[filled:filled + k] = src.T
         filled += k
     return SurfaceSamples(*(a[:filled] for a in out))
 
 
-def _project_block(f, pts, h, stats, s):
-    """project_to_surface on one block of points, s their SDF values or None:
-    (positions, normals) of the points it keeps."""
-    evals = 6 * pts.shape[0]
+def _project_block(f, xyz, h, stats, s):
+    """project_to_surface on one block of (3, n) rows, s their SDF values or
+    None: (3, k) positions and normals of the points it keeps."""
+    evals = 6 * xyz.shape[1]
     if s is None:
-        s = f.eval(pts)
-        evals += pts.shape[0]
-    normals, ok = sdf_gradients(f, pts, h)
-    pts = pts[ok] - normals[ok] * s[ok, None]
+        s = f.eval(xyz)
+        evals += xyz.shape[1]
+    normals, ok = sdf_gradients(f, xyz, h)
+    xyz = xyz[:, ok] - normals[:, ok] * s[ok]
     if stats is not None:
-        stats.projection_evals += evals + 6 * pts.shape[0]
-    normals, ok = sdf_gradients(f, pts, h)
-    return pts[ok], normals[ok]
+        stats.projection_evals += evals + 6 * xyz.shape[1]
+    normals, ok = sdf_gradients(f, xyz, h)
+    return xyz[:, ok], normals[:, ok]
 
 
 def _check_level_cells(level: int, n: int) -> None:
@@ -159,17 +162,17 @@ def _check_level_cells(level: int, n: int) -> None:
 
 
 def _children(parents: np.ndarray) -> np.ndarray:
-    """The 8 children of each (M, 3) parent cell index, as (8M, 3) in Morton
-    order when the parents are."""
-    return (parents[:, None, :] * 2 + _CHILDREN).reshape(-1, 3)
+    """The 8 children of each parent cell index of (3, M) rows, as (3, 8M)
+    in Morton order when the parents are."""
+    return (parents[:, :, None] * 2 + _CHILDREN[:, None, :]).reshape(3, -1)
 
 
 def _child_blocks(parents: np.ndarray):
     """The children of `parents`, BLOCK_POINTS // 8 parents at a time: each
     block is the next Morton-ordered run of the child level."""
     step = BLOCK_POINTS // 8
-    for lo in range(0, len(parents), step):
-        yield _children(parents[lo:lo + step])
+    for lo in range(0, parents.shape[1], step):
+        yield _children(parents[:, lo:lo + step])
 
 
 def extract_surface(
@@ -192,8 +195,8 @@ def extract_surface(
     t0 = time.perf_counter()
 
     _check_level_cells(cfg.lod_start, 8**cfg.lod_start)
-    kept = np.zeros((1, 3), dtype=np.int64)  # the root cell
-    cell = np.asarray(cfg.bounds.extent)
+    kept = np.zeros((3, 1), dtype=np.int64)  # the root cell
+    cell = cfg.bounds.extent[:, None]
     for level in range(1, cfg.lod_end + 1):
         cell = cell / 2.0
         if level < cfg.lod_start:
@@ -205,28 +208,28 @@ def extract_surface(
         edge = cfg.cell_edge(level)
         cells, values, evals = [], [], 0
         for idx in _child_blocks(kept):
-            centers = cfg.bounds.min + (idx + 0.5) * cell
+            centers = cfg.bounds.min[:, None] + (idx + 0.5) * cell
             sdf = f.eval(centers)
             occ = sdf < edge if cfg.literal_occupancy else np.abs(sdf) < edge
-            cells.append((centers if final else idx)[occ])
+            cells.append((centers if final else idx)[:, occ])
             values.append(sdf[occ])
-            evals += len(idx)
+            evals += idx.shape[1]
         stats.evals_per_level[level] = evals
         stats.total_sdf_evals += evals
-        kept = np.concatenate(cells)
+        kept = np.concatenate(cells, axis=1)
         del cells
-        if len(kept) == 0:
+        if kept.shape[1] == 0:
             stats.no_surface = True
             stats.wall_time = time.perf_counter() - t0
             return SurfaceSamples.empty(), stats
         if not final:
-            _check_level_cells(level + 1, 8 * len(kept))
+            _check_level_cells(level + 1, 8 * kept.shape[1])
 
     centers, values = kept, np.concatenate(values)
     samples = project_to_surface(f, centers, h=cfg.cell_edge(cfg.lod_end) / 4.0,
                                  stats=stats, values=values)
 
-    stats.dropped_points = len(centers) - len(samples)
+    stats.dropped_points = centers.shape[1] - len(samples)
     stats.surface_points = len(samples)
     stats.wall_time = time.perf_counter() - t0
     return samples, stats
@@ -243,9 +246,8 @@ def dense_extract(f: SdfField, resolution: int, band: float) -> SurfaceSamples:
     bounds = cube_bounds()
     cell = bounds.extent / resolution
     ax = [bounds.min[i] + (np.arange(resolution) + 0.5) * cell[i] for i in range(3)]
-    gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    sdf = f.eval(pts)
+    xyz = np.stack(np.meshgrid(*ax, indexing="ij")).reshape(3, -1)
+    sdf = f.eval(xyz)
     band_mask = np.abs(sdf) <= band
-    return project_to_surface(f, pts[band_mask], h=float(cell.max()) / 4.0,
+    return project_to_surface(f, xyz[:, band_mask], h=float(cell.max()) / 4.0,
                               values=sdf[band_mask])

@@ -87,8 +87,8 @@ def test_criterion_1_octree_dense_equivalence():
         worst_chamfer = max(worst_chamfer, chamfer(oct_pos, den_pos))
         worst_resid = max(
             worst_resid,
-            float(np.abs(field.eval(oct_pos)).max()),
-            float(np.abs(field.eval(den_pos)).max()),
+            float(np.abs(field.eval(oct_pos.T)).max()),
+            float(np.abs(field.eval(den_pos.T)).max()),
         )
     elapsed = time.perf_counter() - t0
     ok = worst_chamfer <= 2 * finest_edge and worst_resid <= 1e-3 and elapsed < 10.0

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io as _stdio
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import radiant
 from radiant import io
@@ -1341,6 +1346,26 @@ def _huge_semmap(tmp_path):
     return (*argv, "--half-extent", "100000", "--classes", "1000", "--out", tmp_path / "m.nfvg")
 
 
+def _zero_dim_grid(tmp_path):
+    """A 0x4x4 NFVG with 4 channels: a consistent header and bounds, and
+    the empty payload its dims ask for."""
+    (tmp_path / "g.nfvg").write_bytes(io._HEADER.pack(io.NFVG_MAGIC, io.NFVG_VERSION, 0, 4, 4, 4)
+                                      + np.array([-1, -1, -1, 1, 1, 1], "<f8").tobytes())
+    return tmp_path / "g.nfvg"
+
+
+def _zero_dim_render(tmp_path):
+    _zero_dim_grid(tmp_path)
+    scene = scene_doc(near_field={"type": "grid", "path": "g.nfvg"})
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
+def _zero_dim_mask(tmp_path):
+    return ("mask", "--grid", _zero_dim_grid(tmp_path), "--out", tmp_path / "m.nfvg",
+            "--mask-out", tmp_path / "m.json")
+
+
 def _missing_trajectory(tmp_path):
     return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
 
@@ -1374,6 +1399,10 @@ class TestStderrContract:
         "nav-4d-reference": (lambda p: _trajectory(p, reference=[[0, 0, 0, 0], [1, 0, 0, 0]]),
                              3, "FileFormatError"),
         "nav-empty-path": (lambda p: _trajectory(p, positions=[]), 3, "FileFormatError"),
+        # a zero NFVG dimension ended render in an IndexError traceback (exit
+        # 1), and mask exited 0 writing an empty grid
+        "nfvg-zero-dim-render": (_zero_dim_render, 3, "FileFormatError"),
+        "nfvg-zero-dim-mask": (_zero_dim_mask, 3, "FileFormatError"),
         # a success: nothing on stderr
         "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
         "nav-one-flat-point": (lambda p: _trajectory(p, positions=[1, 0, 0]), 0, None),
@@ -1393,3 +1422,82 @@ class TestStderrContract:
         err = json.loads(lines[0])
         assert err == {"error": "domain" if code == 3 else "io", "type": kind,
                        "message": err["message"]}
+
+
+# a 4x4x4 RGBA grid in front of scene_doc's camera, as the NFVG header
+# fields a mutation may replace
+NFVG_BASE = {"version": 1, "x": 4, "y": 4, "z": 4, "channels": 4,
+             "bounds": [-0.5, -0.5, 0.2, 0.5, 0.5, 1.2]}
+U32 = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 8, 16]), st.integers(0, 2**32 - 1))
+F64 = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300]), st.floats())
+
+
+@st.composite
+def mutated_nfvg(draw) -> bytes:
+    """The NFVG of NFVG_BASE with some of its version, dims, channels and
+    bounds replaced. Its payload holds the base grid's 256 values, or, when
+    fit is drawn and they are few, as many values as the new header asks."""
+    h = dict(NFVG_BASE)
+    for key in draw(st.sets(st.sampled_from(sorted(NFVG_BASE)), min_size=1, max_size=3)):
+        if key == "version":
+            h[key] = draw(st.sampled_from([0, 2, 2**32 - 1]))
+        elif key == "bounds":
+            h[key] = [b if m is None else m for b, m in
+                      zip(h[key], draw(st.lists(st.none() | F64, min_size=6, max_size=6)))]
+        else:
+            h[key] = draw(U32)
+    n = h["x"] * h["y"] * h["z"] * h["channels"]
+    return nfvg_bytes(h, n if draw(st.booleans()) and n <= 4096 else 256)
+
+
+def nfvg_bytes(h: dict, n: int) -> bytes:
+    """An NFVG of header fields h and a payload of n values in [0, 0.9)."""
+    values = np.random.default_rng(n).uniform(0.0, 0.9, n).astype("<f4")
+    return (io._HEADER.pack(io.NFVG_MAGIC, h["version"], h["x"], h["y"], h["z"], h["channels"])
+            + np.array(h["bounds"], "<f8").tobytes() + values.tobytes())
+
+
+class TestNfvgHeaderMutations:
+    """render (the NFVG as its near field) and mask on a mutated NFVG header
+    keep the exit-code contract: 0 with nothing on stderr, or 2 or 3 with
+    exactly one JSON line on stderr; never a traceback or a warning. Huge
+    dims are refused by the payload-size check before anything is
+    allocated."""
+
+    @staticmethod
+    def dispatch_quietly(argv) -> tuple[int, str]:
+        err = _stdio.StringIO()
+        with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch([str(a) for a in argv])
+        return code, err.getvalue()
+
+    @staticmethod
+    def run_both(d, raw: bytes):
+        """(command, exit code, stderr) of render and mask on the NFVG raw."""
+        (d / "g.nfvg").write_bytes(raw)
+        (d / "scene.json").write_text(json.dumps(scene_doc(near_field={"type": "grid",
+                                                                       "path": "g.nfvg"})))
+        for argv in (("render", "--scene", d / "scene.json", "--out", d / "img"),
+                     ("mask", "--grid", d / "g.nfvg", "--out", d / "m.nfvg",
+                      "--mask-out", d / "m.json")):
+            yield (argv[0], *TestNfvgHeaderMutations.dispatch_quietly(argv))
+
+    def test_unmutated_grid_renders_and_masks(self, tmp_path):
+        # the property starts from a grid both commands take
+        for name, code, err in self.run_both(tmp_path, nfvg_bytes(NFVG_BASE, 256)):
+            assert (name, code, err) == (name, 0, "")
+
+    @settings(deadline=None, max_examples=80)
+    @given(mutated_nfvg())
+    @example(nfvg_bytes(dict(NFVG_BASE, x=0), 0))  # a consistent file of no value
+    def test_render_and_mask_keep_the_contract(self, tmp_path_factory, raw):
+        for name, code, err in self.run_both(tmp_path_factory.mktemp("nfvg"), raw):
+            assert code in (0, 2, 3), (name, code, err)
+            if code == 0:
+                assert err == "", (name, err)
+                continue
+            lines = err.splitlines()
+            assert len(lines) == 1, (name, err)
+            assert json.loads(lines[0])["error"] == ("domain" if code == 3 else "io")

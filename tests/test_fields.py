@@ -29,8 +29,8 @@ class ConstantSdf(SdfField):
     def __init__(self, value):
         self.value = value
 
-    def eval(self, pts):
-        return np.full(np.asarray(pts).shape[:-1], self.value)
+    def eval(self, xyz):
+        return np.full(np.asarray(xyz).shape[1:], self.value)
 
 
 class TestAnalyticSdf:
@@ -43,9 +43,9 @@ class TestAnalyticSdf:
         sphere = SphereSdf((0, 0, 0), 0.5)
         box = BoxSdf((0, 0, 0), (0.1, 0.1, 0.1))
         union = UnionSdf([sphere, box])
-        pts = np.random.default_rng(0).uniform(-1, 1, size=(100, 3))
+        xyz = np.random.default_rng(0).uniform(-1, 1, size=(3, 100))
         assert np.array_equal(
-            union.eval(pts), np.minimum(sphere.eval(pts), box.eval(pts))
+            union.eval(xyz), np.minimum(sphere.eval(xyz), box.eval(xyz))
         )
 
     def test_empty_union(self):
@@ -76,11 +76,12 @@ class TestAnalyticSdf:
         b = rng.uniform(-1.5, 1.5, size=(64, 3))
         gap = np.linalg.norm(a - b, axis=-1)
         for f in fields:
-            assert np.all(np.abs(f.eval(a) - f.eval(b)) <= gap + 1e-12)
+            assert np.all(np.abs(f.eval(a.T) - f.eval(b.T)) <= gap + 1e-12)
 
 
 def oracle_sdf(f: SdfField, pts) -> np.ndarray:
-    """The axis-reduction SDF formulas the column kernels replaced."""
+    """The axis-reduction SDF formulas the row kernels replaced, on (..., 3)
+    points."""
     if isinstance(f, UnionSdf):
         return np.min([oracle_sdf(c, pts) for c in f.children], axis=0)
     pts = np.asarray(pts, dtype=np.float64)
@@ -123,21 +124,22 @@ def kernel_inputs() -> list[np.ndarray]:
 
 
 class TestColumnKernels:
-    """The column-wise kernels give the bits of the axis-reduction formulas
-    (np.linalg.norm and max over the last axis, np.min over the children)."""
+    """The row-wise kernels, given the points as (3, ...) rows, give the bits
+    of the axis-reduction formulas on (..., 3) points (np.linalg.norm and max
+    over the last axis, np.min over the children)."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
     def test_bits_equal_axis_formulas(self, name):
         f = KERNEL_SHAPES[name]
         for pts in kernel_inputs():
-            got, want = f.eval(pts), oracle_sdf(f, pts)
+            got, want = f.eval(np.moveaxis(pts, -1, 0)), oracle_sdf(f, pts)
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want) == pts.shape[:-1]
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), pts[:3]
 
     def test_input_left_unchanged(self):
-        # the kernels work in place on their own column copies
-        pts = np.random.default_rng(12).uniform(-1, 1, size=(40, 3))
+        # the kernels work in place on their own row copies
+        pts = np.random.default_rng(12).uniform(-1, 1, size=(3, 40))
         before = pts.copy()
         for f in KERNEL_SHAPES.values():
             f.eval(pts)
@@ -145,19 +147,20 @@ class TestColumnKernels:
 
     def test_lists_and_ints_accepted(self):
         for f in KERNEL_SHAPES.values():
-            assert f.eval([[1, 0, 0], [0, 0, 0]]).tobytes() == \
+            assert f.eval([[1, 0], [0, 0], [0, 0]]).tobytes() == \
                 oracle_sdf(f, [[1, 0, 0], [0, 0, 0]]).tobytes()
 
 
 def oracle_gradients(f: SdfField, pts, h: float):
     """The (N, 3, 3) tap broadcast and np.linalg.norm that sdf_gradients
-    replaced with per-axis tap blocks and a written-out norm."""
+    replaced with per-axis tap blocks and a written-out norm: (N, 3) normals
+    of (N, 3) points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     n = pts.shape[0]
     offsets = np.zeros((3, 3))
     np.fill_diagonal(offsets, h)
-    plus = f.eval((pts[:, None, :] + offsets).reshape(-1, 3)).reshape(n, 3)
-    minus = f.eval((pts[:, None, :] - offsets).reshape(-1, 3)).reshape(n, 3)
+    plus = f.eval((pts[:, None, :] + offsets).reshape(-1, 3).T).reshape(n, 3)
+    minus = f.eval((pts[:, None, :] - offsets).reshape(-1, 3).T).reshape(n, 3)
     grad = (plus - minus) / (2.0 * h)
     mag = np.linalg.norm(grad, axis=-1)
     valid = mag >= 1e-8
@@ -176,28 +179,28 @@ class TestSdfGradients:
         for pts in [*kernel_inputs(), centers]:
             if pts.ndim != 2:
                 continue
-            got, want = sdf_gradients(f, pts, h), oracle_gradients(f, pts, h)
-            assert got[0].shape == want[0].shape == (len(pts), 3)
-            assert got[0].tobytes() == want[0].tobytes(), pts[:3]
+            got, want = sdf_gradients(f, pts.T, h), oracle_gradients(f, pts, h)
+            assert got[0].shape == want[0].T.shape == (3, len(pts))
+            assert got[0].T.tobytes() == want[0].tobytes(), pts[:3]
             assert got[1].tobytes() == want[1].tobytes(), pts[:3]
 
     def test_field_returning_a_view_of_its_points(self):
         # the z = 0 plane's eval is a view of the tap buffer, which the -h
         # taps refill after the +h evaluation
         class PlaneSdf(SdfField):
-            def eval(self, pts):
-                return np.asarray(pts)[..., 2]
+            def eval(self, xyz):
+                return np.asarray(xyz)[2]
 
-        pts = np.random.default_rng(5).uniform(-1, 1, size=(50, 3))
-        normals, valid = sdf_gradients(PlaneSdf(), pts, 1e-4)
-        assert valid.all() and np.array_equal(normals, np.tile([0.0, 0.0, 1.0], (50, 1)))
+        xyz = np.random.default_rng(5).uniform(-1, 1, size=(3, 50))
+        normals, valid = sdf_gradients(PlaneSdf(), xyz, 1e-4)
+        assert valid.all() and np.array_equal(normals, np.tile([[0.0], [0.0], [1.0]], 50))
 
     def test_vanishing_rows_hold_nan(self):
-        pts = np.array([KERNEL_SPHERE.center, [0.9, 0.1, 0.2], [-0.0, 0.0, -0.0]])
-        normals, valid = sdf_gradients(UnionSdf([KERNEL_SPHERE]), pts, 1e-4)
+        xyz = np.array([KERNEL_SPHERE.center, [0.9, 0.1, 0.2], [-0.0, 0.0, -0.0]]).T
+        normals, valid = sdf_gradients(UnionSdf([KERNEL_SPHERE]), xyz, 1e-4)
         assert valid.tolist() == [False, True, True]
-        assert np.isnan(normals[0]).all() and np.isfinite(normals[1:]).all()
-        normals, valid = sdf_gradients(ConstantSdf(0.2), pts, 1e-4)
+        assert np.isnan(normals[:, 0]).all() and np.isfinite(normals[:, 1:]).all()
+        normals, valid = sdf_gradients(ConstantSdf(0.2), xyz, 1e-4)
         assert not valid.any() and np.isnan(normals).all()
         assert normals.flags.c_contiguous
 
@@ -299,16 +302,16 @@ class TestGridField:
 
 
 def oracle_gaussian_sigma(f: GaussianBlobField, pts) -> np.ndarray:
-    """GaussianBlobField's density as it was computed before the column
-    kernel: np.sum of squared offsets over the last axis."""
+    """GaussianBlobField's density as it was computed before the row
+    kernel: np.sum of squared offsets over the last axis of (..., 3) points."""
     pts = np.atleast_2d(pts)
     d2 = np.sum((pts - f.center) ** 2, axis=-1)
     return f.amplitude * np.exp(-d2 / (2.0 * f.scale**2))
 
 
 class TestGaussianKernel:
-    """GaussianBlobField.eval on the column kernel gives the bits of the
-    np.sum formula."""
+    """GaussianBlobField.eval on the row kernel gives the bits of the np.sum
+    formula, and BallField.eval those of the np.linalg.norm formula."""
 
     FIELDS = [GaussianBlobField((0.9, 0.4, 0.1), 12.0, (0.05, -0.05, 0.2), 0.25),
               GaussianBlobField((0.2, 0.6, 0.3), 2, (0.0, 0.0, 2.0), 1.0),
@@ -334,6 +337,17 @@ class TestGaussianKernel:
         before = pts.copy()
         self.FIELDS[0].eval(pts.T)
         assert np.array_equal(pts, before)
+
+    @pytest.mark.parametrize("f", [BallField((0.3, 0.9, 0.1), 30.0, KERNEL_SPHERE.center, 0.5),
+                                   BallField((1, 1, 1), 2.5, (0, 0, 0), 0.25)])
+    def test_ball_bits_equal_norm_formula(self, f):
+        # points on the sphere of the radius are inside, as norm <= radius has it
+        on_ball = f.center + f.radius * np.concatenate([np.eye(3), -np.eye(3)])
+        for pts in kernel_inputs() + [on_ball, np.zeros((0, 3))]:
+            colors, sigmas = f.eval(np.moveaxis(pts, -1, 0))
+            want = np.where(np.linalg.norm(pts - f.center, axis=-1) <= f.radius, f.sigma, 0.0)
+            assert sigmas.shape == want.shape and sigmas.tobytes() == want.tobytes()
+            assert colors.shape == (3,) + want.shape
 
 
 class TestPointwiseEval:
@@ -384,3 +398,36 @@ class TestPointwiseEval:
         classes = {cls for cls in vars(radiant.fields).values()
                    if isinstance(cls, type) and issubclass(cls, RadianceField)}
         assert {type(f) for f in self._fields().values()} == classes - {RadianceField}
+
+
+class TestPointwiseSdfEval:
+    """The SDF twin of TestPointwiseEval: every SdfField subclass in
+    radiant.fields maps (3, ...) coordinate rows to (...) distances, and a
+    point's distance has the same bits in any batch. A new SDF must add an
+    instance to FIELDS."""
+
+    FIELDS = {"sphere": KERNEL_SPHERE, "box": KERNEL_BOX, "union": KERNEL_SHAPES["union3"]}
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_permuted_and_split_batches(self, name):
+        field = self.FIELDS[name]
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-1.0, 1.0, (301, 3))
+        dist = field.eval(pts.T)
+        assert dist.shape == (301,)
+        perm = rng.permutation(len(pts))
+        assert field.eval(pts[perm].T).tobytes() == dist[perm].tobytes()
+        for cut in (1, 150):
+            head, tail = field.eval(pts[:cut].T), field.eval(pts[cut:].T)
+            assert np.concatenate([head, tail]).tobytes() == dist.tobytes()
+        packet = field.eval(pts[:300].T.reshape(3, 20, 15))
+        assert packet.shape == (20, 15) and packet.tobytes() == dist[:300].tobytes()
+        assert field.eval(np.zeros((3, 0))).shape == (0,)
+        for columns in (pts, pts[:100, :2], np.zeros((100, 4))):
+            with pytest.raises(ValueError, match=r"\(3, \.\.\.\)"):
+                field.eval(columns)  # points as columns, not rows
+
+    def test_every_sdf_class_is_covered(self):
+        classes = {cls for cls in vars(radiant.fields).values()
+                   if isinstance(cls, type) and issubclass(cls, SdfField)}
+        assert {type(f) for f in self.FIELDS.values()} == classes - {SdfField}

@@ -79,6 +79,33 @@ class TestNfvg:
         with pytest.raises(FileFormatError):
             io.read_nfvg(p)
 
+    @pytest.mark.parametrize("zero", range(4), ids=["x", "y", "z", "channels"])
+    def test_zero_dimension_or_channels_refused(self, tmp_path, zero):
+        # a consistent file, whose payload holds the X*Y*Z*channels = 0
+        # values its header asks for, but no voxel
+        fields = [2, 3, 4, 2]
+        fields[zero] = 0
+        p = tmp_path / "zero.nfvg"
+        p.write_bytes(io._HEADER.pack(io.NFVG_MAGIC, io.NFVG_VERSION, *fields)
+                      + np.array([-1, -1, -1, 1, 1, 1], "<f8").tobytes())
+        with pytest.raises(FileFormatError, match=re.escape(f"{p}: empty NFVG grid: ")):
+            io.read_nfvg(p)
+
+    def test_huge_dims_refused_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.nfvg"
+        io.write_nfvg(p, f32_grid(np.random.default_rng(7), dims=(2, 2, 2), channels=1))
+        raw = bytearray(p.read_bytes())
+        raw[8:24] = io._HEADER.pack(io.NFVG_MAGIC, 1, *[2**32 - 1] * 4)[8:]
+        p.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile, match="payload"):
+                io.read_nfvg(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_random_shapes_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         for i in range(10):

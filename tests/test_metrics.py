@@ -269,6 +269,15 @@ class TestChamfer:
         with pytest.raises(EmptySet):
             chamfer(np.zeros((0, 3)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 100), (100, 2), (100, 4), (2, 50, 3)])
+    def test_points_not_n_by_3_refused(self, shape):
+        # (3, N) rows were read as 3 points of N dimensions
+        a = np.random.default_rng(5).uniform(-1, 1, (100, 3))
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            chamfer(np.zeros(shape), a)
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            chamfer(a, np.zeros(shape))
+
     def test_subset_not_zero(self):
         # zero only when both directions vanish
         a = np.array([[0.0, 0, 0]])

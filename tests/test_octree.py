@@ -29,8 +29,8 @@ UNION = UnionSdf(
 class FarAwaySdf(SdfField):
     """Always farther from the surface than the bounds diagonal."""
 
-    def eval(self, pts):
-        return np.full(np.asarray(pts).shape[:-1], 10.0)
+    def eval(self, xyz):
+        return np.full(np.asarray(xyz).shape[1:], 10.0)
 
 
 class CountingSdf(SdfField):
@@ -39,11 +39,11 @@ class CountingSdf(SdfField):
     def __init__(self, inner):
         self.inner, self.points, self.most = inner, 0, 0
 
-    def eval(self, pts):
-        n = np.asarray(pts).size // 3
+    def eval(self, xyz):
+        n = np.asarray(xyz).size // 3
         self.points += n
         self.most = max(self.most, n)
-        return self.inner.eval(pts)
+        return self.inner.eval(xyz)
 
 
 class TestExtractSurface:
@@ -78,7 +78,7 @@ class TestExtractSurface:
 
     def test_residuals_shrink(self):
         samples, _ = extract_surface(BOX, LodConfig())
-        res = BOX.eval(samples.positions)
+        res = BOX.eval(samples.positions.T)
         assert np.abs(res).max() <= 1e-3 * LodConfig().bounds.diagonal
 
     def test_literal_occupancy_keeps_interior(self):
@@ -99,7 +99,7 @@ class TestDenseExtract:
             for j in range(res):
                 for k in range(res):
                     p = -1 + (np.array([i, j, k]) + 0.5) * (2 / res)
-                    if abs(SPHERE.eval(p[None, :])[0]) <= band:
+                    if abs(SPHERE.eval(p)) <= band:
                         kept_oracle += 1
         samples = dense_extract(SPHERE, res, band)
         assert len(samples) == kept_oracle
@@ -117,33 +117,37 @@ class TestDenseExtract:
 
 class TestProjectToSurface:
     def test_single_step_exact_on_distance_field(self):
-        out = project_to_surface(SPHERE, [(0.6, 0.0, 0.0)])
+        out = project_to_surface(SPHERE, [[0.6], [0.0], [0.0]])
         assert np.abs(out.positions[0] - (0.5, 0, 0)).max() < 1e-9
 
     def test_surface_point_unchanged(self):
-        out = project_to_surface(SPHERE, [(0.0, 0.5, 0.0)])
+        out = project_to_surface(SPHERE, [[0.0], [0.5], [0.0]])
         assert np.abs(out.positions[0] - (0, 0.5, 0)).max() < 1e-9
 
     def test_monotone_residuals_batch(self):
         rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.9, 0.9, size=(128, 3))
-        before = np.abs(BOX.eval(pts))
-        out = project_to_surface(BOX, pts)
-        assert len(out) == len(pts)
-        after = np.abs(BOX.eval(out.positions))
+        xyz = rng.uniform(-0.9, 0.9, size=(3, 128))
+        before = np.abs(BOX.eval(xyz))
+        out = project_to_surface(BOX, xyz)
+        assert len(out) == 128
+        after = np.abs(BOX.eval(out.positions.T))
         assert np.all(after <= before + 1e-9)
 
     def test_record_arrays(self):
-        pts = np.random.default_rng(6).uniform(-0.9, 0.9, size=(40, 3))
-        out = project_to_surface(BOX, pts)
+        xyz = np.random.default_rng(6).uniform(-0.9, 0.9, size=(3, 40))
+        out = project_to_surface(BOX, xyz)
         assert isinstance(out, SurfaceSamples) and len(out) == 40
         assert vars(out).keys() == {"positions", "normals"}
         assert out.positions.shape == out.normals.shape == (40, 3)
         assert all(a.dtype == np.float64 for a in samples_to_arrays(out))
         # one step leaves an SDF value at the samples: smaller, but not zero
-        residuals = BOX.eval(out.positions)
+        residuals = BOX.eval(out.positions.T)
         assert residuals.shape == (40,) and np.count_nonzero(residuals) > 0
-        assert np.abs(residuals).max() < np.abs(BOX.eval(pts)).max()
+        assert np.abs(residuals).max() < np.abs(BOX.eval(xyz)).max()
+
+    def test_points_as_columns_refused(self):
+        with pytest.raises(ValueError, match=r"\(3, \.\.\.\)"):
+            project_to_surface(SPHERE, np.full((40, 3), 0.6))
 
 
 def same_samples(a: SurfaceSamples, b: SurfaceSamples) -> bool:
@@ -176,23 +180,23 @@ class TestTraversalValuesReused:
     def test_dense_extract_equals_fresh_projection(self):
         res, band = 24, 0.05
         ax = -1 + (np.arange(res) + 0.5) * (2 / res)
-        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-        kept = pts[np.abs(UNION.eval(pts)) <= band]
+        xyz = np.stack(np.meshgrid(ax, ax, ax, indexing="ij")).reshape(3, -1)
+        kept = xyz[:, np.abs(UNION.eval(xyz)) <= band]
         fresh = project_to_surface(UNION, kept, h=(2 / res) / 4.0)
         assert same_samples(dense_extract(UNION, res, band), fresh)
 
     def test_values_count_as_no_evals(self):
-        pts = np.random.default_rng(8).uniform(-0.9, 0.9, size=(50, 3))
+        xyz = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 50))
         counting = CountingSdf(BOX)
         stats = ExtractionStats()
-        out = project_to_surface(counting, pts, stats=stats, values=BOX.eval(pts))
+        out = project_to_surface(counting, xyz, stats=stats, values=BOX.eval(xyz))
         # six gradient taps for the step, six for the normal of the result
         assert stats.projection_evals == counting.points == (6 + 6) * len(out)
-        assert same_samples(out, project_to_surface(BOX, pts))
+        assert same_samples(out, project_to_surface(BOX, xyz))
 
     def test_values_shape_checked(self):
         with pytest.raises(ValueError, match="values"):
-            project_to_surface(SPHERE, np.zeros((4, 3)), values=np.zeros(3))
+            project_to_surface(SPHERE, np.zeros((3, 4)), values=np.zeros(3))
 
 
 def same_stats(a: ExtractionStats, b: ExtractionStats) -> bool:
@@ -242,17 +246,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("with_values", [False, True], ids=["fresh", "values"])
     def test_projection_ignores_block_size(self, monkeypatch, with_values):
-        pts = np.random.default_rng(9).uniform(-0.9, 0.9, size=(70, 3))
-        values = UNION.eval(pts) if with_values else None
+        xyz = np.random.default_rng(9).uniform(-0.9, 0.9, size=(3, 70))
+        values = UNION.eval(xyz) if with_values else None
 
         def project(size):
             monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
             stats = ExtractionStats()
-            out = project_to_surface(UNION, pts, stats=stats, values=values)
+            out = project_to_surface(UNION, xyz, stats=stats, values=values)
             return out, stats
 
         whole, whole_stats = project(self.WHOLE)
-        assert len(whole) == len(pts)
+        assert len(whole) == 70
         for size in self.SIZES:
             out, stats = project(size)
             assert same_samples(out, whole) and same_stats(stats, whole_stats), size
@@ -261,7 +265,7 @@ class TestBlocks:
     def test_projection_of_zero_points(self, monkeypatch, size):
         monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
         stats = ExtractionStats()
-        out = project_to_surface(SPHERE, np.zeros((0, 3)), stats=stats, values=np.zeros(0))
+        out = project_to_surface(SPHERE, np.zeros((3, 0)), stats=stats, values=np.zeros(0))
         assert vars(out).keys() == {"positions", "normals"}
         assert out.positions.shape == out.normals.shape == (0, 3)
         assert stats.projection_evals == 0
@@ -275,9 +279,9 @@ class TestBlocks:
         pts[11] = SPHERE.center
         monkeypatch.setattr(radiant.octree, "BLOCK_POINTS", size)
         stats = ExtractionStats()
-        out = project_to_surface(SPHERE, pts, stats=stats)
+        out = project_to_surface(SPHERE, pts.T, stats=stats)
         rest = np.delete(pts, 11, axis=0)
-        assert same_samples(out, project_to_surface(SPHERE, rest))
+        assert same_samples(out, project_to_surface(SPHERE, rest.T))
         # every point costs its value and six gradient taps for the step; the
         # 19 kept points cost six more taps for their normals, the dropped one
         # none
@@ -352,7 +356,7 @@ class TestOracleEquivalence:
     def test_projected_residuals(self, field):
         samples, _ = extract_surface(field, LodConfig(3, 6))
         pos, _ = samples_to_arrays(samples)
-        vals = np.abs(field.eval(pos))
+        vals = np.abs(field.eval(pos.T))
         assert vals.max() <= 1e-3 * LodConfig().bounds.diagonal
 
 
@@ -386,7 +390,7 @@ class TestMortonOrder:
         _, stats = extract_surface(field, cfg)
         [centers] = calls
         cell = cfg.bounds.extent / (1 << self.LOD_END)
-        idx = np.rint((centers - cfg.bounds.min) / cell - 0.5).astype(np.int64)
-        assert np.array_equal(cfg.bounds.min + (idx + 0.5) * cell, centers)
-        assert len(centers) == stats.surface_points + stats.dropped_points > 100
+        idx = np.rint((centers.T - cfg.bounds.min) / cell - 0.5).astype(np.int64)
+        assert np.array_equal(cfg.bounds.min + (idx + 0.5) * cell, centers.T)
+        assert centers.shape[1] == stats.surface_points + stats.dropped_points > 100
         assert np.all(np.diff(oracle_morton3(idx).astype(np.int64)) > 0)
