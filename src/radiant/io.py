@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from itertools import chain
@@ -35,14 +36,14 @@ _HEADER = struct.Struct("<4sIIIII")
 JSON_VERSION = 1
 
 
-# values write_nfvg converts to f32 and writes at a time (whole x-planes)
-NFVG_CHUNK_VALUES = 1 << 20
+# f32 values read_nfvg converts at a time, and about the values write_nfvg
+# converts at a time (whole x-planes): no file-sized copy is held
+NFVG_CHUNK_VALUES = 1 << 16
 
 
 def write_nfvg(path, grid: VoxelGrid4D) -> None:
     """Write a grid; values are converted to f32 and written a run of
-    x-planes (about NFVG_CHUNK_VALUES values) at a time, so the whole
-    payload is never copied."""
+    x-planes (about NFVG_CHUNK_VALUES values) at a time."""
     x, y, z = grid.dims
     header = _HEADER.pack(NFVG_MAGIC, NFVG_VERSION, x, y, z, grid.channels)
     bounds = np.concatenate([grid.bounds.min, grid.bounds.max]).astype("<f8")
@@ -55,31 +56,38 @@ def write_nfvg(path, grid: VoxelGrid4D) -> None:
 
 
 def read_nfvg(path) -> VoxelGrid4D:
-    raw = Path(path).read_bytes()
-    if raw[:4] != NFVG_MAGIC:
-        raise BadMagic(f"{path}: magic {raw[:4]!r}")
-    if len(raw) < _HEADER.size:
-        raise TruncatedFile(f"{path}: shorter than the NFVG header")
-    magic, version, x, y, z, channels = _HEADER.unpack_from(raw)
-    if version != NFVG_VERSION:
-        raise BadVersion(f"{path}: unsupported NFVG version {version}")
-    if 0 in (x, y, z, channels):
-        raise FileFormatError(f"{path}: empty NFVG grid: dims {x}x{y}x{z}, {channels} channels")
-    offset = _HEADER.size
-    if len(raw) < offset + 48:
-        raise TruncatedFile(f"{path}: missing bounds block")
-    bounds_vals = np.frombuffer(raw, dtype="<f8", count=6, offset=offset)
-    offset += 48
-    expected = x * y * z * channels * 4
-    if len(raw) - offset < expected:
-        raise TruncatedFile(f"{path}: payload {len(raw) - offset} < {expected} bytes")
-    if len(raw) - offset > expected:
-        raise FileFormatError(f"{path}: {len(raw) - offset - expected} trailing bytes")
-    data = np.frombuffer(raw, dtype="<f4", count=x * y * z * channels, offset=offset)
-    return VoxelGrid4D(
-        data.astype(np.float64).reshape(x, y, z, channels),
-        Aabb(bounds_vals[:3], bounds_vals[3:]),
-    )
+    """Read a grid. The header and the payload length (from fstat) are
+    checked before anything is allocated; the float64 grid is then filled
+    NFVG_CHUNK_VALUES values at a time through one f32 buffer."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size + 48)
+        if head[:4] != NFVG_MAGIC:
+            raise BadMagic(f"{path}: magic {head[:4]!r}")
+        if len(head) < _HEADER.size:
+            raise TruncatedFile(f"{path}: shorter than the NFVG header")
+        magic, version, x, y, z, channels = _HEADER.unpack_from(head)
+        if version != NFVG_VERSION:
+            raise BadVersion(f"{path}: unsupported NFVG version {version}")
+        if 0 in (x, y, z, channels):
+            raise FileFormatError(f"{path}: empty NFVG grid: dims {x}x{y}x{z}, {channels} channels")
+        if len(head) < _HEADER.size + 48:
+            raise TruncatedFile(f"{path}: missing bounds block")
+        bounds_vals = np.frombuffer(head, dtype="<f8", count=6, offset=_HEADER.size)
+        n = x * y * z * channels
+        payload = size - len(head)
+        if payload < 4 * n:
+            raise TruncatedFile(f"{path}: payload {payload} < {4 * n} bytes")
+        if payload > 4 * n:
+            raise FileFormatError(f"{path}: {payload - 4 * n} trailing bytes")
+        data = np.empty(n)
+        buf = np.empty(min(n, NFVG_CHUNK_VALUES), dtype="<f4")
+        for lo in range(0, n, len(buf)):
+            part = buf[:n - lo]
+            if fh.readinto(part) != part.nbytes:
+                raise TruncatedFile(f"{path}: payload ended while it was read")
+            data[lo:lo + len(part)] = part
+    return VoxelGrid4D(data.reshape(x, y, z, channels), Aabb(bounds_vals[:3], bounds_vals[3:]))
 
 
 _PLY_HEADER = """ply

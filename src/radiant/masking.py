@@ -128,24 +128,24 @@ def random_mask(
     )
 
 
-def _voxel_mask(dims, m: PatchMask) -> np.ndarray:
-    """Expand the patch bitset to a voxel-level boolean (X, Y, Z)."""
-    gx, gy, gz = patch_grid(dims, m.patch_size)
+def _patch_bits(dims, m: PatchMask) -> tuple[np.ndarray, tuple]:
+    """The patch bitset as (gx, 1, gy, 1, gz, 1), and the shape
+    (gx, p, gy, p, gz, p) of the voxel blocks of dims it broadcasts against."""
+    p = m.patch_size
+    gx, gy, gz = patch_grid(dims, p)
     if gx * gy * gz != m.n_patches:
         raise DimsMismatch(f"mask has {m.n_patches} patches, grid has {gx * gy * gz}")
     if m.grid_dims is not None and m.grid_dims != tuple(dims):
         raise DimsMismatch(f"mask dims {m.grid_dims} vs grid dims {tuple(dims)}")
-    m3 = m.masked.reshape(gx, gy, gz)
-    p = m.patch_size
-    return np.repeat(np.repeat(np.repeat(m3, p, axis=0), p, axis=1), p, axis=2)
+    return m.masked.reshape(gx, 1, gy, 1, gz, 1), (gx, p, gy, p, gz, p)
 
 
 def apply_mask(g: VoxelGrid4D, m: PatchMask) -> VoxelGrid4D:
-    """Zero all channels of every masked patch; visible voxels are untouched."""
-    vm = _voxel_mask(g.dims, m)
-    data = g.data.copy()
-    data[vm] = 0.0
-    return VoxelGrid4D(data, g.bounds)
+    """Zero all channels of every masked patch; visible voxels are untouched.
+    The result is built in one np.where over the grid's voxel blocks."""
+    bits, blocks = _patch_bits(g.dims, m)
+    out = np.where(bits[..., None], 0.0, g.data.reshape(*blocks, g.channels))
+    return VoxelGrid4D(out.reshape(g.data.shape), g.bounds)
 
 
 class ReconLosses(NamedTuple):
@@ -167,7 +167,8 @@ def recon_losses(
     via rgb_voxels == 0.
     """
     pred.check_same_dims(target)
-    vm = _voxel_mask(pred.dims, m)
+    bits, blocks = _patch_bits(pred.dims, m)
+    vm = np.broadcast_to(bits, blocks).reshape(pred.dims)  # voxel-level (X, Y, Z) mask
     if not vm.any():
         return ReconLosses(0.0, 0.0, 0)
     gate = vm & (target.data[..., 3] > ALPHA_DELTA)

@@ -227,22 +227,26 @@ class TestPeakMemory:
     that runs it, against a stated ceiling."""
 
     # 203^3 voxels is the largest cube under MAX_GRID_VALUES: 268 MB of
-    # float64 output. The command reads ~293 MB; it read 569 MB while it
+    # float64 output. The command reads ~290 MB; it read 569 MB while it
     # built every voxel center up front, kept an (N, 4) accumulator and
     # wrote the NFVG payload from two whole copies
     VOXELIZE_CEILING_MB = 400
     # the sphere at LoD 10 evaluates 3.3M cells and writes 1.6M samples: the
-    # command reads ~185 MB; it read 250-270 MB while write_ply made a float64
+    # command reads ~210 MB; it read 250-270 MB while write_ply made a float64
     # (N, 6) copy of the samples, and 563 MB while the octree held whole
     # levels and projected them in one piece
     EXTRACT_CEILING_MB = 400
     # one 256-ray packet at the sample edge (n_coarse + n_fine = 3640) over a
-    # 64^3 grid near field: the command reads ~490 MB; a GridField that
-    # skipped its gather of the inside rows read ~520 MB
+    # 64^3 grid near field: the command reads ~530 MB
     RENDER_CEILING_MB = 600
     # two 3,000-point paths: the command reads ~37 MB; it read ~239 MB while
     # dtw_distance held three (n + 1) x (m + 1) float64 tables
     EVAL_NAV_CEILING_MB = 100
+    # a 128^3 x 4 grid (32 MB of f32, 64 MB as float64): the command reads
+    # ~160 MB, the grid and its masked copy; it read ~218 MB while read_nfvg
+    # held the whole file beside the grid and apply_mask zeroed a copy
+    # through a voxel-level boolean mask
+    MASK_CEILING_MB = 190
 
     @staticmethod
     def _peak_mb(*argv):
@@ -288,6 +292,23 @@ class TestPeakMemory:
         peak = self._peak_mb("render", "--scene", scene, "--out", tmp_path / "img")
         assert (tmp_path / "img_000.ppm").stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
         assert peak < self.RENDER_CEILING_MB
+
+    def test_mask_bounded(self, tmp_path):
+        n = 128
+        grid = tmp_path / "g.nfvg"
+        with open(grid, "wb") as fh:
+            fh.write(struct.pack("<4sIIIII", b"NFVG", 1, n, n, n, 4))
+            fh.write(np.array([-1, -1, -1, 1, 1, 1], "<f8").tobytes())
+            rng = np.random.default_rng(0)
+            for _ in range(n):
+                fh.write(rng.uniform(0, 1, (n, n, 4)).astype("<f4").tobytes())
+        out = tmp_path / "m.nfvg"
+        peak = self._peak_mb("mask", "--grid", grid, "--ratio", "0.5", "--patch", "4",
+                             "--out", out, "--mask-out", tmp_path / "m.json")
+        assert out.stat().st_size == grid.stat().st_size
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert len(doc["masked_indices"]) == (n // 4) ** 3 // 2
+        assert peak < self.MASK_CEILING_MB
 
     def test_eval_nav_long_paths(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -148,6 +148,67 @@ class TestNfvgChunkedWrite:
             assert path.read_bytes() == oracle_write_nfvg(grid)
 
 
+def oracle_read_nfvg_values(path) -> np.ndarray:
+    """The payload as the whole-file reader converted it: every f32 at once."""
+    return np.frombuffer(Path(path).read_bytes()[72:], "<f4").astype(np.float64)
+
+
+class TestNfvgStream:
+    """read_nfvg fills the grid NFVG_CHUNK_VALUES values at a time and
+    write_nfvg writes runs of x-planes: the edges of both loops."""
+
+    N = io.NFVG_CHUNK_VALUES
+
+    @pytest.mark.parametrize("n", [N - 1, N, N + 1, 3 * N + 5])
+    @pytest.mark.parametrize("layout", ["x-planes", "one-plane"])
+    def test_round_trip_at_chunk_edges(self, tmp_path, n, layout):
+        rng = np.random.default_rng(n)
+        shape = (n, 1, 1, 1) if layout == "x-planes" else (1, 1, n, 1)
+        grid = VoxelGrid4D(rng.normal(size=shape).astype(np.float32), Aabb([0, 0, 0], [1, 2, 3]))
+        path = tmp_path / "g.nfvg"
+        io.write_nfvg(path, grid)
+        assert path.read_bytes() == oracle_write_nfvg(grid)
+        back = io.read_nfvg(path)
+        assert back.data.shape == shape
+        assert np.array_equal(back.data.view(np.uint64), grid.data.view(np.uint64))
+
+    def test_non_contiguous_grid_round_trips(self, tmp_path):
+        data = np.random.default_rng(2).normal(size=(40, 41, 42, 3)).astype(np.float32)
+        grid = VoxelGrid4D(data.astype(np.float64).transpose(2, 1, 0, 3)[::-1], Aabb([0] * 3, [1] * 3))
+        assert not grid.data.flags.c_contiguous and grid.data.size > 3 * self.N
+        path = tmp_path / "g.nfvg"
+        io.write_nfvg(path, grid)
+        assert path.read_bytes() == oracle_write_nfvg(grid)
+        assert np.array_equal(io.read_nfvg(path).data.view(np.uint64), grid.data.view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 1 << 16])
+    def test_edge_values_equal_the_whole_payload_oracle(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io, "NFVG_CHUNK_VALUES", chunk)
+        values = np.array(EDGE_VALUES + [np.nan, -np.nan], dtype="<f4")
+        # quiet f32 NaNs with payloads, beside the default one
+        values = np.concatenate([values, np.array([0x7FC00001, 0xFFC00002], "<u4").view("<f4")])
+        path = tmp_path / "edge.nfvg"
+        path.write_bytes(io._HEADER.pack(io.NFVG_MAGIC, io.NFVG_VERSION, 2, 1, len(values) // 2, 1)
+                         + np.array([0, 0, 0, 1, 1, 1], "<f8").tobytes() + values.tobytes())
+        got = io.read_nfvg(path).data.ravel()
+        want = oracle_read_nfvg_values(path)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.signbit(got), np.signbit(values))
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda raw: raw[:-1], TruncatedFile, "payload 479 < 480 bytes"),
+        (lambda raw: raw + b"\0", FileFormatError, "1 trailing bytes"),
+        (lambda raw: raw[:3], BadMagic, "magic b'NFV'"),
+    ], ids=["one-byte-short", "one-trailing-byte", "three-bytes"])
+    def test_length_errors_keep_their_type_and_message(self, tmp_path, edit, error, message):
+        path = tmp_path / "g.nfvg"
+        io.write_nfvg(path, f32_grid(np.random.default_rng(8), dims=(3, 4, 5), channels=2))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error) as info:
+            io.read_nfvg(path)
+        assert type(info.value) is error and str(info.value) == f"{path}: {message}"
+
+
 def oracle_write_ply(path, positions, normals) -> None:
     """The per-value PLY writer that io.write_ply replaced."""
 

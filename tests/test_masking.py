@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from radiant.cli import dispatch
 from radiant.core_math import Aabb
 from radiant.errors import DimsMismatch, IndivisibleDims
 from radiant.grids import VoxelGrid4D
 from radiant.masking import (
+    PatchMask,
     apply_mask,
     mse3d,
     patchify,
@@ -132,6 +134,71 @@ class TestApplyMask:
         m = random_mask(27, 0.5, seed=0, patch_size=4)
         with pytest.raises(DimsMismatch):
             apply_mask(g, m)
+
+
+def oracle_apply_mask(g: VoxelGrid4D, m: PatchMask) -> VoxelGrid4D:
+    """The apply_mask that copied the grid and zeroed it through a
+    voxel-level boolean mask."""
+    gx, gy, gz = patchify(g.dims, m.patch_size).grid
+    p = m.patch_size
+    m3 = m.masked.reshape(gx, gy, gz)
+    vm = np.repeat(np.repeat(np.repeat(m3, p, axis=0), p, axis=1), p, axis=2)
+    data = g.data.copy()
+    data[vm] = 0.0
+    return VoxelGrid4D(data, g.bounds)
+
+
+class TestOnePassMask:
+    """apply_mask's one np.where over the voxel blocks has the bits of the
+    copy-and-scatter oracle."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (4, 12, 8), (16, 4, 12)])
+    def test_bits_equal_the_oracle(self, p, dims):
+        rng = np.random.default_rng(p * 100 + dims[0])
+        data = rng.normal(size=(*dims, 3))
+        data.flat[::5] = -0.0
+        data.flat[1::7] = np.nan
+        data.flat[2::11] = -np.inf
+        g = VoxelGrid4D(data, CUBE)
+        n = patchify(dims, p).n_patches
+        for ratio in (0.0, 0.3, 0.5, 1.0):
+            m = random_mask(n, ratio, seed=9, patch_size=p, grid_dims=dims)
+            got, want = apply_mask(g, m).data, oracle_apply_mask(g, m).data
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(g.data.view(np.uint64), data.view(np.uint64))  # input untouched
+
+    def test_non_contiguous_grid(self):
+        data = np.random.default_rng(5).normal(size=(8, 4, 12, 2)).transpose(2, 1, 0, 3)
+        g = VoxelGrid4D(data, CUBE)
+        m = random_mask(patchify(g.dims, 4).n_patches, 0.5, seed=1, patch_size=4)
+        assert np.array_equal(apply_mask(g, m).data.view(np.uint64),
+                              oracle_apply_mask(g, m).data.view(np.uint64))
+
+    def test_errors_unchanged(self):
+        g = VoxelGrid4D(np.zeros((8, 8, 12, 4)), CUBE)
+        with pytest.raises(DimsMismatch, match=r"^mask has 8 patches, grid has 12$"):
+            apply_mask(g, random_mask(8, 0.5, seed=0, patch_size=4))
+        with pytest.raises(DimsMismatch, match=r"^mask dims \(8, 12, 8\) vs grid dims \(8, 8, 12\)$"):
+            apply_mask(g, PatchMask(4, np.zeros(12, bool), 0, 0.5, grid_dims=(8, 12, 8)))
+        with pytest.raises(IndivisibleDims, match=r"^dims \(8, 8, 12\) not divisible by 8$"):
+            apply_mask(g, random_mask(1, 0.5, seed=0, patch_size=8))
+
+    def test_cli_mask_in_place(self, tmp_path):
+        def run(*argv):
+            return dispatch([str(a) for a in argv])
+
+        assert run("voxelize", "--field", "gaussian", "--dims", "8,12,16",
+                   "--out", tmp_path / "g.nfvg") == 0
+        args = ("--ratio", "0.5", "--patch", "4", "--seed", "3")
+        assert run("mask", "--grid", tmp_path / "g.nfvg", *args, "--out", tmp_path / "m.nfvg",
+                   "--mask-out", tmp_path / "m.json") == 0
+        assert run("mask", "--grid", tmp_path / "g.nfvg", *args, "--out", tmp_path / "g.nfvg",
+                   "--mask-out", tmp_path / "g.json", "--force") == 0
+        assert (tmp_path / "g.nfvg").read_bytes() == (tmp_path / "m.nfvg").read_bytes()
+        assert (tmp_path / "g.json").read_bytes() == (tmp_path / "m.json").read_bytes()
 
 
 class TestReconLosses:
