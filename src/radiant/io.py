@@ -14,6 +14,7 @@ import math
 import os
 import re
 import struct
+import warnings
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -82,11 +83,12 @@ def read_nfvg(path) -> VoxelGrid4D:
             raise FileFormatError(f"{path}: {payload - 4 * n} trailing bytes")
         data = np.empty(n)
         buf = np.empty(min(n, NFVG_CHUNK_VALUES), dtype="<f4")
-        for lo in range(0, n, len(buf)):
-            part = buf[:n - lo]
-            if fh.readinto(part) != part.nbytes:
-                raise TruncatedFile(f"{path}: payload ended while it was read")
-            data[lo:lo + len(part)] = part
+        with np.errstate(invalid="ignore"):  # a signaling NaN reads as a quiet one
+            for lo in range(0, n, len(buf)):
+                part = buf[:n - lo]
+                if fh.readinto(part) != part.nbytes:
+                    raise TruncatedFile(f"{path}: payload ended while it was read")
+                data[lo:lo + len(part)] = part
     return VoxelGrid4D(data.reshape(x, y, z, channels), Aabb(bounds_vals[:3], bounds_vals[3:]))
 
 
@@ -218,25 +220,39 @@ def _ply_lines(block: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+# vertices np.loadtxt parses at a time: bounds its working set beside the output
+PLY_READ_CHUNK = 1 << 15
+_PLY_MIN_LINE = 12  # bytes of the shortest vertex line, "0 0 0 0 0 0\n"
+
+
 def read_ply(path) -> SurfaceSamples:
     """Read the PLY layout written by write_ply: positions and normals.
 
-    The body goes through numpy's C text parser. A malformed header or body
-    raises a FileFormatError subclass naming the path."""
-    # undecodable bytes (a binary body) are replaced, so the header's format
-    # line is what refuses such a file
-    lines = Path(path).read_bytes().decode("utf-8", errors="replace").splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise BadMagic(f"{path}: not a PLY file")
-    try:
-        end = lines.index("end_header")
-    except ValueError:
-        raise TruncatedFile(f"{path}: missing end_header") from None
-    n = _ply_vertex_count(path, lines[1:end])
-    body = lines[end + 1 : end + 1 + n]
-    if len(body) < n:
-        raise TruncatedFile(f"{path}: {len(body)} of {n} vertices present")
-    v = _ply_body(path, body).astype(np.float64)
+    Lines end at "\\n"; a "\\r" before it is dropped. The header is read line
+    by line, and the vertex count is checked against the bytes left in the
+    file before the (N, 6) output is allocated. The body then streams from
+    the same handle through numpy's C text parser, PLY_READ_CHUNK vertices
+    at a time; lines after the N vertices are not read. A malformed header
+    or body raises a FileFormatError subclass naming the path."""
+    with open(path, "rb") as fh:
+        # undecodable bytes are replaced, so the header's format line is
+        # what refuses a binary file
+        lines = (raw.decode("utf-8", errors="replace").removesuffix("\n").removesuffix("\r")
+                 for raw in fh)
+        if next(lines, "").strip() != "ply":
+            raise BadMagic(f"{path}: not a PLY file")
+        header = []
+        for line in lines:
+            if line == "end_header":
+                break
+            header.append(line)
+        else:
+            raise TruncatedFile(f"{path}: missing end_header")
+        n = _ply_vertex_count(path, header)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < _PLY_MIN_LINE * n - 1:  # the last line may lack its "\n"
+            raise TruncatedFile(f"{path}: {left} body bytes cannot hold {n} vertices")
+        v = _ply_body(path, fh, n)
     return SurfaceSamples(v[:, :3], v[:, 3:])
 
 
@@ -267,29 +283,69 @@ def _ply_vertex_count(path, header: list[str]) -> int:
     return n
 
 
-def _ply_body(path, body: list[str]) -> np.ndarray:
-    """(N, 6) float32 values of N vertex lines. The properties are f32:
-    parsing through float32 gives back the values write_ply wrote, bit for
-    bit."""
-    if not body:
-        return np.zeros((0, 6), dtype=np.float32)  # loadtxt warns on no input
-    reason = "expected 6 floats per vertex"
-    try:
-        v = np.loadtxt(body, dtype=np.float32, comments=None, ndmin=2)
-        if v.shape == (len(body), 6):
-            if not np.isfinite(v).all():  # a finite token past f32 reads as inf
-                for i, j in np.argwhere(~np.isfinite(v)):
-                    if body[i].split()[j].lower().lstrip("+-") not in ("inf", "infinity", "nan"):
-                        raise FileFormatError(f"{path}: vertex {i} holds a value past float32")
-            return v
-    except ValueError as e:
-        reason = f"non-numeric vertex value ({e})"
-    # a refused body: name the first vertex without 6 tokens (two such lines
-    # can keep the total at 6 N), else pass on the parser's complaint
-    bad = next((i for i, line in enumerate(body) if len(line.split()) != 6), None)
+def _ply_body(path, fh, n: int) -> np.ndarray:
+    """(N, 6) float64 values of the N vertex lines next in fh. The properties
+    are f32: parsing through float32 gives back the values write_ply wrote,
+    bit for bit. Lines are read again only to name a fault: in a chunk the
+    parser refuses, or one holding a non-finite value (a finite token past
+    f32 reads as inf)."""
+    out = np.empty((n, 6))
+    past = None  # the first vertex holding a finite value past f32
+    for lo in range(0, n, PLY_READ_CHUNK):
+        rows = min(PLY_READ_CHUNK, n - lo)
+        start = fh.tell()
+        reason = "expected 6 floats per vertex"
+        try:
+            with warnings.catch_warnings():
+                # the parser warns of a blank line, and would skip it
+                warnings.simplefilter("error", UserWarning)
+                v = np.loadtxt(fh, dtype=np.float32, comments=None, ndmin=2, max_rows=rows,
+                               encoding="utf-8")
+        except UserWarning:
+            v = None
+        except ValueError as e:  # the parser counts rows from the chunk's first
+            message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + lo), str(e))
+            reason, v = f"non-numeric vertex value ({message})", None
+        if v is None or v.shape != (rows, 6):
+            fh.seek(start)
+            _ply_refuse(path, fh, lo, n, reason)
+        out[lo : lo + rows] = v
+        if past is None and not np.isfinite(v).all():
+            end = fh.tell()
+            fh.seek(start)
+            past = _ply_past_f32(fh, v, lo)
+            fh.seek(end)
+    if past is not None:  # raised last: a later refused chunk names its own fault
+        raise FileFormatError(f"{path}: vertex {past} holds a value past float32")
+    return out
+
+
+def _ply_refuse(path, fh, lo: int, n: int, reason: str):
+    """Raise the fault of vertices lo..n-1, whose lines are next in fh: a
+    body cut short, else the first vertex without 6 values (two such lines
+    can keep a chunk's total at 6 a vertex), else reason."""
+    bad = None
+    for i in range(lo, n):
+        line = fh.readline()
+        if not line:
+            raise TruncatedFile(f"{path}: {i} of {n} vertices present")
+        if bad is None and len(line.decode("utf-8", errors="replace").split()) != 6:
+            bad = i
     if bad is not None:
         raise FileFormatError(f"{path}: expected 6 floats per vertex (vertex {bad})")
     raise FileFormatError(f"{path}: {reason}")
+
+
+def _ply_past_f32(fh, v: np.ndarray, lo: int) -> Optional[int]:
+    """The first vertex of a parsed chunk v (vertices lo.., their lines next
+    in fh) holding a non-finite value not spelled inf, infinity or nan."""
+    bad = ~np.isfinite(v)
+    for i, line in zip(range(len(v)), fh):
+        tokens = line.decode().split()
+        if any(tokens[j].lower().lstrip("+-") not in ("inf", "infinity", "nan")
+               for j in np.flatnonzero(bad[i])):
+            return lo + i
+    return None
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -603,8 +659,9 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
 
     A grid path is read relative to base_dir (a scene's directory, or the
     working directory for a spec given on the command line); an absolute
-    path is taken as it is. where names the spec in errors, as for
-    make_analytic_sdf.
+    path is taken as it is. A grid holding a NaN or infinite value, or an
+    alpha outside [0, 1], raises FileFormatError naming the file. where
+    names the spec in errors, as for make_analytic_sdf.
     """
     def key(name, convert, default):
         return read_key(spec, name, where, convert, default)
@@ -623,7 +680,15 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
                          key("center", json_floats, (0, 0, 0)),
                          key("radius", json_float, 0.5))
     if kind == "grid":
-        return GridField(read_nfvg(Path(base_dir) / read_key(spec, "path", where, json_str)))
+        path = Path(base_dir) / read_key(spec, "path", where, json_str)
+        field = GridField(read_nfvg(path))
+        # alpha_to_sigma takes alpha in [0, 1]; past 1 it gives NaN
+        if not np.isfinite(field.grid.data).all():
+            raise FileFormatError(f"{path}: grid field holds a NaN or infinite value")
+        alpha = field.grid.data[..., 3]
+        if alpha.min() < 0 or alpha.max() > 1:
+            raise FileFormatError(f"{path}: grid field alpha outside [0, 1]")
+        return field
     raise FileFormatError(f"{where}: bad 'type': unknown field type {kind!r}")
 
 

@@ -1387,6 +1387,17 @@ def _zero_dim_mask(tmp_path):
             "--mask-out", tmp_path / "m.json")
 
 
+def _grid_value_render(tmp_path, index: int, value: float):
+    """render with the NFVG_BASE grid as its near field, payload value
+    index (voxel index // 4, channel index % 4) replaced by value."""
+    bits = BASE_PAYLOAD.copy()
+    bits[index] = np.float32(value).view("<u4")
+    (tmp_path / "g.nfvg").write_bytes(nfvg_bytes(NFVG_BASE, 0) + bits.tobytes())
+    scene = scene_doc(near_field={"type": "grid", "path": "g.nfvg"})
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
 def _missing_trajectory(tmp_path):
     return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
 
@@ -1424,9 +1435,20 @@ class TestStderrContract:
         # 1), and mask exited 0 writing an empty grid
         "nfvg-zero-dim-render": (_zero_dim_render, 3, "FileFormatError"),
         "nfvg-zero-dim-mask": (_zero_dim_mask, 3, "FileFormatError"),
+        # a grid field's alpha past 1, or a NaN or infinite channel, warned
+        # in log1p and in the PPM cast and exited 0; a negative alpha
+        # rendered silently
+        "grid-alpha-over-one": (lambda p: _grid_value_render(p, 4 * 21 + 3, 1.5), 3,
+                                "FileFormatError"),
+        "grid-negative-alpha": (lambda p: _grid_value_render(p, 4 * 21 + 3, -0.5), 3,
+                                "FileFormatError"),
+        "grid-nan-color": (lambda p: _grid_value_render(p, 4 * 21, NAN), 3, "FileFormatError"),
+        "grid-infinite-alpha": (lambda p: _grid_value_render(p, 4 * 21 + 3, np.inf), 3,
+                                "FileFormatError"),
         # a success: nothing on stderr
         "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
         "nav-one-flat-point": (lambda p: _trajectory(p, positions=[1, 0, 0]), 0, None),
+        "grid-alpha-one": (lambda p: _grid_value_render(p, 4 * 21 + 3, 1.0), 0, None),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1478,6 +1500,10 @@ def nfvg_bytes(h: dict, n: int) -> bytes:
             + np.array(h["bounds"], "<f8").tobytes() + values.tobytes())
 
 
+# the f32 bits of NFVG_BASE's payload
+BASE_PAYLOAD = np.frombuffer(nfvg_bytes(NFVG_BASE, 256), "<u4", offset=io._HEADER.size + 48)
+
+
 class TestNfvgHeaderMutations:
     """render (the NFVG as its near field) and mask on a mutated NFVG header
     keep the exit-code contract: 0 with nothing on stderr, or 2 or 3 with
@@ -1522,3 +1548,64 @@ class TestNfvgHeaderMutations:
             lines = err.splitlines()
             assert len(lines) == 1, (name, err)
             assert json.loads(lines[0])["error"] == ("domain" if code == 3 else "io")
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """radiant's CLI in a child Python: warnings reach its stderr."""
+    return subprocess.run([sys.executable, "-m", "radiant.cli", *map(str, argv)],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+
+
+F32_SIGNALING_NAN, F32_QUIET_NAN = 0x7FA00000, 0x7FE00000
+# f32 bits a payload mutation writes: infinities, quiet and signaling NaNs
+# of each sign, -0, alphas at and past the ends of [0, 1], the f32 maximum
+PAYLOAD_BITS = st.sampled_from(
+    [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, F32_SIGNALING_NAN, 0xFFA00001]
+    + np.array([-0.0, 1.0, 1.5, np.nextafter(np.float32(1), np.float32(2)), -1e-45,
+                3.4028235e38], "<f4").view("<u4").tolist())
+
+
+class TestNfvgPayload:
+    """mask and render (the NFVG as its near field) on grids with special
+    payload values, through the CLI in a child process: mask takes any f32
+    and exits 0; render refuses a NaN or infinite value and an alpha outside
+    [0, 1] with exit 3 and one JSON line; at exit 0 stderr is empty."""
+
+    def test_mask_reads_a_signaling_nan_quietly(self, tmp_path):
+        # the f64 cast of a signaling NaN raised "invalid value encountered
+        # in cast"; it reads, and is written back, as the quiet NaN
+        bits = BASE_PAYLOAD.copy()
+        bits[-1] = F32_SIGNALING_NAN
+        (tmp_path / "g.nfvg").write_bytes(nfvg_bytes(NFVG_BASE, 0) + bits.tobytes())
+        proc = run_cli("mask", "--grid", tmp_path / "g.nfvg", "--ratio", "0",
+                       "--out", tmp_path / "m.nfvg", "--mask-out", tmp_path / "m.json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = np.frombuffer((tmp_path / "m.nfvg").read_bytes(), "<u4", offset=io._HEADER.size + 48)
+        bits[-1] = F32_QUIET_NAN
+        assert out.tobytes() == bits.tobytes()
+
+    @settings(deadline=None, max_examples=8)
+    @given(st.dictionaries(st.integers(0, 255), PAYLOAD_BITS, min_size=1, max_size=4))
+    @example({255: F32_SIGNALING_NAN})
+    @example({4 * 21 + 3: 0x3FC00000})  # alpha 1.5
+    def test_mask_and_render_keep_the_contract(self, tmp_path_factory, edits):
+        d = tmp_path_factory.mktemp("payload")
+        bits = BASE_PAYLOAD.copy()
+        bits[list(edits)] = list(edits.values())
+        (d / "g.nfvg").write_bytes(nfvg_bytes(NFVG_BASE, 0) + bits.tobytes())
+        (d / "scene.json").write_text(json.dumps(scene_doc(near_field={"type": "grid",
+                                                                       "path": "g.nfvg"})))
+        v = bits.view("<f4").reshape(-1, 4)
+        refused = not np.isfinite(v).all() or not ((v[:, 3] >= 0) & (v[:, 3] <= 1)).all()
+        for argv, code in ((("render", "--scene", d / "scene.json", "--out", d / "img"),
+                            3 if refused else 0),
+                           (("mask", "--grid", d / "g.nfvg", "--ratio", "0.5", "--patch", "2",
+                             "--out", d / "m.nfvg", "--mask-out", d / "m.json"), 0)):
+            proc = run_cli(*argv)
+            assert proc.returncode == code, (argv[0], proc.stderr)
+            if code == 0:
+                assert proc.stderr == "", argv[0]
+                continue
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1, proc.stderr
+            assert json.loads(lines[0])["type"] == "FileFormatError"

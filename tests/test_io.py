@@ -348,6 +348,21 @@ class TestPly:
             tracemalloc.stop()
         assert peak < 48 * n
 
+    def test_read_peak_is_the_output_plus_a_chunk(self, tmp_path):
+        # the float64 (N, 6) output is 48 bytes a vertex; the body streams
+        # through the parser PLY_READ_CHUNK vertices at a time, so no copy
+        # of the file, its text or its lines is held beside it
+        n = 200_000
+        p = tmp_path / "big.ply"
+        io.write_ply(p, self.samples(np.random.default_rng(5), n=n))
+        tracemalloc.start()
+        try:
+            io.read_ply(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n + 4 * 2**20
+
     def test_arrays_equal_oracle_reader(self, tmp_path):
         for i, s in enumerate(self.clouds()):
             p = tmp_path / f"c{i}.ply"
@@ -462,6 +477,117 @@ class TestPly:
             assert np.array_equal(back.positions, samples.positions)
             assert np.array_equal(back.normals, samples.normals)
             assert np.array_equal(back.positions, pos) and np.array_equal(back.normals, nrm)
+
+
+def _read_outcome(path):
+    """read_ply's arrays as bytes, or its error's type and message."""
+    try:
+        s = io.read_ply(path)
+    except FileFormatError as e:
+        return type(e), str(e)
+    return s.positions.tobytes(), s.normals.tobytes()
+
+
+class TestPlyStream:
+    """read_ply parses the body PLY_READ_CHUNK vertices at a time; neither
+    its arrays nor its errors may depend on where the chunks fall."""
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5])
+    def test_chunk_edges_equal_the_oracle(self, tmp_path, n):
+        assert io.PLY_READ_CHUNK == 2**15
+        rng = np.random.default_rng(n)
+        v = rng.normal(scale=10.0 ** rng.integers(-6, 7, size=(n, 1)), size=(n, 6))
+        v[np.unique(np.minimum([0, 2**15 - 1, 2**15, n - 1], n - 1)), 1:4] = [np.nan, -np.inf, -0.0]
+        p = tmp_path / "c.ply"
+        io.write_ply(p, SurfaceSamples(v[:, :3], v[:, 3:]))
+        back = io.read_ply(p)
+        pos, nrm = oracle_read_ply(p)
+        assert back.positions.tobytes() == pos.tobytes()
+        assert back.normals.tobytes() == nrm.tobytes()
+        want = v.astype(np.float32).astype(np.float64)
+        assert back.positions.tobytes() == np.ascontiguousarray(want[:, :3]).tobytes()
+        assert back.normals.tobytes() == np.ascontiguousarray(want[:, 3:]).tobytes()
+
+    def body_file(self, tmp_path, edits: dict[int, str], n=9) -> Path:
+        """A PLY of n vertices whose body lines at the keys of edits are
+        replaced (a key of n or more cuts the body to that many lines)."""
+        p = tmp_path / "b.ply"
+        io.write_ply(p, TestPly().samples(np.random.default_rng(11), n=n))
+        lines = p.read_text().splitlines()
+        end = lines.index("end_header") + 1
+        for i, line in edits.items():
+            if i >= n:
+                lines = lines[: end + i - n]
+            else:
+                lines[end + i] = line
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    @pytest.mark.parametrize("edits", [
+        {}, {4: "inf -Infinity NaN +inf 0 1", 8: "-0 nan 1 2 3 4"},
+        {5: "1 2 abc 4 5 6"}, {5: "1 2 3 4 5"}, {5: ""}, {5: "   "},
+        {3: "1 2 3 4 5", 4: "6 7 8 9 10 11 12"},
+        {1: "0 1 2 3 1e39 nan"}, {1: "0 1 2 3 1e39 nan", 7: "1 2 x 4 5 6"},
+        {1: "0 1 2 3 1e39 nan", 7: "1 2 3"}, {7: "1 2 3", 2: "1 2 y 4 5 6"},
+        {15: ""}, {17: ""}, {8: "1 2 3 4 5 6 7"}, {2: "1 2 3 4 5 6\x0c"},
+    ], ids=["clean", "non-finite", "non-numeric", "five", "blank", "spaces", "compensating",
+            "past-f32", "past-f32-then-non-numeric", "past-f32-then-short",
+            "non-numeric-then-short", "cut-to-6", "cut-to-8", "long-last", "form-feed"])
+    def test_outcome_independent_of_chunking(self, tmp_path, monkeypatch, edits):
+        # the same arrays, or the same error type and message (the parser's
+        # row numbers count from the body's first line), at every chunk size
+        p = self.body_file(tmp_path, edits)
+        whole = _read_outcome(p)
+        for chunk in (1, 2, 3, 4, 8):
+            monkeypatch.setattr(io, "PLY_READ_CHUNK", chunk)
+            assert _read_outcome(p) == whole, chunk
+
+    def test_errors_name_body_vertices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "PLY_READ_CHUNK", 2)
+        p = self.body_file(tmp_path, {5: "1 2 abc 4 5 6"})
+        with pytest.raises(FileFormatError, match=r"non-numeric .*'abc' .* at row 5, column 3"):
+            io.read_ply(p)
+        p = self.body_file(tmp_path, {1: "0 1 2 3 1e39 nan", 6: "1 2 3 4 5"})
+        with pytest.raises(FileFormatError, match=r"6 floats per vertex \(vertex 6\)$"):
+            io.read_ply(p)
+        p = self.body_file(tmp_path, {1: "0 1 2 3 nan inf", 6: "0 1 -1e39 3 4 5"})
+        with pytest.raises(FileFormatError, match="vertex 6 holds a value past float32$"):
+            io.read_ply(p)
+        p = self.body_file(tmp_path, {15: ""})
+        with pytest.raises(TruncatedFile, match="6 of 9 vertices present$"):
+            io.read_ply(p)
+        for blank in ("", "   "):  # the parser would skip it, uncounted
+            p = self.body_file(tmp_path, {5: blank, 8: "1 2 3"})
+            with pytest.raises(FileFormatError, match=r"6 floats per vertex \(vertex 5\)$"):
+                io.read_ply(p)
+
+    def test_lines_end_at_newline(self, tmp_path):
+        # the other breaks of str.splitlines are whitespace inside a body
+        # line, and a lone "\r" is refused
+        p = self.body_file(tmp_path, {2: "1 2 3\x0b4 5 6", 3: "1 2 3\x1c4\u20285 6"})
+        back = io.read_ply(p)
+        assert back.positions[2].tolist() == back.positions[3].tolist() == [1, 2, 3]
+        assert back.normals[2].tolist() == back.normals[3].tolist() == [4, 5, 6]
+        p = self.body_file(tmp_path, {2: "1 2 3\r4 5 6"})
+        with pytest.raises(FileFormatError, match="b.ply: non-numeric vertex value"):
+            io.read_ply(p)
+
+    @pytest.mark.parametrize("count", [10**6, 10**12])
+    def test_count_past_the_file_refused_before_allocating(self, tmp_path, count):
+        # a body cut mid-line, under a count its bytes cannot hold: refused
+        # from the file size, before the (N, 6) output is allocated
+        p = tmp_path / "cut.ply"
+        io.write_ply(p, TestPly().samples(np.random.default_rng(12), n=50))
+        raw = p.read_bytes().replace(b"element vertex 50", f"element vertex {count}".encode())
+        p.write_bytes(raw[: len(raw) - 100])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile, match=f"cannot hold {count} vertices$"):
+                io.read_ply(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # a valid two-vertex PLY as write_ply lays it out
