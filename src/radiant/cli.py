@@ -180,7 +180,7 @@ def _cmd_mask(args) -> None:
     patches = patchify(grid.dims, args.patch)
     mask = random_mask(patches.n_patches, args.ratio, args.seed,
                        patch_size=args.patch, grid_dims=grid.dims)
-    io.write_nfvg(out, apply_mask(grid, mask))
+    io.write_nfvg(out, apply_mask(grid, mask, in_place=True))
     io.dump_json(mask_out, {
         "p": mask.patch_size,
         "dims": list(grid.dims),
@@ -191,11 +191,10 @@ def _cmd_mask(args) -> None:
     print(out)
 
 
-# rays per render_full call: bounds the packet's (rays x samples) arrays
-PACKET_RAYS = 256
-# bytes of a packet's largest array (render.packet_bytes): a scene over it
-# is refused before rendering
-MAX_PACKET_BYTES = 1 << 26
+# bytes of a packet's largest array (render.packet_bytes): each render_full
+# call takes as many rays as fit, at least one; a scene whose single ray is
+# over it is refused before rendering
+PACKET_BYTES = 1 << 20
 # pixels of one camera: the image's ray, color and seed arrays hold W*H rows
 MAX_IMAGE_PIXELS = 1 << 22
 
@@ -208,8 +207,9 @@ def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_
     seeds = splitmix64_stream(cam_key, len(origins))[0]
     colors = np.zeros(origins.shape)
     accs = np.zeros(len(origins))
-    for lo in range(0, len(origins), PACKET_RAYS):
-        sl = slice(lo, lo + PACKET_RAYS)
+    rays = min(len(origins), max(1, PACKET_BYTES // packet_bytes(1, cfg)))
+    for lo in range(0, len(origins), rays):
+        sl = slice(lo, lo + rays)
         res = render_full(Ray(origins[sl], dirs[sl]), replace(cfg, seed=seeds[sl]),
                           near_field, far_field, boxes, object_field)
         colors[sl] = res.color
@@ -256,13 +256,12 @@ def _cmd_render(args) -> None:
             raise RadiantError(
                 f"{args.scene}: cameras[{ci}] is {k.width}x{k.height}, over the budget "
                 f"of {MAX_IMAGE_PIXELS} pixels a camera; use a smaller image")
-    rays = min(PACKET_RAYS, max(k.width * k.height for k, _ in views))
-    nbytes = packet_bytes(rays, cfg)
-    if nbytes > MAX_PACKET_BYTES:
+    nbytes = packet_bytes(1, cfg)
+    if nbytes > PACKET_BYTES:
         raise RadiantError(
             f"{args.scene}: n_coarse {cfg.n_coarse} and n_fine {cfg.n_fine} need a "
-            f"{nbytes}-byte array for a packet of {rays} rays, over the budget of "
-            f"{MAX_PACKET_BYTES}; use fewer samples")
+            f"{nbytes}-byte array for one ray, over the budget of {PACKET_BYTES}; "
+            f"use fewer samples")
 
     image_paths = [
         _prepare_output(f"{args.out}_{ci:03d}.ppm", args.force)

@@ -149,10 +149,13 @@ def _axis_prep(row: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return i0, c
 
 
-def sigma_to_alpha(sigma, delta):
+def sigma_to_alpha(sigma, delta, out=None):
     """Opacity of a segment of length delta at density sigma:
-    alpha = 1 - exp(-sigma * delta)."""
-    return -np.expm1(-sigma * delta)
+    alpha = 1 - exp(-sigma * delta), as -expm1((-sigma) * delta). Given out
+    (which may be sigma itself), every step writes there; negation is exact,
+    so the bits are those of the allocating form."""
+    alpha = np.multiply(np.negative(sigma, out=out), delta, out=out)
+    return np.negative(np.expm1(alpha, out=out), out=out)
 
 
 def alpha_to_sigma(alpha):

@@ -659,9 +659,10 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
 
     A grid path is read relative to base_dir (a scene's directory, or the
     working directory for a spec given on the command line); an absolute
-    path is taken as it is. A grid holding a NaN or infinite value, or an
-    alpha outside [0, 1], raises FileFormatError naming the file. where
-    names the spec in errors, as for make_analytic_sdf.
+    path is taken as it is. A grid that is not RGBA (4 channels), or holds
+    a NaN or infinite value or an alpha outside [0, 1], raises
+    FileFormatError naming the file. where names the spec in errors, as for
+    make_analytic_sdf.
     """
     def key(name, convert, default):
         return read_key(spec, name, where, convert, default)
@@ -681,14 +682,17 @@ def field_from_spec(spec: dict, base_dir, where: str = "field") -> RadianceField
                          key("radius", json_float, 0.5))
     if kind == "grid":
         path = Path(base_dir) / read_key(spec, "path", where, json_str)
-        field = GridField(read_nfvg(path))
+        grid = read_nfvg(path)
+        if grid.channels != 4:
+            raise FileFormatError(f"{path}: grid field needs 4 channels (RGBA), "
+                                  f"got {grid.channels}")
         # alpha_to_sigma takes alpha in [0, 1]; past 1 it gives NaN
-        if not np.isfinite(field.grid.data).all():
+        if not np.isfinite(grid.data).all():
             raise FileFormatError(f"{path}: grid field holds a NaN or infinite value")
-        alpha = field.grid.data[..., 3]
+        alpha = grid.data[..., 3]
         if alpha.min() < 0 or alpha.max() > 1:
             raise FileFormatError(f"{path}: grid field alpha outside [0, 1]")
-        return field
+        return GridField(grid)
     raise FileFormatError(f"{where}: bad 'type': unknown field type {kind!r}")
 
 

@@ -140,12 +140,18 @@ def _patch_bits(dims, m: PatchMask) -> tuple[np.ndarray, tuple]:
     return m.masked.reshape(gx, 1, gy, 1, gz, 1), (gx, p, gy, p, gz, p)
 
 
-def apply_mask(g: VoxelGrid4D, m: PatchMask) -> VoxelGrid4D:
-    """Zero all channels of every masked patch; visible voxels are untouched.
-    The result is built in one np.where over the grid's voxel blocks."""
+def apply_mask(g: VoxelGrid4D, m: PatchMask, in_place: bool = False) -> VoxelGrid4D:
+    """Zero all channels of every masked patch in one np.copyto over the
+    grid's voxel blocks; visible voxels are untouched. Returns a C-contiguous
+    copy of g so masked, g untouched, or with in_place g itself, masked in
+    place: its data must then be C-contiguous, as a block view of any other
+    layout is a copy."""
     bits, blocks = _patch_bits(g.dims, m)
-    out = np.where(bits[..., None], 0.0, g.data.reshape(*blocks, g.channels))
-    return VoxelGrid4D(out.reshape(g.data.shape), g.bounds)
+    if in_place and not g.data.flags.c_contiguous:
+        raise ValueError("apply_mask in place needs a C-contiguous grid")
+    out = g if in_place else VoxelGrid4D(g.data.copy(), g.bounds)
+    np.copyto(out.data.reshape(*blocks, g.channels), 0.0, where=bits[..., None])
+    return out
 
 
 class ReconLosses(NamedTuple):

@@ -36,6 +36,10 @@ from .metrics import OrientedBox3
 # this deletes the sample exactly while keeping the stored value faithful.
 SUPPRESSION_SIGMA = -1e-5
 
+# composite sums its weighted colors in this many pieces of samples, so the
+# products it holds at once are about an eighth of the colors
+SUM_PIECES = 8
+
 
 @dataclass
 class RenderConfig:
@@ -118,17 +122,31 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
                              f"{deltas.shape}")
     weights = _weights(sigmas, deltas)
     acc = weights.sum(axis=-1)
-    color = np.add.reduce(colors * weights.T[:, None], axis=0).T
-    return CompositeResult(color, float(acc) if acc.ndim == 0 else acc, weights)
+    # the reduce over samples adds them in order, so each piece's reduce
+    # starts from the running sum: the bits of one reduce, without holding
+    # every weighted color at once
+    w = weights.T[:, None]
+    step = len(colors) // SUM_PIECES + 1
+    color = np.add.reduce(colors[:step] * w[:step], axis=0)
+    for lo in range(step, len(colors), step):
+        part = colors[lo:lo + step] * w[lo:lo + step]
+        color = np.add.reduce(np.concatenate([color[None], part]), axis=0)
+    return CompositeResult(color.T, float(acc) if acc.ndim == 0 else acc, weights)
 
 
 def _weights(sigmas, deltas) -> np.ndarray:
     """composite's weights of (..., S) sigmas, clamped at zero here, and
-    deltas: w_i = alpha_i * prod_{j<i} (1 - alpha_j) along the last axis."""
-    alpha = sigma_to_alpha(np.maximum(sigmas, 0.0), deltas)
-    trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
-                                      axis=-1), axis=-1)
-    return alpha * trans
+    deltas: w_i = alpha_i * prod_{j<i} (1 - alpha_j) along the last axis.
+    Works in two buffers of the sigmas' shape, alpha and then the weights
+    in one, the transmittance in the other."""
+    alpha = np.maximum(sigmas, 0.0)
+    sigma_to_alpha(alpha, deltas, out=alpha)
+    trans = np.empty_like(alpha)
+    trans[..., :1] = 1.0
+    np.subtract(1.0, alpha[..., :-1], out=trans[..., 1:])
+    np.cumprod(trans, axis=-1, out=trans)
+    alpha *= trans
+    return alpha
 
 
 def _in_boxes(xyz: np.ndarray, boxes: Sequence[OrientedBox3]) -> np.ndarray:
@@ -215,9 +233,9 @@ def render_full(
     def evaluate(near_ts, far_ts):
         return _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_field)
 
-    far_ts = far_depths(u)
-    near, far = evaluate(near_ts, far_ts)
-    if n_fine > 0:
+    def refine(near_ts, near, far_ts, far):
+        """The streams with the fine draws evaluated and merged in; the
+        draws and their pdfs are freed on return, before compositing."""
         near_w, far_w = _stream_weights(near_ts, near, far_ts, far, t_sphere, has_near)
         # rays with fewer than 2 near samples repeat their first sample
         fine_near = has_near & (n >= 2)
@@ -239,6 +257,12 @@ def render_full(
         fine_near_vals, fine_far_vals = evaluate(fine_ts, fine_far_ts)
         near_ts, *near = _merge((near_ts, *near), (fine_ts, *fine_near_vals))
         far_ts, *far = _merge((far_ts, *far), (fine_far_ts, *fine_far_vals))
+        return near_ts, near, far_ts, far
+
+    far_ts = far_depths(u)
+    near, far = evaluate(near_ts, far_ts)
+    if n_fine > 0:
+        near_ts, near, far_ts, far = refine(near_ts, near, far_ts, far)
 
     color, acc, near_w, _ = _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near)
     acc_near = near_w.sum(axis=-1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import radiant
 from radiant import io
 from radiant.cli import MAX_GRID_VALUES, build_parser, dispatch
+from radiant.render import RenderConfig, packet_bytes
 
 
 def run(*argv):
@@ -119,6 +120,13 @@ class TestVoxelizeRender:
         assert run("render", "--scene", scene, "--out", tmp_path / "img",
                    "--seed", "-1") == 0
 
+    def test_grid_field_channels_named(self, tmp_path, capsys):
+        assert run(*_three_channel_render(tmp_path)) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "FileFormatError"
+        assert err["message"] == f"{tmp_path / 'g.nfvg'}: grid field needs 4 channels (RGBA), got 3"
+        assert not (tmp_path / "img_000.ppm").exists()
+
 
 class TestBudgets:
     """Inputs whose arrays would exceed a budget exit 3 before any of those
@@ -135,28 +143,53 @@ class TestBudgets:
             monkeypatch.setattr(radiant.cli, name, refuse)
 
     def test_render_sample_budget(self, tmp_path, capsys, monkeypatch):
+        # one sample past the single-ray edge, split across both passes, and far past it
         self._refuse_calls(monkeypatch, "generate_ray_arrays", "splitmix64_stream",
                            "render_full")
+        edge = radiant.cli.PACKET_BYTES // packet_bytes(1, RenderConfig(n_coarse=1))
         scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(scene_doc(n_coarse=10**9)))
-        assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "domain" and err["type"] == "RadiantError"
-        assert str(scene) in err["message"] and "n_coarse" in err["message"]
-        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+        for samples in (edge + 1, 10**9):
+            scene.write_text(json.dumps(scene_doc(n_coarse=samples // 2,
+                                                  n_fine=samples - samples // 2)))
+            assert run("render", "--scene", scene, "--out", tmp_path / "img") == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "domain" and err["type"] == "RadiantError"
+            assert str(scene) in err["message"] and "n_coarse" in err["message"]
+            assert "for one ray" in err["message"]
+            assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
     @pytest.mark.parametrize("n_coarse,n_fine,largest", [
-        (16, 4, 64 * 3 * 20 * 3 * 8),  # the (64, 60, 3) float64 layout colors
+        (16, 4, 3 * 20 * 3 * 8),  # one ray's (60, 3, 1) float64 layout colors
     ], ids=["layout"])
     def test_render_budget_edge(self, tmp_path, monkeypatch, n_coarse, n_fine, largest):
-        import radiant.cli
-
         scene = tmp_path / "scene.json"  # 8x8 pixels
         scene.write_text(json.dumps(scene_doc(n_coarse=n_coarse, n_fine=n_fine)))
-        monkeypatch.setattr(radiant.cli, "MAX_PACKET_BYTES", largest)
+        monkeypatch.setattr(radiant.cli, "PACKET_BYTES", largest)
         assert run("render", "--scene", scene, "--out", tmp_path / "a") == 0
-        monkeypatch.setattr(radiant.cli, "MAX_PACKET_BYTES", largest - 1)
+        monkeypatch.setattr(radiant.cli, "PACKET_BYTES", largest - 1)
         assert run("render", "--scene", scene, "--out", tmp_path / "b") == 3
+
+    def test_render_bytes_at_any_budget(self, tmp_path, monkeypatch):
+        # packets of 1 ray, of 7 rays (a budget just under 8), and one packet
+        # for the whole 8x8 image give the bytes of the default budget
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc(
+            n_fine=8, object_field={"type": "constant", "color": [1, 1, 0], "sigma": 200.0},
+            boxes=[{"center": [0, 0, 0.5], "size": [0.6, 0.6, 0.4], "yaw": 0.3,
+                    "class": "car"}])))
+        ray_bytes = packet_bytes(1, RenderConfig(n_coarse=16, n_fine=8))
+
+        def render_bytes(name):
+            (tmp_path / name).mkdir()
+            assert run("render", "--scene", scene, "--out", tmp_path / name / "img") == 0
+            return [(tmp_path / name / f"img{suffix}").read_bytes()
+                    for suffix in ("_000.ppm", "_metrics.json")]
+
+        want = render_bytes("default")
+        for name, budget in (("one", ray_bytes), ("seven", 8 * ray_bytes - 1),
+                             ("whole", 64 * ray_bytes)):
+            monkeypatch.setattr(radiant.cli, "PACKET_BYTES", budget)
+            assert render_bytes(name) == want, name
 
     def test_render_pixel_budget(self, tmp_path, capsys, monkeypatch):
         self._refuse_calls(monkeypatch, "generate_ray_arrays", "splitmix64_stream",
@@ -230,23 +263,26 @@ class TestPeakMemory:
     # float64 output. The command reads ~290 MB; it read 569 MB while it
     # built every voxel center up front, kept an (N, 4) accumulator and
     # wrote the NFVG payload from two whole copies
-    VOXELIZE_CEILING_MB = 400
+    VOXELIZE_CEILING_MB = 340
     # the sphere at LoD 10 evaluates 3.3M cells and writes 1.6M samples: the
     # command reads ~210 MB; it read 250-270 MB while write_ply made a float64
     # (N, 6) copy of the samples, and 563 MB while the octree held whole
     # levels and projected them in one piece
-    EXTRACT_CEILING_MB = 400
-    # one 256-ray packet at the sample edge (n_coarse + n_fine = 3640) over a
-    # 64^3 grid near field: the command reads ~530 MB
-    RENDER_CEILING_MB = 600
-    # two 3,000-point paths: the command reads ~37 MB; it read ~239 MB while
+    EXTRACT_CEILING_MB = 280
+    # a render over a 64^3 grid near field (8 MB) in packets of PACKET_BYTES:
+    # 4 rays of n_coarse + n_fine = 3640, or one ray at the single-ray edge.
+    # The command reads ~45 MB, ~32 MB of it the interpreter and imports; it
+    # read ~530 MB in one 256-ray packet at 3640 samples
+    RENDER_CEILING_MB = 80
+    # two 3,000-point paths: the command reads ~36 MB; it read ~239 MB while
     # dtw_distance held three (n + 1) x (m + 1) float64 tables
-    EVAL_NAV_CEILING_MB = 100
+    EVAL_NAV_CEILING_MB = 60
     # a 128^3 x 4 grid (32 MB of f32, 64 MB as float64): the command reads
-    # ~160 MB, the grid and its masked copy; it read ~218 MB while read_nfvg
-    # held the whole file beside the grid and apply_mask zeroed a copy
-    # through a voxel-level boolean mask
-    MASK_CEILING_MB = 190
+    # ~96 MB, the grid masked in place; it read ~160 MB while apply_mask
+    # built a masked copy beside it, and ~218 MB while read_nfvg held the
+    # whole file beside the grid and the mask went through a voxel-level
+    # boolean mask
+    MASK_CEILING_MB = 120
 
     @staticmethod
     def _peak_mb(*argv):
@@ -281,16 +317,30 @@ class TestPeakMemory:
         assert stats["surface_points"] == 1646312
         assert peak < self.EXTRACT_CEILING_MB
 
-    def test_render_grid_field_at_the_packet_edge(self, tmp_path):
+    def _render_grid_field(self, tmp_path, n_coarse, n_fine, width):
+        """Peak MB of a width x width render over a 64^3 grid near field."""
         assert run("voxelize", "--field", "gaussian", "--dims", "64",
                    "--out", tmp_path / "g.nfvg") == 0
         doc = scene_doc(near_field={"type": "grid", "path": "g.nfvg"},
-                        n_coarse=1820, n_fine=1820)
-        doc["cameras"][0]["intrinsics"].update(cx=7.5, cy=7.5, width=16, height=16)
+                        n_coarse=n_coarse, n_fine=n_fine)
+        c = (width - 1) / 2
+        doc["cameras"][0]["intrinsics"].update(cx=c, cy=c, width=width, height=width)
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(doc))
         peak = self._peak_mb("render", "--scene", scene, "--out", tmp_path / "img")
-        assert (tmp_path / "img_000.ppm").stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+        size = len(f"P6\n{width} {width}\n255\n") + width * width * 3
+        assert (tmp_path / "img_000.ppm").stat().st_size == size
+        return peak
+
+    def test_render_grid_field_at_the_packet_edge(self, tmp_path):
+        assert self._render_grid_field(tmp_path, 1820, 1820, 16) < self.RENDER_CEILING_MB
+
+    def test_render_grid_field_at_the_single_ray_edge(self, tmp_path):
+        # the most samples one ray may take: each packet is a single ray
+        samples = radiant.cli.PACKET_BYTES // packet_bytes(1, RenderConfig(n_coarse=1))
+        cfg = RenderConfig(n_coarse=samples - samples // 2, n_fine=samples // 2)
+        assert packet_bytes(1, cfg) <= radiant.cli.PACKET_BYTES < packet_bytes(2, cfg)
+        peak = self._render_grid_field(tmp_path, cfg.n_coarse, cfg.n_fine, 4)
         assert peak < self.RENDER_CEILING_MB
 
     def test_mask_bounded(self, tmp_path):
@@ -1398,6 +1448,14 @@ def _grid_value_render(tmp_path, index: int, value: float):
     return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
 
 
+def _three_channel_render(tmp_path):
+    """render with a 4x4x4 NFVG of 3 channels as its near field."""
+    (tmp_path / "g.nfvg").write_bytes(nfvg_bytes({**NFVG_BASE, "channels": 3}, 4 * 4 * 4 * 3))
+    scene = scene_doc(near_field={"type": "grid", "path": "g.nfvg"})
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
 def _missing_trajectory(tmp_path):
     return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
 
@@ -1445,6 +1503,9 @@ class TestStderrContract:
         "grid-nan-color": (lambda p: _grid_value_render(p, 4 * 21, NAN), 3, "FileFormatError"),
         "grid-infinite-alpha": (lambda p: _grid_value_render(p, 4 * 21 + 3, np.inf), 3,
                                 "FileFormatError"),
+        # a grid field of 3 channels exited 3 as a bare ValueError that did
+        # not name the file
+        "grid-three-channels": (_three_channel_render, 3, "FileFormatError"),
         # a success: nothing on stderr
         "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
         "nav-one-flat-point": (lambda p: _trajectory(p, positions=[1, 0, 0]), 0, None),

@@ -168,6 +168,17 @@ class TestSigmaToAlpha:
     def test_saturates(self):
         assert sigma_to_alpha(1e9, 0.01) == pytest.approx(1.0, abs=1e-12)
 
+    def test_out_keeps_the_bits(self):
+        rng = np.random.default_rng(2)
+        sigma = rng.uniform(0, 200, (6, 50))
+        sigma[0] = [0.0, -0.0, 1e308, 1e-300] * 12 + [0.0, 0.0]
+        delta = rng.uniform(0, 0.1, 50)
+        want = -np.expm1(-sigma * delta)
+        buf = sigma.copy()
+        assert sigma_to_alpha(buf, delta, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert sigma_to_alpha(sigma, delta).tobytes() == want.tobytes()
+
     @settings(deadline=None, max_examples=50)
     @given(st.floats(0, 1e6), st.floats(1e-6, 10))
     def test_bounds_and_monotonicity(self, sigma, delta):

@@ -149,8 +149,8 @@ def oracle_apply_mask(g: VoxelGrid4D, m: PatchMask) -> VoxelGrid4D:
 
 
 class TestOnePassMask:
-    """apply_mask's one np.where over the voxel blocks has the bits of the
-    copy-and-scatter oracle."""
+    """apply_mask's one np.copyto over the voxel blocks, into a copy or in
+    place, has the bits of the copy-and-scatter oracle."""
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("dims", [(8, 8, 8), (4, 12, 8), (16, 4, 12)])
@@ -176,6 +176,26 @@ class TestOnePassMask:
         m = random_mask(patchify(g.dims, 4).n_patches, 0.5, seed=1, patch_size=4)
         assert np.array_equal(apply_mask(g, m).data.view(np.uint64),
                               oracle_apply_mask(g, m).data.view(np.uint64))
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_in_place_bits_equal_the_oracle(self, p):
+        data = np.random.default_rng(p).normal(size=(8, 4, 12, 4))
+        data.flat[::5] = -0.0
+        data.flat[1::7] = np.nan
+        g = VoxelGrid4D(data.copy(), CUBE)
+        for ratio in (0.0, 0.5, 1.0):
+            m = random_mask(patchify(g.dims, p).n_patches, ratio, seed=4, patch_size=p)
+            want = oracle_apply_mask(g, m).data
+            assert apply_mask(g, m, in_place=True) is g
+            assert np.array_equal(g.data.view(np.uint64), want.view(np.uint64))
+
+    def test_in_place_refuses_a_non_contiguous_grid(self):
+        # its block view would be a copy, and the zeros would be lost
+        data = np.zeros((8, 4, 12, 2)).transpose(2, 1, 0, 3)
+        g = VoxelGrid4D(data, CUBE)
+        m = random_mask(patchify(g.dims, 4).n_patches, 0.5, seed=1, patch_size=4)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_mask(g, m, in_place=True)
 
     def test_errors_unchanged(self):
         g = VoxelGrid4D(np.zeros((8, 8, 12, 4)), CUBE)

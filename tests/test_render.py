@@ -180,6 +180,61 @@ class TestComposite:
             assert np.all(w[i + 1 :] <= base[i + 1 :] + 1e-12)
 
 
+def _allocating_weights(sigmas, deltas):
+    """render._weights as it was, with a temporary for each step."""
+    alpha = -np.expm1(-np.maximum(sigmas, 0.0) * deltas)
+    trans = np.cumprod(np.concatenate([np.ones_like(alpha[..., :1]), 1.0 - alpha[..., :-1]],
+                                      axis=-1), axis=-1)
+    return alpha * trans
+
+
+class TestCompositeBuffers:
+    """composite in fewer buffers has the bits of the allocating formulas:
+    _weights in two buffers, the color sum in SUM_PIECES pieces; and it
+    leaves the arrays it is given as they were."""
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (7,), (3, 0), (1, 1), (5, 40),
+                                       (256, 288)])
+    def test_bits_equal_the_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape) * 10 + len(shape))
+        sigmas = rng.uniform(-1.0, 50.0, shape)
+        deltas = rng.uniform(1e-4, 0.2, shape)
+        deltas.flat[::4] = 0.0  # zero-length segments
+        sigmas.flat[1::5] = SUPPRESSION_SIGMA  # pruned samples
+        sigmas.flat[2::7] = 0.0
+        sigmas.flat[3::9] = -0.0
+        sigmas.flat[5::11] = 1e308  # opaque: alpha 1
+        got = render._weights(sigmas, deltas)
+        want = _allocating_weights(sigmas, deltas)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_rays", [None, 1, 5])
+    @pytest.mark.parametrize("n_samples", [0, 1, 7, 8, 9, 17, 288])
+    def test_color_sum_equals_one_reduce(self, n_rays, n_samples):
+        rng = np.random.default_rng(n_samples * 10 + (n_rays or 0))
+        rows = () if n_rays is None else (n_rays,)
+        colors = rng.uniform(0, 1, (n_samples, 3) + rows)
+        colors[::3, 1] = -0.0
+        sigmas = rng.uniform(0, 30, rows + (n_samples,))
+        deltas = rng.uniform(1e-3, 0.1, rows + (n_samples,))
+        weights = _allocating_weights(sigmas, deltas)
+        want = np.add.reduce(colors * weights.T[:, None], axis=0).T
+        got = composite(colors, sigmas, deltas).color
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_composite_keeps_its_inputs(self):
+        rng = np.random.default_rng(8)
+        colors = rng.uniform(0, 1, (40, 3, 6))
+        sigmas = rng.uniform(-1, 20, (6, 40))
+        sigmas[:, ::3] = SUPPRESSION_SIGMA
+        deltas = rng.uniform(0.0, 0.1, (6, 40))
+        before = [a.copy() for a in (colors, sigmas, deltas)]
+        res = composite(colors, sigmas, deltas)
+        for a, b in zip((colors, sigmas, deltas), before):
+            assert a.tobytes() == b.tobytes()
+        assert res.weights.tobytes() == _allocating_weights(sigmas, deltas).tobytes()
+
+
 class TestPrune:
     """render_full prunes the near field inside the boxes: _in_boxes masks
     the samples and _eval_streams writes SUPPRESSION_SIGMA there."""
@@ -716,7 +771,9 @@ class TestCompositeCalls:
 
     def test_once_per_packet_of_an_image(self, monkeypatch, tmp_path):
         calls = self._count(monkeypatch)
-        monkeypatch.setattr(radiant.cli, "PACKET_RAYS", 24)  # 8x8 pixels: 3 packets
+        # just under 25 rays' bytes: 8x8 pixels in packets of 24 rays, 3 packets
+        ray_bytes = render.packet_bytes(1, RenderConfig(n_coarse=16, n_fine=8))
+        monkeypatch.setattr(radiant.cli, "PACKET_BYTES", 25 * ray_bytes - 1)
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps({
             "near_field": {"type": "gaussian", "color": [0.9, 0.4, 0.1], "amplitude": 12.0,

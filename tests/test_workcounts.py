@@ -14,14 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # a 64^3 grid near field, a box with a constant object field, two 32x32
 # cameras, n_coarse 64, n_fine 32
 SCENE_COUNTS = {
-    "fields.radiance_eval_calls": 52,
+    "fields.radiance_eval_calls": 82,
     "fields.radiance_eval_points": 660_351,
-    "grids.trilinear_calls": 16,
+    "grids.trilinear_calls": 28,
     "grids.trilinear_points": 196_608,
-    "render.calls": 8,
+    "render.calls": 14,
     "render.rays": 2048,
     "render.samples": 398_207,
-    "render.composite_calls": 8,
+    "render.composite_calls": 14,
 }
 
 # the union shape extracted at LoD 8 and LoD 7, both PLYs written and read
