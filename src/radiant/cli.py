@@ -22,14 +22,14 @@ import numpy as np
 
 from . import io
 from .core_math import Aabb, Ray, generate_ray_arrays, splitmix64_stream
-from .errors import DimsMismatch, RadiantError
+from .errors import DimsMismatch, OriginOutsideSphere, RadiantError
 from .fields import ConstantField
 from .gridsample import sample_grid
 from .masking import apply_mask, patchify, random_mask
 from .metrics import detection_ap, nav_metrics, pose_ap, voxel_label_metrics
 from .octree import LodConfig, dense_extract, extract_surface
 from .projmaps import SemanticMapConfig, build_semantic_map
-from .render import RenderConfig, packet_bytes, render_full
+from .render import RenderConfig, packet_bytes, render_full, sphere_terms
 
 SDF_PRESETS = {
     "sphere": {"type": "sphere", "center": [0, 0, 0], "radius": 0.5},
@@ -195,7 +195,7 @@ def _cmd_mask(args) -> None:
 # call takes as many rays as fit, at least one; a scene whose single ray is
 # over it is refused before rendering
 PACKET_BYTES = 1 << 20
-# pixels of one camera: the image's ray, color and seed arrays hold W*H rows
+# pixels of one camera: the image's ray arrays hold W*H columns, its colors and seeds W*H rows
 MAX_IMAGE_PIXELS = 1 << 22
 
 
@@ -204,13 +204,13 @@ def _render_image(k, pose, cfg, cam_index, near_field, far_field, boxes, object_
     # pixel p's seed is hash p of the stream keyed by hash cam_index of the
     # seed's stream, so it does not depend on how the image is split into packets
     cam_key = splitmix64_stream(cfg.seed, cam_index + 1)[0, -1]
-    seeds = splitmix64_stream(cam_key, len(origins))[0]
-    colors = np.zeros(origins.shape)
-    accs = np.zeros(len(origins))
-    rays = min(len(origins), max(1, PACKET_BYTES // packet_bytes(1, cfg)))
-    for lo in range(0, len(origins), rays):
+    seeds = splitmix64_stream(cam_key, dirs.shape[1])[0]
+    colors = np.zeros((len(seeds), 3))
+    accs = np.zeros(len(seeds))
+    rays = min(len(seeds), max(1, PACKET_BYTES // packet_bytes(1, cfg)))
+    for lo in range(0, len(seeds), rays):
         sl = slice(lo, lo + rays)
-        res = render_full(Ray(origins[sl], dirs[sl]), replace(cfg, seed=seeds[sl]),
+        res = render_full(Ray(origins[:, sl], dirs[:, sl]), replace(cfg, seed=seeds[sl]),
                           near_field, far_field, boxes, object_field)
         colors[sl] = res.color
         accs[sl] = res.acc
@@ -262,6 +262,14 @@ def _cmd_render(args) -> None:
             f"{args.scene}: n_coarse {cfg.n_coarse} and n_fine {cfg.n_fine} need a "
             f"{nbytes}-byte array for one ray, over the budget of {PACKET_BYTES}; "
             f"use fewer samples")
+    # before any output, refuse a camera whose rays render_full would refuse:
+    # pixel rays that overflow, or a centre outside the unit sphere
+    for ci, (k, pose) in enumerate(views):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sphere_terms(Ray(*generate_ray_arrays(k, pose)))
+        except (ValueError, OriginOutsideSphere) as e:
+            raise type(e)(f"{args.scene}: cameras[{ci}]: {e}") from None
 
     image_paths = [
         _prepare_output(f"{args.out}_{ci:03d}.ppm", args.force)

@@ -77,12 +77,6 @@ def as_points(v, dim: int = 3) -> np.ndarray:
     return out
 
 
-def normalize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / n
-
-
 # how far R^T R may be from I, and det R from +1, entry by entry
 ROTATION_TOL = 1e-6
 
@@ -117,8 +111,8 @@ def skew(v) -> np.ndarray:
 
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Rodrigues formula: rotation by `angle` (radians) about a unit axis."""
-    a = normalize(as_vec3(axis))
-    k = skew(a)
+    a = as_vec3(axis)
+    k = skew(a / np.linalg.norm(a, axis=-1))  # axis=-1 sums squares; no axis is a dot
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
@@ -204,8 +198,8 @@ class Pose:
 
 @dataclass
 class Ray:
-    """Ray with unit direction, or a packet of R rays: origin and direction
-    are both (3,) or both (R, 3)."""
+    """A packet of R rays with unit directions: origin and direction are
+    (3, R) rows x, y and z. One ray is a packet of one, Ray(o[:, None], d[:, None])."""
 
     origin: np.ndarray
     direction: np.ndarray
@@ -214,20 +208,21 @@ class Ray:
         self.origin = np.asarray(self.origin, dtype=np.float64)
         self.direction = np.asarray(self.direction, dtype=np.float64)
         shape = self.origin.shape
-        if self.direction.shape != shape or shape[-1:] != (3,) or len(shape) > 2:
-            raise ValueError(f"expected (3,) or (R, 3) origin and direction, got "
+        if self.direction.shape != shape or len(shape) != 2 or shape[0] != 3:
+            raise ValueError(f"expected (3, R) origin and direction rows x, y, z, got "
                              f"{shape} and {self.direction.shape}")
-        if not (np.all(np.isfinite(self.origin)) and np.all(np.isfinite(self.direction))):
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.direction).all()):
             raise ValueError("ray components must be finite")
-        if np.any(np.abs(np.linalg.norm(self.direction, axis=-1) - 1.0) > 1e-9):
+        x, y, z = self.direction
+        if np.any(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) > 1e-9):
             raise ValueError("ray direction must be unit length")
 
     def at(self, t) -> np.ndarray:
-        """Points origin + t * direction as (3, *t.shape) rows x, y, z; for
-        a packet, t's first axis indexes the rays."""
+        """Points origin + t * direction as (3, *t.shape) rows x, y, z; t's
+        first axis indexes the rays."""
         t = np.asarray(t, dtype=np.float64)
-        shape = (3,) + (-1,) * (self.origin.ndim - 1) + (1,) * (t.ndim - self.origin.ndim + 1)
-        return self.origin.T.reshape(shape) + t * self.direction.T.reshape(shape)
+        shape = (3, -1) + (1,) * (t.ndim - 1)
+        return self.origin.reshape(shape) + t * self.direction.reshape(shape)
 
 
 def project_points(k: Intrinsics, pose: Pose, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -271,19 +266,11 @@ def backproject_pixel(k: Intrinsics, pose: Pose, pixel, depth: float) -> np.ndar
 
 
 def generate_ray_arrays(k: Intrinsics, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel rays as arrays: origins (N,3), unit directions (N,3).
-
-    Pixel order is row-major: index = v * width + u.
-    """
+    """Per-pixel rays as (3, N) rows, pixel (u, v) in column v * width + u:
+    origins, a read-only broadcast of the camera centre, and unit directions."""
     u, v = np.meshgrid(np.arange(k.width), np.arange(k.height))
-    dirs_cam = np.stack(
-        [
-            (u.ravel() - k.cx) / k.fx,
-            (v.ravel() - k.cy) / k.fy,
-            np.ones(k.width * k.height),
-        ],
-        axis=-1,
-    )
-    dirs = normalize(dirs_cam @ pose.rotation.T)
-    origins = np.broadcast_to(pose.translation, dirs.shape).copy()
-    return origins, dirs
+    dirs = pose.rotation @ np.stack([(u.ravel() - k.cx) / k.fx, (v.ravel() - k.cy) / k.fy,
+                                     np.ones(k.width * k.height)])
+    x, y, z = dirs
+    dirs /= np.sqrt(x * x + y * y + z * z)
+    return np.broadcast_to(pose.translation[:, None], dirs.shape), dirs

@@ -87,10 +87,11 @@ def build_semantic_map(
 
     obstacle = (world[:, 2] >= cfg.height_min) & (world[:, 2] <= cfg.height_max)
     rel = world[obstacle, :2] - pose.translation[:2]
-    cells = np.floor(rel / cfg.cell_size + r).astype(np.int64)
-    labels = labels[obstacle]
+    # tested before the int64 cast, which is undefined for NaN or huge cells
+    cells = np.floor(rel / cfg.cell_size + r)
     in_map = np.all((cells >= 0) & (cells < 2 * r), axis=1)
-    occupancy[cells[in_map, 0], cells[in_map, 1], labels[in_map]] = True
+    cells = cells[in_map].astype(np.int64)
+    occupancy[cells[:, 0], cells[:, 1], labels[obstacle][in_map]] = True
     return SemanticMap(r, cfg.cell_size, occupancy)
 
 

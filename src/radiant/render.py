@@ -11,8 +11,8 @@ samples alternate (objects reuse the near depths), then the far ladder
 follows, composited in one pass; with no boxes, editing reproduces plain
 near/far rendering bit for bit.
 
-render_full is the one renderer. It takes one ray or a packet of R rays (a
-Ray with (R, 3) arrays) and lays out every ray alike, in (R, S) samples,
+render_full is the one renderer. It takes a packet of R rays, (3, R) rows
+(one ray is a packet of one), and lays out every ray alike, in (R, S) samples,
 (3, R, S) points and (S, 3, R) colors, so a ray renders the same bits in any packet.
 Each sample is evaluated once: the fine pass evaluates only its new near
 and far draws and merges them by depth with the coarse pass's values,
@@ -47,7 +47,7 @@ class RenderConfig:
     far: float = 3.0
     n_coarse: int = 64
     n_fine: int = 0  # hierarchical resampling, off by default
-    # jitter seed of one ray, or an (R,) array of per-ray seeds for a packet
+    # jitter seed of every ray, or an (R,) array of per-ray seeds for a packet
     seed: Union[int, np.ndarray] = 0
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class RaySamples:
 
 class CompositeResult(NamedTuple):
     color: np.ndarray
-    acc: float
+    acc: np.ndarray
     weights: np.ndarray
 
 
@@ -91,7 +91,7 @@ def _stratified(lo, hi, jitter: np.ndarray) -> np.ndarray:
     return lo + (np.arange(n) + jitter) * (hi - lo) / n
 
 
-def stratified_samples(ray: Ray, cfg: RenderConfig) -> RaySamples:
+def stratified_samples(cfg: RenderConfig) -> RaySamples:
     """Stratified coarse samples of [near, far]; jitter is the seed's draws [0, n)."""
     t = _stratified(cfg.near, cfg.far, uniform_stream(cfg.seed, cfg.n_coarse)[0])
     deltas = np.append(np.diff(t), cfg.far - t[-1])
@@ -105,18 +105,14 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
     the accumulated opacity (= sum of weights), and the weights themselves.
     Negative densities (pruned samples) are clamped to zero here.
 
-    One ray passes colors (S, 3) and sigmas, deltas (S,) and gets a (3,)
-    color and a float acc; a packet of R rays passes (S, 3, R) colors and
-    (R, S) sigmas and deltas, and gets (R, 3) colors, (R,) acc and (R, S)
-    weights. Both sum colors sample after sample: a ray's bits in any packet.
+    A packet of R rays passes (S, 3, R) colors and (R, S) sigmas and
+    deltas, and gets (R, 3) colors, (R,) acc and (R, S) weights; colors are
+    summed sample after sample, so a ray has the same bits in any packet.
     """
     colors = np.asarray(colors, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
-    if sigmas.ndim < 2:
-        sigmas, deltas = sigmas.ravel(), deltas.ravel()
-        colors = np.zeros((0, 3)) if colors.size == sigmas.size == 0 else np.atleast_2d(colors)
-    if not (colors.shape == (sigmas.shape[-1], 3) + sigmas.shape[:-1]
+    if not (sigmas.ndim == 2 and colors.shape == (sigmas.shape[1], 3, sigmas.shape[0])
             and sigmas.shape == deltas.shape):
         raise LengthMismatch(f"colors/sigmas/deltas shapes {colors.shape}/{sigmas.shape}/"
                              f"{deltas.shape}")
@@ -131,7 +127,7 @@ def composite(colors, sigmas, deltas) -> CompositeResult:
     for lo in range(step, len(colors), step):
         part = colors[lo:lo + step] * w[lo:lo + step]
         color = np.add.reduce(np.concatenate([color[None], part]), axis=0)
-    return CompositeResult(color.T, float(acc) if acc.ndim == 0 else acc, weights)
+    return CompositeResult(color.T, acc, weights)
 
 
 def _weights(sigmas, deltas) -> np.ndarray:
@@ -183,13 +179,22 @@ def packet_bytes(n_rays: int, cfg: RenderConfig) -> int:
     return n_rays * 3 * (cfg.n_coarse + cfg.n_fine) * 3 * 8
 
 
+def sphere_terms(ray: Ray) -> tuple[np.ndarray, np.ndarray]:
+    """b = o . d and oo = o . o of each ray, (R, 1) sums left to right; raises
+    OriginOutsideSphere unless every origin lies inside the unit sphere."""
+    (ox, oy, oz), (dx, dy, dz) = ray.origin, ray.direction
+    oo = (ox * ox + oy * oy + oz * oz)[:, None]
+    if np.any(oo >= 1.0):
+        raise OriginOutsideSphere("ray origin must lie inside the unit sphere")
+    return (ox * dx + oy * dy + oz * dz)[:, None], oo
+
+
 class RenderResult(NamedTuple):
-    """Composited color, accumulated opacity, and the part of it from the
-    near region: (3,) and floats for one ray, (R, 3) and (R,) for a packet."""
+    """(R, 3) colors, (R,) accumulated opacities and their (R,) near parts."""
 
     color: np.ndarray
-    acc: float
-    acc_near: float
+    acc: np.ndarray
+    acc_near: np.ndarray
 
 
 def render_full(
@@ -200,8 +205,8 @@ def render_full(
     boxes: Sequence[OrientedBox3] = (),
     object_field: Optional[RadianceField] = None,
 ) -> RenderResult:
-    """Render one ray, or a packet of R rays with cfg.seed an (R,) array of
-    per-ray seeds. Inside the boxes the near field is pruned and object_field
+    """Render a packet of R rays, cfg.seed an (R,) array of per-ray seeds or
+    one seed for all. Inside the boxes the near field is pruned and object_field
     (if given) is queried instead; with no boxes the object field is unused.
 
     Every ray gets the same (R, S) sample layout: where the per-ray
@@ -210,18 +215,14 @@ def render_full(
     segment, which contributes nothing. So a ray renders the same bit for
     bit in any packet.
     """
-    o, d = np.atleast_2d(ray.origin), np.atleast_2d(ray.direction)
-    b = np.sum(o * d, axis=-1, keepdims=True)
-    oo = np.sum(o * o, axis=-1, keepdims=True)
-    if np.any(oo >= 1.0):
-        raise OriginOutsideSphere("ray origin must lie inside the unit sphere")
+    b, oo = sphere_terms(ray)
     t_sphere = -b + np.sqrt(b * b - (oo - 1.0))
     has_near = t_sphere > cfg.near
     n, n_fine = cfg.n_coarse, cfg.n_fine
 
     # jitter k of a ray is draw k of its seed's stream: near [0, n), far
     # [n, 2n), near fine [2n, 2n + f), far fine [2n + f, 2n + 2f)
-    jitter = np.broadcast_to(uniform_stream(cfg.seed, 2 * (n + n_fine)), (len(o), 2 * (n + n_fine)))
+    jitter = np.broadcast_to(uniform_stream(cfg.seed, 2 * (n + n_fine)), (len(b), 2 * (n + n_fine)))
     near_ts = _stratified(cfg.near, t_sphere, jitter[:, :n])
     # descending inverse radius over (0, 1]: first sample sits just outside
     # the sphere, later samples stride toward infinity
@@ -265,21 +266,23 @@ def render_full(
         near_ts, near, far_ts, far = refine(near_ts, near, far_ts, far)
 
     color, acc, near_w, _ = _compose_streams(near_ts, near, far_ts, far, t_sphere, has_near)
-    acc_near = near_w.sum(axis=-1)
-    if ray.origin.ndim == 1:
-        return RenderResult(color[0], float(acc[0]), float(acc_near[0]))
-    return RenderResult(color, acc, acc_near)
+    return RenderResult(color, acc, near_w.sum(axis=-1))
 
 
 def _merge(coarse, fine):
     """Join each coarse (R, S) or (C, R, S) array to its fine counterpart
-    along the last, sample axis, and order every ray's samples by the joined
-    depths, the first array. Equal depths give a point equal values, so which
-    of two tied samples comes first does not change any array."""
-    joined = [np.concatenate([c, f], axis=-1) for c, f in zip(coarse, fine)]
-    n_rays, s = joined[0].shape
-    rows = np.argsort(joined[0], axis=1) + (np.arange(n_rays) * s)[:, None]
-    return [np.take(a.reshape(a.shape[:-2] + (-1,)), rows, axis=-1) for a in joined]
+    along the last, sample axis, in turn in one reused buffer (separate joins
+    left a larger heap), and order every ray's samples by the joined depths,
+    the first array. Equal depths give a point equal values, so which of two
+    tied samples comes first does not change any array."""
+    buf = np.empty(max(c.size + f.size for c, f in zip(coarse, fine)))
+    merged = []
+    for c, f in zip(coarse, fine):
+        a = np.concatenate([c, f], axis=-1, out=buf[:c.size + f.size].reshape(c.shape[:-1] + (-1,)))
+        if not merged:  # the depths
+            rows = np.argsort(a, axis=1) + (np.arange(len(a)) * a.shape[1])[:, None]
+        merged.append(np.take(a.reshape(c.shape[:-2] + (-1,)), rows, axis=-1))
+    return merged
 
 
 def _eval_streams(ray, near_ts, far_ts, near_field, far_field, boxes, object_field):

@@ -139,13 +139,14 @@ def test_criterion_3_conservation_and_convergence():
         n = 64
         sigmas = rng.uniform(0, 30, n)
         deltas = rng.uniform(1e-4, 0.1, n)
-        res = composite(rng.uniform(0, 1, (n, 3)), sigmas, deltas)
-        worst_acc = max(worst_acc, res.acc)
+        res = composite(rng.uniform(0, 1, (n, 3))[..., None], sigmas[None], deltas[None])
+        acc = res.acc[0]
+        worst_acc = max(worst_acc, acc)
         t_analytic = np.prod(1.0 - (-np.expm1(-sigmas * deltas)))
         worst_gap = max(
             worst_gap,
-            abs(res.acc - res.weights.sum()),
-            abs(res.acc - (1.0 - t_analytic)),
+            abs(acc - res.weights.sum()),
+            abs(acc - (1.0 - t_analytic)),
         )
 
     # the same bound on fully rendered rays (random directions and seeds)
@@ -153,24 +154,25 @@ def test_criterion_3_conservation_and_convergence():
     far = ConstantField((0.1, 0.2, 0.4), 1.5)
     for seed in range(200):
         v = rng.normal(size=3)
-        ray = Ray(rng.uniform(-0.3, 0.3, 3), v / np.linalg.norm(v))
-        res = render_full(ray, RenderConfig(seed=seed), near, far)
-        worst_acc = max(worst_acc, res.acc)
+        o, d = rng.uniform(-0.3, 0.3, 3), v / np.linalg.norm(v)
+        res = render_full(Ray(o[:, None], d[:, None]), RenderConfig(seed=seed), near, far)
+        worst_acc = max(worst_acc, res.acc[0])
 
     blob = GaussianBlobField((1, 1, 1), 10.0, (0, 0, 1.2), 0.35)
     integral, _ = quad(
         lambda t: 10.0 * math.exp(-((t - 1.2) ** 2) / (2 * 0.35**2)), 0.02, 3.0
     )
     t_exact = math.exp(-integral)
-    ray = Ray((0, 0, 0), (0, 0, 1))
+    ray = Ray(np.zeros(3)[:, None], np.array([0.0, 0.0, 1.0])[:, None])
 
     def mean_error(n):
         errs = []
         for seed in range(20):
             cfg = RenderConfig(near=0.02, far=3.0, n_coarse=n, seed=seed)
-            s = stratified_samples(ray, cfg)
-            _, sig = blob.eval(ray.at(s.t_values))
-            errs.append(abs((1.0 - composite(np.zeros((n, 3)), sig, s.deltas).acc) - t_exact))
+            s = stratified_samples(cfg)
+            _, sig = blob.eval(ray.at(s.t_values[None]))
+            acc = composite(np.zeros((n, 3, 1)), sig, s.deltas[None]).acc[0]
+            errs.append(abs((1.0 - acc) - t_exact))
         return float(np.mean(errs))
 
     errors = {n: mean_error(n) for n in (32, 64, 128, 256)}
@@ -398,7 +400,8 @@ def test_criterion_8_scene_editing_consistency():
     # camera) against no editing: the box branch runs and must change no bit
     behind = OrientedBox3((0, 0, -0.6), (0.3, 0.3, 0.3))
     obj = ConstantField((1, 1, 0), 80.0)
-    ray = Ray((0, 0, 0), np.array([0.1, 0.05, 0.99]) / np.linalg.norm([0.1, 0.05, 0.99]))
+    d = np.array([0.1, 0.05, 0.99]) / np.linalg.norm([0.1, 0.05, 0.99])
+    ray = Ray(np.zeros(3)[:, None], d[:, None])
     bit_equal = True
     for seed in range(10):
         for n_fine in (0, 8):
@@ -409,7 +412,7 @@ def test_criterion_8_scene_editing_consistency():
 
     box = OrientedBox3((0, 0, 0.5), (3, 3, 1.2))
     cfg = RenderConfig(seed=3)
-    ray = Ray((0, 0, 0), (0, 0, 1))
+    ray = Ray(np.zeros(3)[:, None], np.array([0.0, 0.0, 1.0])[:, None])
     pruned = render_full(ray, cfg, ConstantField((1, 0, 0), 80.0), far, [box]).color
     background = render_full(ray, cfg, ConstantField((0, 0, 0), 0.0), far).color
     prune_gap = float(np.abs(pruned - background).max())

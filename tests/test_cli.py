@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import radiant
 from radiant import io
 from radiant.cli import MAX_GRID_VALUES, build_parser, dispatch
+from radiant.core_math import rotation_about
 from radiant.render import RenderConfig, packet_bytes
 
 
@@ -1456,6 +1457,35 @@ def _three_channel_render(tmp_path):
     return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
 
 
+def camera_scene(tmp_path, edits=None):
+    """render argv of a scene with two 2x2 cameras and n_coarse 4, the second
+    turned and moved off centre, with each (camera, part, key): value of
+    edits written into that camera's intrinsics, rotation or translation."""
+    turn = rotation_about([0, 1, 0], 0.3).ravel().tolist()
+    cams = [{"intrinsics": {"fx": 2, "fy": 2, "cx": 0.5, "cy": 0.5, "width": 2, "height": 2},
+             "pose": {"rotation": rotation, "translation": translation}}
+            for rotation, translation in (([1, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0]),
+                                          (turn, [0.1, 0, -0.3]))]
+    for (ci, part, key), value in (edits or {}).items():
+        (cams[ci]["intrinsics"] if part == "intrinsics" else cams[ci]["pose"][part])[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene_doc(cameras=cams, n_coarse=4)))
+    return ("render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "img")
+
+
+# the cameras render refused only after writing the images before them, or
+# after a numpy overflow warning on stderr
+OUTSIDE_SPHERE = {(1, "translation", 2): 2.0}
+TINY_FX = {(1, "intrinsics", "fx"): 1e-300}
+HUGE_CX = {(1, "intrinsics", "cx"): 1e308}
+
+
+def _semmap_tiny_fx(tmp_path):
+    argv = TestNonFiniteFlags.semmap_inputs(tmp_path, np.full((4, 4), 2.0))
+    (tmp_path / "k.json").write_text(json.dumps(
+        {"fx": 1e-300, "fy": 10, "cx": 2, "cy": 2, "width": 4, "height": 4}))
+    return (*argv, "--out", tmp_path / "m.nfvg")
+
+
 def _missing_trajectory(tmp_path):
     return ("eval-nav", "--trajectory", tmp_path / "nope.json", "--out", tmp_path / "nav.json")
 
@@ -1467,8 +1497,8 @@ def _trajectory(tmp_path, **overrides):
 
 class TestStderrContract:
     """An error exit writes exactly one line to stderr, the JSON record, and
-    nothing before it: in-process tests cannot see this, since pytest records
-    warnings instead of printing them."""
+    nothing before it, and writes no file: in-process tests cannot see the
+    stderr half, since pytest records warnings instead of printing them."""
 
     CASES = {
         "nan-labels": (lambda p: _label_docs(p, NAN), 3, "LabelOutOfRange"),
@@ -1506,22 +1536,32 @@ class TestStderrContract:
         # a grid field of 3 channels exited 3 as a bare ValueError that did
         # not name the file
         "grid-three-channels": (_three_channel_render, 3, "FileFormatError"),
+        # cameras are checked before any output is written
+        "camera-outside-sphere": (lambda p: camera_scene(p, OUTSIDE_SPHERE), 3,
+                                  "OriginOutsideSphere"),
+        "camera-tiny-fx": (lambda p: camera_scene(p, TINY_FX), 3, "ValueError"),
+        "camera-huge-cx": (lambda p: camera_scene(p, HUGE_CX), 3, "ValueError"),
         # a success: nothing on stderr
         "ten-million-classes": (lambda p: _label_docs(p, 2.0, 10**7), 0, None),
         "nav-one-flat-point": (lambda p: _trajectory(p, positions=[1, 0, 0]), 0, None),
         "grid-alpha-one": (lambda p: _grid_value_render(p, 4 * 21 + 3, 1.0), 0, None),
+        # pixels whose map cells are NaN warned in the int64 cast
+        "semmap-tiny-fx": (_semmap_tiny_fx, 0, None),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_json_line(self, tmp_path, case):
         make_argv, code, kind = self.CASES[case]
-        proc = subprocess.run([sys.executable, "-m", "radiant.cli", *map(str, make_argv(tmp_path))],
+        argv = make_argv(tmp_path)
+        inputs = sorted(tmp_path.rglob("*"))
+        proc = subprocess.run([sys.executable, "-m", "radiant.cli", *map(str, argv)],
                               env=child_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         lines = proc.stderr.splitlines()
         if code == 0:
             assert lines == [], proc.stderr
             return
+        assert sorted(tmp_path.rglob("*")) == inputs
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert err == {"error": "domain" if code == 3 else "io", "type": kind,
@@ -1670,3 +1710,63 @@ class TestNfvgPayload:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1, proc.stderr
             assert json.loads(lines[0])["type"] == "FileFormatError"
+
+
+class TestCameraChecks:
+    """render checks every camera after its budgets and before it writes
+    anything, and names the camera: a centre on or outside the unit sphere,
+    and intrinsics whose pixel rays overflow."""
+
+    @pytest.mark.parametrize("edits,kind", [(OUTSIDE_SPHERE, "OriginOutsideSphere"),
+                                            (TINY_FX, "ValueError"), (HUGE_CX, "ValueError")],
+                             ids=["outside-sphere", "tiny-fx", "huge-cx"])
+    def test_refused_naming_the_camera(self, tmp_path, capsys, edits, kind):
+        argv = camera_scene(tmp_path, edits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == kind
+        assert err["message"].startswith(f"{tmp_path / 'scene.json'}: cameras[1]: ray ")
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+    def test_centre_on_the_sphere(self, tmp_path):
+        # the check and render_full test |t|^2 < 1 by one function, sphere_terms
+        assert run(*camera_scene(tmp_path, {(1, "translation", 2): -1.0})) == 3
+        inside = float(np.nextafter(-1.0, 0.0))
+        assert run(*camera_scene(tmp_path, {(1, "translation", 2): inside,
+                                            (1, "translation", 0): 0.0})) == 0
+
+
+# JSON values a camera mutation writes: tiny, huge, zero, negative,
+# non-finite, bools and strings
+CAMERA_VALUES = st.sampled_from([1e-300, -1e-300, 1e300, 1e308, -1e308, 0, -0.0, -1, 0.5, 2,
+                                 NAN, INF, -INF, True, False, "1", "fx"])
+CAMERA_KEYS = st.sampled_from(
+    [("intrinsics", k) for k in ("fx", "fy", "cx", "cy", "width", "height")]
+    + [("rotation", i) for i in range(9)] + [("translation", i) for i in range(3)])
+
+
+class TestCameraMutations:
+    """render, in a child process, of camera_scene with some intrinsics and
+    pose values replaced: exit 0 with nothing on stderr, or exit 3 with one
+    JSON line on stderr and no output file."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.dictionaries(st.builds(lambda ci, key: (ci, *key), st.integers(0, 1), CAMERA_KEYS),
+                           CAMERA_VALUES, min_size=1, max_size=3))
+    @example(OUTSIDE_SPHERE)
+    @example(TINY_FX)
+    @example(HUGE_CX)
+    @example({(0, "translation", 0): 1e300})  # |t|^2 overflows: outside, without a warning
+    def test_render_keeps_the_contract(self, tmp_path_factory, edits):
+        d = tmp_path_factory.mktemp("camera")
+        proc = run_cli(*camera_scene(d, edits))
+        assert proc.returncode in (0, 3), proc.stderr
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            return
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "domain"
+        assert [p.name for p in d.iterdir()] == ["scene.json"]

@@ -83,52 +83,74 @@ class TestGenerateRays:
     def test_counts_and_unit_norm(self):
         k = Intrinsics(fx=10, fy=10, cx=0.5, cy=0.5, width=2, height=2)
         origins, dirs = generate_ray_arrays(k, IDENTITY)
-        assert origins.shape == dirs.shape == (4, 3)
-        assert np.array_equal(origins, np.zeros((4, 3)))
-        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-12
+        assert origins.shape == dirs.shape == (3, 4)
+        assert np.array_equal(origins, np.zeros((3, 4)))
+        assert np.abs(np.linalg.norm(dirs, axis=0) - 1.0).max() < 1e-12
 
     def test_principal_pixel_along_optical_axis(self):
         k = Intrinsics(fx=10, fy=10, cx=1, cy=1, width=3, height=3)
         _, dirs = generate_ray_arrays(k, IDENTITY)
-        assert np.allclose(dirs[1 * 3 + 1], (0, 0, 1))
+        assert np.allclose(dirs[:, 1 * 3 + 1], (0, 0, 1))
 
     def test_corner_matches_backprojection(self):
         rng = np.random.default_rng(11)
         pose = Pose(random_rotation(rng), rng.normal(size=3))
         k = Intrinsics(fx=20, fy=25, cx=1.0, cy=2.0, width=4, height=4)
         origins, dirs = generate_ray_arrays(k, pose)
-        corner = dirs[3 * 4 + 3]  # pixel (u=3, v=3)
+        corner = dirs[:, 3 * 4 + 3]  # pixel (u=3, v=3)
         target = backproject_pixel(k, pose, (3, 3), 1.0)
         expected = target - pose.translation
         expected /= np.linalg.norm(expected)
         assert np.abs(corner - expected).max() < 1e-12
-        assert np.array_equal(origins[3 * 4 + 3], pose.translation)
+        assert np.array_equal(origins[:, 3 * 4 + 3], pose.translation)
+
+    def test_rows_keep_the_pixel_major_bits(self):
+        # rows are the transpose of the (N, 3) rays built as dirs_cam @ R.T
+        # and normalized by np.linalg.norm, bit for bit; origins are a
+        # read-only broadcast of the camera centre, not a copy
+        rng = np.random.default_rng(5)
+        pose = Pose(random_rotation(rng), rng.normal(size=3))
+        k = Intrinsics(fx=7, fy=9, cx=3.3, cy=2.1, width=9, height=5)
+        origins, dirs = generate_ray_arrays(k, pose)
+        u, v = np.meshgrid(np.arange(9), np.arange(5))
+        cam = np.stack([(u.ravel() - 3.3) / 7, (v.ravel() - 2.1) / 9, np.ones(45)], axis=-1)
+        want = cam @ pose.rotation.T
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        assert dirs.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        assert not origins.flags.writeable and origins.strides[1] == 0
 
 
 class TestRayPacket:
     def test_packet_rows_match_single_rays(self):
         rng = np.random.default_rng(2)
-        dirs = rng.normal(size=(5, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        origins = rng.uniform(-0.5, 0.5, (5, 3))
+        dirs = rng.normal(size=(3, 5))
+        dirs /= np.linalg.norm(dirs, axis=0)
+        origins = rng.uniform(-0.5, 0.5, (3, 5))
         t = rng.uniform(0, 2, (5, 4))
         packet = Ray(origins, dirs)
         pts = packet.at(t)
         assert pts.shape == (3, 5, 4)
         for i in range(5):
-            assert np.array_equal(pts[:, i], Ray(origins[i], dirs[i]).at(t[i]))
+            one = Ray(origins[:, i:i + 1], dirs[:, i:i + 1])
+            assert np.array_equal(pts[:, i], one.at(t[i:i + 1])[:, 0])
         assert np.array_equal(packet.at(t[:, 0]), pts[:, :, 0])
 
     def test_each_row_validated(self):
-        dirs = np.tile([0.0, 0.0, 1.0], (3, 1))
+        dirs = np.tile([[0.0], [0.0], [1.0]], (1, 3))
         with pytest.raises(ValueError, match="unit length"):
-            Ray(np.zeros((3, 3)), dirs * [[1.0], [1.0], [1.1]])
+            Ray(np.zeros((3, 3)), dirs * [1.0, 1.0, 1.1])
         with pytest.raises(ValueError, match="finite"):
             Ray([[0, 0, 0], [0, 0, np.nan], [0, 0, 0]], dirs)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3), (3, 2, 1), (0,)])
+    def test_refuses_all_but_rows(self, shape):
+        # a (3,) vector and (R, 3) points with R != 3 are not (3, R) rows
+        d = np.zeros(shape)
+        d[..., -1:] = 1.0
+        with pytest.raises(ValueError, match=r"\(3, R\) origin and direction rows"):
+            Ray(np.zeros(shape), d)
         with pytest.raises(ValueError, match="expected"):
-            Ray(np.zeros(3), dirs)
-        with pytest.raises(ValueError):
-            Ray(np.zeros((3, 2)), np.zeros((3, 2)))
+            Ray(np.zeros((3, 2)), np.zeros((3, 3)))
 
 
 class TestCheckRotation:
