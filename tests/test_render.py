@@ -762,6 +762,43 @@ class TestEvalOnce:
         assert digest.hexdigest() == self.SHA256[scene]
 
 
+class TestMergeMemory:
+    """_merge holds one joined array at a time: the arrays of a near merge
+    (depths, object colors and sigmas, near colors and sigmas) are joined
+    in turn into one buffer, not all at once."""
+
+    def test_one_join_alive(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        n_rays, s, f = 100, 64, 32
+
+        def stream(n):
+            return [np.sort(rng.uniform(0.0, 1.0, (n_rays, n)), axis=-1),
+                    rng.random((3, n_rays, n)), rng.random((n_rays, n)),
+                    rng.random((3, n_rays, n)), rng.random((n_rays, n))]
+
+        coarse, fine = stream(s), stream(f)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            merged = render._merge(coarse, fine)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(a.nbytes for a in merged)
+        largest_join = 3 * n_rays * (s + f) * 8
+        # outputs, one colors-sized join, and the sort order with its offsets;
+        # joining every array first held the outputs' size again
+        assert peak <= out_bytes + 2 * largest_join, (peak, out_bytes)
+        order = np.argsort(np.concatenate([coarse[0], fine[0]], axis=-1), axis=1)
+        for c, fi, m in zip(coarse, fine, merged):
+            want = np.take_along_axis(np.concatenate([c, fi], axis=-1),
+                                      np.broadcast_to(order, c.shape[:-1] + order.shape[-1:]),
+                                      axis=-1)
+            assert m.tobytes() == want.tobytes()
+
+
 class TestCompositeCalls:
     """Only the final pass runs the color composite; the coarse pass of a
     fine render computes weights alone."""
